@@ -10,9 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._parallel import indexed_map
-from .compound import CompoundSpec, ccdf_bell, pmf
-from .errors import DomainError
+from .compound import CompoundSpec, ccdf_bell
+from .errors import AccuracyError, DomainError
 from .geometry import (GeometryParams, PAPER, RoadRealization, SAMPLERS,
                        expected_roads, mean_users, rng_stream, sample_roads)
 from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
@@ -138,18 +137,25 @@ def ppp_equivalent(scn: Scenario) -> Scenario:
                     region_km=scn.region_km)
 
 
+def weight_matrix(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
+    """R x N combined per-level Poisson weights, row i for road realization i."""
+    w = np.zeros((len(roads), scn.combined_levels))
+    indoor = scn._indoor_weights
+    w[:, : indoor.size] += indoor
+    u2, v2, lv = scn._outdoor_table
+    seg = np.empty((len(roads), lv.size))
+    for i, road in enumerate(roads):
+        r2 = road.chord_distances ** 2
+        seg[i] = (np.sqrt(np.maximum(v2[:, None] - r2[None, :], 0.0))
+                  - np.sqrt(np.maximum(u2[:, None] - r2[None, :], 0.0))).sum(axis=1)
+    # rings sharing a level accumulate in ring order
+    np.add.at(w, (slice(None), lv), 2.0 * scn.geometry.user_intensity_linear * seg)
+    return w
+
+
 def conditional_spec(scn: Scenario, road: RoadRealization) -> CompoundSpec:
     """Combined per-level Poisson weights for one road realization."""
-    w = np.zeros(scn.combined_levels)
-    indoor = scn._indoor_weights
-    w[: indoor.size] += indoor
-    u2, v2, lv = scn._outdoor_table
-    if lv.size:
-        r2 = road.chord_distances ** 2
-        seg = (np.sqrt(np.maximum(v2[:, None] - r2[None, :], 0.0))
-               - np.sqrt(np.maximum(u2[:, None] - r2[None, :], 0.0))).sum(axis=1)
-        np.add.at(w, lv, 2.0 * scn.geometry.user_intensity_linear * seg)
-    return CompoundSpec(weights=w)
+    return CompoundSpec(weights=weight_matrix(scn, [road])[0])
 
 
 def conditional_congestion(scn: Scenario, road: RoadRealization, m: int) -> float:
@@ -173,50 +179,56 @@ class CongestionCurve:
     stderr: np.ndarray
     realizations: int
 
-    def value_at(self, m: int) -> float:
-        idx = int(np.searchsorted(self.m_values, m))
-        if idx >= self.m_values.size or self.m_values[idx] != m:
-            raise DomainError(f"threshold {m} not on the curve")
-        return float(self.pi[idx])
 
+def batched_curve(weights, m_values) -> CongestionCurve:
+    """Mean and standard error over the rows of an R x N weight matrix of
+    P(Gamma >= m | row weights), exactly zero error where all rows agree.
 
-def _conditional_curves(scn: Scenario, m_values: np.ndarray,
-                        roads: list[RoadRealization]) -> np.ndarray:
-    k = int(m_values.max())
-    rows = np.empty((len(roads), m_values.size))
-
-    def work(i: int) -> None:
-        table = pmf(conditional_spec(scn, roads[i]), max(k - 1, 0))
-        rows[i] = table.ccdf_curve(m_values)
-
-    indexed_map(work, len(roads))
-    return rows
-
-
-def _curve_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columnwise mean and standard error, exactly zero for identical rows."""
-    pi = rows.mean(axis=0)
-    if rows.shape[0] == 1 or np.all(rows == rows[0]):
-        return pi, np.zeros(rows.shape[1])
-    return pi, rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+    The recursion k*p_k = sum_j j*w_j*p_{k-j} advances all rows together and
+    keeps only the last N PMF columns and a running CDF per row.
+    """
+    w = np.asarray(weights, dtype=float)
+    m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
+    if w.ndim != 2 or w.size == 0 or not np.all(np.isfinite(w)) or w.min() < 0:
+        raise DomainError("weights must be a nonempty R x N matrix, nonnegative and finite")
+    if m.size == 0 or m.min() < 0:
+        raise DomainError("thresholds must be nonempty and nonnegative")
+    rows, n = w.shape
+    total = w.sum(axis=1)
+    p = np.exp(-total)
+    # every p_k scales with p_0, so a subnormal p_0 leaves the whole row inaccurate
+    under = p < np.finfo(float).tiny
+    if under.any():
+        raise AccuracyError(f"PMF recursion underflows on {int(under.sum())} of {rows} road "
+                            f"realizations: total weight up to {total.max():.6g}, limit about 708")
+    pi = np.zeros(int(m.max()) + 1)
+    stderr = np.zeros(pi.size)
+    # at step k window row i holds p_{k-n+i}, which lagged_jw row i multiplies
+    window = np.zeros((n, rows))
+    lagged_jw = np.ascontiguousarray((w * np.arange(1, n + 1)).T[::-1])
+    cum = np.zeros(rows)
+    for k in range(pi.size):
+        tail = np.maximum(1.0 - cum, 0.0)
+        pi[k] = tail.mean()
+        if tail.min() != tail.max():
+            stderr[k] = tail.std(ddof=1) / math.sqrt(rows)
+        if k > 0:
+            p = np.einsum("jr,jr->r", lagged_jw, window) / k
+        window[:-1] = window[1:]
+        window[-1] = p
+        cum += p
+    return CongestionCurve(m_values=m, pi=pi[m], stderr=stderr[m],
+                           realizations=rows)
 
 
 def averaged_congestion(scn: Scenario, m_values) -> CongestionCurve:
     """Mean conditional congestion over the scenario's road realizations.
 
-    Deterministic for a fixed seed and realization count regardless of
-    worker threads: realization i always uses stream (seed, i) and the
-    reduction is index-ordered.
+    Deterministic for a fixed seed and realization count: realization i
+    always uses stream (seed, i), and every realization goes through the
+    same batched recursion.
     """
-    m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
-    if m.size == 0:
-        raise DomainError("m_values must be nonempty")
-    if m.min() < 0:
-        raise DomainError("thresholds must be nonnegative")
-    rows = _conditional_curves(scn, m, road_set(scn))
-    pi, stderr = _curve_stats(rows)
-    return CongestionCurve(m_values=m, pi=pi, stderr=stderr,
-                           realizations=rows.shape[0])
+    return batched_curve(weight_matrix(scn, road_set(scn)), m_values)
 
 
 def expected_load(scn: Scenario) -> float:
@@ -230,13 +242,7 @@ def expected_load(scn: Scenario) -> float:
     r = scn.cell_radius_km
     omega = expected_roads(scn.geometry, r)
     coef = 4.0 * scn.geometry.user_intensity_linear * omega / (3.0 * r * r)
-    prof_out, prof_in = scn.profiles
-    total = 0.0
-    for n, ivs in prof_out.rings.items():
-        for a, b in _clip_intervals(ivs, scn.region_km):
-            total += n * coef * (b ** 3 - a ** 3)
-    kappa = scn.geometry.user_intensity_area
-    for n, ivs in prof_in.rings.items():
-        for a, b in _clip_intervals(ivs, scn.region_km):
-            total += n * kappa * math.pi * (b * b - a * a)
-    return total
+    u2, v2, lv = scn._outdoor_table
+    outdoor = coef * float((lv + 1) @ (v2 * np.sqrt(v2) - u2 * np.sqrt(u2)))
+    indoor = scn._indoor_weights
+    return outdoor + float(np.arange(1, indoor.size + 1) @ indoor)

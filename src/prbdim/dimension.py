@@ -9,9 +9,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .congestion import (CongestionCurve, Scenario, road_set,
-                         _conditional_curves, _curve_stats)
-from .errors import CeilingError, DomainError, InfeasibleSplitError
+from .compound import CompoundSpec, default_cutoff
+from .congestion import (CongestionCurve, Scenario, batched_curve, road_set,
+                         weight_matrix)
+from .errors import (AccuracyError, CeilingError, DomainError,
+                     InfeasibleSplitError)
 from .geometry import GeometryParams, PAPER
 from .linkmodel import InterferenceModel, LinkBudget, Service
 
@@ -107,28 +109,23 @@ def dimension_scenario(scn: Scenario, target: float,
 
     One fixed road-realization set backs every threshold (common random
     numbers), so the precomputed curve is exactly monotone and the returned
-    bracket is meaningful.  The evaluated range grows exponentially until
-    the target is bracketed, then the minimal M is found by binary search.
+    bracket is meaningful.  One pass runs to the largest per-realization
+    Chernoff cutoff (tail below 1e-12) capped at m_ceiling, a second to
+    m_ceiling only for a target below that tail; binary search finds M.
     """
     if not 0.0 < target < 1.0:
         raise DomainError("target congestion must lie strictly in (0, 1)")
-    roads = road_set(scn)
-    m_hi = min(64, m_ceiling)
-    while True:
-        m = np.arange(0, m_hi + 1, dtype=np.int64)
-        rows = _conditional_curves(scn, m, roads)
-        pi = rows.mean(axis=0)
-        if pi[-1] <= target:
-            break
-        if m_hi >= m_ceiling:
-            raise CeilingError(
-                f"congestion {pi[-1]:.6g} still above target {target:.6g} at "
-                f"the M ceiling {m_ceiling}", ceiling=m_ceiling,
-                achieved_pi=float(pi[-1]))
-        m_hi = min(2 * m_hi, m_ceiling)
-    _, stderr = _curve_stats(rows)
-    curve = CongestionCurve(m_values=m, pi=pi, stderr=stderr,
-                            realizations=rows.shape[0])
+    weights = weight_matrix(scn, road_set(scn))
+    k = min(m_ceiling, max(default_cutoff(CompoundSpec(row)) for row in weights))
+    curve = batched_curve(weights, np.arange(0, k + 1))
+    if curve.pi[-1] > target and k < m_ceiling:
+        curve = batched_curve(weights, np.arange(0, m_ceiling + 1))
+    pi, stderr = curve.pi, curve.stderr
+    if pi[-1] > target:
+        raise CeilingError(
+            f"congestion {pi[-1]:.6g} still above target {target:.6g} at "
+            f"the M ceiling {m_ceiling}", ceiling=m_ceiling,
+            achieved_pi=float(pi[-1]))
     required = int(np.searchsorted(-pi, -target, side="left"))
     before = required - 1
     return DimensionReport(
@@ -178,7 +175,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
                 report = dimension_prbs(sub)
                 points.append(SweepPoint(float(tau), float(lam),
                                          query.target_congestion, report))
-            except (CeilingError, InfeasibleSplitError) as exc:
+            except (AccuracyError, CeilingError, InfeasibleSplitError) as exc:
                 points.append(SweepPoint(float(tau), float(lam),
                                          query.target_congestion, None, str(exc)))
     return points

@@ -77,6 +77,12 @@ class TestDimensionCommand:
         assert run(["dimension", "--scenario", "/no/such/file",
                     "--target", "0.05"]) == 3
 
+    def test_heavy_load_underflow_is_accuracy_error(self, capsys):
+        code = run(["dimension", "--scenario", FIG7, "--tau-mbps", "180",
+                    "--target", "0.05"])
+        assert code == 5
+        assert "underflows" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_one_row_per_grid_point(self, tmp_path):

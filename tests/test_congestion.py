@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prbdim import (CompoundSpec, DomainError, GeometryParams,
+from prbdim import (AccuracyError, CompoundSpec, DomainError, GeometryParams,
                     InterferenceModel, LinkBudget, RoadRealization, Scenario,
                     Service, averaged_congestion, ccdf_bell, chord_mass,
                     conditional_congestion, expected_load, indoor_masses,
-                    ppp_equivalent)
-from prbdim.congestion import conditional_spec, road_set
+                    outdoor_masses, pmf, ppp_equivalent)
+from prbdim.congestion import (batched_curve, conditional_spec, road_set,
+                               weight_matrix)
 from prbdim.simulate import gamma_samples
 
 EXPECTED_LOAD_OUTDOOR = 221.67077763729581  # lambda=9, delta=6, R=0.7, one level
@@ -121,6 +123,88 @@ class TestAveraged:
     def test_rejects_empty_thresholds(self):
         with pytest.raises(DomainError):
             averaged_congestion(make_scenario(kappa=1.0), np.array([], dtype=int))
+
+
+def per_row_reference(weights, m_values):
+    """Per-realization pmf tails, averaged: the loop the batched core replaces."""
+    m = np.asarray(m_values, dtype=np.int64)
+    k_max = max(int(m.max()) - 1, 0)
+    rows = np.array([pmf(CompoundSpec(weights=w), k_max).ccdf_curve(m)
+                     for w in weights])
+    stderr = (rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
+              if rows.shape[0] > 1 else np.zeros(m.size))
+    return rows.mean(axis=0), stderr
+
+
+class TestBatchedCurve:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_pmf(self, data):
+        r = data.draw(st.integers(1, 30))
+        n = data.draw(st.integers(1, 8))
+        k_max = data.draw(st.integers(0, 80))
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 12.0), min_size=n, max_size=n),
+            min_size=r, max_size=r)))
+        zero_rows = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
+        weights[np.array(zero_rows)] = 0.0
+        # unsorted, repeated thresholds come back in input order
+        m = np.array(data.draw(st.lists(st.integers(0, k_max), min_size=1,
+                                        max_size=12)) + [k_max])
+        curve = batched_curve(weights, m)
+        pi, stderr = per_row_reference(weights, m)
+        np.testing.assert_array_equal(curve.m_values, m)
+        np.testing.assert_allclose(curve.pi, pi, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(curve.stderr, stderr, rtol=0, atol=1e-14)
+        assert curve.realizations == r
+
+    def test_weight_matrix_rows_match_per_road_masses(self):
+        # a weak transmitter and a margin that drops outward put each outdoor
+        # level on two separate rings
+        lb = LinkBudget(tx_power_dbm=30.0, noise_power_dbm=-93.0, prop_const_db=130.0,
+                        prop_const_indoor_db=166.0, path_loss_exp=3.5, tx_antennas=8,
+                        rx_antennas=2, prb_bandwidth_hz=180e3, cell_radius_km=0.7,
+                        max_user_prbs=6)
+        scn = Scenario(link_budget=lb,
+                       interference=InterferenceModel((15.0, 1.0), (0.5,)),
+                       service=Service(rate_bps=500e3),
+                       geometry=GeometryParams(9.0, 2.0, 10.0), seed=5, mc_realizations=12)
+        prof_out, prof_in = scn.profiles
+        assert any(len(ivs) > 1 for ivs in prof_out.rings.values())
+        roads = road_set(scn) + [RoadRealization(chord_distances=np.array([]))]
+        w = weight_matrix(scn, roads)
+        assert w.shape == (13, 6)
+        for row, road in zip(w, roads):
+            expected = np.zeros(6)
+            expected[: prof_in.n_levels] += indoor_masses(prof_in, 10.0)
+            expected[: prof_out.n_levels] += outdoor_masses(road, prof_out, 2.0)
+            np.testing.assert_allclose(row, expected, rtol=1e-12)
+
+    def test_identical_rows_have_zero_stderr(self):
+        w = np.array([[3.0, 1.5, 0.25]])
+        ms = np.arange(0, 40)
+        assert batched_curve(w, ms).stderr.max() == 0.0
+        assert batched_curve(np.repeat(w, 7, axis=0), ms).stderr.max() == 0.0
+        ppp = ppp_equivalent(make_scenario(lam=9.0, delta=2.0, kappa=5.0, mc=9,
+                                           margins=(1.0, 8.0, 15.0), n_max=6))
+        curve = averaged_congestion(ppp, np.arange(0, 120))
+        assert curve.pi[60] > 0.0
+        assert curve.stderr.max() == 0.0
+
+    def test_underflow_is_loud(self):
+        # total weight 800: exp(-800) underflows, so the recursion would
+        # return an all-ones tail
+        with pytest.raises(AccuracyError, match=r"1 of 3 road realizations: total weight up to 800"):
+            batched_curve(np.array([[1.0, 2.0], [400.0, 400.0], [0.0, 5.0]]),
+                          np.arange(0, 10))
+
+    def test_rejects_malformed_weights(self):
+        for bad in (np.zeros(3), np.zeros((0, 2)), np.array([[1.0, -1.0]]),
+                    np.array([[np.inf]])):
+            with pytest.raises(DomainError):
+                batched_curve(bad, np.arange(3))
+        with pytest.raises(DomainError):
+            batched_curve(np.ones((2, 2)), np.array([-1, 2]))
 
 
 class TestExpectedLoad:

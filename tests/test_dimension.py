@@ -6,7 +6,8 @@ import pytest
 from prbdim import (CeilingError, DimensionQuery, DomainError,
                     InfeasibleSplitError, InterferenceModel, LinkBudget,
                     Service, dimension_prbs, dimension_scenario,
-                    intensities_from_throughput, mean_users, sweep)
+                    intensities_from_throughput, mean_users, pmf, sweep)
+from prbdim.congestion import conditional_spec, road_set
 from prbdim.geometry import GeometryParams
 
 R = 0.7
@@ -109,6 +110,49 @@ class TestDimension:
         assert req["edge"] >= req["middle"] >= req["center"]
 
 
+def brute_force_curve(scn, m_ceiling):
+    """Per-realization pmf to m_ceiling, averaged over the road set."""
+    m = np.arange(0, m_ceiling + 1)
+    rows = np.array([pmf(conditional_spec(scn, road), m_ceiling - 1).ccdf_curve(m)
+                     for road in road_set(scn)])
+    return rows.mean(axis=0)
+
+
+class TestAgainstBruteForce:
+    # 100 Mbit/s needs 652 PRBs, beyond the old fourth doubling pass (512)
+    @pytest.mark.parametrize("tau, f, target", [
+        (25e6, 1.0, 0.05), (25e6, 1.0, 0.001), (8e6, 0.3, 0.2), (100e6, 0.5, 0.05)])
+    def test_required_m_and_bracket(self, tau, f, target):
+        q = query(target=target, tau=tau, f=f, mc=12, seed=3, m_ceiling=1024)
+        report = dimension_prbs(q)
+        pi = brute_force_curve(q.build_scenario(), 1024)
+        required = int(np.nonzero(pi <= target)[0][0])
+        assert report.required_m == required
+        assert abs(report.pi_at_m - pi[required]) <= 1e-14
+        assert abs(report.pi_before - pi[required - 1]) <= 1e-14
+
+    def test_second_pass_runs_to_the_ceiling(self, monkeypatch):
+        # a cutoff below the answer leaves Pi(K) above target
+        monkeypatch.setattr("prbdim.dimension.default_cutoff", lambda spec: 10)
+        q = query(target=0.05, tau=25e6, mc=12, seed=3, m_ceiling=200)
+        report = dimension_prbs(q)
+        pi = brute_force_curve(q.build_scenario(), 200)
+        assert report.curve.m_values[-1] == 200
+        assert report.required_m == int(np.nonzero(pi <= 0.05)[0][0]) > 10
+        np.testing.assert_allclose(report.curve.pi, pi, rtol=0, atol=1e-14)
+
+    def test_target_below_cutoff_tail_reaches_the_ceiling(self):
+        # Pi flattens at rounding level past the Chernoff cutoff, so a
+        # 1e-16 target forces the second pass to m_ceiling and then fails
+        q = query(target=1e-16, tau=25e6, mc=12, seed=3, m_ceiling=600)
+        with pytest.raises(CeilingError) as err:
+            dimension_prbs(q)
+        pi = brute_force_curve(q.build_scenario(), 600)
+        assert err.value.ceiling == 600
+        assert pi[600] > 1e-16
+        assert abs(err.value.achieved_pi - pi[600]) <= 1e-14
+
+
 class TestSweep:
     def test_single_point_equals_direct(self):
         q = query(mc=60, seed=2)
@@ -130,6 +174,14 @@ class TestSweep:
         assert points[0].report is not None
         assert points[1].report is None
         assert "ceiling" in points[1].error
+
+    def test_underflow_is_an_error_point(self):
+        # 600 Mbit/s puts every realization's total weight far beyond 708
+        q = query(mc=10)
+        points = sweep(q, throughput_grid_bps=[25e6, 600e6])
+        assert points[0].report is not None
+        assert points[1].report is None
+        assert "underflows on 10 of 10" in points[1].error
 
     def test_same_lambda_reuses_roads(self):
         q = query(mc=40, seed=6)
