@@ -25,6 +25,6 @@ from .linkmodel import (DemandProfile, InterferenceModel, LinkBudget, Service,
                         throughput_at)
 from .scenario_io import (ScenarioFile, bundled_scenario, bundled_scenario_path,
                           dump_scenario, load_scenario, parse_scenario)
-from .simulate import EmpiricalCurve, empirical_ccdf, simulate_once
+from .simulate import EmpiricalCurve, empirical_ccdf
 
 __all__ = [name for name in dir() if not name.startswith("_")]

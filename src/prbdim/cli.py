@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .congestion import averaged_congestion, ppp_equivalent
+from . import __version__, congestion
+from .congestion import batched_curve, ppp_equivalent, weight_matrix
 from .dimension import DEFAULT_M_CEILING, DimensionReport, sweep
 from .errors import (AccuracyError, CeilingError, DomainError,
                      InfeasibleSplitError, ScenarioError)
@@ -68,12 +68,18 @@ def _load(args) -> ScenarioFile:
                               realizations=getattr(args, "realizations", None))
 
 
-def _auto_m_max(scn) -> int:
-    """Curve extent heuristic: mean plus ten standard deviations."""
-    from .congestion import conditional_spec, road_set
-    specs = [conditional_spec(scn, road) for road in road_set(scn)]
-    mean = float(np.mean([s.mean for s in specs]))
-    var = float(np.mean([s.variance for s in specs]))
+def _weights(scn) -> np.ndarray:
+    """R x N weight matrix over the scenario's road realizations."""
+    # road_set is looked up on its module, so perfbench/tracer.py's wrapper sees the call
+    return weight_matrix(scn, congestion.road_set(scn))
+
+
+def _auto_m_max(weights: np.ndarray) -> int:
+    """Curve extent heuristic: mean plus ten standard deviations, both
+    averaged over the rows of the weight matrix."""
+    n = np.arange(1, weights.shape[1] + 1)
+    mean = float(np.mean(weights @ n))
+    var = float(np.mean(weights @ (n * n)))
     return int(math.ceil(mean + 10.0 * math.sqrt(var) + 16.0))
 
 
@@ -82,14 +88,15 @@ def cmd_congestion(args) -> int:
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
     if args.ppp_equivalent:
         scn = ppp_equivalent(scn)
-    m_max = args.m_max if args.m_max is not None else _auto_m_max(scn)
+    weights = _weights(scn)
+    m_max = args.m_max if args.m_max is not None else _auto_m_max(weights)
     meta = _base_meta(args, doc)
     header = ["m", "pi_analytic", "stderr"]
     if m_max <= 0:
         write_csv(args.out, meta, header + (["pi_mc", "mc_low", "mc_high"] if args.with_mc else []), [])
         return EXIT_OK
     ms = np.arange(0, m_max)
-    curve = averaged_congestion(scn, ms)
+    curve = batched_curve(weights, ms)
     rows = [list(t) for t in zip(curve.m_values, curve.pi, curve.stderr)]
     if args.with_mc:
         emp = empirical_ccdf(scn, ms, args.mc_replications)
@@ -185,7 +192,7 @@ def cmd_simulate(args) -> int:
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
     if args.ppp_equivalent:
         scn = ppp_equivalent(scn)
-    m_max = args.m_max if args.m_max is not None else _auto_m_max(scn)
+    m_max = args.m_max if args.m_max is not None else _auto_m_max(_weights(scn))
     meta = _base_meta(args, doc)
     meta["replications"] = args.replications
     header = ["m", "pi_mc", "wilson_low", "wilson_high"]

@@ -2,7 +2,8 @@
 
 Three routes to the tail probability P(Lambda >= M):
 
-* :func:`ccdf_bell` - the production path, via the stable weighted
+* :func:`ccdf_bell` - the scalar reference for the batched production
+  path :func:`prbdim.congestion.batched_curve`, via the stable weighted
   convolution recursion k*p_k = sum(j*w_j*p_{k-j}).  The recursion carries
   exactly the Bell-polynomial coefficients H*B_k/k! (with x_j = w_j*j!)
   but keeps every intermediate in [0, 1].
@@ -70,14 +71,6 @@ class CompoundSpec:
         n = np.arange(1, self.n_levels + 1)
         return float((n * n) @ self.weights)
 
-    def superpose(self, other: "CompoundSpec") -> "CompoundSpec":
-        """Spec of the sum of two independent loads, levels aligned by n."""
-        n = max(self.n_levels, other.n_levels)
-        w = np.zeros(n)
-        w[: self.n_levels] += self.weights
-        w[: other.n_levels] += other.weights
-        return CompoundSpec(weights=w)
-
     def bell_arguments(self, k: int) -> list[float]:
         """x_j = w_j * j! for j = 1..k (zero beyond the populated levels)."""
         return [self.weights[j - 1] * math.factorial(j) if j <= self.n_levels else 0.0
@@ -105,21 +98,24 @@ class PmfTable:
     def k_max(self) -> int:
         return int(self.probabilities.size - 1)
 
-    def ccdf(self, m: int) -> float:
-        """P(Lambda >= m); beyond the table this returns the tail bound."""
-        if m <= 0:
-            return 1.0
-        if m > self.k_max + 1:
-            return self.tail
-        return max(float(1.0 - self._cumulative[m - 1]), 0.0)
-
     def ccdf_curve(self, m_values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`ccdf` over integer thresholds within the table."""
+        """P(Lambda >= m) for integer thresholds m <= k_max + 1."""
         m = np.asarray(m_values, dtype=np.int64)
         if m.size and int(m.max()) > self.k_max + 1:
             raise DomainError("threshold beyond the tabulated support")
         cum = np.concatenate(([0.0], self._cumulative))
         return np.maximum(1.0 - cum[np.maximum(m, 0)], 0.0)
+
+
+def require_normal_start(p0: np.ndarray, total: np.ndarray) -> None:
+    """Refuse start values p_0 = exp(-total weight) below the smallest
+    normal double (total weight above about 708): every p_k scales with
+    p_0, so a subnormal p_0 leaves the whole PMF inaccurate.
+    """
+    under = p0 < np.finfo(float).tiny
+    if under.any():
+        raise AccuracyError(f"PMF recursion underflows on {int(under.sum())} of {p0.size} road "
+                            f"realizations: total weight up to {total.max():.6g}, limit about 708")
 
 
 def pmf(spec: CompoundSpec, k_max: int) -> PmfTable:
@@ -130,7 +126,9 @@ def pmf(spec: CompoundSpec, k_max: int) -> PmfTable:
     n = w.size
     jw = np.arange(1, n + 1) * w
     p = np.zeros(k_max + 1)
-    p[0] = math.exp(-spec.total_weight)
+    total = spec.total_weight
+    p[0] = math.exp(-total)
+    require_normal_start(p[:1], np.array([total]))
     for k in range(1, k_max + 1):
         j = min(k, n)
         # sum over j of j*w_j*p_{k-j}
@@ -146,11 +144,6 @@ def default_cutoff(spec: CompoundSpec, tail_bound: float = 1e-12,
     growth = float(spec.weights @ np.expm1(levels / n))
     k = math.ceil(n * (growth - math.log(tail_bound)))
     return min(max(k, 1), cap)
-
-
-def mean(spec: CompoundSpec) -> float:
-    """E(Lambda) = sum(n * w_n)."""
-    return spec.mean
 
 
 def _is_exact(values: Sequence) -> bool:
@@ -231,7 +224,7 @@ def bell_determinant(x: Sequence) -> float | int:
 
 
 def ccdf_bell(spec: CompoundSpec, m: int) -> float:
-    """P(Lambda >= m) = 1 - sum_{k<m} p_k, production path."""
+    """P(Lambda >= m) = 1 - sum_{k<m} p_k by the stable recursion."""
     if m < 0:
         raise DomainError("threshold must be nonnegative")
     if m == 0:

@@ -10,8 +10,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .compound import CompoundSpec, ccdf_bell
-from .errors import AccuracyError, DomainError
+from .compound import CompoundSpec, ccdf_bell, require_normal_start
+from .errors import DomainError
 from .geometry import (GeometryParams, PAPER, RoadRealization, SAMPLERS,
                        expected_roads, mean_users, rng_stream, sample_roads)
 from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
@@ -196,11 +196,7 @@ def batched_curve(weights, m_values) -> CongestionCurve:
     rows, n = w.shape
     total = w.sum(axis=1)
     p = np.exp(-total)
-    # every p_k scales with p_0, so a subnormal p_0 leaves the whole row inaccurate
-    under = p < np.finfo(float).tiny
-    if under.any():
-        raise AccuracyError(f"PMF recursion underflows on {int(under.sum())} of {rows} road "
-                            f"realizations: total weight up to {total.max():.6g}, limit about 708")
+    require_normal_start(p, total)
     pi = np.zeros(int(m.max()) + 1)
     stderr = np.zeros(pi.size)
     # at step k window row i holds p_{k-n+i}, which lagged_jw row i multiplies

@@ -177,22 +177,12 @@ class DemandProfile:
         levels = np.array([n for _, _, n in ivs], dtype=np.int64)
         return uppers, levels
 
-    def level_at(self, x_km: float) -> int:
-        """PRB level of the interval containing x (half-open rule)."""
-        if not 0.0 < x_km <= self.cell_radius_km:
-            raise DomainError(f"x={x_km} outside (0, {self.cell_radius_km}]")
-        uppers, levels = self._lookup
-        return int(levels[min(np.searchsorted(uppers, x_km), len(levels) - 1)])
-
     def levels_at(self, x_km: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`level_at`; distances must lie in (0, R]."""
+        """PRB level of the interval containing each x (half-open rule);
+        distances must lie in (0, R]."""
         uppers, levels = self._lookup
         idx = np.minimum(np.searchsorted(uppers, x_km), len(levels) - 1)
         return levels[idx]
-
-    @property
-    def populated_levels(self) -> list[int]:
-        return sorted(self.rings)
 
 
 def _ceil_ratio(value: float) -> int:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import indexed_map
 from .congestion import Scenario
 from .errors import DomainError
 from .geometry import UserDrop, rng_stream, sample_roads, sample_users
@@ -38,28 +37,18 @@ def demand_of_drop(scn: Scenario, drop: UserDrop) -> int:
     return total
 
 
-def simulate_once(scn: Scenario, rng: np.random.Generator) -> int:
-    """One realized total PRB demand: roads, users, then per-user lookup."""
-    road = sample_roads(scn.geometry, scn.cell_radius_km, scn.sampler, rng)
-    drop = sample_users(scn.geometry, scn.cell_radius_km, road, rng)
-    return demand_of_drop(scn, drop)
-
-
 def gamma_samples(scn: Scenario, replications: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replicated (gamma, outdoor count, indoor count); stream i = (seed, i)."""
     gammas = np.zeros(replications, dtype=np.int64)
     n_out = np.zeros(replications, dtype=np.int64)
     n_in = np.zeros(replications, dtype=np.int64)
-
-    def work(i: int) -> None:
+    for i in range(replications):
         rng = rng_stream(scn.seed, i)
         road = sample_roads(scn.geometry, scn.cell_radius_km, scn.sampler, rng)
         drop = sample_users(scn.geometry, scn.cell_radius_km, road, rng)
         gammas[i] = demand_of_drop(scn, drop)
         n_out[i] = _region_filter(drop.outdoor_km, scn.region_km).size
         n_in[i] = _region_filter(drop.indoor_km, scn.region_km).size
-
-    indexed_map(work, replications)
     return gammas, n_out, n_in
 
 

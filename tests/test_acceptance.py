@@ -18,6 +18,7 @@ from prbdim import (CompoundSpec, GeometryParams, InterferenceModel,
                     expected_load, pmf, ppp_equivalent)
 from prbdim.cli import main as cli_main
 from prbdim.compound import _ccdf_integral_batch
+from prbdim.congestion import road_set, weight_matrix
 from prbdim.scenario_io import bundled_scenario, bundled_scenario_path
 from prbdim.simulate import empirical_ccdf, gamma_samples
 
@@ -202,7 +203,7 @@ def test_criterion_09_orderings():
             f"{required['middle']} >= {required['center']}")
 
 
-def test_criterion_10_structural_invariants(tmp_path, monkeypatch):
+def test_criterion_10_structural_invariants(tmp_path):
     lb = LinkBudget(tx_power_dbm=60.0, noise_power_dbm=-93.0, prop_const_db=130.0,
                     prop_const_indoor_db=166.0, path_loss_exp=3.5, tx_antennas=8,
                     rx_antennas=2, prb_bandwidth_hz=180e3, cell_radius_km=0.7,
@@ -245,14 +246,18 @@ def test_criterion_10_structural_invariants(tmp_path, monkeypatch):
     assert cli_main(args + ["--out", str(out_b)]) == 0
     determinism_ok = out_a.read_bytes() == out_b.read_bytes()
 
-    # worker count cannot change results
-    monkeypatch.setenv("PRBDIM_THREADS", "3")
-    threaded = averaged_congestion(scenario(2.0, 8.0, InterferenceModel.noise_limited()), ms)
-    monkeypatch.delenv("PRBDIM_THREADS")
-    thread_ok = bool(np.all(threaded.pi == base.pi))
+    # batch size cannot change results: stream i is (seed, i), and each
+    # weight row depends on its own road only
+    scn = scenario(2.0, 8.0, InterferenceModel.noise_limited())
+    long_draw, short_draw = gamma_samples(scn, 50), gamma_samples(scn, 20)
+    roads = road_set(scn)
+    w = weight_matrix(scn, roads)
+    batch_ok = (all(np.array_equal(s, l[:20]) for s, l in zip(short_draw, long_draw))
+                and all(np.array_equal(row, weight_matrix(scn, [road])[0])
+                        for row, road in zip(w, roads)))
 
     _report(10, "structural invariants",
-            partition_ok and monotone_ok and dominance_ok and determinism_ok and thread_ok,
+            partition_ok and monotone_ok and dominance_ok and determinism_ok and batch_ok,
             f"partition {partition_ok}, monotone CCDF {monotone_ok}, "
             f"intensity/margin dominance {dominance_ok}, byte determinism "
-            f"{determinism_ok}, thread invariance {thread_ok}")
+            f"{determinism_ok}, batch invariance {batch_ok}")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     bell_complete, bell_determinant, ccdf_bell,
                     ccdf_bell_literal, ccdf_integral, pmf)
-from prbdim.compound import _ccdf_integral_batch, default_cutoff, mean
+from prbdim.compound import _ccdf_integral_batch, default_cutoff
 
 
 def enumerated_pmf(weights, k_max):
@@ -119,7 +119,8 @@ class TestBellPolynomials:
         # convolves their distributions
         a = CompoundSpec(weights=np.array([0.7, 0.2]))
         b = CompoundSpec(weights=np.array([0.1, 0.4, 0.3]))
-        combined = pmf(a.superpose(b), 24).probabilities
+        # levels aligned by n: w = (0.7 + 0.1, 0.2 + 0.4, 0.3)
+        combined = pmf(CompoundSpec(weights=np.array([0.8, 0.6, 0.3])), 24).probabilities
         pa = pmf(a, 24).probabilities
         pb = pmf(b, 24).probabilities
         np.testing.assert_allclose(combined, np.convolve(pa, pb)[:25], atol=1e-13)
@@ -176,11 +177,11 @@ class TestCcdf:
     def test_monotone_and_vanishing(self):
         spec = CompoundSpec(weights=np.array([1.5, 0.7, 0.1, 0.9]))
         table = pmf(spec, default_cutoff(spec))
-        curve = [table.ccdf(m) for m in range(table.k_max + 2)]
+        curve = table.ccdf_curve(np.arange(table.k_max + 2))
         assert curve[0] == 1.0
         assert all(a >= b for a, b in zip(curve, curve[1:]))
         horizon = int(spec.mean + 12 * math.sqrt(spec.variance))
-        assert table.ccdf(horizon) <= 1e-9
+        assert table.ccdf_curve([horizon])[0] <= 1e-9
 
     def test_integral_matches_recursion_broadly(self):
         rng = np.random.default_rng(17)
@@ -208,15 +209,23 @@ class TestCcdf:
             _ccdf_integral_batch(spec, np.array([5]), tol=1e-12, max_refinements=0)
         assert err.value.estimate is not None
 
+    def test_recursion_underflow_is_loud(self):
+        # exp(-800) underflows, so the recursion would return a tail of ones
+        # where the true value is about 0.5
+        for weights, m in (([800.0], 800), ([400.0, 400.0], 1200)):
+            with pytest.raises(AccuracyError, match=r"1 of 1 road realizations: total weight up to 800"):
+                ccdf_bell(CompoundSpec(weights=np.array(weights)), m)
+        assert 0.49 < ccdf_bell(CompoundSpec(weights=np.array([700.0])), 700) < 0.52
+
 
 class TestMean:
     def test_weighted_sum(self):
-        assert mean(CompoundSpec(weights=np.array([2.0, 0.0, 0.0]))) == 2.0
-        assert mean(CompoundSpec(weights=np.array([1.0, 1.0]))) == 3.0
+        assert CompoundSpec(weights=np.array([2.0, 0.0, 0.0])).mean == 2.0
+        assert CompoundSpec(weights=np.array([1.0, 1.0])).mean == 3.0
 
     def test_against_sampling(self):
         spec = CompoundSpec(weights=np.array([1.2, 0.4, 0.8]))
         rng = np.random.default_rng(23)
         counts = rng.poisson(spec.weights, size=(200_000, 3))
         sampled = (counts * np.arange(1, 4)).sum(axis=1).mean()
-        assert sampled == pytest.approx(mean(spec), rel=0.005)
+        assert sampled == pytest.approx(spec.mean, rel=0.005)

@@ -92,15 +92,17 @@ class TestAveraged:
         for a, b in zip(roads_short, roads_long):
             np.testing.assert_array_equal(a.chord_distances, b.chord_distances)
 
-    def test_deterministic_across_worker_counts(self, monkeypatch):
+    def test_deterministic_across_batch_sizes(self):
+        # replication i always uses stream (seed, i), and each weight row
+        # depends on its own road only
         scn = make_scenario(lam=7.0, delta=2.5, kappa=5.0, mc=16, seed=4)
-        ms = np.arange(0, 120)
-        monkeypatch.setenv("PRBDIM_THREADS", "1")
-        serial = averaged_congestion(scn, ms)
-        monkeypatch.setenv("PRBDIM_THREADS", "4")
-        threaded = averaged_congestion(scn, ms)
-        np.testing.assert_array_equal(serial.pi, threaded.pi)
-        np.testing.assert_array_equal(serial.stderr, threaded.stderr)
+        gammas, n_out, n_in = gamma_samples(scn, 40)
+        for got, want in zip(gamma_samples(scn, 13), (gammas, n_out, n_in)):
+            np.testing.assert_array_equal(got, want[:13])
+        roads = road_set(scn)
+        w = weight_matrix(scn, roads)
+        for row, road in zip(w, roads):
+            np.testing.assert_array_equal(row, weight_matrix(scn, [road])[0])
 
     def test_stochastic_monotonicity_in_intensities(self):
         ms = np.arange(0, 150)
@@ -197,6 +199,12 @@ class TestBatchedCurve:
         with pytest.raises(AccuracyError, match=r"1 of 3 road realizations: total weight up to 800"):
             batched_curve(np.array([[1.0, 2.0], [400.0, 400.0], [0.0, 5.0]]),
                           np.arange(0, 10))
+        # the scalar path refuses the same load: indoor weight 800 on one level
+        scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
+        road = RoadRealization(chord_distances=np.array([]))
+        assert conditional_spec(scn, road).total_weight == pytest.approx(800.0)
+        with pytest.raises(AccuracyError, match=r"1 of 1 road realizations: total weight up to 800"):
+            conditional_congestion(scn, road, 800)
 
     def test_rejects_malformed_weights(self):
         for bad in (np.zeros(3), np.zeros((0, 2)), np.array([[1.0, -1.0]]),

@@ -170,7 +170,7 @@ class TestRingRadii:
                                                    service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
         for n in range(1, 6):
-            assert profile.level_at(profile.rings[n][0][1]) == n
+            assert profile.levels_at(np.array([profile.rings[n][0][1]]))[0] == n
 
 
 class TestMonotonicityProperties:

@@ -4,7 +4,7 @@ import pytest
 from prbdim import (DomainError, GeometryParams, InterferenceModel,
                     LinkBudget, RoadRealization, Scenario, Service,
                     conditional_congestion, empirical_ccdf, rng_stream,
-                    sample_users, simulate_once)
+                    sample_roads, sample_users)
 from prbdim.congestion import conditional_spec
 from prbdim.simulate import demand_of_drop, gamma_samples, wilson_interval
 
@@ -22,9 +22,12 @@ def make_scenario(lam=0.0, delta=0.0, kappa=0.0, seed=0, n_max=6):
 
 
 class TestSimulateOnce:
+    """One Monte-Carlo draw: roads, users, then per-user lookup."""
+
     def test_empty_cell_is_zero(self):
         scn = make_scenario()
-        assert simulate_once(scn, rng_stream(0, 0)) == 0
+        gammas, n_out, n_in = gamma_samples(scn, 1)
+        assert gammas[0] == n_out[0] == n_in[0] == 0
 
     def test_single_user_demand(self):
         # a user pinned at a known distance contributes exactly its level
@@ -33,13 +36,17 @@ class TestSimulateOnce:
         from prbdim.geometry import UserDrop
         x = 0.55  # inside level 3 for this budget
         drop = UserDrop(outdoor_km=np.array([]), indoor_km=np.array([x]))
-        assert demand_of_drop(scn, drop) == profile.level_at(x) == 3
+        assert demand_of_drop(scn, drop) == profile.levels_at(np.array([x]))[0] == 3
 
     def test_deterministic_per_stream(self):
-        scn = make_scenario(lam=9.0, delta=6.0, kappa=10.0)
-        a = simulate_once(scn, rng_stream(5, 1))
-        b = simulate_once(scn, rng_stream(5, 1))
-        assert a == b
+        # replication i is drawn from stream (seed, i) alone
+        scn = make_scenario(lam=9.0, delta=6.0, kappa=10.0, seed=5)
+        rng = rng_stream(5, 1)
+        road = sample_roads(scn.geometry, 0.7, scn.sampler, rng)
+        drop = sample_users(scn.geometry, 0.7, road, rng)
+        a = gamma_samples(scn, 2)[0][1]
+        b = gamma_samples(scn, 2)[0][1]
+        assert a == b == demand_of_drop(scn, drop)
 
 
 class TestEmpiricalCcdf:
