@@ -3,7 +3,8 @@ Monte-Carlo simulation and self-validation, with CSV output.
 
 Exit codes: 0 success, 2 usage, 3 scenario/validation error,
 4 infeasibility (target unreachable, impossible traffic split),
-5 accuracy (quadrature missed its tolerance, or PMF recursion underflow).
+5 accuracy (Fourier inversion did not converge within its tolerance, or PMF
+recursion underflow).
 """
 
 from __future__ import annotations

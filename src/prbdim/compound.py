@@ -10,7 +10,10 @@ Three routes to the tail probability P(Lambda >= M):
 * :func:`ccdf_bell_literal` - the same sum evaluated through raw complete
   Bell polynomials; small M only, kept for identity validation.
 * :func:`ccdf_integral` - Fourier inversion of the probability generating
-  function on the unit circle, by composite Gauss-Legendre quadrature.
+  function: the trapezoid rule on equispaced points of the unit circle,
+  one FFT per pass, with the point count doubled until two passes agree.
+  It starts from |PGF| <= 1 instead of exp(-total weight), so it does not
+  underflow at heavy load.
 
 Plus the Bell-polynomial toolkit itself (recurrence and determinant forms,
 exact on integer inputs).
@@ -32,9 +35,6 @@ from .errors import AccuracyError, DomainError, RangeError
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
 _BELL_FLOAT_MAX = 25
-
-_GL_ORDER = 10
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -248,40 +248,6 @@ def ccdf_bell_literal(spec: CompoundSpec, m: int) -> float:
     return 1.0 - h * acc
 
 
-def _dirichlet_ratio(theta: np.ndarray, m: int) -> np.ndarray:
-    """sin(m*theta/2)/sin(theta/2) with the removable singularity filled in."""
-    s = np.sin(theta / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(m * theta / 2.0) / s
-    return np.where(s == 0.0, float(m) * np.cos(m * theta / 2.0), ratio)
-
-
-def _integral_nodes(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(0.0, math.pi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    theta = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    weight = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return theta, weight
-
-
-def _tail_integrals(spec: CompoundSpec, m_values: np.ndarray,
-                    panels: int) -> np.ndarray:
-    """One quadrature pass of the inversion integral for several thresholds."""
-    theta, weight = _integral_nodes(panels)
-    levels = np.arange(1, spec.n_levels + 1)
-    nt = levels[:, None] * theta[None, :]
-    # H e^{p_N} folded together so the envelope never exceeds 1
-    envelope = np.exp(spec.weights @ (np.cos(nt) - 1.0))
-    q = spec.weights @ np.sin(nt)
-    out = np.empty(m_values.size)
-    for i, m in enumerate(m_values):
-        integrand = (envelope * _dirichlet_ratio(theta, int(m))
-                     * np.cos(0.5 * (m - 1) * theta - q))
-        out[i] = float(weight @ integrand)
-    return out
-
-
 def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray,
                          tol: float = 1e-9, max_refinements: int = 6) -> np.ndarray:
     m_values = np.asarray(m_values, dtype=np.int64)
@@ -289,27 +255,39 @@ def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray,
         return np.zeros(0)
     if m_values.min() < 0:
         raise DomainError("thresholds must be nonnegative")
-    m_max = int(m_values.max())
-    panels = max(64, 4 * (m_max + spec.n_levels))
-    current = _tail_integrals(spec, m_values, panels)
+
+    def tails(points: int) -> np.ndarray:
+        # sum_n w_n e^{i n theta_j} at theta_j = 2*pi*j/points, as an inverse FFT
+        jumps = np.zeros(points)
+        jumps[1:spec.n_levels + 1] = spec.weights
+        pgf = np.exp(points * np.fft.ifft(jumps) - spec.total_weight)
+        # trapezoid rule = PMF aliased with period `points`
+        aliased = np.fft.fft(pgf).real / points
+        return 1.0 - np.concatenate(([0.0], np.cumsum(aliased)))[m_values]
+
+    # Past default_cutoff the aliased mass is below 1e-12 (Chernoff).  Without
+    # it, mass near a multiple of 2L aliases into both passes alike and the
+    # doubling check agrees on a wrong tail.
+    start = max(64, 4 * (int(m_values.max()) + spec.n_levels), default_cutoff(spec))
+    points = 1 << (start - 1).bit_length()
+    prob = tails(points)
     err = math.inf
     for _ in range(max_refinements):
-        panels *= 2
-        refined = _tail_integrals(spec, m_values, panels)
-        err = float(np.max(np.abs(refined - current)))
-        current = refined
+        points *= 2
+        refined = tails(points)
+        err = float(np.max(np.abs(refined - prob)))
+        prob = refined
         if err <= tol:
             break
     else:
         raise AccuracyError(
-            f"quadrature stalled at |delta|={err:.3e} with {panels} panels",
-            estimate=1.0 - current / math.pi, achieved_tol=err)
-    prob = 1.0 - current / math.pi
+            f"Fourier inversion stalled at |delta|={err:.3e} with {points} points",
+            estimate=prob, achieved_tol=err)
     prob[m_values == 0] = 1.0
     bad = (prob < -1e-8) | (prob > 1.0 + 1e-8)
     if np.any(bad):
         overshoot = float(np.max(np.maximum(prob - 1.0, -prob)))
-        raise AccuracyError("inversion integral left [0,1] beyond quadrature noise",
+        raise AccuracyError("Fourier inversion left [0,1] beyond round-off",
                             estimate=prob, achieved_tol=overshoot)
     return np.clip(prob, 0.0, 1.0)
 
@@ -317,10 +295,13 @@ def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray,
 def ccdf_integral(spec: CompoundSpec, m: int, tol: float = 1e-9) -> float:
     """P(Lambda >= m) by Fourier inversion on the unit circle.
 
-    Adaptive composite Gauss-Legendre: the panel count starts at
-    max(64, 4*(m+N)) to resolve the ~m/2-frequency oscillation and doubles
-    until two passes agree within `tol`.  Raises AccuracyError (carrying
-    the achieved estimate) if refinement stalls.
+    The trapezoid rule on L equispaced points of the unit circle gives,
+    by one FFT, the PMF aliased with period L (p_k + p_{k+L} + ...), so
+    the tail is off by at most P(Lambda >= L).  L starts at the smallest
+    power of two >= max(64, 4*(m+N), default_cutoff(spec)), where that
+    bound is below 1e-12, and doubles until two passes agree within
+    `tol`.  Raises AccuracyError (carrying the achieved estimate)
+    if refinement stalls.
     """
     if m < 0:
         raise DomainError("threshold must be nonnegative")

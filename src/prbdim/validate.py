@@ -27,7 +27,7 @@ class Check:
     detail: str
 
 
-def _convolved_pmf(weights, k_max: int) -> np.ndarray:
+def convolved_pmf(weights, k_max: int) -> np.ndarray:
     """Brute-force reference: convolve per-level compound-Poisson PMFs."""
     out = np.zeros(k_max + 1)
     out[0] = 1.0
@@ -83,7 +83,7 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
         n = int(rng.integers(1, 5))
         spec = CompoundSpec(weights=rng.uniform(0, 1.5, n))
         table = pmf(spec, 40)
-        ref = _convolved_pmf(spec.weights, 40)
+        ref = convolved_pmf(spec.weights, 40)
         worst = max(worst, float(np.max(np.abs(table.probabilities - ref))))
     checks.append(Check("pmf_vs_convolution", worst <= 1e-10,
                         f"max |delta| = {worst:.3e} (tol 1e-10)"))

@@ -21,23 +21,12 @@ from prbdim.compound import _ccdf_integral_batch
 from prbdim.congestion import road_set, weight_matrix
 from prbdim.scenario_io import bundled_scenario, bundled_scenario_path
 from prbdim.simulate import empirical_ccdf, gamma_samples
+from prbdim.validate import convolved_pmf
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"{'PASS' if ok else 'FAIL'} criterion {num} ({name}): {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _convolution_oracle(weights, k_max):
-    """Brute force by explicit convolution of per-level series."""
-    out = np.zeros(k_max + 1)
-    out[0] = 1.0
-    for n, w in enumerate(weights, start=1):
-        level = np.zeros(k_max + 1)
-        for c in range(0, k_max // n + 1):
-            level[n * c] = math.exp(-w) * w ** c / math.factorial(c)
-        out = np.convolve(out, level)[: k_max + 1]
-    return out
 
 
 def test_criterion_01_route_equivalence():
@@ -64,7 +53,7 @@ def test_criterion_02_oracle_equivalence():
         w = rng.uniform(0.0, 2.0, n)
         table = pmf(CompoundSpec(weights=w), 50)
         worst = max(worst, float(np.max(np.abs(
-            table.probabilities - _convolution_oracle(w, 50)))))
+            table.probabilities - convolved_pmf(w, 50)))))
     _report(2, "pmf vs brute force", worst <= 1e-10,
             f"max |delta| = {worst:.3e} (tol 1e-10), N<=5, K<=50")
 

@@ -196,11 +196,10 @@ class TestCcdf:
         assert worst <= 1e-6
 
     def test_integral_near_zero_threshold_limit(self):
-        # integrand at theta -> 0 has the finite limit ratio m
+        # P(Lambda >= 1) = 1 - H, carried by the theta = 0 point of the grid
         spec = CompoundSpec(weights=np.array([0.4, 0.1]))
         assert ccdf_integral(spec, 1) == pytest.approx(ccdf_bell(spec, 1), abs=1e-9)
-        from prbdim.compound import _dirichlet_ratio
-        assert _dirichlet_ratio(np.array([0.0]), 7)[0] == 7.0
+        assert ccdf_integral(spec, 1) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
 
     def test_integral_refuses_silent_failure(self):
         # zero refinement passes can never certify the tolerance
@@ -216,6 +215,26 @@ class TestCcdf:
             with pytest.raises(AccuracyError, match=r"1 of 1 road realizations: total weight up to 800"):
                 ccdf_bell(CompoundSpec(weights=np.array(weights)), m)
         assert 0.49 < ccdf_bell(CompoundSpec(weights=np.array([700.0])), 700) < 0.52
+
+    @pytest.mark.parametrize("w", [800.0, 2000.0])
+    def test_integral_is_heavy_load_oracle_poisson(self, w):
+        # where the recursion refuses, the inversion matches the Poisson tail;
+        # m far below the mean needs more points than 4*(m+N)
+        from scipy.stats import poisson
+        spec = CompoundSpec(weights=np.array([w]))
+        for m in (1, int(w) // 2, int(w)):
+            assert ccdf_integral(spec, m) == pytest.approx(poisson.sf(m - 1, w), abs=1e-9)
+
+    def test_integral_is_heavy_load_oracle_two_levels(self):
+        # Lambda = V1 + 2*V2 with V1, V2 ~ Poisson(400), by explicit convolution
+        from scipy.stats import poisson
+        m = 1200
+        ones = poisson.pmf(np.arange(m), 400.0)
+        twos = np.zeros(m)
+        twos[::2] = poisson.pmf(np.arange((m + 1) // 2), 400.0)
+        expected = 1.0 - np.convolve(ones, twos)[:m].sum()
+        spec = CompoundSpec(weights=np.array([400.0, 400.0]))
+        assert ccdf_integral(spec, m) == pytest.approx(expected, abs=1e-9)
 
 
 class TestMean:
