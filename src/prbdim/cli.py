@@ -1,10 +1,10 @@
 """Command-line front end: congestion curves, dimensioning, sweeps,
 Monte-Carlo simulation and self-validation, with CSV output.
 
-Exit codes: 0 success, 2 usage, 3 scenario/validation error,
-4 infeasibility (target unreachable, impossible traffic split),
-5 accuracy (Fourier inversion did not converge within its tolerance, or PMF
-recursion underflow).
+Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a
+target below the 1e-8 floor), 4 infeasibility (target unreachable,
+impossible traffic split), 5 accuracy (Fourier grid beyond its size limit,
+or PMF recursion underflow).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, congestion
 from .congestion import batched_curve, ppp_equivalent, weight_matrix
-from .dimension import DEFAULT_M_CEILING, DimensionReport, sweep
+from .dimension import DEFAULT_M_CEILING, DimensionReport, dimension_prbs, sweep
 from .errors import (AccuracyError, CeilingError, DomainError,
                      InfeasibleSplitError, ScenarioError)
 from .scenario_io import REGION_NAMES, ScenarioFile, load_scenario
@@ -130,7 +130,6 @@ def cmd_dimension(args) -> int:
                          outdoor_fraction=args.outdoor_fraction,
                          m_ceiling=args.m_ceiling,
                          noise_limited=args.noise_limited, region=args.region)
-    from .dimension import dimension_prbs
     report = dimension_prbs(query)
     _print_report(report, args.target)
     if args.out:

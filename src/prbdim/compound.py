@@ -11,9 +11,10 @@ Three routes to the tail probability P(Lambda >= M):
   Bell polynomials; small M only, kept for identity validation.
 * :func:`ccdf_integral` - Fourier inversion of the probability generating
   function: the trapezoid rule on equispaced points of the unit circle,
-  one FFT per pass, with the point count doubled until two passes agree.
-  It starts from |PGF| <= 1 instead of exp(-total weight), so it does not
-  underflow at heavy load.
+  one FFT pass with enough points that the Chernoff bound of
+  :func:`default_cutoff` puts the aliased mass below 1e-12 before any work
+  starts.  It starts from |PGF| <= 1 instead of exp(-total weight), so it
+  does not underflow at heavy load.
 
 Plus the Bell-polynomial toolkit itself (recurrence and determinant forms,
 exact on integer inputs).
@@ -35,6 +36,11 @@ from .errors import AccuracyError, DomainError, RangeError
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
 _BELL_FLOAT_MAX = 25
+
+# P(Lambda >= default_cutoff) is below CUTOFF_TAIL, which certifies every
+# truncation; _MAX_POINTS bounds the Fourier grid (1 GiB per complex array).
+CUTOFF_TAIL = 1e-12
+_MAX_POINTS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -136,14 +142,14 @@ def pmf(spec: CompoundSpec, k_max: int) -> PmfTable:
     return PmfTable(probabilities=p, tail=max(float(1.0 - p.sum()), 0.0))
 
 
-def default_cutoff(spec: CompoundSpec, tail_bound: float = 1e-12,
-                   cap: int = 1_000_000) -> int:
-    """Smallest K whose Chernoff bound at s = 1/N drops below tail_bound."""
-    n = spec.n_levels
-    levels = np.arange(1, n + 1)
-    growth = float(spec.weights @ np.expm1(levels / n))
-    k = math.ceil(n * (growth - math.log(tail_bound)))
-    return min(max(k, 1), cap)
+def default_cutoff(weights) -> int:
+    """Smallest K whose Chernoff bound at s = 1/N puts P(Lambda >= K) below
+    CUTOFF_TAIL, for a weight vector, or the largest over the rows of an
+    R x N weight matrix."""
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
+    n = w.shape[1]
+    growth = float((w * np.expm1(np.arange(1, n + 1) / n)).sum(axis=1).max())
+    return math.ceil(n * (growth - math.log(CUTOFF_TAIL)))
 
 
 def _is_exact(values: Sequence) -> bool:
@@ -248,41 +254,28 @@ def ccdf_bell_literal(spec: CompoundSpec, m: int) -> float:
     return 1.0 - h * acc
 
 
-def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray,
-                         tol: float = 1e-9, max_refinements: int = 6) -> np.ndarray:
+# The implementation behind ccdf_integral, kept under its own name because
+# perfbench/tracer.py times the Fourier route by hooking this name.
+def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray) -> np.ndarray:
     m_values = np.asarray(m_values, dtype=np.int64)
     if m_values.size == 0:
         return np.zeros(0)
     if m_values.min() < 0:
         raise DomainError("thresholds must be nonnegative")
-
-    def tails(points: int) -> np.ndarray:
-        # sum_n w_n e^{i n theta_j} at theta_j = 2*pi*j/points, as an inverse FFT
-        jumps = np.zeros(points)
-        jumps[1:spec.n_levels + 1] = spec.weights
-        pgf = np.exp(points * np.fft.ifft(jumps) - spec.total_weight)
-        # trapezoid rule = PMF aliased with period `points`
-        aliased = np.fft.fft(pgf).real / points
-        return 1.0 - np.concatenate(([0.0], np.cumsum(aliased)))[m_values]
-
-    # Past default_cutoff the aliased mass is below 1e-12 (Chernoff).  Without
-    # it, mass near a multiple of 2L aliases into both passes alike and the
-    # doubling check agrees on a wrong tail.
-    start = max(64, 4 * (int(m_values.max()) + spec.n_levels), default_cutoff(spec))
+    # Past default_cutoff the aliased mass is below CUTOFF_TAIL (Chernoff),
+    # so one pass is certified before it runs.
+    start = max(64, 4 * (int(m_values.max()) + spec.n_levels), default_cutoff(spec.weights))
     points = 1 << (start - 1).bit_length()
-    prob = tails(points)
-    err = math.inf
-    for _ in range(max_refinements):
-        points *= 2
-        refined = tails(points)
-        err = float(np.max(np.abs(refined - prob)))
-        prob = refined
-        if err <= tol:
-            break
-    else:
-        raise AccuracyError(
-            f"Fourier inversion stalled at |delta|={err:.3e} with {points} points",
-            estimate=prob, achieved_tol=err)
+    if points > _MAX_POINTS:
+        raise AccuracyError(f"Fourier inversion needs {points} points, "
+                            f"more than the limit of {_MAX_POINTS}")
+    # sum_n w_n e^{i n theta_j} at theta_j = 2*pi*j/points, as an inverse FFT
+    jumps = np.zeros(points)
+    jumps[1:spec.n_levels + 1] = spec.weights
+    pgf = np.exp(points * np.fft.ifft(jumps) - spec.total_weight)
+    # trapezoid rule = PMF aliased with period `points`
+    aliased = np.fft.fft(pgf).real / points
+    prob = 1.0 - np.concatenate(([0.0], np.cumsum(aliased)))[m_values]
     prob[m_values == 0] = 1.0
     bad = (prob < -1e-8) | (prob > 1.0 + 1e-8)
     if np.any(bad):
@@ -292,19 +285,18 @@ def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray,
     return np.clip(prob, 0.0, 1.0)
 
 
-def ccdf_integral(spec: CompoundSpec, m: int, tol: float = 1e-9) -> float:
-    """P(Lambda >= m) by Fourier inversion on the unit circle.
+def ccdf_integral(spec: CompoundSpec, m):
+    """P(Lambda >= m) by Fourier inversion on the unit circle, for an
+    integer threshold (returns a float) or an integer array (returns an
+    array).
 
     The trapezoid rule on L equispaced points of the unit circle gives,
     by one FFT, the PMF aliased with period L (p_k + p_{k+L} + ...), so
-    the tail is off by at most P(Lambda >= L).  L starts at the smallest
-    power of two >= max(64, 4*(m+N), default_cutoff(spec)), where that
-    bound is below 1e-12, and doubles until two passes agree within
-    `tol`.  Raises AccuracyError (carrying the achieved estimate)
-    if refinement stalls.
+    the tail is off by at most P(Lambda >= L).  L is the smallest power of
+    two >= max(64, 4*(max m + N), default_cutoff(spec.weights)), where the
+    Chernoff bound puts that error below 1e-12.  Raises AccuracyError when
+    L would exceed 2^26 points or the result leaves [0, 1].
     """
-    if m < 0:
-        raise DomainError("threshold must be nonnegative")
-    if m == 0:
-        return 1.0
-    return float(_ccdf_integral_batch(spec, np.array([m]), tol=tol)[0])
+    if np.ndim(m) == 0:
+        return float(_ccdf_integral_batch(spec, np.array([m]))[0])
+    return _ccdf_integral_batch(spec, m)

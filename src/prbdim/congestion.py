@@ -5,7 +5,7 @@ the road process, and the closed-form mean load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,17 +124,8 @@ def ppp_equivalent(scn: Scenario) -> Scenario:
     lam_delta = scn.geometry.road_intensity * scn.geometry.user_intensity_linear
     gp = GeometryParams(road_intensity=0.0, user_intensity_linear=0.0,
                         user_intensity_area=lam_delta + scn.geometry.user_intensity_area)
-    lb = scn.link_budget
-    lb_ppp = LinkBudget(
-        tx_power_dbm=lb.tx_power_dbm, noise_power_dbm=lb.noise_power_dbm,
-        prop_const_db=lb.prop_const_db, prop_const_indoor_db=lb.prop_const_db,
-        path_loss_exp=lb.path_loss_exp, tx_antennas=lb.tx_antennas,
-        rx_antennas=lb.rx_antennas, prb_bandwidth_hz=lb.prb_bandwidth_hz,
-        cell_radius_km=lb.cell_radius_km, max_user_prbs=lb.max_user_prbs)
-    return Scenario(link_budget=lb_ppp, interference=scn.interference,
-                    service=scn.service, geometry=gp, sampler=scn.sampler,
-                    seed=scn.seed, mc_realizations=scn.mc_realizations,
-                    region_km=scn.region_km)
+    lb = replace(scn.link_budget, prop_const_indoor_db=scn.link_budget.prop_const_db)
+    return replace(scn, link_budget=lb, geometry=gp, outdoor_fraction=None)
 
 
 def weight_matrix(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compound import CompoundSpec, default_cutoff
+from .compound import default_cutoff
 from .congestion import (CongestionCurve, Scenario, batched_curve, road_set,
                          weight_matrix)
 from .errors import (AccuracyError, CeilingError, DomainError,
@@ -18,6 +18,18 @@ from .geometry import GeometryParams, PAPER
 from .linkmodel import InterferenceModel, LinkBudget, Service
 
 DEFAULT_M_CEILING = 4096
+
+# Smallest target accepted: below it, 1 - cumsum of the PMF leaves too few
+# correct digits of the tail.  Above it, Pi(default_cutoff) <= 1e-12 plus
+# rounding stays below every target, so only m_ceiling can stop a search.
+TARGET_FLOOR = 1e-8
+
+
+def check_target(target: float) -> None:
+    """Refuse a target congestion outside [TARGET_FLOOR, 1)."""
+    if not TARGET_FLOOR <= target < 1.0:
+        raise DomainError(f"target congestion {target:g} must lie in "
+                          f"[floor {TARGET_FLOOR:g}, 1)")
 
 
 def intensities_from_throughput(throughput_bps: float, rate_bps: float,
@@ -64,8 +76,7 @@ class DimensionQuery:
     region_km: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.target_congestion < 1.0:
-            raise DomainError("target congestion must lie strictly in (0, 1)")
+        check_target(self.target_congestion)
         if self.throughput_bps <= 0:
             raise DomainError("throughput_bps must be positive")
         if self.m_ceiling < 1:
@@ -109,17 +120,14 @@ def dimension_scenario(scn: Scenario, target: float,
 
     One fixed road-realization set backs every threshold (common random
     numbers), so the precomputed curve is exactly monotone and the returned
-    bracket is meaningful.  One pass runs to the largest per-realization
-    Chernoff cutoff (tail below 1e-12) capped at m_ceiling, a second to
-    m_ceiling only for a target below that tail; binary search finds M.
+    bracket is meaningful.  One pass runs to K = min(m_ceiling,
+    default_cutoff(W)), where every realization's tail is below 1e-12 and
+    so below any target at or above TARGET_FLOOR; binary search finds M.
     """
-    if not 0.0 < target < 1.0:
-        raise DomainError("target congestion must lie strictly in (0, 1)")
+    check_target(target)
     weights = weight_matrix(scn, road_set(scn))
-    k = min(m_ceiling, max(default_cutoff(CompoundSpec(row)) for row in weights))
+    k = min(m_ceiling, default_cutoff(weights))
     curve = batched_curve(weights, np.arange(0, k + 1))
-    if curve.pi[-1] > target and k < m_ceiling:
-        curve = batched_curve(weights, np.arange(0, m_ceiling + 1))
     pi, stderr = curve.pi, curve.stderr
     if pi[-1] > target:
         raise CeilingError(
@@ -161,7 +169,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
     """Dimension every (tau, lambda) grid point; failures do not abort.
 
     Points share the query's base seed, so points with equal road intensity
-    reuse identical road realizations.
+    redraw identical road realizations.
     """
     taus = list(throughput_grid_bps) if throughput_grid_bps is not None else [query.throughput_bps]
     lams = list(road_intensity_grid) if road_intensity_grid is not None else [query.road_intensity]

@@ -10,10 +10,8 @@ class RangeError(OverflowError):
 
 
 class AccuracyError(RuntimeError):
-    """Numerical integration failed to reach the requested tolerance.
-
-    Carries the best available estimate so callers can degrade gracefully.
-    """
+    """A numerical route cannot certify its result (recursion underflow, or a
+    Fourier grid too large or outside [0, 1]); carries any estimate made."""
 
     def __init__(self, message, estimate=None, achieved_tol=None):
         super().__init__(message)

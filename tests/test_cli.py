@@ -67,6 +67,10 @@ class TestDimensionCommand:
         assert run(["dimension", "--scenario", FIG7, "--target", "1.5"]) == 3
         assert "target" in capsys.readouterr().err
 
+    def test_target_below_the_floor_is_validation_error(self, capsys):
+        assert run(["dimension", "--scenario", FIG7, "--target", "1e-9"]) == 3
+        assert "floor 1e-08" in capsys.readouterr().err
+
     def test_unreachable_target_is_infeasible(self, capsys):
         code = run(["dimension", "--scenario", FIG7, "--target", "0.001",
                     "--realizations", "20", "--m-ceiling", "16"])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     bell_complete, bell_determinant, ccdf_bell,
                     ccdf_bell_literal, ccdf_integral, pmf)
-from prbdim.compound import _ccdf_integral_batch, default_cutoff
+from prbdim.compound import default_cutoff
 
 
 def enumerated_pmf(weights, k_max):
@@ -57,10 +57,16 @@ class TestPmf:
 
     def test_mass_accounted(self):
         spec = CompoundSpec(weights=np.array([3.0, 1.0, 0.5]))
-        k = default_cutoff(spec)
+        k = default_cutoff(spec.weights)
         table = pmf(spec, k)
         assert table.probabilities.sum() + table.tail == pytest.approx(1.0, abs=1e-9)
         assert table.tail <= 1e-11
+
+    def test_cutoff_of_matrix_is_largest_row(self):
+        # Poisson(2): ceil(2*(e - 1) - log(1e-12)) = 32
+        assert default_cutoff([2.0]) == 32
+        w = np.random.default_rng(5).uniform(0.0, 3.0, (7, 4))
+        assert default_cutoff(w) == max(default_cutoff(row) for row in w)
 
     def test_support_characterization(self):
         # only totals representable as sums of populated levels carry mass
@@ -176,7 +182,7 @@ class TestCcdf:
 
     def test_monotone_and_vanishing(self):
         spec = CompoundSpec(weights=np.array([1.5, 0.7, 0.1, 0.9]))
-        table = pmf(spec, default_cutoff(spec))
+        table = pmf(spec, default_cutoff(spec.weights))
         curve = table.ccdf_curve(np.arange(table.k_max + 2))
         assert curve[0] == 1.0
         assert all(a >= b for a, b in zip(curve, curve[1:]))
@@ -190,7 +196,7 @@ class TestCcdf:
             n = int(rng.integers(1, 21))
             spec = CompoundSpec(weights=rng.uniform(0.0, 2.0, n))
             ms = np.arange(0, 120)
-            by_int = _ccdf_integral_batch(spec, ms)
+            by_int = ccdf_integral(spec, ms)
             table = pmf(spec, 119)
             worst = max(worst, float(np.max(np.abs(by_int - table.ccdf_curve(ms)))))
         assert worst <= 1e-6
@@ -202,11 +208,22 @@ class TestCcdf:
         assert ccdf_integral(spec, 1) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
 
     def test_integral_refuses_silent_failure(self):
-        # zero refinement passes can never certify the tolerance
-        spec = CompoundSpec(weights=np.array([1.0]))
-        with pytest.raises(AccuracyError) as err:
-            _ccdf_integral_batch(spec, np.array([5]), tol=1e-12, max_refinements=0)
-        assert err.value.estimate is not None
+        # a threshold or a Chernoff cutoff beyond the 2^26-point grid is
+        # refused before the grid is allocated
+        for weights, m in (([1.0], 1 << 25), ([1e8], 5)):
+            with pytest.raises(AccuracyError, match=r"more than the limit of 67108864"):
+                ccdf_integral(CompoundSpec(weights=np.array(weights)), m)
+
+    def test_integral_batch_equals_scalar_calls(self):
+        # the cutoff (91) sets the grid for every m <= 20, so both agree exactly
+        spec = CompoundSpec(weights=np.array([2.0, 1.0, 0.5]))
+        ms = np.arange(0, 21)
+        batch = ccdf_integral(spec, ms)
+        assert batch.shape == ms.shape
+        for m, value in zip(ms, batch):
+            scalar = ccdf_integral(spec, int(m))
+            assert isinstance(scalar, float)
+            assert scalar == value
 
     def test_recursion_underflow_is_loud(self):
         # exp(-800) underflows, so the recursion would return a tail of ones

@@ -263,6 +263,8 @@ class TestPppEquivalent:
         # outdoor propagation drives the profile
         assert ppp.link_budget.prop_const_indoor_db == cox.link_budget.prop_const_db
         assert ppp.mean_users == pytest.approx(cox.mean_users, rel=1e-12)
+        # no roads are left, so the outdoor share is recomputed as 0
+        assert cox.outdoor_fraction == 1.0 and ppp.outdoor_fraction == 0.0
 
     def test_single_level_ppp_tail_is_poisson(self):
         ppp = ppp_equivalent(make_scenario(lam=9.0, delta=6.0))

@@ -7,7 +7,8 @@ from prbdim import (CeilingError, DimensionQuery, DomainError,
                     InfeasibleSplitError, InterferenceModel, LinkBudget,
                     Service, dimension_prbs, dimension_scenario,
                     intensities_from_throughput, mean_users, pmf, sweep)
-from prbdim.congestion import conditional_spec, road_set
+from prbdim.compound import default_cutoff
+from prbdim.congestion import conditional_spec, road_set, weight_matrix
 from prbdim.geometry import GeometryParams
 
 R = 0.7
@@ -131,26 +132,31 @@ class TestAgainstBruteForce:
         assert abs(report.pi_at_m - pi[required]) <= 1e-14
         assert abs(report.pi_before - pi[required - 1]) <= 1e-14
 
-    def test_second_pass_runs_to_the_ceiling(self, monkeypatch):
-        # a cutoff below the answer leaves Pi(K) above target
-        monkeypatch.setattr("prbdim.dimension.default_cutoff", lambda spec: 10)
-        q = query(target=0.05, tau=25e6, mc=12, seed=3, m_ceiling=200)
-        report = dimension_prbs(q)
-        pi = brute_force_curve(q.build_scenario(), 200)
-        assert report.curve.m_values[-1] == 200
-        assert report.required_m == int(np.nonzero(pi <= 0.05)[0][0]) > 10
-        np.testing.assert_allclose(report.curve.pi, pi, rtol=0, atol=1e-14)
+    def test_one_pass_to_the_cutoff_or_the_ceiling(self):
+        for m_ceiling in (1024, 200):
+            q = query(target=0.05, tau=25e6, mc=12, seed=3, m_ceiling=m_ceiling)
+            scn = q.build_scenario()
+            report = dimension_prbs(q)
+            cutoff = default_cutoff(weight_matrix(scn, road_set(scn)))
+            assert report.curve.m_values[-1] == min(m_ceiling, cutoff)
 
-    def test_target_below_cutoff_tail_reaches_the_ceiling(self):
-        # Pi flattens at rounding level past the Chernoff cutoff, so a
-        # 1e-16 target forces the second pass to m_ceiling and then fails
-        q = query(target=1e-16, tau=25e6, mc=12, seed=3, m_ceiling=600)
+    def test_ceiling_below_the_answer_reports_brute_force_pi(self):
+        # a 1e-8 target needs 237 PRBs here, above the 200 ceiling
+        q = query(target=1e-8, tau=25e6, mc=12, seed=3, m_ceiling=200)
         with pytest.raises(CeilingError) as err:
             dimension_prbs(q)
-        pi = brute_force_curve(q.build_scenario(), 600)
-        assert err.value.ceiling == 600
-        assert pi[600] > 1e-16
-        assert abs(err.value.achieved_pi - pi[600]) <= 1e-14
+        pi = brute_force_curve(q.build_scenario(), 200)
+        assert err.value.ceiling == 200
+        assert pi[200] > 1e-8
+        assert abs(err.value.achieved_pi - pi[200]) <= 1e-14
+
+    def test_target_below_the_floor_is_refused(self):
+        with pytest.raises(DomainError, match="floor 1e-08"):
+            query(target=1e-9)
+        scn = query().build_scenario()
+        with pytest.raises(DomainError, match="floor 1e-08"):
+            dimension_scenario(scn, 9.9e-9)
+        assert dimension_scenario(scn, 1e-8).pi_at_m <= 1e-8
 
 
 class TestSweep:
