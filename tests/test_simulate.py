@@ -60,14 +60,21 @@ class TestEmpiricalCcdf:
             empirical_ccdf(make_scenario(), np.array([0]), 50)
 
     def test_indoor_within_3sigma_of_analytic(self):
+        # Exact two-sided binomial test of each hit count at the 3.5-sigma
+        # normal level per side. A normal band would score a single hit
+        # where the analytic tail is ~1e-6 as about 10 sigma.
+        from scipy.stats import binom, norm
         scn = make_scenario(kappa=20.0, seed=31)
+        reps = 10_000
         ms = np.arange(0, 120)
-        curve = empirical_ccdf(scn, ms, 10_000)
+        curve = empirical_ccdf(scn, ms, reps)
         spec = conditional_spec(scn, RoadRealization(np.array([])))
         from prbdim import pmf
-        analytic = pmf(spec, 119).ccdf_curve(ms)
-        sigma = np.sqrt(np.maximum(analytic * (1 - analytic), 1e-12) / 10_000)
-        assert np.all(np.abs(curve.ccdf - analytic) <= 3.5 * sigma + 1e-9)
+        analytic = np.clip(pmf(spec, 119).ccdf_curve(ms), 0.0, 1.0)
+        hits = np.rint(curve.ccdf * reps)
+        tail = np.minimum(binom.cdf(hits, reps, analytic),
+                          binom.sf(hits - 1, reps, analytic))
+        assert np.all(tail >= norm.sf(3.5))
 
     def test_conditional_check_fixed_roads(self):
         # empirical conditional tail matches the compound reduction
