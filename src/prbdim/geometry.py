@@ -1,8 +1,7 @@
 """User point processes: PLP road realizations, Cox users on roads,
 indoor spatial PPP, and the per-ring demand masses.
 
-Sampling is deterministic given an explicit generator; parallel Monte
-Carlo derives one stream per realization via :func:`rng_stream`.
+Sampling is deterministic given an explicit generator.
 """
 
 from __future__ import annotations
@@ -58,19 +57,22 @@ class RoadRealization:
 
 
 @dataclass(frozen=True)
-class UserDrop:
-    """Sampled user distances to the cell center, split by environment."""
+class UserBlock:
+    """Users of `size` replications as flat arrays, split by environment.
 
+    The user at `outdoor_km[k]` belongs to replication `outdoor_rep[k]`
+    (0 <= rep < size); likewise for the indoor arrays.
+    """
+
+    size: int
+    outdoor_rep: np.ndarray
     outdoor_km: np.ndarray
+    indoor_rep: np.ndarray
     indoor_km: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return int(self.outdoor_km.size + self.indoor_km.size)
 
 
 def rng_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent reproducible stream for realization/replication `index`."""
+    """Independent reproducible stream for road realization `index`."""
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
@@ -87,14 +89,21 @@ def sample_roads(gp: GeometryParams, cell_radius_km: float, sampler: str,
     closed-form mean load assumes); `standard` takes r = R*U (uniform on
     [0, R], the half-cylinder construction).
     """
+    _check_disk(cell_radius_km, sampler)
+    y = int(rng.poisson(expected_roads(gp, cell_radius_km)))
+    return RoadRealization(chord_distances=_chord_law(cell_radius_km, sampler,
+                                                      rng.uniform(size=y)))
+
+
+def _check_disk(cell_radius_km: float, sampler: str) -> None:
     if cell_radius_km <= 0:
         raise DomainError("cell_radius_km must be positive")
     if sampler not in SAMPLERS:
         raise DomainError(f"unknown sampler {sampler!r}")
-    y = int(rng.poisson(expected_roads(gp, cell_radius_km)))
-    u = rng.uniform(size=y)
-    r = cell_radius_km * (np.sqrt(u) if sampler == PAPER else u)
-    return RoadRealization(chord_distances=r)
+
+
+def _chord_law(cell_radius_km: float, sampler: str, u: np.ndarray) -> np.ndarray:
+    return cell_radius_km * (np.sqrt(u) if sampler == PAPER else u)
 
 
 def chord_mass(road: RoadRealization, interval: tuple[float, float],
@@ -151,20 +160,43 @@ def mean_users(gp: GeometryParams, cell_radius_km: float) -> float:
     return (lam_delta + gp.user_intensity_area) * math.pi * cell_radius_km ** 2
 
 
-def sample_users(gp: GeometryParams, cell_radius_km: float,
-                 road: RoadRealization, rng: np.random.Generator) -> UserDrop:
-    """Drop users: linear PPP per chord, spatial PPP in the disk.
+def sample_user_block(gp: GeometryParams, cell_radius_km: float, sampler: str,
+                      rng: np.random.Generator, size: int,
+                      road: RoadRealization | None = None) -> UserBlock:
+    """Drop users for `size` independent replications from one generator.
 
-    Outdoor: per road j, Poisson(2*delta*sqrt(R^2-r_j^2)) users uniform on
-    the chord. Indoor: Poisson(kappa*pi*R^2) users uniform in the disk.
+    Each replication draws its own roads as :func:`sample_roads` does, or,
+    given `road`, keeps that road set and redraws only the users. Outdoor:
+    per chord at distance r, Poisson(2*delta*sqrt(R^2-r^2)) users uniform
+    on the chord. Indoor: Poisson(kappa*pi*R^2) users uniform in the disk.
+    The whole block is drawn as flat arrays in a fixed order: road counts,
+    chord distances, users per chord, chord offsets, indoor counts, indoor
+    radii.
     """
-    r = np.minimum(road.chord_distances, cell_radius_km)
-    half = np.sqrt(np.maximum(cell_radius_km ** 2 - r ** 2, 0.0))
-    counts = rng.poisson(2.0 * gp.user_intensity_linear * half)
-    total = int(counts.sum())
-    offsets = np.repeat(half, counts) * rng.uniform(-1.0, 1.0, size=total)
-    outdoor = np.hypot(np.repeat(r, counts), offsets)
+    _check_disk(cell_radius_km, sampler)
+    reps = np.arange(size)
+    if road is None:
+        roads = rng.poisson(expected_roads(gp, cell_radius_km), size=size)
+        r = _chord_law(cell_radius_km, sampler, rng.uniform(size=int(roads.sum())))
+    else:
+        roads = np.full(size, road.count)
+        r = np.tile(np.minimum(road.chord_distances, cell_radius_km), size)
+    r2 = r * r
+    half2 = np.maximum(cell_radius_km ** 2 - r2, 0.0)
+    counts = rng.poisson(2.0 * gp.user_intensity_linear * np.sqrt(half2))
+    # A user at offset t*half from the chord's midpoint, t uniform on
+    # [-1, 1], lies at distance sqrt(r^2 + t^2*half^2); only |t| matters.
+    t2 = rng.random(int(counts.sum()))
+    t2 *= t2
+    outdoor = np.repeat(half2, counts)
+    outdoor *= t2
+    outdoor += np.repeat(r2, counts)
+    np.sqrt(outdoor, out=outdoor)
 
-    n_indoor = int(rng.poisson(gp.user_intensity_area * math.pi * cell_radius_km ** 2))
-    indoor = cell_radius_km * np.sqrt(rng.uniform(size=n_indoor))
-    return UserDrop(outdoor_km=outdoor, indoor_km=indoor)
+    n_indoor = rng.poisson(gp.user_intensity_area * math.pi * cell_radius_km ** 2, size=size)
+    indoor = rng.uniform(size=int(n_indoor.sum()))
+    np.sqrt(indoor, out=indoor)
+    indoor *= cell_radius_km
+    return UserBlock(size=size, outdoor_rep=np.repeat(np.repeat(reps, roads), counts),
+                     outdoor_km=outdoor, indoor_rep=np.repeat(reps, n_indoor),
+                     indoor_km=indoor)

@@ -12,44 +12,56 @@ import numpy as np
 
 from .congestion import Scenario
 from .errors import DomainError
-from .geometry import UserDrop, rng_stream, sample_roads, sample_users
+from .geometry import RoadRealization, UserBlock, sample_user_block
 
 _Z95 = 1.959963984540054
 
-
-def _region_filter(distances: np.ndarray, region) -> np.ndarray:
-    if region is None:
-        return distances
-    lo, hi = region
-    return distances[(distances > lo) & (distances <= hi)]
-
-
-def demand_of_drop(scn: Scenario, drop: UserDrop) -> int:
-    """Total PRBs requested by one sampled user population."""
-    prof_out, prof_in = scn.profiles
-    total = 0
-    outdoor = _region_filter(drop.outdoor_km, scn.region_km)
-    if outdoor.size:
-        total += int(prof_out.levels_at(outdoor).sum())
-    indoor = _region_filter(drop.indoor_km, scn.region_km)
-    if indoor.size:
-        total += int(prof_in.levels_at(indoor).sum())
-    return total
+# Replications per generator. Kept small so that a block's flat arrays stay
+# at a few hundred kB and peak memory stays at the per-replication loop's.
+BLOCK = 32
+# Block b draws from SeedSequence((seed, MC_TAG, b)), which equals no road
+# stream (seed, i) of `rng_stream` for i < MC_TAG. (SeedSequence pads short
+# entropy with zeros, so road i = MC_TAG would meet block 0.)
+MC_TAG = 0x6D63_6F72
 
 
-def gamma_samples(scn: Scenario, replications: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replicated (gamma, outdoor count, indoor count); stream i = (seed, i)."""
-    gammas = np.zeros(replications, dtype=np.int64)
-    n_out = np.zeros(replications, dtype=np.int64)
-    n_in = np.zeros(replications, dtype=np.int64)
-    for i in range(replications):
-        rng = rng_stream(scn.seed, i)
-        road = sample_roads(scn.geometry, scn.cell_radius_km, scn.sampler, rng)
-        drop = sample_users(scn.geometry, scn.cell_radius_km, road, rng)
-        gammas[i] = demand_of_drop(scn, drop)
-        n_out[i] = _region_filter(drop.outdoor_km, scn.region_km).size
-        n_in[i] = _region_filter(drop.indoor_km, scn.region_km).size
-    return gammas, n_out, n_in
+def block_demand(scn: Scenario, users: UserBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-replication (gamma, outdoor count, indoor count) of one block.
+
+    Only users inside `scn.region_km` = (lo, hi] count, when it is set.
+    """
+    gamma = np.zeros(users.size)
+    counts = []
+    for profile, rep, km in zip(scn.profiles, (users.outdoor_rep, users.indoor_rep),
+                                (users.outdoor_km, users.indoor_km)):
+        if scn.region_km is not None:
+            lo, hi = scn.region_km
+            inside = (km > lo) & (km <= hi)
+            rep, km = rep[inside], km[inside]
+        gamma += np.bincount(rep, weights=profile.levels_at(km), minlength=users.size)
+        counts.append(np.bincount(rep, minlength=users.size))
+    return gamma.astype(np.int64), counts[0], counts[1]
+
+
+def gamma_samples(scn: Scenario, replications: int, road: RoadRealization | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replicated (gamma, outdoor count, indoor count) of the PRB demand.
+
+    Replication j is entry j % BLOCK of block j // BLOCK, and each block is
+    drawn whole by :func:`sample_user_block` from its own generator on
+    SeedSequence((scn.seed, MC_TAG, block)). The last block is drawn in
+    full and cut, so a run is a prefix of every longer run. Given `road`,
+    every replication keeps that road set and redraws only its users.
+    """
+    out = np.empty((3, replications), dtype=np.int64)
+    for block, start in enumerate(range(0, replications, BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, MC_TAG, block)))
+        users = sample_user_block(scn.geometry, scn.cell_radius_km, scn.sampler,
+                                  rng, BLOCK, road)
+        stop = min(start + BLOCK, replications)
+        for row, values in zip(out, block_demand(scn, users)):
+            row[start:stop] = values[:stop - start]
+    return out[0], out[1], out[2]
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:

@@ -16,8 +16,8 @@ from .congestion import (averaged_congestion, conditional_congestion,
                          expected_load)
 from .dimension import dimension_prbs
 from .scenario_io import bundled_scenario
-from .simulate import demand_of_drop, empirical_ccdf, gamma_samples, wilson_interval
-from .geometry import rng_stream, sample_roads, sample_users
+from .simulate import empirical_ccdf, gamma_samples, wilson_interval
+from .geometry import rng_stream, sample_roads
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,8 @@ def mc_suite(seed: int = 0, replications: int = 2000) -> list[Check]:
                         rng_stream(seed, 0))
     m_star = max(1, int(round(expected_load(scn))))
     analytic = conditional_congestion(scn, road, m_star)
-    hits = 0
-    for i in range(replications):
-        rng = rng_stream(seed + 1, i)
-        drop = sample_users(scn.geometry, scn.cell_radius_km, road, rng)
-        hits += demand_of_drop(scn, drop) >= m_star
+    fixed, _, _ = gamma_samples(replace(scn, seed=seed + 1), replications, road)
+    hits = int(np.count_nonzero(fixed >= m_star))
     lo, hi = wilson_interval(hits, replications, z=4.0)
     checks.append(Check("conditional_tail_in_ci", lo <= analytic <= hi,
                         f"analytic {analytic:.4f} in [{lo:.4f}, {hi:.4f}] "

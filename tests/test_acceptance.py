@@ -214,8 +214,9 @@ def test_criterion_10_structural_invariants(tmp_path):
     assert cli_main(args + ["--out", str(out_b)]) == 0
     determinism_ok = out_a.read_bytes() == out_b.read_bytes()
 
-    # batch size cannot change results: stream i is (seed, i), and each
-    # weight row depends on its own road only
+    # batch size cannot change results: MC blocks are drawn whole and cut,
+    # so a short run is a prefix of a long one, and each weight row depends
+    # on its own road only
     scn = scenario(2.0, 8.0, InterferenceModel.noise_limited())
     long_draw, short_draw = gamma_samples(scn, 50), gamma_samples(scn, 20)
     roads = road_set(scn)

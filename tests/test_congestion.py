@@ -93,8 +93,8 @@ class TestAveraged:
             np.testing.assert_array_equal(a.chord_distances, b.chord_distances)
 
     def test_deterministic_across_batch_sizes(self):
-        # replication i always uses stream (seed, i), and each weight row
-        # depends on its own road only
+        # MC blocks are drawn whole and cut, so a short run is a prefix of
+        # a long one, and each weight row depends on its own road only
         scn = make_scenario(lam=7.0, delta=2.5, kappa=5.0, mc=16, seed=4)
         gammas, n_out, n_in = gamma_samples(scn, 40)
         for got, want in zip(gamma_samples(scn, 13), (gammas, n_out, n_in)):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from prbdim import (DemandProfile, DomainError, GeometryParams,
                     RoadRealization, chord_mass, expected_roads,
                     indoor_masses, mean_users, outdoor_masses, rng_stream,
-                    sample_roads, sample_users)
+                    sample_roads, sample_user_block)
 
 R = 0.7
 
@@ -56,6 +56,8 @@ class TestSampleRoads:
     def test_unknown_sampler_rejected(self):
         with pytest.raises(DomainError):
             sample_roads(gp(lam=1.0), R, "sobol", rng_stream(0, 0))
+        with pytest.raises(DomainError):
+            sample_user_block(gp(lam=1.0), R, "sobol", rng_stream(0, 0), 4)
 
 
 class TestChordMass:
@@ -151,37 +153,33 @@ class TestMeanUsers:
 
 class TestSampleUsers:
     def test_empty_without_intensity(self):
-        road = sample_roads(gp(lam=9.0), R, "paper", rng_stream(1, 0))
-        drop = sample_users(gp(lam=9.0), R, road, rng_stream(1, 1))
-        assert drop.count == 0
+        users = sample_user_block(gp(lam=9.0), R, "paper", rng_stream(1, 1), 50)
+        assert users.size == 50
+        assert users.outdoor_km.size == users.indoor_km.size == 0
+        assert users.outdoor_rep.size == users.indoor_rep.size == 0
 
     def test_diameter_road_distance_law(self):
         # distances on a through-center chord are |uniform(-R, R)|
         road = RoadRealization(chord_distances=np.array([0.0]))
-        rng = rng_stream(2, 0)
-        dists = np.concatenate([
-            sample_users(gp(delta=40.0), R, road, rng).outdoor_km
-            for _ in range(400)])
-        assert dists.mean() == pytest.approx(R / 2, rel=0.02)
-        assert dists.max() <= R
+        users = sample_user_block(gp(delta=40.0), R, "paper", rng_stream(2, 0), 400, road)
+        assert users.outdoor_km.mean() == pytest.approx(R / 2, rel=0.02)
+        assert users.outdoor_km.max() <= R
 
     def test_indoor_mean_count(self):
-        rng = rng_stream(3, 0)
-        counts = [sample_users(gp(kappa=54.0), R, RoadRealization(np.array([])),
-                               rng).indoor_km.size
-                  for _ in range(10_000)]
+        users = sample_user_block(gp(kappa=54.0), R, "paper", rng_stream(3, 0), 10_000)
+        counts = np.bincount(users.indoor_rep, minlength=10_000)
         assert np.mean(counts) == pytest.approx(54.0 * math.pi * R * R, rel=0.02)
+        assert users.indoor_km.max() <= R
 
     def test_counts_match_chord_mass_in_annulus(self):
         # empirical user counts in an annulus converge to its chord mass
         road = RoadRealization(chord_distances=np.array([0.1, 0.33, 0.52]))
         interval = (0.2, 0.55)
         expected = chord_mass(road, interval, delta=8.0)
-        rng = rng_stream(4, 0)
-        hits = []
-        for _ in range(20_000):
-            d = sample_users(gp(delta=8.0), R, road, rng).outdoor_km
-            hits.append(np.count_nonzero((d > interval[0]) & (d <= interval[1])))
+        users = sample_user_block(gp(delta=8.0), R, "paper", rng_stream(4, 0), 20_000, road)
+        d = users.outdoor_km
+        hits = np.bincount(users.outdoor_rep[(d > interval[0]) & (d <= interval[1])],
+                           minlength=20_000)
         assert np.mean(hits) == pytest.approx(expected, rel=0.02)
 
     def test_disk_mass_expectation_under_paper_law(self):

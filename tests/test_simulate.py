@@ -1,12 +1,17 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from prbdim import (DomainError, GeometryParams, InterferenceModel,
-                    LinkBudget, RoadRealization, Scenario, Service,
-                    conditional_congestion, empirical_ccdf, rng_stream,
-                    sample_roads, sample_users)
+                    LinkBudget, RoadRealization, Scenario, Service, UserBlock,
+                    conditional_congestion, empirical_ccdf, expected_load,
+                    rng_stream, sample_user_block)
 from prbdim.congestion import conditional_spec
-from prbdim.simulate import demand_of_drop, gamma_samples, wilson_interval
+from prbdim.scenario_io import bundled_scenario
+from prbdim.simulate import (BLOCK, MC_TAG, block_demand, gamma_samples,
+                             wilson_interval)
 
 
 def make_scenario(lam=0.0, delta=0.0, kappa=0.0, seed=0, n_max=6):
@@ -22,31 +27,74 @@ def make_scenario(lam=0.0, delta=0.0, kappa=0.0, seed=0, n_max=6):
 
 
 class TestSimulateOnce:
-    """One Monte-Carlo draw: roads, users, then per-user lookup."""
+    """One Monte-Carlo replication: roads, users, then per-user lookup."""
 
     def test_empty_cell_is_zero(self):
-        scn = make_scenario()
-        gammas, n_out, n_in = gamma_samples(scn, 1)
-        assert gammas[0] == n_out[0] == n_in[0] == 0
+        # lambda = kappa = 0: no roads, no users, zero demand in every block
+        for out in gamma_samples(make_scenario(delta=6.0), 2 * BLOCK + 3):
+            np.testing.assert_array_equal(out, 0)
 
     def test_single_user_demand(self):
-        # a user pinned at a known distance contributes exactly its level
+        # a user pinned at a known distance contributes exactly its level,
+        # to its own replication only
         scn = make_scenario(kappa=1.0)
         profile = scn.profiles[1]
-        from prbdim.geometry import UserDrop
         x = 0.55  # inside level 3 for this budget
-        drop = UserDrop(outdoor_km=np.array([]), indoor_km=np.array([x]))
-        assert demand_of_drop(scn, drop) == profile.levels_at(np.array([x]))[0] == 3
+        none = np.array([], dtype=np.int64)
+        users = UserBlock(size=2, outdoor_rep=none, outdoor_km=np.array([]),
+                          indoor_rep=np.array([1]), indoor_km=np.array([x]))
+        gamma, n_out, n_in = block_demand(scn, users)
+        assert profile.levels_at(np.array([x]))[0] == 3
+        np.testing.assert_array_equal(gamma, [0, 3])
+        np.testing.assert_array_equal(n_out, [0, 0])
+        np.testing.assert_array_equal(n_in, [0, 1])
 
     def test_deterministic_per_stream(self):
-        # replication i is drawn from stream (seed, i) alone
+        # replications 0..BLOCK-1 are block 0, drawn from (seed, MC_TAG, 0) alone
         scn = make_scenario(lam=9.0, delta=6.0, kappa=10.0, seed=5)
-        rng = rng_stream(5, 1)
-        road = sample_roads(scn.geometry, 0.7, scn.sampler, rng)
-        drop = sample_users(scn.geometry, 0.7, road, rng)
-        a = gamma_samples(scn, 2)[0][1]
-        b = gamma_samples(scn, 2)[0][1]
-        assert a == b == demand_of_drop(scn, drop)
+        rng = np.random.default_rng(np.random.SeedSequence((5, MC_TAG, 0)))
+        users = sample_user_block(scn.geometry, 0.7, scn.sampler, rng, BLOCK)
+        by_hand = block_demand(scn, users)
+        for got, want in zip(gamma_samples(scn, 2), by_hand):
+            np.testing.assert_array_equal(got, want[:2])
+        assert by_hand[0].sum() > 0
+
+
+class TestBlocks:
+    """Replications are drawn BLOCK at a time, one generator per block."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_prefix_across_block_edges(self, n):
+        scn = make_scenario(lam=7.0, delta=2.5, kappa=5.0, seed=4)
+        long = gamma_samples(scn, 5 * BLOCK)
+        for got, want in zip(gamma_samples(scn, n), long):
+            assert got.shape == (n,)
+            np.testing.assert_array_equal(got, want[:n])
+
+    @pytest.mark.parametrize("region, reps", [((0.0, 0.3), 20_000),
+                                              ((0.3, 0.7), 20_000)])
+    def test_region_mean_matches_closed_form(self, region, reps):
+        # only users in (lo, hi] count; the mean then tracks expected_load
+        scn = replace(bundled_scenario("fig2_tau30").to_scenario(), region_km=region)
+        gammas, _, _ = gamma_samples(scn, reps)
+        se = float(gammas.std(ddof=1)) / math.sqrt(reps)
+        assert abs(float(gammas.mean()) - expected_load(scn)) <= 5.0 * se
+
+    def test_standard_sampler(self):
+        # E[outdoor users] = E[Y] * 2*delta * E[sqrt(R^2 - r^2)]: with r = R*U
+        # that is pi^2*lambda*delta*R^2, with r = R*sqrt(U) (8*pi/3)*lambda*delta*R^2
+        reps = 4000
+        for sampler, factor in (("standard", math.pi ** 2), ("paper", 8 * math.pi / 3)):
+            scn = replace(make_scenario(lam=9.0, delta=6.0, seed=3), sampler=sampler)
+            _, n_out, _ = gamma_samples(scn, reps)
+            se = float(n_out.std(ddof=1)) / math.sqrt(reps)
+            assert abs(float(n_out.mean()) - factor * 9.0 * 6.0 * 0.7 ** 2) <= 5.0 * se
+
+    def test_fixed_road_keeps_the_road(self):
+        # with a road given, no replication draws roads of its own
+        scn = make_scenario(lam=9.0, delta=6.0, seed=6)
+        _, n_out, _ = gamma_samples(scn, BLOCK + 1, RoadRealization(np.array([])))
+        np.testing.assert_array_equal(n_out, 0)
 
 
 class TestEmpiricalCcdf:
@@ -82,11 +130,9 @@ class TestEmpiricalCcdf:
         road = RoadRealization(chord_distances=np.array([0.05, 0.2, 0.44, 0.6]))
         m_star = 30
         analytic = conditional_congestion(scn, road, m_star)
-        hits = 0
         reps = 4000
-        for i in range(reps):
-            drop = sample_users(scn.geometry, 0.7, road, rng_stream(77, i))
-            hits += demand_of_drop(scn, drop) >= m_star
+        gammas, _, _ = gamma_samples(replace(scn, seed=77), reps, road)
+        hits = int(np.count_nonzero(gammas >= m_star))
         lo, hi = wilson_interval(hits, reps)
         assert lo - 0.01 <= analytic <= hi + 0.01
 
@@ -102,12 +148,11 @@ class TestEmpiricalCcdf:
         scn = make_scenario(kappa=20.0, seed=12)
         profile = scn.profiles[1]
         reps = 10_000
-        counts = np.zeros((reps, profile.n_levels), dtype=np.int64)
-        for i in range(reps):
-            drop = sample_users(scn.geometry, 0.7, RoadRealization(np.array([])),
-                                rng_stream(scn.seed, i))
-            levels = profile.levels_at(drop.indoor_km)
-            counts[i] = np.bincount(levels, minlength=profile.n_levels + 1)[1:]
+        users = sample_user_block(scn.geometry, 0.7, scn.sampler,
+                                  rng_stream(scn.seed, 0), reps)
+        width = profile.n_levels + 1
+        cells = users.indoor_rep * width + profile.levels_at(users.indoor_km)
+        counts = np.bincount(cells, minlength=reps * width).reshape(reps, width)[:, 1:]
         dispersion = counts.var(axis=0, ddof=1) / counts.mean(axis=0)
         assert np.all(dispersion > 0.9) and np.all(dispersion < 1.1)
 
