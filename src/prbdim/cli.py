@@ -3,8 +3,8 @@ Monte-Carlo simulation and self-validation, with CSV output.
 
 Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a
 target below the 1e-8 floor), 4 infeasibility (target unreachable,
-impossible traffic split), 5 accuracy (Fourier grid beyond its size limit,
-or PMF recursion underflow).
+impossible traffic split), 5 accuracy (Fourier grid beyond its 2^26-point
+limit).
 """
 
 from __future__ import annotations

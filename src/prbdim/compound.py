@@ -1,20 +1,17 @@
 """Distribution engine for the weighted Poisson sum Lambda = sum(n * V_n).
 
-Three routes to the tail probability P(Lambda >= M):
-
-* :func:`ccdf_bell` - the scalar reference for the batched production
-  path :func:`prbdim.congestion.batched_curve`, via the stable weighted
-  convolution recursion k*p_k = sum(j*w_j*p_{k-j}).  The recursion carries
-  exactly the Bell-polynomial coefficients H*B_k/k! (with x_j = w_j*j!)
-  but keeps every intermediate in [0, 1].
+* :func:`recursion_steps` - the one kernel: the stable recursion
+  k*p_k = sum(j*w_j*p_{k-j}) (Panjer 1981), which carries the Bell
+  coefficients H*B_k/k! (x_j = w_j*j!) in range, over the rows of a weight
+  matrix and rescaled where exp(-total weight) underflows (Panjer & Willmot
+  1986).  :func:`pmf` and :func:`ccdf_bell` are its one-row calls.
 * :func:`ccdf_bell_literal` - the same sum evaluated through raw complete
   Bell polynomials; small M only, kept for identity validation.
 * :func:`ccdf_integral` - Fourier inversion of the probability generating
   function: the trapezoid rule on equispaced points of the unit circle,
   one FFT pass with enough points that the Chernoff bound of
   :func:`default_cutoff` puts the aliased mass below 1e-12 before any work
-  starts.  It starts from |PGF| <= 1 instead of exp(-total weight), so it
-  does not underflow at heavy load.
+  starts.
 
 Plus the Bell-polynomial toolkit itself (recurrence and determinant forms,
 exact on integer inputs).
@@ -41,6 +38,9 @@ _BELL_FLOAT_MAX = 25
 # truncation; _MAX_POINTS bounds the Fourier grid (1 GiB per complex array).
 CUTOFF_TAIL = 1e-12
 _MAX_POINTS = 1 << 26
+
+_HEAVY_WEIGHT = 600.0
+_RESCALE = 1e200
 
 
 @dataclass(frozen=True)
@@ -113,33 +113,51 @@ class PmfTable:
         return np.maximum(1.0 - cum[np.maximum(m, 0)], 0.0)
 
 
-def require_normal_start(p0: np.ndarray, total: np.ndarray) -> None:
-    """Refuse start values p_0 = exp(-total weight) below the smallest
-    normal double (total weight above about 708): every p_k scales with
-    p_0, so a subnormal p_0 leaves the whole PMF inaccurate.
-    """
-    under = p0 < np.finfo(float).tiny
-    if under.any():
-        raise AccuracyError(f"PMF recursion underflows on {int(under.sum())} of {p0.size} road "
-                            f"realizations: total weight up to {total.max():.6g}, limit about 708")
+def recursion_steps(w: np.ndarray, k_max: int):
+    """Yield (p_k, P(Lambda > k)) for k = 0..k_max, each a vector over the
+    rows of the R x N weight matrix w, by k*p_k = sum_j j*w_j*p_{k-j} with
+    a window of the last N values and a running CDF per row.
+
+    A row of total weight above 600 starts from exp(600 - total), not an
+    underflowing exp(-total), and is divided by 1e200 whenever its newest
+    value passes 1e200 (Panjer & Willmot 1986); a log-scale per row undoes
+    both.  A step grows a value at most sum_j j*w_j / k-fold, so the check
+    catches every overflow."""
+    rows, n = w.shape
+    total = w.sum(axis=1)
+    scale = np.maximum(total - _HEAVY_WEIGHT, 0.0)
+    heavy = bool(scale.any())
+    p = np.exp(scale - total)
+    # at step k window row i holds p_{k-n+i}, which lagged_jw row i multiplies
+    window = np.zeros((n, rows))
+    lagged_jw = np.ascontiguousarray((w * np.arange(1, n + 1)).T[::-1])
+    cum = np.zeros(rows)
+    for k in range(k_max + 1):
+        if k > 0:
+            p = np.einsum("jr,jr->r", lagged_jw, window) / k
+        window[:-1] = window[1:]
+        window[-1] = p
+        cum += p
+        if not heavy:
+            yield p, np.maximum(1.0 - cum, 0.0)
+            continue
+        unscale = np.exp(-scale)
+        yield p * unscale, np.maximum(1.0 - cum * unscale, 0.0)
+        big = p > _RESCALE
+        if big.any():
+            window[:, big] /= _RESCALE
+            cum[big] /= _RESCALE
+            scale[big] -= math.log(_RESCALE)
 
 
 def pmf(spec: CompoundSpec, k_max: int) -> PmfTable:
     """Exact compound-Poisson PMF up to k_max by the stable recursion."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
-    w = spec.weights
-    n = w.size
-    jw = np.arange(1, n + 1) * w
-    p = np.zeros(k_max + 1)
-    total = spec.total_weight
-    p[0] = math.exp(-total)
-    require_normal_start(p[:1], np.array([total]))
-    for k in range(1, k_max + 1):
-        j = min(k, n)
-        # sum over j of j*w_j*p_{k-j}
-        p[k] = float(jw[:j] @ p[k - 1 :: -1][:j]) / k
-    return PmfTable(probabilities=p, tail=max(float(1.0 - p.sum()), 0.0))
+    p = np.empty(k_max + 1)
+    for k, (p_k, tail) in enumerate(recursion_steps(spec.weights[None, :], k_max)):
+        p[k] = p_k[0]
+    return PmfTable(probabilities=p, tail=float(tail[0]))
 
 
 def default_cutoff(weights) -> int:
@@ -233,10 +251,7 @@ def ccdf_bell(spec: CompoundSpec, m: int) -> float:
     """P(Lambda >= m) = 1 - sum_{k<m} p_k by the stable recursion."""
     if m < 0:
         raise DomainError("threshold must be nonnegative")
-    if m == 0:
-        return 1.0
-    table = pmf(spec, m - 1)
-    return max(float(1.0 - table.probabilities.sum()), 0.0)
+    return pmf(spec, m - 1).tail if m > 0 else 1.0
 
 
 def ccdf_bell_literal(spec: CompoundSpec, m: int) -> float:

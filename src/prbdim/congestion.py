@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compound import CompoundSpec, ccdf_bell, require_normal_start
+from .compound import CompoundSpec, ccdf_bell, recursion_steps
 from .errors import DomainError
 from .geometry import (GeometryParams, PAPER, RoadRealization, SAMPLERS,
                        expected_roads, mean_users, rng_stream, sample_roads)
@@ -173,37 +173,21 @@ class CongestionCurve:
 
 def batched_curve(weights, m_values) -> CongestionCurve:
     """Mean and standard error over the rows of an R x N weight matrix of
-    P(Gamma >= m | row weights), exactly zero error where all rows agree.
-
-    The recursion k*p_k = sum_j j*w_j*p_{k-j} advances all rows together and
-    keeps only the last N PMF columns and a running CDF per row.
-    """
+    P(Gamma >= m | row weights), exactly zero error where all rows agree."""
     w = np.asarray(weights, dtype=float)
     m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
     if w.ndim != 2 or w.size == 0 or not np.all(np.isfinite(w)) or w.min() < 0:
         raise DomainError("weights must be a nonempty R x N matrix, nonnegative and finite")
     if m.size == 0 or m.min() < 0:
         raise DomainError("thresholds must be nonempty and nonnegative")
-    rows, n = w.shape
-    total = w.sum(axis=1)
-    p = np.exp(-total)
-    require_normal_start(p, total)
-    pi = np.zeros(int(m.max()) + 1)
+    rows = w.shape[0]
+    pi = np.ones(int(m.max()) + 1)
     stderr = np.zeros(pi.size)
-    # at step k window row i holds p_{k-n+i}, which lagged_jw row i multiplies
-    window = np.zeros((n, rows))
-    lagged_jw = np.ascontiguousarray((w * np.arange(1, n + 1)).T[::-1])
-    cum = np.zeros(rows)
-    for k in range(pi.size):
-        tail = np.maximum(1.0 - cum, 0.0)
+    # P(Gamma >= k) = P(Gamma > k - 1)
+    for k, (_, tail) in enumerate(recursion_steps(w, pi.size - 2), start=1):
         pi[k] = tail.mean()
         if tail.min() != tail.max():
             stderr[k] = tail.std(ddof=1) / math.sqrt(rows)
-        if k > 0:
-            p = np.einsum("jr,jr->r", lagged_jw, window) / k
-        window[:-1] = window[1:]
-        window[-1] = p
-        cum += p
     return CongestionCurve(m_values=m, pi=pi[m], stderr=stderr[m],
                            realizations=rows)
 

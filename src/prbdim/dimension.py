@@ -12,8 +12,7 @@ import numpy as np
 from .compound import default_cutoff
 from .congestion import (CongestionCurve, Scenario, batched_curve, road_set,
                          weight_matrix)
-from .errors import (AccuracyError, CeilingError, DomainError,
-                     InfeasibleSplitError)
+from .errors import CeilingError, DomainError, InfeasibleSplitError
 from .geometry import GeometryParams, PAPER
 from .linkmodel import InterferenceModel, LinkBudget, Service
 
@@ -183,7 +182,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
                 report = dimension_prbs(sub)
                 points.append(SweepPoint(float(tau), float(lam),
                                          query.target_congestion, report))
-            except (AccuracyError, CeilingError, InfeasibleSplitError) as exc:
+            except (CeilingError, InfeasibleSplitError) as exc:
                 points.append(SweepPoint(float(tau), float(lam),
                                          query.target_congestion, None, str(exc)))
     return points

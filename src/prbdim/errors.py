@@ -10,8 +10,8 @@ class RangeError(OverflowError):
 
 
 class AccuracyError(RuntimeError):
-    """A numerical route cannot certify its result (recursion underflow, or a
-    Fourier grid too large or outside [0, 1]); carries any estimate made."""
+    """The Fourier route cannot certify its result (a grid too large, or a
+    result outside [0, 1]); carries any estimate made."""
 
     def __init__(self, message, estimate=None, achieved_tol=None):
         super().__init__(message)

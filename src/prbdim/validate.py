@@ -28,14 +28,16 @@ class Check:
 
 
 def convolved_pmf(weights, k_max: int) -> np.ndarray:
-    """Brute-force reference: convolve per-level compound-Poisson PMFs."""
+    """Brute-force reference: convolve per-level PMFs, Poisson terms in log space."""
     out = np.zeros(k_max + 1)
     out[0] = 1.0
     for n, w in enumerate(weights, start=1):
         level = np.zeros(k_max + 1)
-        # counts beyond k_max // n only feed indices beyond the table
-        for c in range(0, k_max // n + 1):
-            level[n * c] = math.exp(-w) * w ** c / math.factorial(c)
+        level[0] = math.exp(-w)
+        if w > 0:
+            # counts beyond k_max // n only feed indices beyond the table
+            for c in range(1, k_max // n + 1):
+                level[n * c] = math.exp(c * math.log(w) - w - math.lgamma(c + 1))
         out = np.convolve(out, level)[: k_max + 1]
     return out
 

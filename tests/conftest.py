@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from prbdim import InterferenceModel, LinkBudget, Service
@@ -26,3 +29,27 @@ def three_region():
 @pytest.fixture
 def service_500k():
     return Service(rate_bps=500e3)
+
+
+def scalar_pmf(weights, k_max):
+    """The plain scalar recursion k*p_k = sum_j j*w_j*p_{k-j} from p_0 =
+    exp(-total weight), one row at a time and with no rescaling: the
+    independent reference for the batched kernel, at total weights below
+    about 708 where p_0 is a normal double."""
+    w = np.asarray(weights, dtype=float)
+    n = w.size
+    jw = np.arange(1, n + 1) * w
+    p = np.zeros(k_max + 1)
+    p[0] = math.exp(-float(w.sum()))
+    for k in range(1, k_max + 1):
+        j = min(k, n)
+        # sum over j of j*w_j*p_{k-j}
+        p[k] = float(jw[:j] @ p[k - 1 :: -1][:j]) / k
+    return p
+
+
+def scalar_ccdf(weights, m_values):
+    """P(Lambda >= m) for each threshold m, from scalar_pmf."""
+    m = np.asarray(m_values, dtype=np.int64)
+    cum = np.concatenate(([0.0], np.cumsum(scalar_pmf(weights, max(int(m.max()) - 1, 0)))))
+    return np.maximum(1.0 - cum[m], 0.0)

@@ -81,11 +81,12 @@ class TestDimensionCommand:
         assert run(["dimension", "--scenario", "/no/such/file",
                     "--target", "0.05"]) == 3
 
-    def test_heavy_load_underflow_is_accuracy_error(self, capsys):
+    def test_heavy_load_is_dimensioned(self, capsys):
+        # exp(-total weight) is subnormal on 195 of the 800 road realizations
         code = run(["dimension", "--scenario", FIG7, "--tau-mbps", "180",
                     "--target", "0.05"])
-        assert code == 5
-        assert "underflows" in capsys.readouterr().err
+        assert code == 0
+        assert "required_m = 1542\n" in capsys.readouterr().out
 
 
 class TestSweepCommand:

@@ -9,6 +9,7 @@ from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     bell_complete, bell_determinant, ccdf_bell,
                     ccdf_bell_literal, ccdf_integral, pmf)
 from prbdim.compound import default_cutoff
+from prbdim.validate import convolved_pmf
 
 
 def enumerated_pmf(weights, k_max):
@@ -26,6 +27,16 @@ def enumerated_pmf(weights, k_max):
                 prob *= math.exp(-w) * w ** c / math.factorial(c)
             out[total] += prob
     return out
+
+
+def two_heavy_levels_pmf(k_max):
+    """P(Lambda = k), k <= k_max, for Lambda = V1 + 2*V2 with V1, V2 ~
+    Poisson(400), by explicit convolution of scipy's Poisson PMFs."""
+    from scipy.stats import poisson
+    ones = poisson.pmf(np.arange(k_max + 1), 400.0)
+    twos = np.zeros(k_max + 1)
+    twos[::2] = poisson.pmf(np.arange(k_max // 2 + 1), 400.0)
+    return np.convolve(ones, twos)[:k_max + 1]
 
 
 class TestPmf:
@@ -78,6 +89,16 @@ class TestPmf:
                 assert p[k] > 0
             else:
                 assert p[k] == 0
+
+    def test_heavy_load_matches_oracles(self):
+        # exp(-2000) underflows; the rescaled rows still give every p_k
+        from scipy.stats import poisson
+        table = pmf(CompoundSpec(weights=np.array([2000.0])), 4000)
+        np.testing.assert_allclose(table.probabilities, poisson.pmf(np.arange(4001), 2000.0),
+                                   rtol=0, atol=1e-12)
+        two = pmf(CompoundSpec(weights=np.array([400.0, 400.0])), 1200)
+        np.testing.assert_allclose(two.probabilities, convolved_pmf([400.0, 400.0], 1200),
+                                   rtol=0, atol=1e-12)
 
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
@@ -225,13 +246,15 @@ class TestCcdf:
             assert isinstance(scalar, float)
             assert scalar == value
 
-    def test_recursion_underflow_is_loud(self):
-        # exp(-800) underflows, so the recursion would return a tail of ones
-        # where the true value is about 0.5
-        for weights, m in (([800.0], 800), ([400.0, 400.0], 1200)):
-            with pytest.raises(AccuracyError, match=r"1 of 1 road realizations: total weight up to 800"):
-                ccdf_bell(CompoundSpec(weights=np.array(weights)), m)
-        assert 0.49 < ccdf_bell(CompoundSpec(weights=np.array([700.0])), 700) < 0.52
+    def test_recursion_matches_oracles_at_heavy_load(self):
+        # exp(-800) underflows, so an unscaled recursion would return a tail
+        # of ones where the true value is about 0.5
+        from scipy.stats import poisson
+        for w in (700.0, 800.0):
+            spec = CompoundSpec(weights=np.array([w]))
+            assert ccdf_bell(spec, int(w)) == pytest.approx(poisson.sf(w - 1, w), abs=1e-9)
+        spec = CompoundSpec(weights=np.array([400.0, 400.0]))
+        assert ccdf_bell(spec, 1200) == pytest.approx(ccdf_integral(spec, 1200), abs=1e-9)
 
     @pytest.mark.parametrize("w", [800.0, 2000.0])
     def test_integral_is_heavy_load_oracle_poisson(self, w):
@@ -243,15 +266,25 @@ class TestCcdf:
             assert ccdf_integral(spec, m) == pytest.approx(poisson.sf(m - 1, w), abs=1e-9)
 
     def test_integral_is_heavy_load_oracle_two_levels(self):
-        # Lambda = V1 + 2*V2 with V1, V2 ~ Poisson(400), by explicit convolution
-        from scipy.stats import poisson
         m = 1200
-        ones = poisson.pmf(np.arange(m), 400.0)
-        twos = np.zeros(m)
-        twos[::2] = poisson.pmf(np.arange((m + 1) // 2), 400.0)
-        expected = 1.0 - np.convolve(ones, twos)[:m].sum()
+        expected = 1.0 - two_heavy_levels_pmf(m - 1).sum()
         spec = CompoundSpec(weights=np.array([400.0, 400.0]))
         assert ccdf_integral(spec, m) == pytest.approx(expected, abs=1e-9)
+
+
+class TestConvolvedPmf:
+    def test_heavy_single_level_is_poisson(self):
+        # 150**c and c! overflow a double beyond c = 170; log-space terms do not
+        from scipy.stats import poisson
+        np.testing.assert_allclose(convolved_pmf([150.0], 400),
+                                   poisson.pmf(np.arange(401), 150.0), rtol=0, atol=1e-14)
+
+    def test_heavy_two_levels_match_explicit_convolution(self):
+        np.testing.assert_allclose(convolved_pmf([400.0, 400.0], 1200),
+                                   two_heavy_levels_pmf(1200), rtol=0, atol=1e-14)
+
+    def test_empty_level_is_a_point_mass(self):
+        np.testing.assert_array_equal(convolved_pmf([0.0, 0.0], 4), [1.0, 0.0, 0.0, 0.0, 0.0])
 
 
 class TestMean:

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from conftest import scalar_ccdf
 from hypothesis import given, settings, strategies as st
+from scipy.stats import poisson
 
-from prbdim import (AccuracyError, CompoundSpec, DomainError, GeometryParams,
+from prbdim import (CompoundSpec, DomainError, GeometryParams,
                     InterferenceModel, LinkBudget, RoadRealization, Scenario,
-                    Service, averaged_congestion, ccdf_bell, chord_mass,
-                    conditional_congestion, expected_load, indoor_masses,
-                    outdoor_masses, pmf, ppp_equivalent)
+                    Service, averaged_congestion, ccdf_bell, ccdf_integral,
+                    chord_mass, conditional_congestion, expected_load,
+                    indoor_masses, outdoor_masses, ppp_equivalent)
+from prbdim.compound import default_cutoff, recursion_steps
 from prbdim.congestion import (batched_curve, conditional_spec, road_set,
                                weight_matrix)
-from prbdim.simulate import gamma_samples
+from prbdim.scenario_io import bundled_scenario
+from prbdim.simulate import empirical_ccdf, gamma_samples
 
 EXPECTED_LOAD_OUTDOOR = 221.67077763729581  # lambda=9, delta=6, R=0.7, one level
 
@@ -128,14 +132,17 @@ class TestAveraged:
 
 
 def per_row_reference(weights, m_values):
-    """Per-realization pmf tails, averaged: the loop the batched core replaces."""
+    """Per-realization scalar-recursion tails, averaged."""
     m = np.asarray(m_values, dtype=np.int64)
-    k_max = max(int(m.max()) - 1, 0)
-    rows = np.array([pmf(CompoundSpec(weights=w), k_max).ccdf_curve(m)
-                     for w in weights])
+    rows = np.array([scalar_ccdf(w, m) for w in weights])
     stderr = (rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
               if rows.shape[0] > 1 else np.zeros(m.size))
     return rows.mean(axis=0), stderr
+
+
+def kernel_tails(weights, k_max):
+    """(k_max + 1) x R matrix of the kernel's tails P(Gamma >= m), m = 1..k_max + 1."""
+    return np.array([tail for _, tail in recursion_steps(weights, k_max)])
 
 
 class TestBatchedCurve:
@@ -193,18 +200,31 @@ class TestBatchedCurve:
         assert curve.pi[60] > 0.0
         assert curve.stderr.max() == 0.0
 
-    def test_underflow_is_loud(self):
-        # total weight 800: exp(-800) underflows, so the recursion would
-        # return an all-ones tail
-        with pytest.raises(AccuracyError, match=r"1 of 3 road realizations: total weight up to 800"):
-            batched_curve(np.array([[1.0, 2.0], [400.0, 400.0], [0.0, 5.0]]),
-                          np.arange(0, 10))
-        # the scalar path refuses the same load: indoor weight 800 on one level
+    def test_heavy_rows_match_the_fourier_route(self):
+        # rows 1 and 3 have total weight 800 and 2300, where exp(-total
+        # weight) underflows; they share the pass with light rows
+        mixed = np.array([[1.0, 2.0], [400.0, 400.0], [0.0, 5.0],
+                          [2000.0, 300.0], [0.5, 0.0]])
+        heavy, light = [1, 3], [0, 2, 4]
+        k = default_cutoff(mixed)
+        ms = np.arange(1, k + 2)
+        tails = kernel_tails(mixed, k)
+        for i in heavy:
+            fourier = ccdf_integral(CompoundSpec(weights=mixed[i]), ms)
+            np.testing.assert_allclose(tails[:, i], fourier, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(tails[:, light], kernel_tails(mixed[light], k))
+        reference = np.column_stack([scalar_ccdf(w, ms) if i in light else
+                                     ccdf_integral(CompoundSpec(weights=w), ms)
+                                     for i, w in enumerate(mixed)])
+        np.testing.assert_allclose(batched_curve(mixed, ms).pi, reference.mean(axis=1),
+                                   rtol=0, atol=1e-12)
+        # the scalar path: indoor weight 800 on one level is Poisson(800)
         scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
         road = RoadRealization(chord_distances=np.array([]))
-        assert conditional_spec(scn, road).total_weight == pytest.approx(800.0)
-        with pytest.raises(AccuracyError, match=r"1 of 1 road realizations: total weight up to 800"):
-            conditional_congestion(scn, road, 800)
+        total = conditional_spec(scn, road).total_weight
+        assert total == pytest.approx(800.0)
+        assert conditional_congestion(scn, road, 800) == pytest.approx(
+            poisson.sf(799, total), abs=1e-12)
 
     def test_rejects_malformed_weights(self):
         for bad in (np.zeros(3), np.zeros((0, 2)), np.array([[1.0, -1.0]]),
@@ -213,6 +233,37 @@ class TestBatchedCurve:
                 batched_curve(bad, np.arange(3))
         with pytest.raises(DomainError):
             batched_curve(np.ones((2, 2)), np.array([-1, 2]))
+
+
+def fig7_at(tau_bps):
+    return bundled_scenario("fig7").to_query(target=0.05, throughput_bps=tau_bps).build_scenario()
+
+
+class TestHeavyLoad:
+    # at 180 Mbit/s 196 of fig7's 800 road realizations have total weight
+    # above 708, where exp(-total weight) underflows; at 300 Mbit/s all do
+    @pytest.mark.parametrize("tau", [180e6, 300e6])
+    def test_rows_match_the_fourier_route(self, tau):
+        scn = fig7_at(tau)
+        w = weight_matrix(scn, road_set(scn))
+        rows = w[np.r_[0:800:100, np.argmax(w.sum(axis=1))]]
+        assert rows.sum(axis=1).max() > 708
+        k = default_cutoff(rows)
+        ms = np.arange(1, k + 2)
+        tails = kernel_tails(rows, k)
+        for i, row in enumerate(rows):
+            fourier = ccdf_integral(CompoundSpec(weights=row), ms)
+            np.testing.assert_allclose(tails[:, i], fourier, rtol=0, atol=1e-12)
+
+    # m is the dimensioned PRB count at a 5% target
+    @pytest.mark.parametrize("tau, m", [(180e6, 1542), (300e6, 2539)])
+    def test_averaged_matches_simulation(self, tau, m):
+        # validate's averaged_vs_empirical rule: gap <= 4*stderr + Wilson width
+        scn = fig7_at(tau)
+        curve = averaged_congestion(scn, np.array([m]))
+        emp = empirical_ccdf(scn, np.array([m]), 10_000)
+        gap = abs(curve.pi[0] - emp.ccdf[0])
+        assert gap <= 4.0 * curve.stderr[0] + (emp.ci_high[0] - emp.ci_low[0])
 
 
 class TestExpectedLoad:

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import scalar_ccdf
 
-from prbdim import (CeilingError, DimensionQuery, DomainError,
+from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     InfeasibleSplitError, InterferenceModel, LinkBudget,
-                    Service, dimension_prbs, dimension_scenario,
-                    intensities_from_throughput, mean_users, pmf, sweep)
+                    Service, ccdf_integral, dimension_prbs, dimension_scenario,
+                    intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
 from prbdim.congestion import conditional_spec, road_set, weight_matrix
 from prbdim.geometry import GeometryParams
@@ -112,9 +114,9 @@ class TestDimension:
 
 
 def brute_force_curve(scn, m_ceiling):
-    """Per-realization pmf to m_ceiling, averaged over the road set."""
+    """Per-realization scalar-recursion tails to m_ceiling, averaged over the road set."""
     m = np.arange(0, m_ceiling + 1)
-    rows = np.array([pmf(conditional_spec(scn, road), m_ceiling - 1).ccdf_curve(m)
+    rows = np.array([scalar_ccdf(conditional_spec(scn, road).weights, m)
                      for road in road_set(scn)])
     return rows.mean(axis=0)
 
@@ -181,13 +183,22 @@ class TestSweep:
         assert points[1].report is None
         assert "ceiling" in points[1].error
 
-    def test_underflow_is_an_error_point(self):
-        # 600 Mbit/s puts every realization's total weight far beyond 708
+    def test_heavy_load_point_is_dimensioned_below_its_ceiling(self):
+        # 600 Mbit/s puts every realization's total weight far beyond 708,
+        # where exp(-total weight) underflows; it needs more than 4096 PRBs
         q = query(mc=10)
         points = sweep(q, throughput_grid_bps=[25e6, 600e6])
         assert points[0].report is not None
         assert points[1].report is None
-        assert "underflows on 10 of 10" in points[1].error
+        assert "ceiling 4096" in points[1].error
+        report = sweep(replace(q, m_ceiling=8192), throughput_grid_bps=[600e6])[0].report
+        assert report.required_m == 4138
+        scn = replace(q, throughput_bps=600e6).build_scenario()
+        m = np.array([4137, 4138])
+        fourier = np.mean([ccdf_integral(CompoundSpec(weights=w), m)
+                           for w in weight_matrix(scn, road_set(scn))], axis=0)
+        assert abs(report.pi_before - fourier[0]) <= 1e-12
+        assert abs(report.pi_at_m - fourier[1]) <= 1e-12
 
     def test_same_lambda_reuses_roads(self):
         q = query(mc=40, seed=6)
