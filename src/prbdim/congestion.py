@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -110,10 +111,6 @@ class Scenario:
                 w[n - 1] += kappa * math.pi * (b * b - a * a)
         return w
 
-    @property
-    def combined_levels(self) -> int:
-        return max(self.profiles[0].n_levels, self.profiles[1].n_levels)
-
 
 def ppp_equivalent(scn: Scenario) -> Scenario:
     """Outdoor-PPP baseline: same printed intensity, outdoor propagation.
@@ -128,20 +125,32 @@ def ppp_equivalent(scn: Scenario) -> Scenario:
     return replace(scn, link_budget=lb, geometry=gp, outdoor_fraction=None)
 
 
-def weight_matrix(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
-    """R x N combined per-level Poisson weights, row i for road realization i."""
-    w = np.zeros((len(roads), scn.combined_levels))
-    indoor = scn._indoor_weights
-    w[:, : indoor.size] += indoor
-    u2, v2, lv = scn._outdoor_table
-    seg = np.empty((len(roads), lv.size))
+def chord_segments(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
+    """R x (clipped outdoor rings) matrix of the half road length that
+    realization i lays inside ring j; independent of the user intensities."""
+    u2, v2, _ = scn._outdoor_table
+    seg = np.empty((len(roads), u2.size))
     for i, road in enumerate(roads):
         r2 = road.chord_distances ** 2
         seg[i] = (np.sqrt(np.maximum(v2[:, None] - r2[None, :], 0.0))
                   - np.sqrt(np.maximum(u2[:, None] - r2[None, :], 0.0))).sum(axis=1)
+    return seg
+
+
+def segment_weights(scn: Scenario, seg: np.ndarray) -> np.ndarray:
+    """R x N combined per-level Poisson weights from a chord-segment matrix."""
+    w = np.zeros((seg.shape[0], max(p.n_levels for p in scn.profiles)))
+    indoor = scn._indoor_weights
+    w[:, : indoor.size] += indoor
     # rings sharing a level accumulate in ring order
-    np.add.at(w, (slice(None), lv), 2.0 * scn.geometry.user_intensity_linear * seg)
+    np.add.at(w, (slice(None), scn._outdoor_table[2]),
+              2.0 * scn.geometry.user_intensity_linear * seg)
     return w
+
+
+def weight_matrix(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
+    """R x N combined per-level Poisson weights, row i for road realization i."""
+    return segment_weights(scn, chord_segments(scn, roads))
 
 
 def conditional_spec(scn: Scenario, road: RoadRealization) -> CompoundSpec:
@@ -171,6 +180,32 @@ class CongestionCurve:
     realizations: int
 
 
+# Threshold steps reduced per numpy call: fewer calls, little memory.
+_STATS_STEPS = 4
+
+
+def block_curves(weights: list[np.ndarray], k_max: list[int]) -> list[CongestionCurve]:
+    """Averaged congestion curve at thresholds 0..k_max[b] of each R-row
+    weight matrix in `weights`, from one recursion pass over them stacked;
+    rows do not interact, so each equals a pass over its matrix alone."""
+    blocks, rows = len(weights), weights[0].shape[0]
+    pi = np.ones((blocks, max(k_max) + 1))
+    stderr = np.zeros(pi.shape)
+    # P(Gamma >= k) = P(Gamma > k - 1)
+    steps = recursion_steps(np.concatenate(weights), pi.shape[1] - 2)
+    for first in range(1, pi.shape[1], _STATS_STEPS):
+        tails = np.array([t.reshape(blocks, rows) for _, t in islice(steps, _STATS_STEPS)])
+        last = first + len(tails)
+        pi[:, first:last] = tails.mean(axis=2).T
+        varies = tails.min(axis=2) != tails.max(axis=2)
+        if varies.any():
+            err = tails.std(axis=2, ddof=1) / math.sqrt(rows)
+            stderr[:, first:last] = np.where(varies, err, 0.0).T
+    return [CongestionCurve(m_values=np.arange(0, k + 1), pi=pi[b, : k + 1],
+                            stderr=stderr[b, : k + 1], realizations=rows)
+            for b, k in enumerate(k_max)]
+
+
 def batched_curve(weights, m_values) -> CongestionCurve:
     """Mean and standard error over the rows of an R x N weight matrix of
     P(Gamma >= m | row weights), exactly zero error where all rows agree."""
@@ -180,16 +215,8 @@ def batched_curve(weights, m_values) -> CongestionCurve:
         raise DomainError("weights must be a nonempty R x N matrix, nonnegative and finite")
     if m.size == 0 or m.min() < 0:
         raise DomainError("thresholds must be nonempty and nonnegative")
-    rows = w.shape[0]
-    pi = np.ones(int(m.max()) + 1)
-    stderr = np.zeros(pi.size)
-    # P(Gamma >= k) = P(Gamma > k - 1)
-    for k, (_, tail) in enumerate(recursion_steps(w, pi.size - 2), start=1):
-        pi[k] = tail.mean()
-        if tail.min() != tail.max():
-            stderr[k] = tail.std(ddof=1) / math.sqrt(rows)
-    return CongestionCurve(m_values=m, pi=pi[m], stderr=stderr[m],
-                           realizations=rows)
+    [curve] = block_curves([w], [int(m.max())])
+    return replace(curve, m_values=m, pi=curve.pi[m], stderr=curve.stderr[m])
 
 
 def averaged_congestion(scn: Scenario, m_values) -> CongestionCurve:

@@ -10,8 +10,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compound import default_cutoff
-from .congestion import (CongestionCurve, Scenario, batched_curve, road_set,
-                         weight_matrix)
+from .congestion import (CongestionCurve, Scenario, block_curves, chord_segments,
+                         road_set, segment_weights)
 from .errors import CeilingError, DomainError, InfeasibleSplitError
 from .geometry import GeometryParams, PAPER
 from .linkmodel import InterferenceModel, LinkBudget, Service
@@ -113,20 +113,19 @@ class DimensionReport:
     road_intensity: float | None = None
 
 
-def dimension_scenario(scn: Scenario, target: float,
-                       m_ceiling: int = DEFAULT_M_CEILING) -> DimensionReport:
-    """Invert the averaged congestion curve for a prepared scenario.
+def _shared_road_curves(scns: list[Scenario], m_ceiling: int) -> list[CongestionCurve]:
+    """Averaged curves of scenarios that differ only in user intensities,
+    from one road set and one recursion pass, each to K = min(m_ceiling,
+    default_cutoff(W)): every realization's tail there is below 1e-12,
+    so below any target at or above TARGET_FLOOR."""
+    seg = chord_segments(scns[0], road_set(scns[0]))
+    weights = [segment_weights(scn, seg) for scn in scns]
+    return block_curves(weights, [min(m_ceiling, default_cutoff(w)) for w in weights])
 
-    One fixed road-realization set backs every threshold (common random
-    numbers), so the precomputed curve is exactly monotone and the returned
-    bracket is meaningful.  One pass runs to K = min(m_ceiling,
-    default_cutoff(W)), where every realization's tail is below 1e-12 and
-    so below any target at or above TARGET_FLOOR; binary search finds M.
-    """
-    check_target(target)
-    weights = weight_matrix(scn, road_set(scn))
-    k = min(m_ceiling, default_cutoff(weights))
-    curve = batched_curve(weights, np.arange(0, k + 1))
+
+def _invert(curve: CongestionCurve, target: float, m_ceiling: int) -> DimensionReport:
+    """Smallest M with Pi(M) <= target on a curve that ends at K, or
+    CeilingError when Pi(K) is still above the target."""
     pi, stderr = curve.pi, curve.stderr
     if pi[-1] > target:
         raise CeilingError(
@@ -142,6 +141,19 @@ def dimension_scenario(scn: Scenario, target: float,
         stderr_at_m=float(stderr[required]),
         stderr_before=float(stderr[before]) if before >= 0 else 0.0,
         curve=curve)
+
+
+def dimension_scenario(scn: Scenario, target: float,
+                       m_ceiling: int = DEFAULT_M_CEILING) -> DimensionReport:
+    """Invert the averaged congestion curve for a prepared scenario.
+
+    One fixed road-realization set backs every threshold (common random
+    numbers), so the precomputed curve is exactly monotone and the returned
+    bracket is meaningful; binary search finds M.
+    """
+    check_target(target)
+    [curve] = _shared_road_curves([scn], m_ceiling)
+    return _invert(curve, target, m_ceiling)
 
 
 def dimension_prbs(query: DimensionQuery) -> DimensionReport:
@@ -165,24 +177,30 @@ class SweepPoint:
 
 def sweep(query: DimensionQuery, throughput_grid_bps=None,
           road_intensity_grid=None) -> list[SweepPoint]:
-    """Dimension every (tau, lambda) grid point; failures do not abort.
-
-    Points share the query's base seed, so points with equal road intensity
-    redraw identical road realizations.
-    """
-    taus = list(throughput_grid_bps) if throughput_grid_bps is not None else [query.throughput_bps]
-    lams = list(road_intensity_grid) if road_intensity_grid is not None else [query.road_intensity]
+    """Dimension every (tau, lambda) grid point, tau-major; failures do not
+    abort.  Points with equal road intensity share one road set and one
+    recursion pass, and each equals a standalone :func:`dimension_prbs`."""
+    taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
+                               else [query.throughput_bps])]
+    lams = [float(x) for x in (road_intensity_grid if road_intensity_grid is not None
+                               else [query.road_intensity])]
     if not taus or not lams:
         raise DomainError("sweep grids must be nonempty")
-    points = []
-    for tau in taus:
-        for lam in lams:
-            sub = replace(query, throughput_bps=float(tau), road_intensity=float(lam))
+    distinct_taus = list(dict.fromkeys(taus))
+    outcome = {}
+    for lam in dict.fromkeys(lams):
+        try:
+            # the split is feasible for every tau at this lambda or for none
+            scns = [replace(query, throughput_bps=tau, road_intensity=lam).build_scenario()
+                    for tau in distinct_taus]
+        except InfeasibleSplitError as exc:
+            outcome.update(((tau, lam), (None, str(exc))) for tau in distinct_taus)
+            continue
+        for tau, curve in zip(distinct_taus, _shared_road_curves(scns, query.m_ceiling)):
             try:
-                report = dimension_prbs(sub)
-                points.append(SweepPoint(float(tau), float(lam),
-                                         query.target_congestion, report))
-            except (CeilingError, InfeasibleSplitError) as exc:
-                points.append(SweepPoint(float(tau), float(lam),
-                                         query.target_congestion, None, str(exc)))
-    return points
+                report = _invert(curve, query.target_congestion, query.m_ceiling)
+                outcome[tau, lam] = replace(report, throughput_bps=tau, road_intensity=lam), None
+            except CeilingError as exc:
+                outcome[tau, lam] = None, str(exc)
+    return [SweepPoint(tau, lam, query.target_congestion, *outcome[tau, lam])
+            for tau in taus for lam in lams]

@@ -1,5 +1,5 @@
-"""User point processes: PLP road realizations, Cox users on roads,
-indoor spatial PPP, and the per-ring demand masses.
+"""User point processes: PLP road realizations, Cox users on roads and
+the indoor spatial PPP.
 
 Sampling is deterministic given an explicit generator.
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linkmodel import DemandProfile, INDOOR, OUTDOOR
 
 PAPER = "paper"
 STANDARD = "standard"
@@ -104,49 +103,6 @@ def _check_disk(cell_radius_km: float, sampler: str) -> None:
 
 def _chord_law(cell_radius_km: float, sampler: str, u: np.ndarray) -> np.ndarray:
     return cell_radius_km * (np.sqrt(u) if sampler == PAPER else u)
-
-
-def chord_mass(road: RoadRealization, interval: tuple[float, float],
-               delta: float) -> float:
-    """Expected users on the road chords inside the annulus (u, v].
-
-    Per road: 2*delta*(sqrt(v^2-r^2)_+ - sqrt(u^2-r^2)_+).
-    """
-    u, v = interval
-    if not 0.0 <= u <= v:
-        raise DomainError(f"bad interval ({u}, {v}]")
-    r2 = road.chord_distances ** 2
-    seg = np.sqrt(np.maximum(v * v - r2, 0.0)) - np.sqrt(np.maximum(u * u - r2, 0.0))
-    return 2.0 * delta * float(seg.sum())
-
-
-def _annulus_area(interval: tuple[float, float]) -> float:
-    u, v = interval
-    return math.pi * (v * v - u * u)
-
-
-def outdoor_masses(road: RoadRealization, profile: DemandProfile,
-                   delta: float) -> np.ndarray:
-    """Per-level expected outdoor user counts on this realization.
-
-    Entry n-1 holds the mass of level n; levels with no interval get 0.
-    """
-    if profile.environment != OUTDOOR:
-        raise DomainError("outdoor_masses needs an outdoor profile")
-    w = np.zeros(profile.n_levels)
-    for n, intervals in profile.rings.items():
-        w[n - 1] = sum(chord_mass(road, iv, delta) for iv in intervals)
-    return w
-
-
-def indoor_masses(profile: DemandProfile, kappa: float) -> np.ndarray:
-    """Per-level expected indoor user counts: kappa * area of each level set."""
-    if profile.environment != INDOOR:
-        raise DomainError("indoor_masses needs an indoor profile")
-    w = np.zeros(profile.n_levels)
-    for n, intervals in profile.rings.items():
-        w[n - 1] = kappa * sum(_annulus_area(iv) for iv in intervals)
-    return w
 
 
 def mean_users(gp: GeometryParams, cell_radius_km: float) -> float:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from prbdim import InterferenceModel, LinkBudget, Service
+from prbdim import DomainError, InterferenceModel, LinkBudget, Service
+from prbdim.linkmodel import INDOOR, OUTDOOR
 
 
 @pytest.fixture
@@ -53,3 +54,46 @@ def scalar_ccdf(weights, m_values):
     m = np.asarray(m_values, dtype=np.int64)
     cum = np.concatenate(([0.0], np.cumsum(scalar_pmf(weights, max(int(m.max()) - 1, 0)))))
     return np.maximum(1.0 - cum[m], 0.0)
+
+
+# Per-ring demand masses written interval by interval: the independent
+# reference for congestion.weight_matrix.
+def chord_mass(road, interval, delta):
+    """Expected users on the road chords inside the annulus (u, v].
+
+    Per road: 2*delta*(sqrt(v^2-r^2)_+ - sqrt(u^2-r^2)_+).
+    """
+    u, v = interval
+    if not 0.0 <= u <= v:
+        raise DomainError(f"bad interval ({u}, {v}]")
+    r2 = road.chord_distances ** 2
+    seg = np.sqrt(np.maximum(v * v - r2, 0.0)) - np.sqrt(np.maximum(u * u - r2, 0.0))
+    return 2.0 * delta * float(seg.sum())
+
+
+def _annulus_area(interval):
+    u, v = interval
+    return math.pi * (v * v - u * u)
+
+
+def outdoor_masses(road, profile, delta):
+    """Per-level expected outdoor user counts on this realization.
+
+    Entry n-1 holds the mass of level n; levels with no interval get 0.
+    """
+    if profile.environment != OUTDOOR:
+        raise DomainError("outdoor_masses needs an outdoor profile")
+    w = np.zeros(profile.n_levels)
+    for n, intervals in profile.rings.items():
+        w[n - 1] = sum(chord_mass(road, iv, delta) for iv in intervals)
+    return w
+
+
+def indoor_masses(profile, kappa):
+    """Per-level expected indoor user counts: kappa * area of each level set."""
+    if profile.environment != INDOOR:
+        raise DomainError("indoor_masses needs an indoor profile")
+    w = np.zeros(profile.n_levels)
+    for n, intervals in profile.rings.items():
+        w[n - 1] = kappa * sum(_annulus_area(iv) for iv in intervals)
+    return w

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import scalar_ccdf
+from conftest import chord_mass, indoor_masses, outdoor_masses, scalar_ccdf
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from prbdim import (CompoundSpec, DomainError, GeometryParams,
                     InterferenceModel, LinkBudget, RoadRealization, Scenario,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
-                    chord_mass, conditional_congestion, expected_load,
-                    indoor_masses, outdoor_masses, ppp_equivalent)
+                    conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
 from prbdim.congestion import (batched_curve, conditional_spec, road_set,
                                weight_matrix)

@@ -10,8 +10,10 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     Service, ccdf_integral, dimension_prbs, dimension_scenario,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
+from prbdim import dimension
 from prbdim.congestion import conditional_spec, road_set, weight_matrix
 from prbdim.geometry import GeometryParams
+from prbdim.scenario_io import bundled_scenario
 
 R = 0.7
 
@@ -200,11 +202,59 @@ class TestSweep:
         assert abs(report.pi_before - fourier[0]) <= 1e-12
         assert abs(report.pi_at_m - fourier[1]) <= 1e-12
 
-    def test_same_lambda_reuses_roads(self):
-        q = query(mc=40, seed=6)
-        a = dimension_prbs(q)
-        b = dimension_prbs(q)
-        np.testing.assert_array_equal(a.curve.pi, b.curve.pi)
+    def test_one_road_set_per_distinct_lambda(self, monkeypatch):
+        draws = []
+
+        def counting_road_set(scn):
+            draws.append(scn.geometry.road_intensity)
+            return road_set(scn)
+
+        monkeypatch.setattr(dimension, "road_set", counting_road_set)
+        points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 18e6, 25e6],
+                       road_intensity_grid=[4.0, 9.0])
+        assert len(points) == 6
+        assert all(p.report is not None for p in points)
+        assert draws == [4.0, 9.0]
+
+    def test_heavy_and_light_points_equal_standalone_dimensioning(self):
+        # fig7 at 150 and 300 Mbit/s stacks rescaled heavy rows with light
+        # ones in one recursion pass
+        q = bundled_scenario("fig7").with_overrides(realizations=200).to_query(target=0.05)
+        points = sweep(q, throughput_grid_bps=[10e6, 150e6, 300e6],
+                       road_intensity_grid=[5.0, 9.0])
+        assert [(p.throughput_bps, p.road_intensity) for p in points] == [
+            (tau, lam) for tau in (10e6, 150e6, 300e6) for lam in (5.0, 9.0)]
+        for p in points:
+            alone = dimension_prbs(replace(q, throughput_bps=p.throughput_bps,
+                                           road_intensity=p.road_intensity))
+            assert p.error is None
+            assert p.report.required_m == alone.required_m
+            assert np.array_equal(p.report.curve.pi, alone.curve.pi)
+            assert np.array_equal(p.report.curve.stderr, alone.curve.stderr)
+            # every other field, the bracket included, equal too
+            assert p.report == replace(alone, curve=p.report.curve)
+
+    def test_error_points_keep_grid_order_and_spare_the_others(self):
+        # lambda = 0 with outdoor traffic is an infeasible split; 25 Mbit/s
+        # needs more than the 8-PRB ceiling
+        q = query(mc=10, m_ceiling=8)
+        points = sweep(q, throughput_grid_bps=[1e5, 25e6], road_intensity_grid=[0.0, 9.0])
+        assert [(p.throughput_bps, p.road_intensity) for p in points] == [
+            (1e5, 0.0), (1e5, 9.0), (25e6, 0.0), (25e6, 9.0)]
+        infeasible, ok, infeasible_too, ceiling = points
+        for p in (infeasible, infeasible_too):
+            assert p.report is None
+            with pytest.raises(InfeasibleSplitError) as err:
+                dimension_prbs(replace(q, throughput_bps=p.throughput_bps, road_intensity=0.0))
+            assert p.error == str(err.value)
+        with pytest.raises(CeilingError) as err:
+            dimension_prbs(replace(q, throughput_bps=25e6))
+        assert ceiling.report is None and ceiling.error == str(err.value)
+        alone = dimension_prbs(replace(q, throughput_bps=1e5))
+        assert ok.error is None
+        assert ok.report.required_m == alone.required_m
+        assert np.array_equal(ok.report.curve.pi, alone.curve.pi)
+        assert np.array_equal(ok.report.curve.stderr, alone.curve.stderr)
 
     def test_road_model_needs_at_least_ppp_equivalent(self):
         from prbdim import ppp_equivalent

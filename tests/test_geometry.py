@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import chord_mass, indoor_masses, outdoor_masses
 from hypothesis import given, settings, strategies as st
 
 from prbdim import (DemandProfile, DomainError, GeometryParams,
-                    RoadRealization, chord_mass, expected_roads,
-                    indoor_masses, mean_users, outdoor_masses, rng_stream,
+                    RoadRealization, expected_roads, mean_users, rng_stream,
                     sample_roads, sample_user_block)
 
 R = 0.7
