@@ -8,8 +8,8 @@ is computed analytically and inverted to dimension the cell.
 
 __version__ = "0.1.0"
 
-from .compound import (CompoundSpec, PmfTable, bell_complete, bell_determinant,
-                       ccdf_bell, ccdf_bell_literal, ccdf_integral, pmf)
+from .compound import (CompoundSpec, bell_complete, bell_determinant, ccdf_bell,
+                       ccdf_bell_literal, ccdf_integral, pmf)
 from .congestion import (CongestionCurve, Scenario, averaged_congestion,
                          conditional_congestion, expected_load, ppp_equivalent)
 from .dimension import (DimensionQuery, DimensionReport, SweepPoint,

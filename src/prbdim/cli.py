@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__, congestion
 from .congestion import batched_curve, ppp_equivalent, weight_matrix
-from .dimension import DEFAULT_M_CEILING, DimensionReport, dimension_prbs, sweep
+from .dimension import (DEFAULT_M_CEILING, DimensionQuery, DimensionReport,
+                        dimension_prbs, sweep)
 from .errors import (AccuracyError, CeilingError, DomainError,
                      InfeasibleSplitError, ScenarioError)
 from .scenario_io import REGION_NAMES, ScenarioFile, load_scenario
-from .simulate import empirical_ccdf
+from .simulate import EmpiricalCurve, empirical_ccdf
 from . import validate as validate_suites
 
 EXIT_OK = 0
@@ -84,6 +85,13 @@ def _auto_m_max(weights: np.ndarray) -> int:
     return int(math.ceil(mean + 10.0 * math.sqrt(var) + 16.0))
 
 
+def _user_means(meta: dict, emp: EmpiricalCurve) -> None:
+    """Record the Monte-Carlo run's measured and Eq. (1) mean user counts."""
+    meta["measured_mean_outdoor_users"] = repr(emp.mean_outdoor_users)
+    meta["measured_mean_indoor_users"] = repr(emp.mean_indoor_users)
+    meta["eq1_mean_users"] = repr(emp.eq1_mean_users)
+
+
 def cmd_congestion(args) -> int:
     doc = _load(args)
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
@@ -105,9 +113,7 @@ def cmd_congestion(args) -> int:
         header += ["pi_mc", "mc_low", "mc_high"]
         for row, p, lo, hi in zip(rows, emp.ccdf, emp.ci_low, emp.ci_high):
             row += [p, lo, hi]
-        meta["measured_mean_outdoor_users"] = repr(emp.mean_outdoor_users)
-        meta["measured_mean_indoor_users"] = repr(emp.mean_indoor_users)
-        meta["eq1_mean_users"] = repr(emp.eq1_mean_users)
+        _user_means(meta, emp)
     write_csv(args.out, meta, header, rows)
     return EXIT_OK
 
@@ -123,13 +129,16 @@ def _print_report(report: DimensionReport, target: float) -> None:
     print(f"realizations = {report.curve.realizations}")
 
 
+def _query(args, doc: ScenarioFile, throughput_bps: float | None) -> DimensionQuery:
+    return doc.to_query(target=args.target, throughput_bps=throughput_bps,
+                        outdoor_fraction=args.outdoor_fraction,
+                        m_ceiling=args.m_ceiling,
+                        noise_limited=args.noise_limited, region=args.region)
+
+
 def cmd_dimension(args) -> int:
     doc = _load(args)
-    tau_bps = args.tau_mbps * 1e6 if args.tau_mbps is not None else None
-    query = doc.to_query(target=args.target, throughput_bps=tau_bps,
-                         outdoor_fraction=args.outdoor_fraction,
-                         m_ceiling=args.m_ceiling,
-                         noise_limited=args.noise_limited, region=args.region)
+    query = _query(args, doc, args.tau_mbps * 1e6 if args.tau_mbps is not None else None)
     report = dimension_prbs(query)
     _print_report(report, args.target)
     if args.out:
@@ -160,11 +169,7 @@ def cmd_sweep(args) -> int:
     doc = _load(args)
     tau_grid = _grid(args.tau_grid_mbps)
     lam_grid = _grid(args.lambda_grid_per_km)
-    base_tau = tau_grid[0] * 1e6 if tau_grid else None
-    query = doc.to_query(target=args.target, throughput_bps=base_tau,
-                         outdoor_fraction=args.outdoor_fraction,
-                         m_ceiling=args.m_ceiling,
-                         noise_limited=args.noise_limited, region=args.region)
+    query = _query(args, doc, tau_grid[0] * 1e6 if tau_grid else None)
     points = sweep(query,
                    throughput_grid_bps=[t * 1e6 for t in tau_grid] if tau_grid else None,
                    road_intensity_grid=lam_grid)
@@ -201,9 +206,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     ms = np.arange(0, m_max)
     emp = empirical_ccdf(scn, ms, args.replications)
-    meta["measured_mean_outdoor_users"] = repr(emp.mean_outdoor_users)
-    meta["measured_mean_indoor_users"] = repr(emp.mean_indoor_users)
-    meta["eq1_mean_users"] = repr(emp.eq1_mean_users)
+    _user_means(meta, emp)
     meta["mean_gamma"] = repr(emp.mean_gamma)
     write_csv(args.out, meta, header,
               zip(emp.m_values, emp.ccdf, emp.ci_low, emp.ci_high))

@@ -4,7 +4,8 @@
   k*p_k = sum(j*w_j*p_{k-j}) (Panjer 1981), which carries the Bell
   coefficients H*B_k/k! (x_j = w_j*j!) in range, over the rows of a weight
   matrix and rescaled where exp(-total weight) underflows (Panjer & Willmot
-  1986).  :func:`pmf` and :func:`ccdf_bell` are its one-row calls.
+  1986).  :func:`pmf` and :func:`ccdf_bell` are its one-row calls; every
+  recursion tail is read off the kernel's running CDF, never re-summed.
 * :func:`ccdf_bell_literal` - the same sum evaluated through raw complete
   Bell polynomials; small M only, kept for identity validation.
 * :func:`ccdf_integral` - Fourier inversion of the probability generating
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from numbers import Integral
 from typing import Sequence
 
@@ -83,36 +83,6 @@ class CompoundSpec:
                 for j in range(1, k + 1)]
 
 
-@dataclass(frozen=True)
-class PmfTable:
-    """P(Lambda = k) for k = 0..K plus the probability mass beyond K."""
-
-    probabilities: np.ndarray
-    tail: float
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
-
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        return np.cumsum(self.probabilities)
-
-    @property
-    def k_max(self) -> int:
-        return int(self.probabilities.size - 1)
-
-    def ccdf_curve(self, m_values: np.ndarray) -> np.ndarray:
-        """P(Lambda >= m) for integer thresholds m <= k_max + 1."""
-        m = np.asarray(m_values, dtype=np.int64)
-        if m.size and int(m.max()) > self.k_max + 1:
-            raise DomainError("threshold beyond the tabulated support")
-        cum = np.concatenate(([0.0], self._cumulative))
-        return np.maximum(1.0 - cum[np.maximum(m, 0)], 0.0)
-
-
 def recursion_steps(w: np.ndarray, k_max: int):
     """Yield (p_k, P(Lambda > k)) for k = 0..k_max, each a vector over the
     rows of the R x N weight matrix w, by k*p_k = sum_j j*w_j*p_{k-j} with
@@ -150,14 +120,11 @@ def recursion_steps(w: np.ndarray, k_max: int):
             scale[big] -= math.log(_RESCALE)
 
 
-def pmf(spec: CompoundSpec, k_max: int) -> PmfTable:
-    """Exact compound-Poisson PMF up to k_max by the stable recursion."""
+def pmf(spec: CompoundSpec, k_max: int) -> np.ndarray:
+    """P(Lambda = k) for k = 0..k_max by the stable recursion."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
-    p = np.empty(k_max + 1)
-    for k, (p_k, tail) in enumerate(recursion_steps(spec.weights[None, :], k_max)):
-        p[k] = p_k[0]
-    return PmfTable(probabilities=p, tail=float(tail[0]))
+    return np.array([p[0] for p, _ in recursion_steps(spec.weights[None, :], k_max)])
 
 
 def default_cutoff(weights) -> int:
@@ -247,11 +214,18 @@ def bell_determinant(x: Sequence) -> float | int:
     return det
 
 
-def ccdf_bell(spec: CompoundSpec, m: int) -> float:
-    """P(Lambda >= m) = 1 - sum_{k<m} p_k by the stable recursion."""
-    if m < 0:
-        raise DomainError("threshold must be nonnegative")
-    return pmf(spec, m - 1).tail if m > 0 else 1.0
+def ccdf_bell(spec: CompoundSpec, m):
+    """P(Lambda >= m) = P(Lambda > m - 1) by the stable recursion, read off
+    the kernel's running CDF in one pass, for an integer threshold (returns
+    a float) or an integer array (returns an array)."""
+    ms = np.asarray(m, dtype=np.int64)
+    if ms.size and ms.min() < 0:
+        raise DomainError("thresholds must be nonnegative")
+    tails = np.ones(int(ms.max(initial=0)) + 1)
+    steps = recursion_steps(spec.weights[None, :], tails.size - 2)
+    for k, (_, tail) in enumerate(steps, start=1):
+        tails[k] = tail[0]
+    return float(tails[ms]) if ms.ndim == 0 else tails[ms]
 
 
 def ccdf_bell_literal(spec: CompoundSpec, m: int) -> float:

@@ -36,9 +36,8 @@ def _clip_intervals(intervals, region):
 class Scenario:
     """Everything needed to evaluate one cell: radio, demand, geometry, MC.
 
-    `outdoor_fraction` defaults to the share of mean users carried by roads
-    under the printed intensity convention.  `region_km` optionally
-    restricts the evaluated population to an annulus (lo, hi].
+    `region_km` optionally restricts the evaluated population to an
+    annulus (lo, hi].
     """
 
     link_budget: LinkBudget
@@ -48,7 +47,6 @@ class Scenario:
     sampler: str = PAPER
     seed: int = 0
     mc_realizations: int = 500
-    outdoor_fraction: float | None = None
     region_km: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -62,13 +60,6 @@ class Scenario:
             if not 0.0 <= lo < hi <= r * (1 + 1e-12):
                 raise DomainError(f"region ({lo}, {hi}] must lie inside (0, {r}]")
             object.__setattr__(self, "region_km", (float(lo), float(hi)))
-        if self.outdoor_fraction is None:
-            lam_delta = self.geometry.road_intensity * self.geometry.user_intensity_linear
-            total = lam_delta + self.geometry.user_intensity_area
-            object.__setattr__(self, "outdoor_fraction",
-                               lam_delta / total if total > 0 else 0.0)
-        if not 0.0 <= self.outdoor_fraction <= 1.0:
-            raise DomainError("outdoor_fraction must lie in [0, 1]")
 
     @property
     def cell_radius_km(self) -> float:
@@ -122,7 +113,7 @@ def ppp_equivalent(scn: Scenario) -> Scenario:
     gp = GeometryParams(road_intensity=0.0, user_intensity_linear=0.0,
                         user_intensity_area=lam_delta + scn.geometry.user_intensity_area)
     lb = replace(scn.link_budget, prop_const_indoor_db=scn.link_budget.prop_const_db)
-    return replace(scn, link_budget=lb, geometry=gp, outdoor_fraction=None)
+    return replace(scn, link_budget=lb, geometry=gp)
 
 
 def chord_segments(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
@@ -153,14 +144,9 @@ def weight_matrix(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
     return segment_weights(scn, chord_segments(scn, roads))
 
 
-def conditional_spec(scn: Scenario, road: RoadRealization) -> CompoundSpec:
-    """Combined per-level Poisson weights for one road realization."""
-    return CompoundSpec(weights=weight_matrix(scn, [road])[0])
-
-
 def conditional_congestion(scn: Scenario, road: RoadRealization, m: int) -> float:
-    """P(Gamma >= m | roads) via the compound-Poisson tail."""
-    return ccdf_bell(conditional_spec(scn, road), m)
+    """P(Gamma >= m | roads): the one-row case of the weight-matrix path."""
+    return ccdf_bell(CompoundSpec(weight_matrix(scn, [road])[0]), m)
 
 
 def road_set(scn: Scenario) -> list[RoadRealization]:

@@ -18,9 +18,9 @@ from .linkmodel import InterferenceModel, LinkBudget, Service
 
 DEFAULT_M_CEILING = 4096
 
-# Smallest target accepted: below it, 1 - cumsum of the PMF leaves too few
-# correct digits of the tail.  Above it, Pi(default_cutoff) <= 1e-12 plus
-# rounding stays below every target, so only m_ceiling can stop a search.
+# Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
+# too few correct digits of the tail.  Above it, Pi(default_cutoff) <= 1e-12
+# plus rounding stays below every target, so only m_ceiling can stop a search.
 TARGET_FLOOR = 1e-8
 
 
@@ -94,7 +94,6 @@ class DimensionQuery:
                         service=self.service, geometry=gp,
                         sampler=self.sampler, seed=self.seed,
                         mc_realizations=self.mc_realizations,
-                        outdoor_fraction=self.outdoor_fraction,
                         region_km=self.region_km)
 
 

@@ -130,7 +130,6 @@ class ScenarioFile:
                         service=self.service(), geometry=gp,
                         sampler=self.sampler, seed=self.seed,
                         mc_realizations=self.realizations,
-                        outdoor_fraction=self.outdoor_fraction,
                         region_km=self.region_bounds(region))
 
     def to_query(self, target: float, throughput_bps: float | None = None,

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import scalar_ccdf
 from hypothesis import given, settings, strategies as st
 
 from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     bell_complete, bell_determinant, ccdf_bell,
                     ccdf_bell_literal, ccdf_integral, pmf)
 from prbdim.compound import default_cutoff
+from prbdim.congestion import batched_curve
 from prbdim.validate import convolved_pmf
 
 
@@ -41,37 +43,37 @@ def two_heavy_levels_pmf(k_max):
 
 class TestPmf:
     def test_single_level_is_plain_poisson(self):
-        table = pmf(CompoundSpec(weights=np.array([2.0])), 6)
-        assert table.probabilities[0] == pytest.approx(0.13533528323661269, rel=1e-14)
-        assert table.probabilities[1] == pytest.approx(0.27067056647322538, rel=1e-14)
+        p = pmf(CompoundSpec(weights=np.array([2.0])), 6)
+        assert p[0] == pytest.approx(0.13533528323661269, rel=1e-14)
+        assert p[1] == pytest.approx(0.27067056647322538, rel=1e-14)
         from scipy.stats import poisson
-        np.testing.assert_allclose(table.probabilities, poisson.pmf(np.arange(7), 2.0),
+        np.testing.assert_allclose(p, poisson.pmf(np.arange(7), 2.0),
                                    rtol=1e-12)
 
     def test_zero_weights_degenerate(self):
-        table = pmf(CompoundSpec(weights=np.zeros(4)), 5)
-        assert table.probabilities[0] == 1.0
-        assert table.probabilities[1:].sum() == 0.0
+        p = pmf(CompoundSpec(weights=np.zeros(4)), 5)
+        assert p[0] == 1.0
+        assert p[1:].sum() == 0.0
 
     def test_two_level_value(self):
-        table = pmf(CompoundSpec(weights=np.array([1.0, 1.0])), 2)
-        assert table.probabilities[2] == pytest.approx(0.20300292485491904, rel=1e-13)
+        p = pmf(CompoundSpec(weights=np.array([1.0, 1.0])), 2)
+        assert p[2] == pytest.approx(0.20300292485491904, rel=1e-13)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             n = int(rng.integers(1, 6))
             w = rng.uniform(0.0, 1.5, n)
-            table = pmf(CompoundSpec(weights=w), 30)
-            np.testing.assert_allclose(table.probabilities, enumerated_pmf(w, 30),
+            p = pmf(CompoundSpec(weights=w), 30)
+            np.testing.assert_allclose(p, enumerated_pmf(w, 30),
                                        atol=1e-12)
 
     def test_mass_accounted(self):
         spec = CompoundSpec(weights=np.array([3.0, 1.0, 0.5]))
         k = default_cutoff(spec.weights)
-        table = pmf(spec, k)
-        assert table.probabilities.sum() + table.tail == pytest.approx(1.0, abs=1e-9)
-        assert table.tail <= 1e-11
+        tail = ccdf_bell(spec, k + 1)
+        assert pmf(spec, k).sum() + tail == pytest.approx(1.0, abs=1e-9)
+        assert tail <= 1e-11
 
     def test_cutoff_of_matrix_is_largest_row(self):
         # Poisson(2): ceil(2*(e - 1) - log(1e-12)) = 32
@@ -81,8 +83,7 @@ class TestPmf:
 
     def test_support_characterization(self):
         # only totals representable as sums of populated levels carry mass
-        table = pmf(CompoundSpec(weights=np.array([0.0, 1.0, 0.0, 0.5])), 11)
-        p = table.probabilities
+        p = pmf(CompoundSpec(weights=np.array([0.0, 1.0, 0.0, 0.5])), 11)
         representable = {2 * a + 4 * b for a in range(6) for b in range(3)}
         for k in range(12):
             if k in representable:
@@ -93,11 +94,11 @@ class TestPmf:
     def test_heavy_load_matches_oracles(self):
         # exp(-2000) underflows; the rescaled rows still give every p_k
         from scipy.stats import poisson
-        table = pmf(CompoundSpec(weights=np.array([2000.0])), 4000)
-        np.testing.assert_allclose(table.probabilities, poisson.pmf(np.arange(4001), 2000.0),
+        p = pmf(CompoundSpec(weights=np.array([2000.0])), 4000)
+        np.testing.assert_allclose(p, poisson.pmf(np.arange(4001), 2000.0),
                                    rtol=0, atol=1e-12)
         two = pmf(CompoundSpec(weights=np.array([400.0, 400.0])), 1200)
-        np.testing.assert_allclose(two.probabilities, convolved_pmf([400.0, 400.0], 1200),
+        np.testing.assert_allclose(two, convolved_pmf([400.0, 400.0], 1200),
                                    rtol=0, atol=1e-12)
 
     def test_negative_k_rejected(self):
@@ -147,9 +148,9 @@ class TestBellPolynomials:
         a = CompoundSpec(weights=np.array([0.7, 0.2]))
         b = CompoundSpec(weights=np.array([0.1, 0.4, 0.3]))
         # levels aligned by n: w = (0.7 + 0.1, 0.2 + 0.4, 0.3)
-        combined = pmf(CompoundSpec(weights=np.array([0.8, 0.6, 0.3])), 24).probabilities
-        pa = pmf(a, 24).probabilities
-        pb = pmf(b, 24).probabilities
+        combined = pmf(CompoundSpec(weights=np.array([0.8, 0.6, 0.3])), 24)
+        pa = pmf(a, 24)
+        pb = pmf(b, 24)
         np.testing.assert_allclose(combined, np.convolve(pa, pb)[:25], atol=1e-13)
 
     def test_float_guard(self):
@@ -182,6 +183,22 @@ class TestCcdf:
         spec = CompoundSpec(weights=np.array([0.5, 0.3, 0.2]))
         assert ccdf_bell(spec, 5) == pytest.approx(0.087314098918724815, rel=1e-12)
 
+    @pytest.mark.parametrize("weights", [[2.0], [0.4, 0.1], [1.5, 0.7, 0.1, 0.9],
+                                         [0.5, 0.3, 0.2, 1.1, 0.05, 0.8, 1.9],
+                                         [400.0, 400.0]])
+    def test_one_tail_reader(self, weights):
+        # array calls, scalar calls and the R-row reader at R = 1 all read
+        # the kernel's running CDF, so they agree bit for bit
+        spec = CompoundSpec(weights=np.array(weights))
+        ms = np.unique(np.linspace(0, default_cutoff(spec.weights), 40).astype(np.int64))
+        tails = ccdf_bell(spec, ms)
+        scalars = [ccdf_bell(spec, int(m)) for m in ms]
+        assert all(isinstance(t, float) for t in scalars)
+        np.testing.assert_array_equal(tails, scalars)
+        np.testing.assert_array_equal(tails, batched_curve(spec.weights[None, :], ms).pi)
+        if spec.total_weight < 700:
+            np.testing.assert_allclose(tails, scalar_ccdf(spec.weights, ms), rtol=0, atol=1e-14)
+
     def test_literal_path_agrees(self):
         spec = CompoundSpec(weights=np.array([0.5, 0.3, 0.2]))
         for m in range(0, 21):
@@ -195,20 +212,19 @@ class TestCcdf:
             n = int(rng.integers(1, 7))
             spec = CompoundSpec(weights=rng.uniform(0.0, 2.0, n))
             h = math.exp(-spec.total_weight)
-            table = pmf(spec, 20)
+            p = pmf(spec, 20)
             for k in range(21):
                 literal = h * bell_complete(spec.bell_arguments(k)) / math.factorial(k)
-                assert literal == pytest.approx(table.probabilities[k],
+                assert literal == pytest.approx(p[k],
                                                 rel=1e-10, abs=1e-300)
 
     def test_monotone_and_vanishing(self):
         spec = CompoundSpec(weights=np.array([1.5, 0.7, 0.1, 0.9]))
-        table = pmf(spec, default_cutoff(spec.weights))
-        curve = table.ccdf_curve(np.arange(table.k_max + 2))
+        curve = ccdf_bell(spec, np.arange(default_cutoff(spec.weights) + 2))
         assert curve[0] == 1.0
         assert all(a >= b for a, b in zip(curve, curve[1:]))
         horizon = int(spec.mean + 12 * math.sqrt(spec.variance))
-        assert table.ccdf_curve([horizon])[0] <= 1e-9
+        assert ccdf_bell(spec, horizon) <= 1e-9
 
     def test_integral_matches_recursion_broadly(self):
         rng = np.random.default_rng(17)
@@ -218,8 +234,7 @@ class TestCcdf:
             spec = CompoundSpec(weights=rng.uniform(0.0, 2.0, n))
             ms = np.arange(0, 120)
             by_int = ccdf_integral(spec, ms)
-            table = pmf(spec, 119)
-            worst = max(worst, float(np.max(np.abs(by_int - table.ccdf_curve(ms)))))
+            worst = max(worst, float(np.max(np.abs(by_int - ccdf_bell(spec, ms)))))
         assert worst <= 1e-6
 
     def test_integral_near_zero_threshold_limit(self):

@@ -11,8 +11,7 @@ from prbdim import (CompoundSpec, DomainError, GeometryParams,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
-from prbdim.congestion import (batched_curve, conditional_spec, road_set,
-                               weight_matrix)
+from prbdim.congestion import batched_curve, road_set, weight_matrix
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
 
@@ -54,7 +53,7 @@ class TestConditional:
         scn = make_scenario(kappa=20.0)
         a = RoadRealization(chord_distances=np.array([]))
         b = RoadRealization(chord_distances=np.array([0.1, 0.5]))
-        spec = conditional_spec(scn, a)
+        spec = CompoundSpec(weight_matrix(scn, [a])[0])
         for m in (0, 3, 17):
             assert conditional_congestion(scn, a, m) == conditional_congestion(scn, b, m)
             assert conditional_congestion(scn, a, m) == ccdf_bell(spec, m)
@@ -62,7 +61,7 @@ class TestConditional:
     def test_levels_align_by_prb_count(self):
         scn = make_scenario(lam=9.0, delta=6.0, kappa=20.0)
         road = RoadRealization(chord_distances=np.array([0.2]))
-        spec = conditional_spec(scn, road)
+        spec = CompoundSpec(weight_matrix(scn, [road])[0])
         prof_out, prof_in = scn.profiles
         assert spec.n_levels == max(prof_out.n_levels, prof_in.n_levels) == 6
         w_in = indoor_masses(prof_in, 20.0)
@@ -75,7 +74,7 @@ class TestAveraged:
     def test_indoor_only_zero_stderr(self):
         scn = make_scenario(kappa=20.0, mc=7)
         curve = averaged_congestion(scn, np.arange(0, 40))
-        single = conditional_spec(scn, RoadRealization(np.array([])))
+        single = CompoundSpec(weight_matrix(scn, [RoadRealization(np.array([]))])[0])
         expected = [ccdf_bell(single, int(m)) for m in range(40)]
         np.testing.assert_allclose(curve.pi, expected, atol=1e-13)
         assert curve.stderr.max() == 0.0
@@ -220,7 +219,7 @@ class TestBatchedCurve:
         # the scalar path: indoor weight 800 on one level is Poisson(800)
         scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
         road = RoadRealization(chord_distances=np.array([]))
-        total = conditional_spec(scn, road).total_weight
+        total = float(weight_matrix(scn, [road])[0].sum())
         assert total == pytest.approx(800.0)
         assert conditional_congestion(scn, road, 800) == pytest.approx(
             poisson.sf(799, total), abs=1e-12)
@@ -279,7 +278,7 @@ class TestExpectedLoad:
 
     def test_equals_mean_of_average_spec(self):
         scn = make_scenario(lam=6.0, delta=2.0, kappa=8.0, mc=4000, seed=13)
-        specs = [conditional_spec(scn, road) for road in road_set(scn)]
+        specs = [CompoundSpec(w) for w in weight_matrix(scn, road_set(scn))]
         mc_mean = float(np.mean([s.mean for s in specs]))
         assert expected_load(scn) == pytest.approx(mc_mean, rel=0.01)
 
@@ -313,8 +312,6 @@ class TestPppEquivalent:
         # outdoor propagation drives the profile
         assert ppp.link_budget.prop_const_indoor_db == cox.link_budget.prop_const_db
         assert ppp.mean_users == pytest.approx(cox.mean_users, rel=1e-12)
-        # no roads are left, so the outdoor share is recomputed as 0
-        assert cox.outdoor_fraction == 1.0 and ppp.outdoor_fraction == 0.0
 
     def test_single_level_ppp_tail_is_poisson(self):
         ppp = ppp_equivalent(make_scenario(lam=9.0, delta=6.0))
@@ -326,19 +323,6 @@ class TestPppEquivalent:
 
 
 class TestScenarioValidation:
-    def test_mix_must_be_fraction(self):
-        with pytest.raises(DomainError):
-            Scenario(link_budget=make_scenario().link_budget,
-                     interference=InterferenceModel.noise_limited(),
-                     service=Service(rate_bps=1e5),
-                     geometry=GeometryParams(1.0, 1.0, 1.0),
-                     outdoor_fraction=1.2)
-
     def test_region_inside_cell(self):
         with pytest.raises(DomainError):
             make_scenario(kappa=1.0, region=(0.5, 0.9))
-
-    def test_derived_mix(self):
-        scn = make_scenario(lam=9.0, delta=6.0, kappa=54.0)
-        assert scn.outdoor_fraction == pytest.approx(0.5)
-        assert make_scenario(kappa=5.0).outdoor_fraction == 0.0

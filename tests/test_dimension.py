@@ -11,7 +11,7 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
 from prbdim import dimension
-from prbdim.congestion import conditional_spec, road_set, weight_matrix
+from prbdim.congestion import road_set, weight_matrix
 from prbdim.geometry import GeometryParams
 from prbdim.scenario_io import bundled_scenario
 
@@ -118,7 +118,7 @@ class TestDimension:
 def brute_force_curve(scn, m_ceiling):
     """Per-realization scalar-recursion tails to m_ceiling, averaged over the road set."""
     m = np.arange(0, m_ceiling + 1)
-    rows = np.array([scalar_ccdf(conditional_spec(scn, road).weights, m)
+    rows = np.array([scalar_ccdf(weight_matrix(scn, [road])[0], m)
                      for road in road_set(scn)])
     return rows.mean(axis=0)
 

@@ -108,7 +108,6 @@ class TestBundled:
         assert doc.throughput_mbps == 30.0
         scn = doc.to_scenario()
         assert scn.cell_throughput_bps == pytest.approx(30e6, rel=1e-12)
-        assert scn.outdoor_fraction == 0.5
 
 
 class TestQueries:

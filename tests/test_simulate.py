@@ -4,11 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prbdim import (DomainError, GeometryParams, InterferenceModel,
+from prbdim import (CompoundSpec, DomainError, GeometryParams, InterferenceModel,
                     LinkBudget, RoadRealization, Scenario, Service, UserBlock,
                     conditional_congestion, empirical_ccdf, expected_load,
                     rng_stream, sample_user_block)
-from prbdim.congestion import conditional_spec
+from prbdim.congestion import weight_matrix
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import (BLOCK, MC_TAG, block_demand, gamma_samples,
                              wilson_interval)
@@ -116,9 +116,9 @@ class TestEmpiricalCcdf:
         reps = 10_000
         ms = np.arange(0, 120)
         curve = empirical_ccdf(scn, ms, reps)
-        spec = conditional_spec(scn, RoadRealization(np.array([])))
-        from prbdim import pmf
-        analytic = np.clip(pmf(spec, 119).ccdf_curve(ms), 0.0, 1.0)
+        spec = CompoundSpec(weight_matrix(scn, [RoadRealization(np.array([]))])[0])
+        from prbdim import ccdf_bell
+        analytic = np.clip(ccdf_bell(spec, ms), 0.0, 1.0)
         hits = np.rint(curve.ccdf * reps)
         tail = np.minimum(binom.cdf(hits, reps, analytic),
                           binom.sf(hits - 1, reps, analytic))
