@@ -13,8 +13,8 @@ import numpy as np
 
 from .compound import CompoundSpec, ccdf_bell, recursion_steps
 from .errors import DomainError
-from .geometry import (GeometryParams, PAPER, RoadRealization, SAMPLERS,
-                       expected_roads, mean_users, rng_stream, sample_roads)
+from .geometry import (GeometryParams, PAPER, RoadRealization, RoadSet, SAMPLERS,
+                       expected_roads, mean_users, sample_road_set)
 from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
                         OUTDOOR, Service, ring_radii)
 
@@ -79,6 +79,13 @@ class Scenario:
         return (ring_radii(self.link_budget, self.interference, self.service, OUTDOOR),
                 ring_radii(self.link_budget, self.interference, self.service, INDOOR))
 
+    def with_geometry(self, geometry: GeometryParams) -> Scenario:
+        """This scenario with other intensities, sharing its demand profiles
+        (they depend on the radio setup and service only)."""
+        other = replace(self, geometry=geometry)
+        other.__dict__["profiles"] = self.profiles  # where cached_property keeps it
+        return other
+
     @cached_property
     def _outdoor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (u^2, v^2, level) arrays of the region-clipped outdoor rings."""
@@ -116,15 +123,23 @@ def ppp_equivalent(scn: Scenario) -> Scenario:
     return replace(scn, link_budget=lb, geometry=gp)
 
 
-def chord_segments(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
+def chord_segments(scn: Scenario, roads: RoadSet) -> np.ndarray:
     """R x (clipped outdoor rings) matrix of the half road length that
-    realization i lays inside ring j; independent of the user intensities."""
+    realization i lays inside ring j; independent of the user intensities.
+
+    Realizations with the same road count y are reduced together, as one
+    (realizations, rings, y) array summed over its last axis: each entry
+    is still one length-y sum, so grouping does not change its bits.
+    """
     u2, v2, _ = scn._outdoor_table
-    seg = np.empty((len(roads), u2.size))
-    for i, road in enumerate(roads):
-        r2 = road.chord_distances ** 2
-        seg[i] = (np.sqrt(np.maximum(v2[:, None] - r2[None, :], 0.0))
-                  - np.sqrt(np.maximum(u2[:, None] - r2[None, :], 0.0))).sum(axis=1)
+    seg = np.zeros((len(roads), u2.size))
+    r2 = roads.chord_distances ** 2
+    starts = np.cumsum(roads.counts) - roads.counts
+    for y in (np.flatnonzero(np.bincount(roads.counts)[1:]) + 1).tolist():
+        rows = np.flatnonzero(roads.counts == y)
+        d2 = r2[starts[rows, None] + np.arange(y)][:, None, :]
+        seg[rows] = (np.sqrt(np.maximum(v2[:, None] - d2, 0.0))
+                     - np.sqrt(np.maximum(u2[:, None] - d2, 0.0))).sum(axis=2)
     return seg
 
 
@@ -139,21 +154,20 @@ def segment_weights(scn: Scenario, seg: np.ndarray) -> np.ndarray:
     return w
 
 
-def weight_matrix(scn: Scenario, roads: list[RoadRealization]) -> np.ndarray:
+def weight_matrix(scn: Scenario, roads: RoadSet) -> np.ndarray:
     """R x N combined per-level Poisson weights, row i for road realization i."""
     return segment_weights(scn, chord_segments(scn, roads))
 
 
 def conditional_congestion(scn: Scenario, road: RoadRealization, m: int) -> float:
     """P(Gamma >= m | roads): the one-row case of the weight-matrix path."""
-    return ccdf_bell(CompoundSpec(weight_matrix(scn, [road])[0]), m)
+    return ccdf_bell(CompoundSpec(weight_matrix(scn, RoadSet.of([road]))[0]), m)
 
 
-def road_set(scn: Scenario) -> list[RoadRealization]:
-    """The scenario's road realizations, one independent stream each."""
-    return [sample_roads(scn.geometry, scn.cell_radius_km, scn.sampler,
-                         rng_stream(scn.seed, i))
-            for i in range(scn.mc_realizations)]
+def road_set(scn: Scenario) -> RoadSet:
+    """The scenario's road realizations, realization i from stream (seed, i)."""
+    return sample_road_set(scn.geometry, scn.cell_radius_km, scn.sampler,
+                           scn.seed, scn.mc_realizations)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         raise DomainError("sweep grids must be nonempty")
     distinct_taus = list(dict.fromkeys(taus))
     outcome = {}
+    first = None  # every grid point shares the demand profiles of the first
     for lam in dict.fromkeys(lams):
         try:
             # the split is feasible for every tau at this lambda or for none
@@ -195,6 +196,8 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), (None, str(exc))) for tau in distinct_taus)
             continue
+        first = first or scns[0]
+        scns = [first.with_geometry(scn.geometry) for scn in scns]
         for tau, curve in zip(distinct_taus, _shared_road_curves(scns, query.m_ceiling)):
             try:
                 report = _invert(curve, query.target_congestion, query.m_ceiling)

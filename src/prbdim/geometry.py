@@ -7,6 +7,8 @@ Sampling is deterministic given an explicit generator.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +18,17 @@ from .errors import DomainError
 PAPER = "paper"
 STANDARD = "standard"
 SAMPLERS = (PAPER, STANDARD)
+
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding
+# constants, for `stream_states` and `streams`.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_XSHIFT = np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,46 @@ class RoadRealization:
 
 
 @dataclass(frozen=True)
+class RoadSet:
+    """R road realizations as flat arrays: realization i has `counts[i]`
+    roads, whose chord distances follow those of realizations 0..i-1 in
+    `chord_distances`."""
+
+    counts: np.ndarray
+    chord_distances: np.ndarray
+
+    def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64)
+        r = np.array(self.chord_distances, dtype=float)
+        if counts.ndim != 1 or r.ndim != 1:
+            raise DomainError("road counts and chord distances must be one-dimensional")
+        if (counts.size and counts.min() < 0) or counts.sum() != r.size:
+            raise DomainError("road counts must be nonnegative and sum to the chord count")
+        if r.size and r.min() < 0:
+            raise DomainError("chord distances must be nonnegative")
+        for name, arr in (("counts", counts), ("chord_distances", r)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def of(cls, roads: Iterable[RoadRealization]) -> RoadSet:
+        """The road set holding `roads` in order."""
+        roads = list(roads)
+        return cls(counts=[road.count for road in roads],
+                   chord_distances=np.concatenate([np.empty(0)]
+                                                  + [road.chord_distances for road in roads]))
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+    def __iter__(self) -> Iterator[RoadRealization]:
+        """The realizations one by one, for checks rather than hot paths."""
+        stops = np.cumsum(self.counts)
+        for stop, count in zip(stops.tolist(), self.counts.tolist()):
+            yield RoadRealization(self.chord_distances[stop - count:stop])
+
+
+@dataclass(frozen=True)
 class UserBlock:
     """Users of `size` replications as flat arrays, split by environment.
 
@@ -75,6 +128,98 @@ def rng_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
+def _words(value: int) -> list[int]:
+    """SeedSequence's little-endian uint32 words of a non-negative integer."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays: xor with a running
+    constant, advance the constant, multiply by it, fold the high half."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def stream_states(prefix: tuple[int, ...], count: int) -> np.ndarray:
+    """count x 4 array whose row i is
+    ``SeedSequence(prefix + (i,)).generate_state(4, np.uint64)``.
+
+    A port of SeedSequence's uint32 hash to numpy columns over i: every
+    entropy word and pool word is a column, and the hash constants, which
+    do not depend on the data, are Python integers.
+    """
+    if not 0 <= count <= _MASK32 + 1:
+        raise DomainError(f"stream count {count} must lie in [0, 2^32]")
+    entropy = [np.full(count, w, dtype=np.uint32) for v in prefix for w in _words(v)]
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zeros = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL]).astype(np.uint64) for i in range(2 * _POOL)]
+    # word pairs are little-endian uint64s, as in generate_state
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[0::2], words[1::2])],
+                    axis=1)
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """PCG64's two-step 128-bit seeding from generate_state(4, np.uint64)."""
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = (((words[0] << 64 | words[1]) + inc) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def streams(prefix: tuple[int, ...], count: int) -> Iterator[np.random.Generator]:
+    """The generators ``default_rng(SeedSequence(prefix + (i,)))`` for i in
+    range(count), as one Generator re-seeded in place for each i.
+
+    Use each before asking for the next. Stream 0 is checked once against
+    numpy's own seeding, so a numpy that seeds differently raises rather
+    than drawing different numbers.
+    """
+    states = stream_states(prefix, count)
+    if not count:
+        return
+    reference = np.random.SeedSequence(prefix + (0,))
+    bit_generator = np.random.PCG64(reference)
+    if (not np.array_equal(states[0], reference.generate_state(4, np.uint64))
+            or _pcg64_state(states[0].tolist()) != bit_generator.state):
+        raise RuntimeError("batched stream seeding disagrees with numpy's SeedSequence "
+                           f"and PCG64 at {prefix + (0,)}")
+    rng = np.random.Generator(bit_generator)
+    for words in states:
+        bit_generator.state = _pcg64_state(words.tolist())
+        yield rng
+
+
 def expected_roads(gp: GeometryParams, cell_radius_km: float) -> float:
     """Mean number of roads hitting the cell disk: 2*pi*lambda*R."""
     return 2.0 * math.pi * gp.road_intensity * cell_radius_km
@@ -89,9 +234,30 @@ def sample_roads(gp: GeometryParams, cell_radius_km: float, sampler: str,
     [0, R], the half-cylinder construction).
     """
     _check_disk(cell_radius_km, sampler)
-    y = int(rng.poisson(expected_roads(gp, cell_radius_km)))
-    return RoadRealization(chord_distances=_chord_law(cell_radius_km, sampler,
-                                                      rng.uniform(size=y)))
+    return RoadRealization(chord_distances=_chord_law(
+        cell_radius_km, sampler, _road_uniforms(rng, expected_roads(gp, cell_radius_km))))
+
+
+def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
+                    seed: int, count: int) -> RoadSet:
+    """Realizations 0..count-1, realization i exactly as
+    ``sample_roads(gp, cell_radius_km, sampler, rng_stream(seed, i))``."""
+    _check_disk(cell_radius_km, sampler)
+    mean = expected_roads(gp, cell_radius_km)
+    uniforms = [_road_uniforms(rng, mean) for rng in streams((seed,), count)]
+    counts = [u.size for u in uniforms]
+    u = np.concatenate([np.empty(0)] + uniforms)
+    del uniforms  # the flat copy replaces them before the road set copies it
+    return RoadSet(counts=counts, chord_distances=_chord_law(cell_radius_km, sampler, u))
+
+
+def _road_uniforms(rng: np.random.Generator, mean: float) -> np.ndarray:
+    """One realization's draw: Y ~ Poisson(mean), then Y uniforms on [0, 1).
+
+    ``rng.random(y)`` returns the bits of ``rng.uniform(size=y)``, which
+    computes 0 + 1*u from the same u, at half the call overhead.
+    """
+    return rng.random(int(rng.poisson(mean)))
 
 
 def _check_disk(cell_radius_km: float, sampler: str) -> None:
@@ -102,7 +268,11 @@ def _check_disk(cell_radius_km: float, sampler: str) -> None:
 
 
 def _chord_law(cell_radius_km: float, sampler: str, u: np.ndarray) -> np.ndarray:
-    return cell_radius_km * (np.sqrt(u) if sampler == PAPER else u)
+    """Chord distances from uniforms, computed in place in `u`."""
+    if sampler == PAPER:
+        np.sqrt(u, out=u)
+    u *= cell_radius_km
+    return u
 
 
 def mean_users(gp: GeometryParams, cell_radius_km: float) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .congestion import Scenario
 from .errors import DomainError
-from .geometry import RoadRealization, UserBlock, sample_user_block
+from .geometry import RoadRealization, UserBlock, sample_user_block, streams
 
 _Z95 = 1.959963984540054
 
@@ -49,13 +49,14 @@ def gamma_samples(scn: Scenario, replications: int, road: RoadRealization | None
 
     Replication j is entry j % BLOCK of block j // BLOCK, and each block is
     drawn whole by :func:`sample_user_block` from its own generator on
-    SeedSequence((scn.seed, MC_TAG, block)). The last block is drawn in
+    SeedSequence((scn.seed, MC_TAG, block)), all seeded in one batch by
+    :func:`~prbdim.geometry.streams`. The last block is drawn in
     full and cut, so a run is a prefix of every longer run. Given `road`,
     every replication keeps that road set and redraws only its users.
     """
     out = np.empty((3, replications), dtype=np.int64)
-    for block, start in enumerate(range(0, replications, BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, MC_TAG, block)))
+    blocks = streams((scn.seed, MC_TAG), -(-replications // BLOCK))
+    for start, rng in zip(range(0, replications, BLOCK), blocks):
         users = sample_user_block(scn.geometry, scn.cell_radius_km, scn.sampler,
                                   rng, BLOCK, road)
         stop = min(start + BLOCK, replications)

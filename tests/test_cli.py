@@ -137,6 +137,16 @@ class TestSimulateCommand:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("congestion", ["--m-max", "5"]), ("dimension", ["--target", "0.05"]),
+    ("sweep", ["--target", "0.05"]), ("simulate", ["--replications", "200"])])
+def test_negative_seed_is_validation_error(command, extra, capsys):
+    code = run([command, "--scenario", FIG7, "--seed", "-1", "--realizations", "10",
+                *extra, "--out", "-"])
+    assert code == 3
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_identities_suite_passes(self, capsys):
         assert run(["validate", "--suite", "identities", "--seed", "1"]) == 0

@@ -10,9 +10,10 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     Service, ccdf_integral, dimension_prbs, dimension_scenario,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
-from prbdim import dimension
+from prbdim import congestion, dimension
 from prbdim.congestion import road_set, weight_matrix
-from prbdim.geometry import GeometryParams
+from prbdim.geometry import GeometryParams, RoadSet
+from prbdim.linkmodel import ring_radii
 from prbdim.scenario_io import bundled_scenario
 
 R = 0.7
@@ -118,7 +119,7 @@ class TestDimension:
 def brute_force_curve(scn, m_ceiling):
     """Per-realization scalar-recursion tails to m_ceiling, averaged over the road set."""
     m = np.arange(0, m_ceiling + 1)
-    rows = np.array([scalar_ccdf(weight_matrix(scn, [road])[0], m)
+    rows = np.array([scalar_ccdf(weight_matrix(scn, RoadSet.of([road]))[0], m)
                      for road in road_set(scn)])
     return rows.mean(axis=0)
 
@@ -215,6 +216,21 @@ class TestSweep:
         assert len(points) == 6
         assert all(p.report is not None for p in points)
         assert draws == [4.0, 9.0]
+
+    def test_one_demand_profile_pair_for_the_grid(self, monkeypatch):
+        calls = []
+
+        def counting_ring_radii(*args):
+            calls.append(args[-1])
+            return ring_radii(*args)
+
+        monkeypatch.setattr(congestion, "ring_radii", counting_ring_radii)
+        # lambda = 0 cannot carry outdoor traffic, so the first feasible
+        # point's profiles are the ones shared
+        points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 18e6, 25e6],
+                       road_intensity_grid=[0.0, 4.0, 9.0])
+        assert [p.report is not None for p in points] == [False, True, True] * 3
+        assert sorted(calls) == ["indoor", "outdoor"]
 
     def test_heavy_and_light_points_equal_standalone_dimensioning(self):
         # fig7 at 150 and 300 Mbit/s stacks rescaled heavy rows with light

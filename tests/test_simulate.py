@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prbdim import (CompoundSpec, DomainError, GeometryParams, InterferenceModel,
-                    LinkBudget, RoadRealization, Scenario, Service, UserBlock,
+                    LinkBudget, RoadRealization, RoadSet, Scenario, Service, UserBlock,
                     conditional_congestion, empirical_ccdf, expected_load,
                     rng_stream, sample_user_block)
 from prbdim.congestion import weight_matrix
@@ -116,7 +116,7 @@ class TestEmpiricalCcdf:
         reps = 10_000
         ms = np.arange(0, 120)
         curve = empirical_ccdf(scn, ms, reps)
-        spec = CompoundSpec(weight_matrix(scn, [RoadRealization(np.array([]))])[0])
+        spec = CompoundSpec(weight_matrix(scn, RoadSet.of([RoadRealization(np.array([]))]))[0])
         from prbdim import ccdf_bell
         analytic = np.clip(ccdf_bell(spec, ms), 0.0, 1.0)
         hits = np.rint(curve.ccdf * reps)
