@@ -17,9 +17,8 @@ from .dimension import (DimensionQuery, DimensionReport, SweepPoint,
                         intensities_from_throughput, sweep)
 from .errors import (AccuracyError, CeilingError, DomainError,
                      InfeasibleSplitError, RangeError, ScenarioError)
-from .geometry import (GeometryParams, RoadRealization, RoadSet, UserBlock,
-                       expected_roads, mean_users, rng_stream, sample_road_set,
-                       sample_roads, sample_user_block)
+from .geometry import (GeometryParams, RoadSet, UserBlock, expected_roads,
+                       mean_users, sample_road_set, sample_user_block)
 from .linkmodel import (DemandProfile, InterferenceModel, LinkBudget, Service,
                         max_prbs_per_user, prbs_required, ring_radii, sinr_at,
                         throughput_at)

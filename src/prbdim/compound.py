@@ -72,11 +72,6 @@ class CompoundSpec:
         n = np.arange(1, self.n_levels + 1)
         return float(n @ self.weights)
 
-    @property
-    def variance(self) -> float:
-        n = np.arange(1, self.n_levels + 1)
-        return float((n * n) @ self.weights)
-
     def bell_arguments(self, k: int) -> list[float]:
         """x_j = w_j * j! for j = 1..k (zero beyond the populated levels)."""
         return [self.weights[j - 1] * math.factorial(j) if j <= self.n_levels else 0.0

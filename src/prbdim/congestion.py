@@ -13,8 +13,8 @@ import numpy as np
 
 from .compound import CompoundSpec, ccdf_bell, recursion_steps
 from .errors import DomainError
-from .geometry import (GeometryParams, PAPER, RoadRealization, RoadSet, SAMPLERS,
-                       expected_roads, mean_users, sample_road_set)
+from .geometry import (GeometryParams, PAPER, RoadSet, SAMPLERS, expected_roads,
+                       mean_users, sample_road_set)
 from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
                         OUTDOOR, Service, ring_radii)
 
@@ -54,6 +54,8 @@ class Scenario:
             raise DomainError(f"unknown sampler {self.sampler!r}")
         if self.mc_realizations < 1:
             raise DomainError("mc_realizations must be at least 1")
+        if self.seed < 0:
+            raise DomainError(f"seed {self.seed} must be a non-negative integer")
         r = self.link_budget.cell_radius_km
         if self.region_km is not None:
             lo, hi = self.region_km
@@ -68,10 +70,6 @@ class Scenario:
     @property
     def mean_users(self) -> float:
         return mean_users(self.geometry, self.cell_radius_km)
-
-    @property
-    def cell_throughput_bps(self) -> float:
-        return self.mean_users * self.service.rate_bps
 
     @cached_property
     def profiles(self) -> tuple[DemandProfile, DemandProfile]:
@@ -159,9 +157,10 @@ def weight_matrix(scn: Scenario, roads: RoadSet) -> np.ndarray:
     return segment_weights(scn, chord_segments(scn, roads))
 
 
-def conditional_congestion(scn: Scenario, road: RoadRealization, m: int) -> float:
-    """P(Gamma >= m | roads): the one-row case of the weight-matrix path."""
-    return ccdf_bell(CompoundSpec(weight_matrix(scn, RoadSet.of([road]))[0]), m)
+def conditional_congestion(scn: Scenario, road: RoadSet, m: int) -> float:
+    """P(Gamma >= m | roads) for one road realization: the one-row case of
+    the weight-matrix path."""
+    return ccdf_bell(CompoundSpec(weight_matrix(scn, road.single())[0]), m)
 
 
 def road_set(scn: Scenario) -> RoadSet:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,32 +47,10 @@ class GeometryParams:
 
 
 @dataclass(frozen=True)
-class RoadRealization:
-    """One sampled PLP conditioned to the cell disk: chord distances r_j."""
-
-    chord_distances: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.chord_distances, dtype=float)
-        if arr.ndim != 1:
-            raise DomainError("chord_distances must be one-dimensional")
-        if arr.size and arr.min() < 0:
-            raise DomainError("chord distances must be nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "chord_distances", arr)
-
-    @property
-    def count(self) -> int:
-        """Number of roads hitting the cell (Y)."""
-        return int(self.chord_distances.size)
-
-
-@dataclass(frozen=True)
 class RoadSet:
     """R road realizations as flat arrays: realization i has `counts[i]`
     roads, whose chord distances follow those of realizations 0..i-1 in
-    `chord_distances`."""
+    `chord_distances`. A fixed road is a one-realization road set."""
 
     counts: np.ndarray
     chord_distances: np.ndarray
@@ -90,22 +68,21 @@ class RoadSet:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def of(cls, roads: Iterable[RoadRealization]) -> RoadSet:
-        """The road set holding `roads` in order."""
-        roads = list(roads)
-        return cls(counts=[road.count for road in roads],
-                   chord_distances=np.concatenate([np.empty(0)]
-                                                  + [road.chord_distances for road in roads]))
-
     def __len__(self) -> int:
         return int(self.counts.size)
 
-    def __iter__(self) -> Iterator[RoadRealization]:
-        """The realizations one by one, for checks rather than hot paths."""
+    def __iter__(self) -> Iterator[RoadSet]:
+        """The realizations one by one, each as a one-realization road set,
+        for checks rather than hot paths."""
         stops = np.cumsum(self.counts)
         for stop, count in zip(stops.tolist(), self.counts.tolist()):
-            yield RoadRealization(self.chord_distances[stop - count:stop])
+            yield RoadSet(counts=[count], chord_distances=self.chord_distances[stop - count:stop])
+
+    def single(self) -> RoadSet:
+        """This road set, checked to hold exactly one realization."""
+        if len(self) != 1:
+            raise DomainError(f"a fixed road is one road realization, not {len(self)}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -121,11 +98,6 @@ class UserBlock:
     outdoor_km: np.ndarray
     indoor_rep: np.ndarray
     indoor_km: np.ndarray
-
-
-def rng_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent reproducible stream for road realization `index`."""
-    return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
 
 def _words(value: int) -> list[int]:
@@ -225,39 +197,25 @@ def expected_roads(gp: GeometryParams, cell_radius_km: float) -> float:
     return 2.0 * math.pi * gp.road_intensity * cell_radius_km
 
 
-def sample_roads(gp: GeometryParams, cell_radius_km: float, sampler: str,
-                 rng: np.random.Generator) -> RoadRealization:
-    """Draw Y ~ Poisson(2*pi*lambda*R) roads and their chord distances.
-
-    Sampler `paper` takes r = R*sqrt(U) (uniform in the disk, the law the
-    closed-form mean load assumes); `standard` takes r = R*U (uniform on
-    [0, R], the half-cylinder construction).
-    """
-    _check_disk(cell_radius_km, sampler)
-    return RoadRealization(chord_distances=_chord_law(
-        cell_radius_km, sampler, _road_uniforms(rng, expected_roads(gp, cell_radius_km))))
-
-
 def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
                     seed: int, count: int) -> RoadSet:
-    """Realizations 0..count-1, realization i exactly as
-    ``sample_roads(gp, cell_radius_km, sampler, rng_stream(seed, i))``."""
+    """Realizations 0..count-1 of the PLP conditioned to the cell disk.
+
+    Realization i draws from ``default_rng(SeedSequence((seed, i)))``:
+    Y ~ Poisson(2*pi*lambda*R) roads, then Y uniforms U mapped to chord
+    distances. Sampler `paper` takes r = R*sqrt(U) (uniform in the disk,
+    the law the closed-form mean load assumes); `standard` takes r = R*U
+    (uniform on [0, R], the half-cylinder construction).
+    """
     _check_disk(cell_radius_km, sampler)
     mean = expected_roads(gp, cell_radius_km)
-    uniforms = [_road_uniforms(rng, mean) for rng in streams((seed,), count)]
+    # rng.random(y) returns the bits of rng.uniform(size=y), which computes
+    # 0 + 1*u from the same u, at half the call overhead
+    uniforms = [rng.random(int(rng.poisson(mean))) for rng in streams((seed,), count)]
     counts = [u.size for u in uniforms]
     u = np.concatenate([np.empty(0)] + uniforms)
     del uniforms  # the flat copy replaces them before the road set copies it
     return RoadSet(counts=counts, chord_distances=_chord_law(cell_radius_km, sampler, u))
-
-
-def _road_uniforms(rng: np.random.Generator, mean: float) -> np.ndarray:
-    """One realization's draw: Y ~ Poisson(mean), then Y uniforms on [0, 1).
-
-    ``rng.random(y)`` returns the bits of ``rng.uniform(size=y)``, which
-    computes 0 + 1*u from the same u, at half the call overhead.
-    """
-    return rng.random(int(rng.poisson(mean)))
 
 
 def _check_disk(cell_radius_km: float, sampler: str) -> None:
@@ -288,11 +246,12 @@ def mean_users(gp: GeometryParams, cell_radius_km: float) -> float:
 
 def sample_user_block(gp: GeometryParams, cell_radius_km: float, sampler: str,
                       rng: np.random.Generator, size: int,
-                      road: RoadRealization | None = None) -> UserBlock:
+                      road: RoadSet | None = None) -> UserBlock:
     """Drop users for `size` independent replications from one generator.
 
-    Each replication draws its own roads as :func:`sample_roads` does, or,
-    given `road`, keeps that road set and redraws only the users. Outdoor:
+    Each replication draws its own roads by the law of
+    :func:`sample_road_set`, or, given `road` (one realization), keeps
+    those roads and redraws only the users. Outdoor:
     per chord at distance r, Poisson(2*delta*sqrt(R^2-r^2)) users uniform
     on the chord. Indoor: Poisson(kappa*pi*R^2) users uniform in the disk.
     The whole block is drawn as flat arrays in a fixed order: road counts,
@@ -305,7 +264,7 @@ def sample_user_block(gp: GeometryParams, cell_radius_km: float, sampler: str,
         roads = rng.poisson(expected_roads(gp, cell_radius_km), size=size)
         r = _chord_law(cell_radius_km, sampler, rng.uniform(size=int(roads.sum())))
     else:
-        roads = np.full(size, road.count)
+        roads = np.full(size, road.single().counts[0])
         r = np.tile(np.minimum(road.chord_distances, cell_radius_km), size)
     r2 = r * r
     half2 = np.maximum(cell_radius_km ** 2 - r2, 0.0)

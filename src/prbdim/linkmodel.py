@@ -108,10 +108,6 @@ class InterferenceModel:
         return cls(margins_db=(center_db, middle_db, edge_db),
                    breakpoints_km=(r / 3.0, 2.0 * r / 3.0))
 
-    @property
-    def edge_margin_db(self) -> float:
-        return self.margins_db[-1]
-
     def margin_db_at(self, x_km: float) -> float:
         return self.margins_db[bisect_left(self.breakpoints_km, x_km)]
 

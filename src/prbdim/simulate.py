@@ -12,7 +12,7 @@ import numpy as np
 
 from .congestion import Scenario
 from .errors import DomainError
-from .geometry import RoadRealization, UserBlock, sample_user_block, streams
+from .geometry import RoadSet, UserBlock, sample_user_block, streams
 
 _Z95 = 1.959963984540054
 
@@ -20,7 +20,7 @@ _Z95 = 1.959963984540054
 # at a few hundred kB and peak memory stays at the per-replication loop's.
 BLOCK = 32
 # Block b draws from SeedSequence((seed, MC_TAG, b)), which equals no road
-# stream (seed, i) of `rng_stream` for i < MC_TAG. (SeedSequence pads short
+# stream (seed, i) of `sample_road_set` for i < MC_TAG. (SeedSequence pads short
 # entropy with zeros, so road i = MC_TAG would meet block 0.)
 MC_TAG = 0x6D63_6F72
 
@@ -43,7 +43,7 @@ def block_demand(scn: Scenario, users: UserBlock) -> tuple[np.ndarray, np.ndarra
     return gamma.astype(np.int64), counts[0], counts[1]
 
 
-def gamma_samples(scn: Scenario, replications: int, road: RoadRealization | None = None,
+def gamma_samples(scn: Scenario, replications: int, road: RoadSet | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replicated (gamma, outdoor count, indoor count) of the PRB demand.
 
@@ -51,8 +51,8 @@ def gamma_samples(scn: Scenario, replications: int, road: RoadRealization | None
     drawn whole by :func:`sample_user_block` from its own generator on
     SeedSequence((scn.seed, MC_TAG, block)), all seeded in one batch by
     :func:`~prbdim.geometry.streams`. The last block is drawn in
-    full and cut, so a run is a prefix of every longer run. Given `road`,
-    every replication keeps that road set and redraws only its users.
+    full and cut, so a run is a prefix of every longer run. Given `road`
+    (one realization), every replication keeps it and redraws only its users.
     """
     out = np.empty((3, replications), dtype=np.int64)
     blocks = streams((scn.seed, MC_TAG), -(-replications // BLOCK))

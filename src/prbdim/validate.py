@@ -13,11 +13,10 @@ import numpy as np
 from .compound import (CompoundSpec, bell_complete, bell_determinant,
                        ccdf_bell, ccdf_bell_literal, ccdf_integral, pmf)
 from .congestion import (averaged_congestion, conditional_congestion,
-                         expected_load)
+                         expected_load, road_set)
 from .dimension import dimension_prbs
 from .scenario_io import bundled_scenario
 from .simulate import empirical_ccdf, gamma_samples, wilson_interval
-from .geometry import rng_stream, sample_roads
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ def mc_suite(seed: int = 0, replications: int = 2000) -> list[Check]:
     checks = []
 
     # conditional law: one fixed road set, empirical tail inside a wide CI
-    road = sample_roads(scn.geometry, scn.cell_radius_km, scn.sampler,
-                        rng_stream(seed, 0))
+    road = road_set(replace(scn, mc_realizations=1))
     m_star = max(1, int(round(expected_load(scn))))
     analytic = conditional_congestion(scn, road, m_star)
     fixed, _, _ = gamma_samples(replace(scn, seed=seed + 1), replications, road)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from prbdim import DomainError, InterferenceModel, LinkBudget, Service
+from prbdim import (DomainError, InterferenceModel, LinkBudget, RoadSet, Service,
+                    expected_roads)
 from prbdim.linkmodel import INDOOR, OUTDOOR
 
 
@@ -54,6 +55,26 @@ def scalar_ccdf(weights, m_values):
     m = np.asarray(m_values, dtype=np.int64)
     cum = np.concatenate(([0.0], np.cumsum(scalar_pmf(weights, max(int(m.max()) - 1, 0)))))
     return np.maximum(1.0 - cum[m], 0.0)
+
+
+# The stream contract, one realization at a time: the reference that
+# geometry.sample_road_set reproduces bit for bit.
+def road_stream(seed, index):
+    """Generator of road realization `index`, seeded by numpy itself."""
+    return np.random.default_rng(np.random.SeedSequence((seed, index)))
+
+
+def reference_roads(gp, cell_radius_km, sampler, rng):
+    """One road realization drawn from `rng`: Y ~ Poisson(2*pi*lambda*R),
+    then Y uniforms U, and chord distances R*sqrt(U) (`paper`) or R*U
+    (`standard`)."""
+    u = rng.uniform(size=rng.poisson(expected_roads(gp, cell_radius_km)))
+    return fixed_road(cell_radius_km * (np.sqrt(u) if sampler == "paper" else u))
+
+
+def fixed_road(chord_distances):
+    """The one-realization road set with these chord distances."""
+    return RoadSet(counts=[len(chord_distances)], chord_distances=chord_distances)
 
 
 # Per-ring demand masses written interval by interval: the independent

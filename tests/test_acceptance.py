@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from prbdim import (CompoundSpec, GeometryParams, InterferenceModel,
-                    LinkBudget, RoadSet, Scenario, Service, averaged_congestion,
+                    LinkBudget, Scenario, Service, averaged_congestion,
                     bell_complete, bell_determinant, ccdf_bell, ccdf_integral,
                     dimension_prbs, expected_load, pmf, ppp_equivalent)
 from prbdim.cli import main as cli_main
@@ -221,7 +221,7 @@ def test_criterion_10_structural_invariants(tmp_path):
     roads = road_set(scn)
     w = weight_matrix(scn, roads)
     batch_ok = (all(np.array_equal(s, l[:20]) for s, l in zip(short_draw, long_draw))
-                and all(np.array_equal(row, weight_matrix(scn, RoadSet.of([road]))[0])
+                and all(np.array_equal(row, weight_matrix(scn, road)[0])
                         for row, road in zip(w, roads)))
 
     _report(10, "structural invariants",

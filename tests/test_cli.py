@@ -144,7 +144,17 @@ def test_negative_seed_is_validation_error(command, extra, capsys):
     code = run([command, "--scenario", FIG7, "--seed", "-1", "--realizations", "10",
                 *extra, "--out", "-"])
     assert code == 3
-    assert "expected non-negative integer" in capsys.readouterr().err
+    assert "seed -1 must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_negative_seed_in_the_file_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "negative_seed.scenario"
+    with open(FIG7) as fh:
+        path.write_text(fh.read().replace("seed = 20250811", "seed = -1"))
+    assert run(["dimension", "--scenario", str(path), "--target", "0.05", "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and str(path) in err
+    assert "seed -1 must be a non-negative integer" in err
 
 
 class TestValidateCommand:

@@ -223,7 +223,8 @@ class TestCcdf:
         curve = ccdf_bell(spec, np.arange(default_cutoff(spec.weights) + 2))
         assert curve[0] == 1.0
         assert all(a >= b for a, b in zip(curve, curve[1:]))
-        horizon = int(spec.mean + 12 * math.sqrt(spec.variance))
+        variance = float(np.arange(1, spec.n_levels + 1) ** 2 @ spec.weights)
+        horizon = int(spec.mean + 12 * math.sqrt(variance))
         assert ccdf_bell(spec, horizon) <= 1e-9
 
     def test_integral_matches_recursion_broadly(self):

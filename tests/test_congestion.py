@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chord_mass, indoor_masses, outdoor_masses, scalar_ccdf
+from conftest import chord_mass, fixed_road, indoor_masses, outdoor_masses, scalar_ccdf
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
 from prbdim import (CompoundSpec, DomainError, GeometryParams,
-                    InterferenceModel, LinkBudget, RoadRealization, RoadSet, Scenario,
+                    InterferenceModel, LinkBudget, RoadSet, Scenario,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
@@ -35,14 +35,14 @@ def make_scenario(lam=0.0, delta=0.0, kappa=0.0, margins=None, seed=0, mc=10,
 class TestConditional:
     def test_empty_cell(self):
         scn = make_scenario(lam=9.0, delta=6.0)
-        empty = RoadRealization(chord_distances=np.array([]))
+        empty = fixed_road([])
         assert conditional_congestion(scn, empty, 0) == 1.0
         assert conditional_congestion(scn, empty, 1) == 0.0
         assert conditional_congestion(scn, empty, 5) == 0.0
 
     def test_single_diameter_road_is_poisson(self):
         scn = make_scenario(lam=1.0, delta=6.0)
-        road = RoadRealization(chord_distances=np.array([0.0]))
+        road = fixed_road([0.0])
         lam = 2 * 6.0 * 0.7  # full chord mass, single demand level
         from scipy.stats import poisson
         for m in (1, 5, 12):
@@ -51,17 +51,17 @@ class TestConditional:
 
     def test_indoor_only_road_independent(self):
         scn = make_scenario(kappa=20.0)
-        a = RoadRealization(chord_distances=np.array([]))
-        b = RoadRealization(chord_distances=np.array([0.1, 0.5]))
-        spec = CompoundSpec(weight_matrix(scn, RoadSet.of([a]))[0])
+        a = fixed_road([])
+        b = fixed_road([0.1, 0.5])
+        spec = CompoundSpec(weight_matrix(scn, a)[0])
         for m in (0, 3, 17):
             assert conditional_congestion(scn, a, m) == conditional_congestion(scn, b, m)
             assert conditional_congestion(scn, a, m) == ccdf_bell(spec, m)
 
     def test_levels_align_by_prb_count(self):
         scn = make_scenario(lam=9.0, delta=6.0, kappa=20.0)
-        road = RoadRealization(chord_distances=np.array([0.2]))
-        spec = CompoundSpec(weight_matrix(scn, RoadSet.of([road]))[0])
+        road = fixed_road([0.2])
+        spec = CompoundSpec(weight_matrix(scn, road)[0])
         prof_out, prof_in = scn.profiles
         assert spec.n_levels == max(prof_out.n_levels, prof_in.n_levels) == 6
         w_in = indoor_masses(prof_in, 20.0)
@@ -74,7 +74,7 @@ class TestAveraged:
     def test_indoor_only_zero_stderr(self):
         scn = make_scenario(kappa=20.0, mc=7)
         curve = averaged_congestion(scn, np.arange(0, 40))
-        single = CompoundSpec(weight_matrix(scn, RoadSet.of([RoadRealization(np.array([]))]))[0])
+        single = CompoundSpec(weight_matrix(scn, fixed_road([]))[0])
         expected = [ccdf_bell(single, int(m)) for m in range(40)]
         np.testing.assert_allclose(curve.pi, expected, atol=1e-13)
         assert curve.stderr.max() == 0.0
@@ -104,7 +104,7 @@ class TestAveraged:
         roads = road_set(scn)
         w = weight_matrix(scn, roads)
         for row, road in zip(w, roads):
-            np.testing.assert_array_equal(row, weight_matrix(scn, RoadSet.of([road]))[0])
+            np.testing.assert_array_equal(row, weight_matrix(scn, road)[0])
 
     def test_stochastic_monotonicity_in_intensities(self):
         ms = np.arange(0, 150)
@@ -178,7 +178,8 @@ class TestBatchedCurve:
                        geometry=GeometryParams(9.0, 2.0, 10.0), seed=5, mc_realizations=12)
         prof_out, prof_in = scn.profiles
         assert any(len(ivs) > 1 for ivs in prof_out.rings.values())
-        roads = RoadSet.of([*road_set(scn), RoadRealization(chord_distances=np.array([]))])
+        sampled = road_set(scn)
+        roads = RoadSet(counts=[*sampled.counts, 0], chord_distances=sampled.chord_distances)
         w = weight_matrix(scn, roads)
         assert w.shape == (13, 6)
         for row, road in zip(w, roads):
@@ -218,8 +219,8 @@ class TestBatchedCurve:
                                    rtol=0, atol=1e-12)
         # the scalar path: indoor weight 800 on one level is Poisson(800)
         scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
-        road = RoadRealization(chord_distances=np.array([]))
-        total = float(weight_matrix(scn, RoadSet.of([road]))[0].sum())
+        road = fixed_road([])
+        total = float(weight_matrix(scn, road)[0].sum())
         assert total == pytest.approx(800.0)
         assert conditional_congestion(scn, road, 800) == pytest.approx(
             poisson.sf(799, total), abs=1e-12)

@@ -12,7 +12,7 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
 from prbdim.compound import default_cutoff
 from prbdim import congestion, dimension
 from prbdim.congestion import road_set, weight_matrix
-from prbdim.geometry import GeometryParams, RoadSet
+from prbdim.geometry import GeometryParams
 from prbdim.linkmodel import ring_radii
 from prbdim.scenario_io import bundled_scenario
 
@@ -119,7 +119,7 @@ class TestDimension:
 def brute_force_curve(scn, m_ceiling):
     """Per-realization scalar-recursion tails to m_ceiling, averaged over the road set."""
     m = np.arange(0, m_ceiling + 1)
-    rows = np.array([scalar_ccdf(weight_matrix(scn, RoadSet.of([road]))[0], m)
+    rows = np.array([scalar_ccdf(weight_matrix(scn, road)[0], m)
                      for road in road_set(scn)])
     return rows.mean(axis=0)
 

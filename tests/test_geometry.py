@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chord_mass, indoor_masses, outdoor_masses
+from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses,
+                      reference_roads, road_stream)
 from hypothesis import given, settings, strategies as st
 
 from prbdim import (DemandProfile, DomainError, GeometryParams,
-                    RoadRealization, expected_roads, mean_users, rng_stream,
-                    sample_roads, sample_user_block)
+                    expected_roads, mean_users, sample_road_set, sample_user_block)
 
 R = 0.7
 
@@ -23,54 +23,59 @@ def single_level_profile(env="outdoor"):
 
 
 class TestSampleRoads:
+    """The road law, on sample_road_set or on the per-realization reference
+    that it equals bit for bit (tests/test_streams.py)."""
+
     def test_zero_intensity_gives_empty(self):
-        road = sample_roads(gp(lam=0.0), R, "paper", rng_stream(0, 0))
-        assert road.count == 0
+        roads = sample_road_set(gp(lam=0.0), R, "paper", 0, 3)
+        assert roads.counts.tolist() == [0, 0, 0]
 
     def test_poisson_road_count(self):
         # E(Y) = 2*pi*9*0.7 ~ 39.58; mean over many draws within 1%
         target = expected_roads(gp(lam=9.0), R)
         assert target == pytest.approx(39.584067435231395, rel=1e-12)
-        rng = rng_stream(42, 0)
-        counts = [sample_roads(gp(lam=9.0), R, "paper", rng).count for _ in range(20_000)]
+        rng = road_stream(42, 0)
+        counts = [len(reference_roads(gp(lam=9.0), R, "paper", rng).chord_distances)
+                  for _ in range(20_000)]
         assert np.mean(counts) == pytest.approx(target, rel=0.01)
 
     def test_radius_law_moments(self):
         # paper sampler: E[r] = 2R/3; standard: E[r] = R/2
-        rng = rng_stream(43, 0)
+        rng = road_stream(43, 0)
         r_paper = np.concatenate([
-            sample_roads(gp(lam=20.0), R, "paper", rng).chord_distances
+            reference_roads(gp(lam=20.0), R, "paper", rng).chord_distances
             for _ in range(2000)])
-        rng = rng_stream(43, 0)
+        rng = road_stream(43, 0)
         r_std = np.concatenate([
-            sample_roads(gp(lam=20.0), R, "standard", rng).chord_distances
+            reference_roads(gp(lam=20.0), R, "standard", rng).chord_distances
             for _ in range(2000)])
         assert r_paper.mean() == pytest.approx(2 * R / 3, rel=0.01)
         assert r_std.mean() == pytest.approx(R / 2, rel=0.01)
 
     def test_deterministic_given_stream(self):
-        a = sample_roads(gp(lam=5.0), R, "paper", rng_stream(9, 3))
-        b = sample_roads(gp(lam=5.0), R, "paper", rng_stream(9, 3))
+        a = sample_road_set(gp(lam=5.0), R, "paper", 9, 4)
+        b = sample_road_set(gp(lam=5.0), R, "paper", 9, 4)
+        np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.chord_distances, b.chord_distances)
 
     def test_unknown_sampler_rejected(self):
         with pytest.raises(DomainError):
-            sample_roads(gp(lam=1.0), R, "sobol", rng_stream(0, 0))
+            sample_road_set(gp(lam=1.0), R, "sobol", 0, 1)
         with pytest.raises(DomainError):
-            sample_user_block(gp(lam=1.0), R, "sobol", rng_stream(0, 0), 4)
+            sample_user_block(gp(lam=1.0), R, "sobol", road_stream(0, 0), 4)
 
 
 class TestChordMass:
     def test_diameter_road(self):
-        road = RoadRealization(chord_distances=np.array([0.0]))
+        road = fixed_road([0.0])
         assert chord_mass(road, (0.0, 0.5), delta=3.0) == pytest.approx(2 * 3.0 * 0.5)
 
     def test_road_outside_annulus(self):
-        road = RoadRealization(chord_distances=np.array([0.6]))
+        road = fixed_road([0.6])
         assert chord_mass(road, (0.0, 0.5), delta=3.0) == 0.0
 
     def test_reference_value(self):
-        road = RoadRealization(chord_distances=np.array([0.3]))
+        road = fixed_road([0.3])
         assert chord_mass(road, (0.4, 0.5), delta=6.0) == pytest.approx(
             1.6250984267224913, rel=1e-12)
 
@@ -81,25 +86,25 @@ class TestChordMass:
         cuts = sorted(data.draw(st.lists(st.floats(0.0, R), min_size=3, max_size=3,
                                          unique=True)))
         u, v, w = cuts
-        road = RoadRealization(chord_distances=np.array(r))
+        road = fixed_road(r)
         whole = chord_mass(road, (u, w), delta=2.5)
         parts = chord_mass(road, (u, v), delta=2.5) + chord_mass(road, (v, w), delta=2.5)
         assert whole == pytest.approx(parts, abs=1e-12)
 
     def test_bad_interval_rejected(self):
-        road = RoadRealization(chord_distances=np.array([0.1]))
+        road = fixed_road([0.1])
         with pytest.raises(DomainError):
             chord_mass(road, (0.5, 0.4), delta=1.0)
 
 
 class TestMasses:
     def test_empty_realization(self):
-        road = RoadRealization(chord_distances=np.array([]))
+        road = fixed_road([])
         w = outdoor_masses(road, single_level_profile(), delta=6.0)
         assert w.tolist() == [0.0]
 
     def test_total_equals_full_chord_mass(self):
-        road = RoadRealization(chord_distances=np.array([0.1, 0.25, 0.61]))
+        road = fixed_road([0.1, 0.25, 0.61])
         profile = DemandProfile(n_levels=3,
                                 rings={1: ((0.0, 0.2),), 2: ((0.2, 0.45),),
                                        3: ((0.45, R),)},
@@ -109,7 +114,7 @@ class TestMasses:
 
     def test_partial_sums_telescope(self):
         # partial sums over levels equal the disk masses alpha_n directly
-        road = RoadRealization(chord_distances=np.array([0.05, 0.3, 0.5]))
+        road = fixed_road([0.05, 0.3, 0.5])
         bounds = [0.0, 0.2, 0.45, R]
         profile = DemandProfile(n_levels=3,
                                 rings={n: ((bounds[n - 1], bounds[n]),) for n in (1, 2, 3)},
@@ -120,7 +125,7 @@ class TestMasses:
             assert w[:n].sum() == pytest.approx(alpha_n, rel=1e-12)
 
     def test_diameter_road_split(self):
-        road = RoadRealization(chord_distances=np.array([0.0]))
+        road = fixed_road([0.0])
         profile = DemandProfile(n_levels=2, rings={1: ((0.0, 0.2),), 2: ((0.2, R),)},
                                 environment="outdoor", cell_radius_km=R)
         w = outdoor_masses(road, profile, delta=6.0)
@@ -153,30 +158,30 @@ class TestMeanUsers:
 
 class TestSampleUsers:
     def test_empty_without_intensity(self):
-        users = sample_user_block(gp(lam=9.0), R, "paper", rng_stream(1, 1), 50)
+        users = sample_user_block(gp(lam=9.0), R, "paper", road_stream(1, 1), 50)
         assert users.size == 50
         assert users.outdoor_km.size == users.indoor_km.size == 0
         assert users.outdoor_rep.size == users.indoor_rep.size == 0
 
     def test_diameter_road_distance_law(self):
         # distances on a through-center chord are |uniform(-R, R)|
-        road = RoadRealization(chord_distances=np.array([0.0]))
-        users = sample_user_block(gp(delta=40.0), R, "paper", rng_stream(2, 0), 400, road)
+        road = fixed_road([0.0])
+        users = sample_user_block(gp(delta=40.0), R, "paper", road_stream(2, 0), 400, road)
         assert users.outdoor_km.mean() == pytest.approx(R / 2, rel=0.02)
         assert users.outdoor_km.max() <= R
 
     def test_indoor_mean_count(self):
-        users = sample_user_block(gp(kappa=54.0), R, "paper", rng_stream(3, 0), 10_000)
+        users = sample_user_block(gp(kappa=54.0), R, "paper", road_stream(3, 0), 10_000)
         counts = np.bincount(users.indoor_rep, minlength=10_000)
         assert np.mean(counts) == pytest.approx(54.0 * math.pi * R * R, rel=0.02)
         assert users.indoor_km.max() <= R
 
     def test_counts_match_chord_mass_in_annulus(self):
         # empirical user counts in an annulus converge to its chord mass
-        road = RoadRealization(chord_distances=np.array([0.1, 0.33, 0.52]))
+        road = fixed_road([0.1, 0.33, 0.52])
         interval = (0.2, 0.55)
         expected = chord_mass(road, interval, delta=8.0)
-        users = sample_user_block(gp(delta=8.0), R, "paper", rng_stream(4, 0), 20_000, road)
+        users = sample_user_block(gp(delta=8.0), R, "paper", road_stream(4, 0), 20_000, road)
         d = users.outdoor_km
         hits = np.bincount(users.outdoor_rep[(d > interval[0]) & (d <= interval[1])],
                            minlength=20_000)
@@ -187,9 +192,9 @@ class TestSampleUsers:
         lam, delta, d_n = 9.0, 6.0, 0.4
         omega = expected_roads(gp(lam=lam), R)
         expected = 4 * delta * omega / 3 * d_n ** 3 / R ** 2
-        rng = rng_stream(5, 0)
+        rng = road_stream(5, 0)
         masses = []
         for _ in range(20_000):
-            road = sample_roads(gp(lam=lam), R, "paper", rng)
+            road = reference_roads(gp(lam=lam), R, "paper", rng)
             masses.append(chord_mass(road, (0.0, d_n), delta))
         assert np.mean(masses) == pytest.approx(expected, rel=0.01)

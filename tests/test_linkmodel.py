@@ -56,7 +56,7 @@ class TestSinr:
         assert three_region.margin_db_at(0.7 / 3) == 1.0  # boundary stays inner
         assert three_region.margin_db_at(0.3) == 8.0
         assert three_region.margin_db_at(0.5) == 15.0
-        assert three_region.edge_margin_db == 15.0
+        assert three_region.margins_db[-1] == 15.0
 
 
 class TestThroughput:

@@ -84,6 +84,11 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="sampler"):
             parse_scenario(text)
 
+    def test_negative_seed_rejected(self):
+        text = MINIMAL + "\n[monte_carlo]\nseed = -3\n"
+        with pytest.raises(ScenarioError, match="^cell.scenario: seed -3 must be a non-negative"):
+            parse_scenario(text, name="cell.scenario")
+
 
 class TestBundled:
     @pytest.mark.parametrize("name", BUNDLED)
@@ -107,7 +112,7 @@ class TestBundled:
         doc = bundled_scenario("fig2_tau30")
         assert doc.throughput_mbps == 30.0
         scn = doc.to_scenario()
-        assert scn.cell_throughput_bps == pytest.approx(30e6, rel=1e-12)
+        assert scn.mean_users * scn.service.rate_bps == pytest.approx(30e6, rel=1e-12)
 
 
 class TestQueries:

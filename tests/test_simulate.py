@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import fixed_road, road_stream
+
 from prbdim import (CompoundSpec, DomainError, GeometryParams, InterferenceModel,
-                    LinkBudget, RoadRealization, RoadSet, Scenario, Service, UserBlock,
-                    conditional_congestion, empirical_ccdf, expected_load,
-                    rng_stream, sample_user_block)
+                    LinkBudget, Scenario, Service, UserBlock, conditional_congestion,
+                    empirical_ccdf, expected_load, sample_user_block)
 from prbdim.congestion import weight_matrix
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import (BLOCK, MC_TAG, block_demand, gamma_samples,
@@ -93,7 +94,7 @@ class TestBlocks:
     def test_fixed_road_keeps_the_road(self):
         # with a road given, no replication draws roads of its own
         scn = make_scenario(lam=9.0, delta=6.0, seed=6)
-        _, n_out, _ = gamma_samples(scn, BLOCK + 1, RoadRealization(np.array([])))
+        _, n_out, _ = gamma_samples(scn, BLOCK + 1, fixed_road([]))
         np.testing.assert_array_equal(n_out, 0)
 
 
@@ -116,7 +117,7 @@ class TestEmpiricalCcdf:
         reps = 10_000
         ms = np.arange(0, 120)
         curve = empirical_ccdf(scn, ms, reps)
-        spec = CompoundSpec(weight_matrix(scn, RoadSet.of([RoadRealization(np.array([]))]))[0])
+        spec = CompoundSpec(weight_matrix(scn, fixed_road([]))[0])
         from prbdim import ccdf_bell
         analytic = np.clip(ccdf_bell(spec, ms), 0.0, 1.0)
         hits = np.rint(curve.ccdf * reps)
@@ -127,7 +128,7 @@ class TestEmpiricalCcdf:
     def test_conditional_check_fixed_roads(self):
         # empirical conditional tail matches the compound reduction
         scn = make_scenario(lam=9.0, delta=6.0, kappa=5.0, seed=8)
-        road = RoadRealization(chord_distances=np.array([0.05, 0.2, 0.44, 0.6]))
+        road = fixed_road([0.05, 0.2, 0.44, 0.6])
         m_star = 30
         analytic = conditional_congestion(scn, road, m_star)
         reps = 4000
@@ -149,7 +150,7 @@ class TestEmpiricalCcdf:
         profile = scn.profiles[1]
         reps = 10_000
         users = sample_user_block(scn.geometry, 0.7, scn.sampler,
-                                  rng_stream(scn.seed, 0), reps)
+                                  road_stream(scn.seed, 0), reps)
         width = profile.n_levels + 1
         cells = users.indoor_rep * width + profile.levels_at(users.indoor_km)
         counts = np.bincount(cells, minlength=reps * width).reshape(reps, width)[:, 1:]

@@ -1,5 +1,6 @@
 """Stream contract: the batched seeding and road drawing reproduce, bit for
-bit, the one-stream definitions they replace.
+bit, the one-stream definitions in conftest (numpy's own seeding of
+stream (seed, i), then one realization's draw).
 
 The batched path ports numpy's SeedSequence hash and PCG64 seeding, so
 these tests also guard against a numpy release that seeds differently.
@@ -10,11 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prbdim import (DomainError, GeometryParams, RoadRealization, RoadSet,
-                    Scenario, Service, rng_stream, sample_road_set, sample_roads,
-                    sample_user_block)
+from conftest import reference_roads, road_stream
+
+from prbdim import (DomainError, GeometryParams, RoadSet, Scenario, Service,
+                    sample_road_set, sample_user_block)
 from prbdim import geometry
-from prbdim.congestion import chord_segments, road_set
+from prbdim.congestion import chord_segments, conditional_congestion, road_set
 from prbdim.geometry import stream_states, streams
 from prbdim.simulate import BLOCK, MC_TAG, block_demand, gamma_samples
 
@@ -71,7 +73,7 @@ class TestRoadSet:
         roads = sample_road_set(gp(lam), R, sampler, seed, 200)
         assert len(roads) == 200
         for i, road in enumerate(roads):
-            want = sample_roads(gp(lam), R, sampler, rng_stream(seed, i))
+            want = reference_roads(gp(lam), R, sampler, road_stream(seed, i))
             np.testing.assert_array_equal(road.chord_distances, want.chord_distances)
         if lam == 0.0:
             assert roads.counts.max() == 0 and roads.chord_distances.size == 0
@@ -82,7 +84,7 @@ class TestRoadSet:
         mean = 2 * np.pi * 9.0 * R
         want = []
         for i in range(50):
-            rng = rng_stream(11, i)
+            rng = road_stream(11, i)
             want.append(R * law(rng.uniform(size=rng.poisson(mean))))
         np.testing.assert_array_equal(roads.counts, [w.size for w in want])
         np.testing.assert_array_equal(roads.chord_distances, np.concatenate(want))
@@ -96,15 +98,32 @@ class TestRoadSet:
         np.testing.assert_array_equal(got.counts, want.counts)
         np.testing.assert_array_equal(got.chord_distances, want.chord_distances)
 
-    def test_of_round_trips_and_arrays_are_read_only(self):
-        parts = [np.array([0.1, 0.5]), np.array([]), np.array([0.3])]
-        roads = RoadSet.of(RoadRealization(p) for p in parts)
-        np.testing.assert_array_equal(roads.counts, [2, 0, 1])
-        for got, want in zip(roads, parts):
-            np.testing.assert_array_equal(got.chord_distances, want)
+    def test_iter_yields_read_only_one_realization_sets(self):
+        parts = [[0.1, 0.5], [], [0.3]]
+        roads = RoadSet(counts=[2, 0, 1], chord_distances=[0.1, 0.5, 0.3])
         assert not roads.counts.flags.writeable
         assert not roads.chord_distances.flags.writeable
-        assert len(RoadSet.of([])) == 0
+        items = list(roads)
+        assert len(items) == 3
+        for got, want in zip(items, parts):
+            assert isinstance(got, RoadSet) and len(got) == 1
+            np.testing.assert_array_equal(got.counts, [len(want)])
+            np.testing.assert_array_equal(got.chord_distances, want)
+            assert not got.counts.flags.writeable
+            assert not got.chord_distances.flags.writeable
+        assert list(RoadSet(counts=[], chord_distances=[])) == []
+
+    @pytest.mark.parametrize("counts, r", [([], []), ([1, 0], [0.2])], ids=["none", "two"])
+    def test_a_fixed_road_is_one_realization(self, link_budget, noise_limited, counts, r):
+        scn = Scenario(link_budget=link_budget, interference=noise_limited,
+                       service=Service(rate_bps=500e3), geometry=gp(5.0))
+        roads = RoadSet(counts=counts, chord_distances=r)
+        for use in (lambda: conditional_congestion(scn, roads, 1),
+                    lambda: sample_user_block(scn.geometry, R, "paper", road_stream(0, 0), 4,
+                                              roads),
+                    lambda: gamma_samples(scn, 1, roads)):
+            with pytest.raises(DomainError, match="one road realization"):
+                use()
 
     @pytest.mark.parametrize("counts, r", [([1], [-0.1]), ([2], [0.1]), ([-1, 2], [0.1]),
                                            ([[1]], [0.1])])
