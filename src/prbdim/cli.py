@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, congestion
-from .congestion import batched_curve, ppp_equivalent, weight_matrix
+from . import __version__
+from .congestion import averaged_congestion, ppp_equivalent
 from .dimension import (DEFAULT_M_CEILING, DimensionQuery, DimensionReport,
                         dimension_prbs, sweep)
 from .errors import (AccuracyError, CeilingError, DomainError,
@@ -70,21 +70,6 @@ def _load(args) -> ScenarioFile:
                               realizations=getattr(args, "realizations", None))
 
 
-def _weights(scn) -> np.ndarray:
-    """R x N weight matrix over the scenario's road realizations."""
-    # road_set is looked up on its module, so perfbench/tracer.py's wrapper sees the call
-    return weight_matrix(scn, congestion.road_set(scn))
-
-
-def _auto_m_max(weights: np.ndarray) -> int:
-    """Curve extent heuristic: mean plus ten standard deviations, both
-    averaged over the rows of the weight matrix."""
-    n = np.arange(1, weights.shape[1] + 1)
-    mean = float(np.mean(weights @ n))
-    var = float(np.mean(weights @ (n * n)))
-    return int(math.ceil(mean + 10.0 * math.sqrt(var) + 16.0))
-
-
 def _user_means(meta: dict, emp: EmpiricalCurve) -> None:
     """Record the Monte-Carlo run's measured and Eq. (1) mean user counts."""
     meta["measured_mean_outdoor_users"] = repr(emp.mean_outdoor_users)
@@ -92,30 +77,38 @@ def _user_means(meta: dict, emp: EmpiricalCurve) -> None:
     meta["eq1_mean_users"] = repr(emp.eq1_mean_users)
 
 
-def cmd_congestion(args) -> int:
+def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str) -> int:
+    """Write a curve command's CSV: `curve_rows(args, scn, meta, ms)` gives
+    the rows at thresholds ms = 0..m_max-1, or at ms = None to the extent
+    that `rule` names; an --m-max <= 0 writes the header alone."""
     doc = _load(args)
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
-    if args.ppp_equivalent:
-        scn = ppp_equivalent(scn)
-    weights = _weights(scn)
-    m_max = args.m_max if args.m_max is not None else _auto_m_max(weights)
-    meta = _base_meta(args, doc)
-    header = ["m", "pi_analytic", "stderr"]
-    if m_max <= 0:
-        write_csv(args.out, meta, header + (["pi_mc", "mc_low", "mc_high"] if args.with_mc else []), [])
-        return EXIT_OK
-    ms = np.arange(0, m_max)
-    curve = batched_curve(weights, ms)
+    scn = ppp_equivalent(scn) if args.ppp_equivalent else scn
+    meta = {**_base_meta(args, doc), **meta}
+    if args.m_max is None:
+        rows = curve_rows(args, scn, meta, None)
+        meta["m_max_rule"] = rule
+    else:
+        rows = curve_rows(args, scn, meta, np.arange(0, args.m_max)) if args.m_max > 0 else []
+    write_csv(args.out, meta, header, rows)
+    return EXIT_OK
+
+
+def _congestion_rows(args, scn, meta: dict, ms):
+    curve = averaged_congestion(scn, ms)
     rows = [list(t) for t in zip(curve.m_values, curve.pi, curve.stderr)]
     if args.with_mc:
-        emp = empirical_ccdf(scn, ms, args.mc_replications)
+        emp = empirical_ccdf(scn, curve.m_values, args.mc_replications)
         meta["mc_replications"] = args.mc_replications
-        header += ["pi_mc", "mc_low", "mc_high"]
         for row, p, lo, hi in zip(rows, emp.ccdf, emp.ci_low, emp.ci_high):
             row += [p, lo, hi]
         _user_means(meta, emp)
-    write_csv(args.out, meta, header, rows)
-    return EXIT_OK
+    return rows
+
+
+def cmd_congestion(args) -> int:
+    mc = ["pi_mc", "mc_low", "mc_high"] if args.with_mc else []
+    return _curve_csv(args, {}, ["m", "pi_analytic", "stderr", *mc], _congestion_rows, "chernoff")
 
 
 def _print_report(report: DimensionReport, target: float) -> None:
@@ -192,28 +185,21 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    doc = _load(args)
-    scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
-    if args.ppp_equivalent:
-        scn = ppp_equivalent(scn)
-    m_max = args.m_max if args.m_max is not None else _auto_m_max(_weights(scn))
-    meta = _base_meta(args, doc)
-    meta["replications"] = args.replications
-    header = ["m", "pi_mc", "wilson_low", "wilson_high"]
-    if m_max <= 0:
-        write_csv(args.out, meta, header, [])
-        return EXIT_OK
-    ms = np.arange(0, m_max)
+def _simulate_rows(args, scn, meta: dict, ms):
     emp = empirical_ccdf(scn, ms, args.replications)
     _user_means(meta, emp)
     meta["mean_gamma"] = repr(emp.mean_gamma)
-    write_csv(args.out, meta, header,
-              zip(emp.m_values, emp.ccdf, emp.ci_low, emp.ci_high))
-    return EXIT_OK
+    return zip(emp.m_values, emp.ccdf, emp.ci_low, emp.ci_high)
+
+
+def cmd_simulate(args) -> int:
+    return _curve_csv(args, {"replications": args.replications},
+                      ["m", "pi_mc", "wilson_low", "wilson_high"], _simulate_rows, "sample_max")
 
 
 def cmd_validate(args) -> int:
+    if args.seed < 0:
+        raise DomainError(f"seed {args.seed} must be a non-negative integer")
     suites = {
         "identities": validate_suites.identities_suite,
         "mc": validate_suites.mc_suite,
@@ -251,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("congestion", help="averaged congestion curve as CSV")
     scenario_opts(p)
     p.add_argument("--m-max", type=int, default=None,
-                   help="evaluate thresholds below this M (default: auto)")
+                   help="evaluate thresholds below this M (default: until every tail is below 1e-12)")
     p.add_argument("--with-mc", action="store_true",
                    help="add empirical Monte-Carlo columns")
     p.add_argument("--mc-replications", type=int, default=1000)
@@ -286,14 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="empirical congestion curve as CSV")
     scenario_opts(p)
     p.add_argument("--replications", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--m-max", type=int, default=None,
+                   help="evaluate thresholds below this M (default: to max sampled demand + 1)")
     p.add_argument("--ppp-equivalent", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="run the self-check suites")
     p.add_argument("--suite", choices=("identities", "mc", "figures"), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="identities and mc suites; figures keeps its scenario-file seeds")
     p.add_argument("--replications", type=int, default=2000)
     p.set_defaults(func=cmd_validate)
     return parser

@@ -11,7 +11,7 @@ from itertools import islice
 
 import numpy as np
 
-from .compound import CompoundSpec, ccdf_bell, recursion_steps
+from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
 from .errors import DomainError
 from .geometry import (GeometryParams, PAPER, RoadSet, SAMPLERS, expected_roads,
                        mean_users, sample_road_set)
@@ -218,13 +218,27 @@ def batched_curve(weights, m_values) -> CongestionCurve:
     return replace(curve, m_values=m, pi=curve.pi[m], stderr=curve.stderr[m])
 
 
-def averaged_congestion(scn: Scenario, m_values) -> CongestionCurve:
-    """Mean conditional congestion over the scenario's road realizations.
+def shared_road_curves(scns: list[Scenario], m_ceiling: float = math.inf,
+                       ) -> list[CongestionCurve]:
+    """Averaged curves of scenarios that differ only in user intensities,
+    from one road set and one recursion pass, each to K = min(m_ceiling,
+    default_cutoff(W)): with no ceiling, every realization's tail at the
+    last threshold is certified below CUTOFF_TAIL = 1e-12."""
+    seg = chord_segments(scns[0], road_set(scns[0]))
+    weights = [segment_weights(scn, seg) for scn in scns]
+    return block_curves(weights, [min(m_ceiling, default_cutoff(w)) for w in weights])
+
+
+def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
+    """Mean conditional congestion over the scenario's road realizations,
+    at `m_values` or, when None, at 0..K of :func:`shared_road_curves`.
 
     Deterministic for a fixed seed and realization count: realization i
     always uses stream (seed, i), and every realization goes through the
     same batched recursion.
     """
+    if m_values is None:
+        return shared_road_curves([scn])[0]
     return batched_curve(weight_matrix(scn, road_set(scn)), m_values)
 
 

@@ -9,9 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compound import default_cutoff
-from .congestion import (CongestionCurve, Scenario, block_curves, chord_segments,
-                         road_set, segment_weights)
+from .congestion import CongestionCurve, Scenario, shared_road_curves
 from .errors import CeilingError, DomainError, InfeasibleSplitError
 from .geometry import GeometryParams, PAPER
 from .linkmodel import InterferenceModel, LinkBudget, Service
@@ -112,16 +110,6 @@ class DimensionReport:
     road_intensity: float | None = None
 
 
-def _shared_road_curves(scns: list[Scenario], m_ceiling: int) -> list[CongestionCurve]:
-    """Averaged curves of scenarios that differ only in user intensities,
-    from one road set and one recursion pass, each to K = min(m_ceiling,
-    default_cutoff(W)): every realization's tail there is below 1e-12,
-    so below any target at or above TARGET_FLOOR."""
-    seg = chord_segments(scns[0], road_set(scns[0]))
-    weights = [segment_weights(scn, seg) for scn in scns]
-    return block_curves(weights, [min(m_ceiling, default_cutoff(w)) for w in weights])
-
-
 def _invert(curve: CongestionCurve, target: float, m_ceiling: int) -> DimensionReport:
     """Smallest M with Pi(M) <= target on a curve that ends at K, or
     CeilingError when Pi(K) is still above the target."""
@@ -151,7 +139,7 @@ def dimension_scenario(scn: Scenario, target: float,
     bracket is meaningful; binary search finds M.
     """
     check_target(target)
-    [curve] = _shared_road_curves([scn], m_ceiling)
+    [curve] = shared_road_curves([scn], m_ceiling)
     return _invert(curve, target, m_ceiling)
 
 
@@ -198,7 +186,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
             continue
         first = first or scns[0]
         scns = [first.with_geometry(scn.geometry) for scn in scns]
-        for tau, curve in zip(distinct_taus, _shared_road_curves(scns, query.m_ceiling)):
+        for tau, curve in zip(distinct_taus, shared_road_curves(scns, query.m_ceiling)):
             try:
                 report = _invert(curve, query.target_congestion, query.m_ceiling)
                 outcome[tau, lam] = replace(report, throughput_bps=tau, road_intensity=lam), None

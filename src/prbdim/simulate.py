@@ -98,11 +98,13 @@ class EmpiricalCurve:
 
 
 def empirical_ccdf(scn: Scenario, m_values, replications: int) -> EmpiricalCurve:
-    """P_hat(Gamma >= m) over independent replications, deterministic per seed."""
+    """P_hat(Gamma >= m) over independent replications, deterministic per seed,
+    at `m_values` or, when None, at 0..max Gamma + 1, ending at the first 0."""
     if replications < 100:
         raise DomainError("need at least 100 replications")
-    m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
     gammas, n_out, n_in = gamma_samples(scn, replications)
+    m = np.atleast_1d(np.asarray(np.arange(gammas.max() + 2) if m_values is None
+                                 else m_values, dtype=np.int64))
     ordered = np.sort(gammas)
     at_least = replications - np.searchsorted(ordered, m, side="left")
     ccdf = at_least / replications

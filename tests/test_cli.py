@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
 
+from prbdim import congestion
 from prbdim.cli import main
-from prbdim.scenario_io import bundled_scenario_path
+from prbdim.compound import default_cutoff
+from prbdim.congestion import ppp_equivalent, road_set, weight_matrix
+from prbdim.scenario_io import bundled_scenario_path, load_scenario
+from prbdim.simulate import gamma_samples
 
+FIG3 = str(bundled_scenario_path("fig3"))
 FIG4 = str(bundled_scenario_path("fig4"))
 FIG7 = str(bundled_scenario_path("fig7"))
+BUNDLED = ["fig2_tau14", "fig2_tau30", "fig3", "fig4", "fig6_mixed", "fig7", "fig8_regions"]
 
 
 def run(argv):
     return main(argv)
+
+
+def read_csv(path):
+    """(metadata lines, data rows as strings) of a CLI CSV."""
+    lines = path.read_text().splitlines()
+    meta = [l for l in lines if l.startswith("#")]
+    return meta, [l for l in lines if not l.startswith("#")][1:]
 
 
 class TestCongestionCommand:
@@ -39,6 +52,31 @@ class TestCongestionCommand:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("name, extra", [(name, []) for name in BUNDLED] + [
+        ("fig8_regions", ["--ppp-equivalent", "--region", "edge"])])
+    def test_auto_extent_ends_at_the_cutoff(self, name, extra, tmp_path):
+        out = tmp_path / "auto.csv"
+        path = str(bundled_scenario_path(name))
+        assert run(["congestion", "--scenario", path, *extra, "--out", str(out)]) == 0
+        meta, rows = read_csv(out)
+        scn = load_scenario(path).to_scenario(region="edge" if extra else None)
+        scn = ppp_equivalent(scn) if extra else scn
+        m, pi, _ = rows[-1].split(",")
+        assert int(m) == default_cutoff(weight_matrix(scn, road_set(scn)))
+        assert float(pi) <= 1e-12
+        assert meta[-1] == "# m_max_rule = chernoff"
+
+    def test_auto_extent_extends_the_explicit_curve(self, tmp_path):
+        auto, explicit = tmp_path / "auto.csv", tmp_path / "explicit.csv"
+        assert run(["congestion", "--scenario", FIG3, "--out", str(auto)]) == 0
+        assert run(["congestion", "--scenario", FIG3, "--m-max", "400",
+                    "--out", str(explicit)]) == 0
+        auto_meta, auto_rows = read_csv(auto)
+        explicit_meta, explicit_rows = read_csv(explicit)
+        assert auto_meta == explicit_meta + ["# m_max_rule = chernoff"]
+        assert len(auto_rows) > len(explicit_rows) == 400
+        assert auto_rows[:400] == explicit_rows
 
     def test_with_mc_adds_columns(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -131,6 +169,25 @@ class TestSimulateCommand:
         assert float(meta["measured_mean_indoor_users"]) == pytest.approx(
             float(meta["eq1_mean_users"]), rel=0.1)
 
+    def test_auto_extent_ends_at_the_first_zero(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--scenario", FIG4, "--replications", "300",
+                    "--out", str(out)]) == 0
+        meta, rows = read_csv(out)
+        gammas, _, _ = gamma_samples(load_scenario(FIG4).to_scenario(), 300)
+        before, last = rows[-2].split(","), rows[-1].split(",")
+        assert int(last[0]) == gammas.max() + 1 and float(last[1]) == 0.0
+        assert float(before[1]) > 0.0
+        assert meta[-1] == "# m_max_rule = sample_max"
+
+    def test_auto_extent_draws_no_roads(self, tmp_path, monkeypatch):
+        def no_roads(scn):
+            raise AssertionError("simulate drew road realizations")
+
+        monkeypatch.setattr(congestion, "road_set", no_roads)
+        assert run(["simulate", "--scenario", FIG4, "--replications", "200",
+                    "--out", str(tmp_path / "sim.csv")]) == 0
+
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["simulate", "--scenario", FIG4, "--out", "-"])
@@ -155,6 +212,12 @@ def test_negative_seed_in_the_file_is_a_scenario_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and str(path) in err
     assert "seed -1 must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("suite", ["identities", "mc", "figures"])
+def test_validate_rejects_a_negative_seed(suite, capsys):
+    assert run(["validate", "--suite", suite, "--seed", "-1", "--replications", "200"]) == 3
+    assert "seed -1 must be a non-negative integer" in capsys.readouterr().err
 
 
 class TestValidateCommand:

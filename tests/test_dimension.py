@@ -10,7 +10,7 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     Service, ccdf_integral, dimension_prbs, dimension_scenario,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
-from prbdim import congestion, dimension
+from prbdim import congestion
 from prbdim.congestion import road_set, weight_matrix
 from prbdim.geometry import GeometryParams
 from prbdim.linkmodel import ring_radii
@@ -210,7 +210,7 @@ class TestSweep:
             draws.append(scn.geometry.road_intensity)
             return road_set(scn)
 
-        monkeypatch.setattr(dimension, "road_set", counting_road_set)
+        monkeypatch.setattr(congestion, "road_set", counting_road_set)
         points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 18e6, 25e6],
                        road_intensity_grid=[4.0, 9.0])
         assert len(points) == 6
