@@ -23,7 +23,7 @@ from .dimension import (DEFAULT_M_CEILING, DimensionQuery, DimensionReport,
 from .errors import (AccuracyError, CeilingError, DomainError,
                      InfeasibleSplitError, ScenarioError)
 from .scenario_io import REGION_NAMES, ScenarioFile, load_scenario
-from .simulate import EmpiricalCurve, empirical_ccdf
+from .simulate import EmpiricalCurve, check_replications, empirical_ccdf
 from . import validate as validate_suites
 
 EXIT_OK = 0
@@ -77,10 +77,17 @@ def _user_means(meta: dict, emp: EmpiricalCurve) -> None:
     meta["eq1_mean_users"] = repr(emp.eq1_mean_users)
 
 
-def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str) -> int:
+def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
+               replications: int | None) -> int:
     """Write a curve command's CSV: `curve_rows(args, scn, meta, ms)` gives
     the rows at thresholds ms = 0..m_max-1, or at ms = None to the extent
-    that `rule` names; an --m-max <= 0 writes the header alone."""
+    that `rule` names. `replications` is the Monte-Carlo replication count
+    the rows would use, if any; it is checked even when --m-max 0 writes
+    the header alone."""
+    if args.m_max is not None and args.m_max < 0:
+        raise DomainError(f"--m-max {args.m_max} must be a non-negative integer")
+    if replications is not None:
+        check_replications(replications)
     doc = _load(args)
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
     scn = ppp_equivalent(scn) if args.ppp_equivalent else scn
@@ -108,7 +115,8 @@ def _congestion_rows(args, scn, meta: dict, ms):
 
 def cmd_congestion(args) -> int:
     mc = ["pi_mc", "mc_low", "mc_high"] if args.with_mc else []
-    return _curve_csv(args, {}, ["m", "pi_analytic", "stderr", *mc], _congestion_rows, "chernoff")
+    return _curve_csv(args, {}, ["m", "pi_analytic", "stderr", *mc], _congestion_rows, "chernoff",
+                      args.mc_replications if args.with_mc else None)
 
 
 def _print_report(report: DimensionReport, target: float) -> None:
@@ -194,7 +202,8 @@ def _simulate_rows(args, scn, meta: dict, ms):
 
 def cmd_simulate(args) -> int:
     return _curve_csv(args, {"replications": args.replications},
-                      ["m", "pi_mc", "wilson_low", "wilson_high"], _simulate_rows, "sample_max")
+                      ["m", "pi_mc", "wilson_low", "wilson_high"], _simulate_rows, "sample_max",
+                      args.replications)
 
 
 def cmd_validate(args) -> int:

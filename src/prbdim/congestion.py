@@ -16,7 +16,7 @@ from .errors import DomainError
 from .geometry import (GeometryParams, PAPER, RoadSet, SAMPLERS, expected_roads,
                        mean_users, sample_road_set)
 from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
-                        OUTDOOR, Service, ring_radii)
+                        OUTDOOR, Service, StepFunction, ring_radii)
 
 
 def _clip_intervals(intervals, region):
@@ -83,6 +83,13 @@ class Scenario:
         other = replace(self, geometry=geometry)
         other.__dict__["profiles"] = self.profiles  # where cached_property keeps it
         return other
+
+    @cached_property
+    def demand_steps(self) -> tuple[StepFunction, StepFunction]:
+        """(outdoor, indoor) PRB demand of a user at distance x: its level
+        inside `region_km`, 0 outside it; with no region, every user's
+        level."""
+        return tuple(p.steps(self.region_km) for p in self.profiles)
 
     @cached_property
     def _outdoor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,17 +87,67 @@ class RoadSet:
 
 @dataclass(frozen=True)
 class UserBlock:
-    """Users of `size` replications as flat arrays, split by environment.
+    """Users of `size` replications as flat arrays, replication by
+    replication, split by environment.
 
-    The user at `outdoor_km[k]` belongs to replication `outdoor_rep[k]`
-    (0 <= rep < size); likewise for the indoor arrays.
+    Outdoor users lie on road chords. Replication j has `roads[j]` chords,
+    and chord c, at squared distance `chord_r2[c]` from the cell centre with
+    squared half length `chord_half2[c]`, holds `chord_users[c]` users.
+    Their offsets from the chord's midpoint, as fractions t in [0, 1) of
+    the half length, follow those of chords 0..c-1 in `offsets` (an offset
+    is uniform on [-1, 1], and only |t| matters).
+    Replication j has `indoor_users[j]` indoor users, whose distances
+    follow those of replications 0..j-1 in `indoor_km`.
+
+    `outdoor_km` computes every outdoor user's distance, which
+    :func:`~prbdim.simulate.block_demand` needs only when most users sit
+    on chords that cross a demand step; the per-user views `outdoor_rep`
+    and `indoor_rep` are for checks rather than hot paths.
     """
 
     size: int
-    outdoor_rep: np.ndarray
-    outdoor_km: np.ndarray
-    indoor_rep: np.ndarray
+    roads: np.ndarray
+    chord_r2: np.ndarray
+    chord_half2: np.ndarray
+    chord_users: np.ndarray
+    offsets: np.ndarray
+    indoor_users: np.ndarray
     indoor_km: np.ndarray
+
+    @classmethod
+    def join(cls, blocks: list[UserBlock]) -> UserBlock:
+        """One block holding the replications of these blocks, in order."""
+        arrays = [f.name for f in fields(cls) if f.name != "size"]
+        return cls(size=sum(b.size for b in blocks),
+                   **{name: np.concatenate([getattr(b, name) for b in blocks])
+                      for name in arrays})
+
+    @property
+    def outdoor_km(self) -> np.ndarray:
+        """Distance of each outdoor user from the cell centre."""
+        return chord_user_km(self.chord_r2, self.chord_half2, self.chord_users, self.offsets)
+
+    @property
+    def outdoor_rep(self) -> np.ndarray:
+        """Replication of each outdoor user."""
+        return np.repeat(np.repeat(np.arange(self.size), self.roads), self.chord_users)
+
+    @property
+    def indoor_rep(self) -> np.ndarray:
+        """Replication of each indoor user."""
+        return np.repeat(np.arange(self.size), self.indoor_users)
+
+
+def chord_user_km(r2: np.ndarray, half2: np.ndarray, users: np.ndarray,
+                  offsets: np.ndarray) -> np.ndarray:
+    """Distances of the users on chords (r2, half2) holding `users` users
+    at `offsets`: a user at offset t*half from the chord's midpoint lies
+    at sqrt(r^2 + t^2*half^2), always computed in this operation order,
+    so any subset of chords gives its users the same bits."""
+    km = np.repeat(half2, users)
+    km *= offsets * offsets
+    km += np.repeat(r2, users)
+    return np.sqrt(km, out=km)
 
 
 def _words(value: int) -> list[int]:
@@ -256,10 +306,9 @@ def sample_user_block(gp: GeometryParams, cell_radius_km: float, sampler: str,
     on the chord. Indoor: Poisson(kappa*pi*R^2) users uniform in the disk.
     The whole block is drawn as flat arrays in a fixed order: road counts,
     chord distances, users per chord, chord offsets, indoor counts, indoor
-    radii.
+    radii. Outdoor users are kept by chord, with no per-user distance.
     """
     _check_disk(cell_radius_km, sampler)
-    reps = np.arange(size)
     if road is None:
         roads = rng.poisson(expected_roads(gp, cell_radius_km), size=size)
         r = _chord_law(cell_radius_km, sampler, rng.uniform(size=int(roads.sum())))
@@ -269,19 +318,12 @@ def sample_user_block(gp: GeometryParams, cell_radius_km: float, sampler: str,
     r2 = r * r
     half2 = np.maximum(cell_radius_km ** 2 - r2, 0.0)
     counts = rng.poisson(2.0 * gp.user_intensity_linear * np.sqrt(half2))
-    # A user at offset t*half from the chord's midpoint, t uniform on
-    # [-1, 1], lies at distance sqrt(r^2 + t^2*half^2); only |t| matters.
-    t2 = rng.random(int(counts.sum()))
-    t2 *= t2
-    outdoor = np.repeat(half2, counts)
-    outdoor *= t2
-    outdoor += np.repeat(r2, counts)
-    np.sqrt(outdoor, out=outdoor)
+    offsets = rng.random(int(counts.sum()))
 
     n_indoor = rng.poisson(gp.user_intensity_area * math.pi * cell_radius_km ** 2, size=size)
     indoor = rng.uniform(size=int(n_indoor.sum()))
     np.sqrt(indoor, out=indoor)
     indoor *= cell_radius_km
-    return UserBlock(size=size, outdoor_rep=np.repeat(np.repeat(reps, roads), counts),
-                     outdoor_km=outdoor, indoor_rep=np.repeat(reps, n_indoor),
+    return UserBlock(size=size, roads=roads, chord_r2=r2, chord_half2=half2,
+                     chord_users=counts, offsets=offsets, indoor_users=n_indoor,
                      indoor_km=indoor)

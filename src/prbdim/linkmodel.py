@@ -167,18 +167,95 @@ class DemandProfile:
                 raise DomainError("intervals overlap or leave a gap")
 
     @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+    def _intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(upper ends, levels) of the intervals, innermost first."""
         ivs = sorted((u, v, n) for n, lst in self.rings.items() for u, v in lst)
-        uppers = np.array([v for _, v, _ in ivs])
-        levels = np.array([n for _, _, n in ivs], dtype=np.int64)
-        return uppers, levels
+        return (np.array([v for _, v, _ in ivs]),
+                np.array([n for _, _, n in ivs], dtype=np.int64))
+
+    @cached_property
+    def _steps(self) -> StepFunction:
+        uppers, levels = self._intervals
+        return StepFunction(uppers[:-1], levels, self.cell_radius_km)
+
+    def steps(self, region: tuple[float, float] | None = None) -> StepFunction:
+        """n(x) as a step function over (0, R] and beyond; given a region
+        (lo, hi], n(x) for x inside it and 0 outside it."""
+        if region is None:
+            return self._steps
+        uppers, levels = self._intervals
+        inner = uppers[:-1]
+        lo, hi = region
+        bounds = np.unique(np.concatenate((inner, [lo, hi])))
+        # piece k lies in (bounds[k-1], bounds[k]]; the end pieces are outside
+        values = np.zeros(bounds.size + 1, dtype=np.int64)
+        inside = (bounds[:-1] >= lo) & (bounds[1:] <= hi)
+        values[1:-1] = np.where(inside, levels[np.searchsorted(inner, bounds[:-1], "right")], 0)
+        return StepFunction(bounds, values, self.cell_radius_km)
 
     def levels_at(self, x_km: np.ndarray) -> np.ndarray:
         """PRB level of the interval containing each x (half-open rule);
-        distances must lie in (0, R]."""
-        uppers, levels = self._lookup
-        idx = np.minimum(np.searchsorted(uppers, x_km), len(levels) - 1)
-        return levels[idx]
+        distances must lie in (0, R], and one rounded past R reads the
+        outermost level. Read from a :class:`StepFunction` table built on
+        first use, at a cost per point that does not grow with the number
+        of intervals; equal to a binary search over the interval ends."""
+        return self._steps(x_km)
+
+
+# StepFunction cells: each is widened by this fraction of the span on both
+# sides, far beyond the rounding of x*cells/span, and there are at most
+# _MAX_CELLS of them.
+_CELL_PAD = 1e-9
+_MAX_CELLS = 1 << 14
+
+
+class StepFunction:
+    """f(x) = values[k] on piece k, the half-open (bounds[k-1], bounds[k]],
+    where piece 0 is everything up to bounds[0] and piece len(bounds)
+    everything beyond bounds[-1].
+
+    The piece of x is the number of bounds below it, as
+    ``np.searchsorted(bounds, x)`` gives it, read from a table instead of
+    by binary search. The table has G uniform cells over [0, span], each
+    widened by 1e-9*span, and holds the count of bounds below each cell and
+    the bounds inside it; x adds the inside bounds that it exceeds. G is
+    the first power of two, up to 2^14, with at most one bound in a cell,
+    so the cost per point does not grow with the number of bounds. Bounds
+    are sorted and lie in the widened span; every x is finite and below
+    2^40 spans.
+    """
+
+    def __init__(self, bounds, values, span: float):
+        self.bounds = bounds = np.asarray(bounds, dtype=float)
+        self.values = np.asarray(values)
+        pad = _CELL_PAD * span
+        if bounds.size and not -pad <= bounds[0] <= bounds[-1] <= span + pad:
+            raise DomainError(f"step bounds must lie in [0, {span}]")
+        cells = 1
+        while True:
+            edges = np.arange(cells + 1) * (span / cells)
+            below = np.searchsorted(bounds, edges[:-1] - pad)
+            inside = np.searchsorted(bounds, edges[1:] + pad, "right") - below
+            if cells == _MAX_CELLS or inside.max() <= 1:
+                break
+            cells *= 2
+        self._scale = cells / span
+        self._below = below
+        padded = np.append(bounds, np.inf)
+        self._inside = [np.where(j < inside, padded[np.minimum(below + j, bounds.size)], np.inf)
+                        for j in range(int(inside.max()))]
+
+    def pieces_at(self, x) -> np.ndarray:
+        """Index of the piece holding each x."""
+        x = np.asarray(x, dtype=float)
+        cell = (x * self._scale).astype(np.intp)
+        piece = self._below.take(cell, mode="clip")
+        for bound in self._inside:
+            piece += x > bound.take(cell, mode="clip")
+        return piece
+
+    def __call__(self, x) -> np.ndarray:
+        return self.values.take(self.pieces_at(x))
 
 
 def _ceil_ratio(value: float) -> int:

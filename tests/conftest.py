@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from prbdim import (DomainError, InterferenceModel, LinkBudget, RoadSet, Service,
-                    expected_roads)
+                    expected_roads, sample_user_block)
 from prbdim.linkmodel import INDOOR, OUTDOOR
+from prbdim.simulate import BLOCK, MC_TAG
 
 
 @pytest.fixture
@@ -70,6 +71,48 @@ def reference_roads(gp, cell_radius_km, sampler, rng):
     (`standard`)."""
     u = rng.uniform(size=rng.poisson(expected_roads(gp, cell_radius_km)))
     return fixed_road(cell_radius_km * (np.sqrt(u) if sampler == "paper" else u))
+
+
+# The Monte-Carlo oracle user by user: the reference that
+# simulate.gamma_samples reproduces bit for bit.
+def reference_block_demand(scn, users):
+    """Per-replication (gamma, outdoor count, indoor count) of one block:
+    every user's distance, replication index and level (by binary search
+    of the interval ends), summed by bincount."""
+    reps = np.arange(users.size)
+    outdoor = np.repeat(users.chord_half2, users.chord_users)
+    outdoor *= users.offsets * users.offsets
+    outdoor += np.repeat(users.chord_r2, users.chord_users)
+    np.sqrt(outdoor, out=outdoor)
+    by_env = ((np.repeat(np.repeat(reps, users.roads), users.chord_users), outdoor),
+              (np.repeat(reps, users.indoor_users), users.indoor_km))
+    gamma = np.zeros(users.size)
+    counts = []
+    for profile, (rep, km) in zip(scn.profiles, by_env):
+        if scn.region_km is not None:
+            lo, hi = scn.region_km
+            inside = (km > lo) & (km <= hi)
+            rep, km = rep[inside], km[inside]
+        ivs = sorted((u, v, n) for n, lst in profile.rings.items() for u, v in lst)
+        uppers = np.array([v for _, v, _ in ivs])
+        levels = np.array([n for _, _, n in ivs])
+        idx = np.minimum(np.searchsorted(uppers, km), len(levels) - 1)
+        gamma += np.bincount(rep, weights=levels[idx], minlength=users.size)
+        counts.append(np.bincount(rep, minlength=users.size))
+    return gamma.astype(np.int64), counts[0], counts[1]
+
+
+def reference_gamma_samples(scn, replications, road=None):
+    """gamma_samples one block at a time: block b drawn by sample_user_block
+    from numpy's own generator on SeedSequence((seed, MC_TAG, b)), then
+    reference_block_demand."""
+    parts = []
+    for block in range(-(-replications // BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, MC_TAG, block)))
+        users = sample_user_block(scn.geometry, scn.cell_radius_km, scn.sampler, rng,
+                                  BLOCK, road)
+        parts.append(reference_block_demand(scn, users))
+    return tuple(np.concatenate(column)[:replications] for column in zip(*parts))
 
 
 def fixed_road(chord_distances):

@@ -214,6 +214,30 @@ def test_negative_seed_in_the_file_is_a_scenario_error(tmp_path, capsys):
     assert "seed -1 must be a non-negative integer" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("congestion", []), ("congestion", ["--with-mc"]), ("simulate", ["--replications", "200"])])
+def test_negative_m_max_is_validation_error(command, extra, tmp_path, capsys):
+    out = tmp_path / "negative.csv"
+    assert run([command, "--scenario", FIG4, "--m-max", "-5", "--realizations", "10",
+                *extra, "--out", str(out)]) == 3
+    assert "--m-max -5 must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra, header", [
+    ("congestion", ["--with-mc", "--mc-replications"], "m,pi_analytic,stderr,pi_mc,mc_low,mc_high"),
+    ("simulate", ["--replications"], "m,pi_mc,wilson_low,wilson_high")])
+def test_m_max_zero_checks_the_replications_first(command, extra, header, tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    assert run([command, "--scenario", FIG4, "--m-max", "0", *extra, "50",
+                "--out", str(out)]) == 3
+    assert "need at least 100 replications, not 50" in capsys.readouterr().err
+    assert not out.exists()
+    assert run([command, "--scenario", FIG4, "--m-max", "0", *extra, "100",
+                "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == header
+
+
 @pytest.mark.parametrize("suite", ["identities", "mc", "figures"])
 def test_validate_rejects_a_negative_seed(suite, capsys):
     assert run(["validate", "--suite", suite, "--seed", "-1", "--replications", "200"]) == 3

@@ -233,3 +233,85 @@ class TestValidation:
         with pytest.raises(DomainError):
             DemandProfile(n_levels=1, rings={1: ((0.0, 0.6),)},
                           environment="outdoor", cell_radius_km=0.7)
+
+
+def searchsorted_levels(profile, x):
+    """The binary-search lookup: level of the first interval whose upper
+    end is >= x, the outermost beyond R."""
+    ivs = sorted((u, v, n) for n, lst in profile.rings.items() for u, v in lst)
+    uppers = np.array([v for _, v, _ in ivs])
+    levels = np.array([n for _, _, n in ivs])
+    return levels[np.minimum(np.searchsorted(uppers, x), len(levels) - 1)]
+
+
+def probe_points(profile):
+    """Every interval end and its two float neighbours, 0, R and just past R."""
+    ends = np.array([v for ivs in profile.rings.values() for _, v in ivs])
+    r = profile.cell_radius_km
+    return np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
+                           [0.0, r, np.nextafter(r, np.inf)]))
+
+
+@st.composite
+def tilings(draw):
+    """A demand profile over (0, R] with up to 256 levels, where a level may
+    own several intervals and interval ends may sit a few ulps apart."""
+    r = draw(st.sampled_from([0.7, 1.0, 3.3]))
+    n_levels = draw(st.integers(1, 256))
+    ends = draw(st.lists(st.floats(0.0, r, exclude_min=True, exclude_max=True),
+                         max_size=300, unique=True))
+    if ends:
+        ends += [np.nextafter(e, r) for e in draw(st.lists(st.sampled_from(ends), max_size=5))]
+    ends = sorted(set(ends) - {r}) + [r]
+    levels = draw(st.lists(st.integers(1, n_levels), min_size=len(ends), max_size=len(ends)))
+    rings = {}
+    for lo, hi, n in zip([0.0] + ends[:-1], ends, levels):
+        rings.setdefault(n, []).append((lo, hi))
+    return DemandProfile(n_levels=n_levels, rings={n: tuple(ivs) for n, ivs in rings.items()},
+                         environment="outdoor", cell_radius_km=r)
+
+
+class TestLevelLookup:
+    """levels_at reads a table of uniform cells; the binary search over the
+    interval ends is the reference, at and around every end."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile=tilings())
+    def test_random_tilings(self, profile):
+        x = probe_points(profile)
+        np.testing.assert_array_equal(profile.levels_at(x), searchsorted_levels(profile, x))
+
+    @settings(max_examples=60, deadline=None)
+    @given(margins=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=4),
+           cuts=st.lists(st.floats(0.01, 0.69), min_size=3, max_size=3, unique=True),
+           cap=st.integers(1, 256), env=st.sampled_from(["indoor", "outdoor"]))
+    def test_ring_radii_split_by_margins(self, margins, cuts, cap, env):
+        im = InterferenceModel(margins_db=tuple(margins),
+                               breakpoints_km=tuple(sorted(cuts)[:len(margins) - 1]))
+        lb = LinkBudget(tx_power_dbm=60.0, noise_power_dbm=-93.0, prop_const_db=130.0,
+                        prop_const_indoor_db=166.0, path_loss_exp=3.5, tx_antennas=8,
+                        rx_antennas=2, prb_bandwidth_hz=180e3, cell_radius_km=0.7,
+                        max_user_prbs=cap)
+        profile = ring_radii(lb, im, Service(rate_bps=500e3), env)
+        x = probe_points(profile)
+        np.testing.assert_array_equal(profile.levels_at(x), searchsorted_levels(profile, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=tilings(), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0,
+                                                                    exclude_min=True))
+    def test_region_steps(self, profile, lo, width):
+        # inside (lo, hi] the level, outside 0, as a mask on distances gives it
+        r = profile.cell_radius_km
+        lo, hi = lo * r, min(lo * r + width * r, r)
+        if not lo < hi:
+            return
+        x = np.concatenate((probe_points(profile), [lo, hi], np.nextafter([lo, hi], -np.inf),
+                            np.nextafter([lo, hi], np.inf)))
+        want = np.where((x > lo) & (x <= hi), searchsorted_levels(profile, x), 0)
+        np.testing.assert_array_equal(profile.steps((lo, hi))(x), want)
+
+    def test_region_beyond_the_cell_is_refused(self):
+        profile = DemandProfile(n_levels=2, rings={1: ((0.0, 0.3),), 2: ((0.3, 0.7),)},
+                                environment="outdoor", cell_radius_km=0.7)
+        with pytest.raises(DomainError, match="step bounds"):
+            profile.steps((0.2, 0.9))

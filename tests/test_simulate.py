@@ -42,8 +42,9 @@ class TestSimulateOnce:
         profile = scn.profiles[1]
         x = 0.55  # inside level 3 for this budget
         none = np.array([], dtype=np.int64)
-        users = UserBlock(size=2, outdoor_rep=none, outdoor_km=np.array([]),
-                          indoor_rep=np.array([1]), indoor_km=np.array([x]))
+        users = UserBlock(size=2, roads=np.array([0, 0]), chord_r2=np.array([]),
+                          chord_half2=np.array([]), chord_users=none, offsets=np.array([]),
+                          indoor_users=np.array([0, 1]), indoor_km=np.array([x]))
         gamma, n_out, n_in = block_demand(scn, users)
         assert profile.levels_at(np.array([x]))[0] == 3
         np.testing.assert_array_equal(gamma, [0, 3])

@@ -11,13 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import reference_roads, road_stream
+from conftest import fixed_road, reference_gamma_samples, reference_roads, road_stream
 
 from prbdim import (DomainError, GeometryParams, RoadSet, Scenario, Service,
                     sample_road_set, sample_user_block)
-from prbdim import geometry
+from prbdim import UserBlock, geometry, simulate
 from prbdim.congestion import chord_segments, conditional_congestion, road_set
-from prbdim.geometry import stream_states, streams
+from prbdim.geometry import chord_user_km, stream_states, streams
+from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import BLOCK, MC_TAG, block_demand, gamma_samples
 
 SEEDS = (0, 1, 2**32 - 1, 2**32 + 7, 2**70 + 3)
@@ -176,3 +177,76 @@ def test_gamma_samples_blocks_are_the_mc_streams(link_budget, three_region):
         want.append(block_demand(scn, users))
     for k, values in enumerate(got):
         np.testing.assert_array_equal(values, np.concatenate([w[k] for w in want])[:3 * BLOCK + 5])
+
+
+def oracle_inputs():
+    """The simulate inputs the oracle's bit contract is pinned on: one
+    outdoor interval or five, regions cutting the chords, 142 indoor
+    levels, indoor users or none."""
+    fig8 = bundled_scenario("fig8_regions")
+    fig8_rings = replace(fig8, prop_const_db=150.0, sampler="standard")
+    inputs = {
+        "fig4": bundled_scenario("fig4").to_scenario(),
+        "fig6_mixed": bundled_scenario("fig6_mixed").to_scenario(),
+        "fig6_mixed_n256": replace(bundled_scenario("fig6_mixed"),
+                                   max_user_prbs=256).to_scenario(),
+        "fig2_tau30_noise_limited": bundled_scenario("fig2_tau30").to_scenario(
+            noise_limited=True),
+        "fig7": bundled_scenario("fig7").to_scenario(),
+    }
+    for region in (None, "center", "middle", "edge"):
+        inputs[f"fig8_{region}"] = fig8.to_scenario(region=region)
+    for region in (None, "middle"):
+        inputs[f"fig8_rings_{region}"] = fig8_rings.to_scenario(region=region)
+    return inputs
+
+
+ORACLE_INPUTS = oracle_inputs()
+
+
+class TestOracleBits:
+    """gamma_samples sums whole chords where it can; the user-by-user
+    reference in conftest pins every output bit."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_equals_the_per_user_reference(self, name):
+        scn = ORACLE_INPUTS[name]
+        for got, want in zip(gamma_samples(scn, 1003), reference_gamma_samples(scn, 1003)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_inputs_take_every_path(self, monkeypatch):
+        # whole chords only, a few chords split out, or every user's distance
+        calls = []
+        monkeypatch.setattr(simulate, "chord_user_km",
+                            lambda *args: calls.append("split") or chord_user_km(*args))
+        monkeypatch.setattr(UserBlock, "outdoor_km", property(
+            lambda users: calls.append("every") or chord_user_km(
+                users.chord_r2, users.chord_half2, users.chord_users, users.offsets)))
+        paths = {}
+        for name in ("fig4", "fig8_center", "fig8_middle"):
+            calls.clear()
+            gamma_samples(ORACLE_INPUTS[name], 1003)
+            paths[name] = set(calls)
+        assert paths == {"fig4": set(), "fig8_center": {"split"}, "fig8_middle": {"every"}}
+        # and the lookup table meets a many-interval profile
+        intervals = ORACLE_INPUTS["fig6_mixed_n256"].profiles[1].rings.values()
+        assert sum(map(len, intervals)) == 142
+
+    @pytest.mark.parametrize("region", [None, "middle", "edge"])
+    def test_fixed_road(self, region):
+        # through the centre, on the edge and beyond it, clipped to R
+        scn = replace(ORACLE_INPUTS[f"fig8_{region}"], seed=12)
+        road = fixed_road([0.0, 0.05, 0.2, 0.2333333333333333, 0.44, 0.6, 0.7, 0.9])
+        want = reference_gamma_samples(scn, 300, road)
+        for got, expected in zip(gamma_samples(scn, 300, road), want):
+            np.testing.assert_array_equal(got, expected)
+
+    def test_empty_blocks(self, link_budget, three_region):
+        scn = Scenario(link_budget=link_budget, interference=three_region,
+                       service=Service(rate_bps=500e3),
+                       geometry=GeometryParams(road_intensity=0.0, user_intensity_linear=6.0,
+                                               user_intensity_area=0.0))
+        got = gamma_samples(scn, BLOCK + 1)
+        for values, want in zip(got, reference_gamma_samples(scn, BLOCK + 1)):
+            np.testing.assert_array_equal(values, want)
+            np.testing.assert_array_equal(values, 0)
