@@ -148,7 +148,7 @@ def cmd_dimension(args) -> int:
         write_csv(args.out, meta,
                   ["tau_mbps", "lambda_per_km", "target", "required_m",
                    "pi_at_m", "pi_before", "stderr_at_m"],
-                  [[query.throughput_bps / 1e6, query.road_intensity,
+                  [[query.throughput_bps / 1e6, report.road_intensity,
                     args.target, report.required_m, report.pi_at_m,
                     report.pi_before, report.stderr_at_m]])
     return EXIT_OK

@@ -19,17 +19,14 @@ from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
                         OUTDOOR, Service, StepFunction, ring_radii)
 
 
-def _clip_intervals(intervals, region):
-    """Intersect half-open intervals with a half-open region (lo, hi]."""
-    if region is None:
-        return list(intervals)
-    lo, hi = region
-    out = []
-    for u, v in intervals:
-        a, b = max(u, lo), min(v, hi)
-        if b > a:
-            out.append((a, b))
-    return out
+def _pieces(steps: StepFunction, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, level) arrays of the nonzero pieces (u, v] of a demand step
+    function, with their ends clamped to [0, R]: grouped by level, so that
+    sums over them keep one order, and innermost first within a level."""
+    ends = np.concatenate(([0.0], np.clip(steps.bounds, 0.0, r), [r]))
+    keep = np.flatnonzero(steps.values)
+    keep = keep[np.argsort(steps.values[keep], kind="stable")]
+    return ends[keep], ends[keep + 1], steps.values[keep]
 
 
 @dataclass(frozen=True)
@@ -93,25 +90,17 @@ class Scenario:
 
     @cached_property
     def _outdoor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (u^2, v^2, level) arrays of the region-clipped outdoor rings."""
-        prof = self.profiles[0]
-        u2, v2, lv = [], [], []
-        for n, ivs in prof.rings.items():
-            for a, b in _clip_intervals(ivs, self.region_km):
-                u2.append(a * a)
-                v2.append(b * b)
-                lv.append(n - 1)
-        return np.array(u2), np.array(v2), np.array(lv, dtype=np.int64)
+        """Flattened (u^2, v^2, level - 1) arrays of the region-clipped outdoor rings."""
+        u, v, levels = _pieces(self.demand_steps[0], self.cell_radius_km)
+        return u * u, v * v, levels - 1
 
     @cached_property
     def _indoor_weights(self) -> np.ndarray:
         """Deterministic indoor masses, region-clipped, indexed by level-1."""
-        prof = self.profiles[1]
-        kappa = self.geometry.user_intensity_area
-        w = np.zeros(prof.n_levels)
-        for n, ivs in prof.rings.items():
-            for a, b in _clip_intervals(ivs, self.region_km):
-                w[n - 1] += kappa * math.pi * (b * b - a * a)
+        u, v, levels = _pieces(self.demand_steps[1], self.cell_radius_km)
+        w = np.zeros(self.profiles[1].n_levels)
+        # rings sharing a level accumulate in ring order
+        np.add.at(w, levels - 1, self.geometry.user_intensity_area * math.pi * (v * v - u * u))
         return w
 
 

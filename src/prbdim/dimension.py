@@ -11,8 +11,6 @@ import numpy as np
 
 from .congestion import CongestionCurve, Scenario, shared_road_curves
 from .errors import CeilingError, DomainError, InfeasibleSplitError
-from .geometry import GeometryParams, PAPER
-from .linkmodel import InterferenceModel, LinkBudget, Service
 
 DEFAULT_M_CEILING = 4096
 
@@ -57,42 +55,32 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
 
 @dataclass(frozen=True)
 class DimensionQuery:
-    """A dimensioning question: radio setup + forecast + target congestion."""
+    """A dimensioning question: a cell, a forecast throughput split between
+    its roads and indoors, and a target congestion. The user intensities
+    of `scenario.geometry` are replaced by the forecast's."""
 
+    scenario: Scenario
     target_congestion: float
     throughput_bps: float
-    link_budget: LinkBudget
-    interference: InterferenceModel
-    service: Service
-    road_intensity: float
     outdoor_fraction: float = 1.0
-    sampler: str = PAPER
-    seed: int = 0
-    mc_realizations: int = 500
     m_ceiling: int = DEFAULT_M_CEILING
-    region_km: tuple[float, float] | None = None
 
     def __post_init__(self):
         check_target(self.target_congestion)
-        if self.throughput_bps <= 0:
-            raise DomainError("throughput_bps must be positive")
+        if not (self.throughput_bps > 0 and math.isfinite(self.throughput_bps)):
+            raise DomainError(f"throughput_bps {self.throughput_bps:g} must be positive and finite")
         if self.m_ceiling < 1:
-            raise DomainError("m_ceiling must be positive")
+            raise DomainError(f"m_ceiling {self.m_ceiling} must be positive")
 
     def build_scenario(self) -> Scenario:
+        """The scenario with the forecast's intensities, sharing its demand
+        profiles."""
+        scn = self.scenario
         delta, kappa = intensities_from_throughput(
-            self.throughput_bps, self.service.rate_bps,
-            self.link_budget.cell_radius_km, self.road_intensity,
-            self.outdoor_fraction)
-        gp = GeometryParams(road_intensity=self.road_intensity,
-                            user_intensity_linear=delta,
-                            user_intensity_area=kappa)
-        return Scenario(link_budget=self.link_budget,
-                        interference=self.interference,
-                        service=self.service, geometry=gp,
-                        sampler=self.sampler, seed=self.seed,
-                        mc_realizations=self.mc_realizations,
-                        region_km=self.region_km)
+            self.throughput_bps, scn.service.rate_bps, scn.cell_radius_km,
+            scn.geometry.road_intensity, self.outdoor_fraction)
+        return scn.with_geometry(replace(scn.geometry, user_intensity_linear=delta,
+                                         user_intensity_area=kappa))
 
 
 @dataclass(frozen=True)
@@ -148,7 +136,7 @@ def dimension_prbs(query: DimensionQuery) -> DimensionReport:
     report = dimension_scenario(query.build_scenario(), query.target_congestion,
                                 query.m_ceiling)
     return replace(report, throughput_bps=query.throughput_bps,
-                   road_intensity=query.road_intensity)
+                   road_intensity=query.scenario.geometry.road_intensity)
 
 
 @dataclass(frozen=True)
@@ -165,27 +153,28 @@ class SweepPoint:
 def sweep(query: DimensionQuery, throughput_grid_bps=None,
           road_intensity_grid=None) -> list[SweepPoint]:
     """Dimension every (tau, lambda) grid point, tau-major; failures do not
-    abort.  Points with equal road intensity share one road set and one
-    recursion pass, and each equals a standalone :func:`dimension_prbs`."""
+    abort, but a grid value outside its domain does.  Points with equal
+    road intensity share one road set and one recursion pass, and each
+    equals a standalone :func:`dimension_prbs`."""
+    geometry = query.scenario.geometry
     taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
                                else [query.throughput_bps])]
     lams = [float(x) for x in (road_intensity_grid if road_intensity_grid is not None
-                               else [query.road_intensity])]
+                               else [geometry.road_intensity])]
     if not taus or not lams:
         raise DomainError("sweep grids must be nonempty")
     distinct_taus = list(dict.fromkeys(taus))
+    at_lam = {lam: replace(query, scenario=query.scenario.with_geometry(
+                  replace(geometry, road_intensity=lam))) for lam in lams}
     outcome = {}
-    first = None  # every grid point shares the demand profiles of the first
-    for lam in dict.fromkeys(lams):
+    for lam, lam_query in at_lam.items():
         try:
             # the split is feasible for every tau at this lambda or for none
-            scns = [replace(query, throughput_bps=tau, road_intensity=lam).build_scenario()
+            scns = [replace(lam_query, throughput_bps=tau).build_scenario()
                     for tau in distinct_taus]
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), (None, str(exc))) for tau in distinct_taus)
             continue
-        first = first or scns[0]
-        scns = [first.with_geometry(scn.geometry) for scn in scns]
         for tau, curve in zip(distinct_taus, shared_road_curves(scns, query.m_ceiling)):
             try:
                 report = _invert(curve, query.target_congestion, query.m_ceiling)

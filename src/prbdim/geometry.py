@@ -43,7 +43,7 @@ class GeometryParams:
         for name in ("road_intensity", "user_intensity_linear", "user_intensity_area"):
             v = getattr(self, name)
             if not (v >= 0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be nonnegative and finite")
+                raise DomainError(f"{name} {v:g} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -193,14 +193,6 @@ class DemandProfile:
         values[1:-1] = np.where(inside, levels[np.searchsorted(inner, bounds[:-1], "right")], 0)
         return StepFunction(bounds, values, self.cell_radius_km)
 
-    def levels_at(self, x_km: np.ndarray) -> np.ndarray:
-        """PRB level of the interval containing each x (half-open rule);
-        distances must lie in (0, R], and one rounded past R reads the
-        outermost level. Read from a :class:`StepFunction` table built on
-        first use, at a cost per point that does not grow with the number
-        of intervals; equal to a binary search over the interval ends."""
-        return self._steps(x_km)
-
 
 # StepFunction cells: each is widened by this fraction of the span on both
 # sides, far beyond the rounding of x*cells/span, and there are at most

@@ -148,13 +148,9 @@ class ScenarioFile:
         if outdoor_fraction is None:
             raise ScenarioError("no outdoor_fraction given for a dimensioning query")
         return DimensionQuery(
-            target_congestion=target, throughput_bps=throughput_bps,
-            link_budget=self.link_budget(),
-            interference=self.interference(noise_limited),
-            service=self.service(), road_intensity=self.road_intensity_per_km,
-            outdoor_fraction=outdoor_fraction, sampler=self.sampler,
-            seed=self.seed, mc_realizations=self.realizations,
-            m_ceiling=m_ceiling, region_km=self.region_bounds(region))
+            scenario=self.to_scenario(noise_limited, region), target_congestion=target,
+            throughput_bps=throughput_bps, outdoor_fraction=outdoor_fraction,
+            m_ceiling=m_ceiling)
 
     def with_overrides(self, seed: int | None = None,
                        realizations: int | None = None) -> "ScenarioFile":

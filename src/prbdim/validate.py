@@ -14,7 +14,7 @@ from .compound import (CompoundSpec, bell_complete, bell_determinant,
                        ccdf_bell, ccdf_bell_literal, ccdf_integral, pmf)
 from .congestion import (averaged_congestion, conditional_congestion,
                          expected_load, road_set)
-from .dimension import dimension_prbs
+from .dimension import dimension_prbs, sweep
 from .scenario_io import bundled_scenario
 from .simulate import empirical_ccdf, gamma_samples, wilson_interval
 
@@ -151,10 +151,9 @@ INTERFERENCE_DELTAS = {"fig6_mixed": ("tau=30M", 55, 105), "fig7": ("tau=26M", 3
 
 
 def fig3_lambda_delta() -> Check:
-    fig3 = bundled_scenario("fig3")
-    required = {lam: dimension_prbs(replace(fig3.to_query(target=0.05),
-                                            road_intensity=lam)).required_m
-                for lam in (2.0, 10.0)}
+    points = sweep(bundled_scenario("fig3").to_query(target=0.05),
+                   road_intensity_grid=[2.0, 10.0])
+    required = {p.road_intensity: p.report.required_m for p in points}
     d3 = required[2.0] - required[10.0]
     return Check("fig3_lambda_delta", 20 <= d3 <= 45,
                  f"required_m({2.0}) - required_m({10.0}) = {d3} in [20, 45]")

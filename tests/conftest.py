@@ -161,3 +161,40 @@ def indoor_masses(profile, kappa):
     for n, intervals in profile.rings.items():
         w[n - 1] = kappa * sum(_annulus_area(iv) for iv in intervals)
     return w
+
+
+# The region-clipped ring tables interval by interval: the reference that
+# congestion.Scenario._outdoor_table and _indoor_weights reproduce bit for bit.
+def clip_intervals(intervals, region):
+    """Intersect half-open intervals with a half-open region (lo, hi]."""
+    if region is None:
+        return list(intervals)
+    lo, hi = region
+    out = []
+    for u, v in intervals:
+        a, b = max(u, lo), min(v, hi)
+        if b > a:
+            out.append((a, b))
+    return out
+
+
+def reference_outdoor_table(scn):
+    """(u^2, v^2, level - 1) arrays of the outdoor rings clipped to the
+    scenario's region, level by level in the profile's order."""
+    u2, v2, lv = [], [], []
+    for n, ivs in scn.profiles[0].rings.items():
+        for a, b in clip_intervals(ivs, scn.region_km):
+            u2.append(a * a)
+            v2.append(b * b)
+            lv.append(n - 1)
+    return np.array(u2), np.array(v2), np.array(lv, dtype=np.int64)
+
+
+def reference_indoor_weights(scn):
+    """Indoor masses kappa * area of the region-clipped rings, by level - 1."""
+    kappa = scn.geometry.user_intensity_area
+    w = np.zeros(scn.profiles[1].n_levels)
+    for n, ivs in scn.profiles[1].rings.items():
+        for a, b in clip_intervals(ivs, scn.region_km):
+            w[n - 1] += kappa * math.pi * (b * b - a * a)
+    return w

@@ -119,6 +119,17 @@ class TestDimensionCommand:
         assert run(["dimension", "--scenario", "/no/such/file",
                     "--target", "0.05"]) == 3
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_throughput_names_itself(self, tau, capsys):
+        assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
+                    "--tau-mbps", tau]) == 3
+        assert f"throughput_bps {tau} must be positive and finite" in capsys.readouterr().err
+
+    def test_zero_ceiling_names_itself(self, capsys):
+        assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
+                    "--m-ceiling", "0"]) == 3
+        assert "m_ceiling 0 must be positive" in capsys.readouterr().err
+
     def test_heavy_load_is_dimensioned(self, capsys):
         # exp(-total weight) is subnormal on 195 of the 800 road realizations
         code = run(["dimension", "--scenario", FIG7, "--tau-mbps", "180",
@@ -138,6 +149,22 @@ class TestSweepCommand:
         assert len(rows) == 3
         assert rows[1].startswith("4.0,9.0,") and rows[2].startswith("8.0,9.0,")
         assert rows[1].endswith(",ok")
+
+    # with outdoor traffic, lambda = -1 was once an error row "outdoor
+    # traffic requested with zero road intensity" and exit 0
+    @pytest.mark.parametrize("fraction", [[], ["--outdoor-fraction", "0"]])
+    def test_negative_lambda_is_a_validation_error(self, fraction, capsys):
+        code = run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
+                    "--lambda-grid-per-km", "2,-1", *fraction, "--out", "-"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert "road_intensity -1 must be nonnegative and finite" in err
+        assert out == ""
+
+    def test_non_finite_throughput_in_the_grid_names_itself(self, capsys):
+        assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
+                    "--tau-grid-mbps", "10,nan", "--out", "-"]) == 3
+        assert "throughput_bps nan must be positive and finite" in capsys.readouterr().err
 
     def test_bad_grid_is_usage_like_validation(self, capsys):
         assert run(["sweep", "--scenario", FIG7, "--target", "0.3",

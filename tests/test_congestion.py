@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import chord_mass, fixed_road, indoor_masses, outdoor_masses, scalar_ccdf
+from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses,
+                      reference_indoor_weights, reference_outdoor_table, scalar_ccdf)
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
@@ -12,7 +14,7 @@ from prbdim import (CompoundSpec, DomainError, GeometryParams,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
 from prbdim.congestion import batched_curve, road_set, weight_matrix
-from prbdim.scenario_io import bundled_scenario
+from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
 
 EXPECTED_LOAD_OUTDOOR = 221.67077763729581  # lambda=9, delta=6, R=0.7, one level
@@ -302,6 +304,52 @@ class TestExpectedLoad:
                  for reg in ((0.0, 0.7 / 3), (0.7 / 3, 1.4 / 3), (1.4 / 3, 0.7))]
         assert sum(expected_load(p) for p in parts) == pytest.approx(
             expected_load(whole), rel=1e-12)
+
+
+def ring_table_cases():
+    """(id, scenario) pairs: every bundled scenario with its margins and
+    noise-limited, in no region and in each named one; margins that fall
+    and rise again across the cell; a region ending just past R; and many
+    levels that fall at a region boundary."""
+    for name in ["fig2_tau14", "fig2_tau30", "fig3", "fig4", "fig6_mixed", "fig7",
+                 "fig8_regions"]:
+        doc = bundled_scenario(name).with_overrides(realizations=20)
+        for noise_limited in (False, True):
+            for region in (None, *REGION_NAMES):
+                yield (f"{name}-{'noise' if noise_limited else 'margins'}-{region}",
+                       doc.to_scenario(noise_limited, region))
+    doc = bundled_scenario("fig8_regions").with_overrides(realizations=20)
+    scn = doc.to_scenario()
+    r = scn.cell_radius_km
+    for margins in ((0.0, 10.0, 0.0), (15.0, 1.0, 8.0), (3.0, 0.0, 12.0, 1.0)):
+        k = len(margins)
+        im = InterferenceModel(margins, tuple(r * i / k for i in range(1, k)))
+        for region in (None, *REGION_NAMES):
+            yield (f"margins{'/'.join(f'{m:g}' for m in margins)}-{region}",
+                   replace(scn, interference=im, region_km=doc.region_bounds(region)))
+    yield "region-past-R", replace(scn, region_km=(r / 2, r * (1 + 1e-12)))
+    lb = replace(scn.link_budget, prop_const_db=160.0, prop_const_indoor_db=170.0,
+                 max_user_prbs=256)
+    im = InterferenceModel.three_region(25.0, 0.0, 20.0, r)
+    for label, region in (("None", None), ("inner", (r / 5, 0.9 * r))):
+        yield f"falling-levels-{label}", replace(scn, link_budget=lb, interference=im,
+                                                 region_km=region)
+
+
+RING_TABLE_CASES = dict(ring_table_cases())
+
+
+class TestRingTables:
+    @pytest.mark.parametrize("case", list(RING_TABLE_CASES))
+    def test_bit_equal_to_the_clipped_intervals(self, case):
+        scn = RING_TABLE_CASES[case]
+        ref = replace(scn)  # the same scenario with the reference tables cached
+        ref.__dict__.update(_outdoor_table=reference_outdoor_table(scn),
+                            _indoor_weights=reference_indoor_weights(scn))
+        roads = road_set(scn)
+        assert np.array_equal(scn._indoor_weights, ref._indoor_weights)
+        assert np.array_equal(weight_matrix(scn, roads), weight_matrix(ref, roads))
+        assert expected_load(scn) == expected_load(ref)
 
 
 class TestPppEquivalent:

@@ -11,7 +11,7 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
 from prbdim import congestion
-from prbdim.congestion import road_set, weight_matrix
+from prbdim.congestion import Scenario, road_set, weight_matrix
 from prbdim.geometry import GeometryParams
 from prbdim.linkmodel import ring_radii
 from prbdim.scenario_io import bundled_scenario
@@ -26,11 +26,25 @@ def budget(n_max=6):
                       max_user_prbs=n_max)
 
 
+def cell(lam=9.0, im=None, rate_bps=500e3, mc=200, seed=0, region=None):
+    """A noise-limited cell (unless `im` is given) whose user intensities a
+    query replaces."""
+    return Scenario(link_budget=budget(), interference=im or InterferenceModel.noise_limited(),
+                    service=Service(rate_bps=rate_bps),
+                    geometry=GeometryParams(road_intensity=lam, user_intensity_linear=0.0,
+                                            user_intensity_area=0.0),
+                    seed=seed, mc_realizations=mc, region_km=region)
+
+
 def query(target=0.05, tau=25e6, lam=9.0, f=1.0, mc=200, seed=0, **kw):
-    return DimensionQuery(target_congestion=target, throughput_bps=tau,
-                          link_budget=budget(), interference=InterferenceModel.noise_limited(),
-                          service=Service(rate_bps=500e3), road_intensity=lam,
-                          outdoor_fraction=f, seed=seed, mc_realizations=mc, **kw)
+    return DimensionQuery(scenario=cell(lam, mc=mc, seed=seed), target_congestion=target,
+                          throughput_bps=tau, outdoor_fraction=f, **kw)
+
+
+def at_lambda(q, lam, **kw):
+    """The query `q` at road intensity `lam`, with the fields in `kw` replaced."""
+    scn = q.scenario
+    return replace(q, scenario=scn.with_geometry(replace(scn.geometry, road_intensity=lam)), **kw)
 
 
 class TestIntensities:
@@ -74,10 +88,8 @@ class TestDimension:
         # indoor-only with mean 2 on a single level: tails 0.0527 / 0.0166
         # around the 5% target put the answer at 6
         report = dimension_prbs(DimensionQuery(
-            target_congestion=0.05, throughput_bps=2e3, link_budget=budget(),
-            interference=InterferenceModel.noise_limited(),
-            service=Service(rate_bps=1e3), road_intensity=0.0,
-            outdoor_fraction=0.0, mc_realizations=3))
+            scenario=cell(lam=0.0, rate_bps=1e3, mc=3), target_congestion=0.05,
+            throughput_bps=2e3, outdoor_fraction=0.0))
         assert report.required_m == 6
         assert report.pi_before == pytest.approx(0.052653017343711157, rel=1e-9)
         assert report.pi_at_m == pytest.approx(0.016563608480614439, rel=1e-9)
@@ -94,6 +106,11 @@ class TestDimension:
         tight = dimension_prbs(query(target=0.01, mc=100, seed=5))
         assert tight.required_m >= loose.required_m
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, 0.0])
+    def test_throughput_must_be_positive_and_finite(self, tau):
+        with pytest.raises(DomainError, match=f"throughput_bps {tau:g} must be positive"):
+            query(tau=tau)
+
     def test_ceiling_error_carries_achieved(self):
         q = query(target=0.0001, tau=40e6, mc=20, m_ceiling=32)
         with pytest.raises(CeilingError) as err:
@@ -107,11 +124,9 @@ class TestDimension:
                    "edge": (2 * R / 3, R)}
         req = {}
         for name, bounds in regions.items():
-            q = DimensionQuery(target_congestion=0.05, throughput_bps=26e6,
-                               link_budget=budget(), interference=im,
-                               service=Service(rate_bps=500e3), road_intensity=9.0,
-                               outdoor_fraction=0.5, seed=1, mc_realizations=200,
-                               region_km=bounds)
+            q = DimensionQuery(scenario=cell(im=im, seed=1, region=bounds),
+                               target_congestion=0.05, throughput_bps=26e6,
+                               outdoor_fraction=0.5)
             req[name] = dimension_prbs(q).required_m
         assert req["edge"] >= req["middle"] >= req["center"]
 
@@ -217,6 +232,17 @@ class TestSweep:
         assert all(p.report is not None for p in points)
         assert draws == [4.0, 9.0]
 
+    @pytest.mark.parametrize("grids, value", [
+        ({"road_intensity_grid": [4.0, -1.0]}, "road_intensity -1"),
+        ({"throughput_grid_bps": [10e6, math.nan]}, "throughput_bps nan")])
+    def test_grid_value_outside_its_domain_raises_before_any_road_set(self, grids, value,
+                                                                      monkeypatch):
+        draws = []
+        monkeypatch.setattr(congestion, "road_set", lambda scn: draws.append(scn))
+        with pytest.raises(DomainError, match=value):
+            sweep(query(mc=10), **grids)
+        assert draws == []
+
     def test_one_demand_profile_pair_for_the_grid(self, monkeypatch):
         calls = []
 
@@ -241,8 +267,8 @@ class TestSweep:
         assert [(p.throughput_bps, p.road_intensity) for p in points] == [
             (tau, lam) for tau in (10e6, 150e6, 300e6) for lam in (5.0, 9.0)]
         for p in points:
-            alone = dimension_prbs(replace(q, throughput_bps=p.throughput_bps,
-                                           road_intensity=p.road_intensity))
+            alone = dimension_prbs(at_lambda(q, p.road_intensity,
+                                             throughput_bps=p.throughput_bps))
             assert p.error is None
             assert p.report.required_m == alone.required_m
             assert np.array_equal(p.report.curve.pi, alone.curve.pi)
@@ -261,7 +287,7 @@ class TestSweep:
         for p in (infeasible, infeasible_too):
             assert p.report is None
             with pytest.raises(InfeasibleSplitError) as err:
-                dimension_prbs(replace(q, throughput_bps=p.throughput_bps, road_intensity=0.0))
+                dimension_prbs(at_lambda(q, 0.0, throughput_bps=p.throughput_bps))
             assert p.error == str(err.value)
         with pytest.raises(CeilingError) as err:
             dimension_prbs(replace(q, throughput_bps=25e6))

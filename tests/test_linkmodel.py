@@ -96,7 +96,7 @@ class TestPrbsRequired:
         profile = ring_radii(link_budget, three_region, service_500k, env)
         rng = np.random.default_rng(7)
         xs = rng.uniform(1e-9, 0.7, 10_000)
-        levels = profile.levels_at(xs)
+        levels = profile.steps()(xs)
         mismatches = sum(
             prbs_required(link_budget, three_region, service_500k, float(x), env)
             != int(level)
@@ -163,14 +163,14 @@ class TestRingRadii:
         profile = ring_radii(link_budget, three_region, service_500k, "indoor")
         for lo, hi, _ in three_region.regions(0.7):
             xs = np.linspace(lo + 1e-9, hi, 50)
-            levels = profile.levels_at(xs)
+            levels = profile.steps()(xs)
             assert np.all(np.diff(levels) >= 0)
 
     def test_boundary_point_belongs_to_inner_level(self, link_budget, noise_limited,
                                                    service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
         for n in range(1, 6):
-            assert profile.levels_at(np.array([profile.rings[n][0][1]]))[0] == n
+            assert profile.steps()(np.array([profile.rings[n][0][1]]))[0] == n
 
 
 class TestMonotonicityProperties:
@@ -272,14 +272,14 @@ def tilings(draw):
 
 
 class TestLevelLookup:
-    """levels_at reads a table of uniform cells; the binary search over the
+    """steps() reads a table of uniform cells; the binary search over the
     interval ends is the reference, at and around every end."""
 
     @settings(max_examples=200, deadline=None)
     @given(profile=tilings())
     def test_random_tilings(self, profile):
         x = probe_points(profile)
-        np.testing.assert_array_equal(profile.levels_at(x), searchsorted_levels(profile, x))
+        np.testing.assert_array_equal(profile.steps()(x), searchsorted_levels(profile, x))
 
     @settings(max_examples=60, deadline=None)
     @given(margins=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=4),
@@ -294,7 +294,7 @@ class TestLevelLookup:
                         max_user_prbs=cap)
         profile = ring_radii(lb, im, Service(rate_bps=500e3), env)
         x = probe_points(profile)
-        np.testing.assert_array_equal(profile.levels_at(x), searchsorted_levels(profile, x))
+        np.testing.assert_array_equal(profile.steps()(x), searchsorted_levels(profile, x))
 
     @settings(max_examples=100, deadline=None)
     @given(profile=tilings(), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0,

@@ -121,7 +121,7 @@ class TestQueries:
         q = doc.to_query(target=0.05)
         assert q.throughput_bps == pytest.approx(26e6)
         assert q.outdoor_fraction == 0.5
-        assert q.road_intensity == 9.0
+        assert q.scenario.geometry.road_intensity == 9.0
 
     def test_query_needs_throughput(self):
         doc = bundled_scenario("fig4")  # explicit intensities, no forecast

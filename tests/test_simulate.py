@@ -46,7 +46,7 @@ class TestSimulateOnce:
                           chord_half2=np.array([]), chord_users=none, offsets=np.array([]),
                           indoor_users=np.array([0, 1]), indoor_km=np.array([x]))
         gamma, n_out, n_in = block_demand(scn, users)
-        assert profile.levels_at(np.array([x]))[0] == 3
+        assert profile.steps()(np.array([x]))[0] == 3
         np.testing.assert_array_equal(gamma, [0, 3])
         np.testing.assert_array_equal(n_out, [0, 0])
         np.testing.assert_array_equal(n_in, [0, 1])
@@ -153,7 +153,7 @@ class TestEmpiricalCcdf:
         users = sample_user_block(scn.geometry, 0.7, scn.sampler,
                                   road_stream(scn.seed, 0), reps)
         width = profile.n_levels + 1
-        cells = users.indoor_rep * width + profile.levels_at(users.indoor_km)
+        cells = users.indoor_rep * width + profile.steps()(users.indoor_km)
         counts = np.bincount(cells, minlength=reps * width).reshape(reps, width)[:, 1:]
         dispersion = counts.var(axis=0, ddof=1) / counts.mean(axis=0)
         assert np.all(dispersion > 0.9) and np.all(dispersion < 1.1)
