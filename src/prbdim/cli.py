@@ -4,27 +4,26 @@ Monte-Carlo simulation and self-validation, with CSV output.
 Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a
 target below the 1e-8 floor), 4 infeasibility (target unreachable,
 impossible traffic split), 5 accuracy (Fourier grid beyond its 2^26-point
-limit).
+limit).  Each command imports the engine names it calls when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from .congestion import averaged_congestion, ppp_equivalent
-from .dimension import (DEFAULT_M_CEILING, DimensionQuery, DimensionReport,
-                        dimension_prbs, sweep)
+from . import DEFAULT_M_CEILING, REGION_NAMES, __version__
 from .errors import (AccuracyError, CeilingError, DomainError,
                      InfeasibleSplitError, ScenarioError)
-from .scenario_io import REGION_NAMES, ScenarioFile, load_scenario
-from .simulate import EmpiricalCurve, check_replications, empirical_ccdf
-from . import validate as validate_suites
+
+if TYPE_CHECKING:
+    from .dimension import DimensionQuery, DimensionReport
+    from .scenario_io import ScenarioFile
+    from .simulate import EmpiricalCurve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,6 +64,7 @@ def _base_meta(args, doc: ScenarioFile) -> dict:
 
 
 def _load(args) -> ScenarioFile:
+    from .scenario_io import load_scenario
     doc = load_scenario(args.scenario)
     return doc.with_overrides(seed=getattr(args, "seed", None),
                               realizations=getattr(args, "realizations", None))
@@ -87,7 +87,9 @@ def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
     if args.m_max is not None and args.m_max < 0:
         raise DomainError(f"--m-max {args.m_max} must be a non-negative integer")
     if replications is not None:
+        from .simulate import check_replications
         check_replications(replications)
+    from .congestion import ppp_equivalent
     doc = _load(args)
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
     scn = ppp_equivalent(scn) if args.ppp_equivalent else scn
@@ -102,9 +104,11 @@ def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
 
 
 def _congestion_rows(args, scn, meta: dict, ms):
+    from .congestion import averaged_congestion
     curve = averaged_congestion(scn, ms)
     rows = [list(t) for t in zip(curve.m_values, curve.pi, curve.stderr)]
     if args.with_mc:
+        from .simulate import empirical_ccdf
         emp = empirical_ccdf(scn, curve.m_values, args.mc_replications)
         meta["mc_replications"] = args.mc_replications
         for row, p, lo, hi in zip(rows, emp.ccdf, emp.ci_low, emp.ci_high):
@@ -137,9 +141,17 @@ def _query(args, doc: ScenarioFile, throughput_bps: float | None) -> DimensionQu
                         noise_limited=args.noise_limited, region=args.region)
 
 
+def _bps(mbps: float) -> float:
+    """Mbit/s to bit/s; a non-positive value is named as typed, nan and inf by the query."""
+    if mbps <= 0:
+        raise DomainError(f"throughput {mbps:g} Mbit/s must be positive and finite")
+    return mbps * 1e6
+
+
 def cmd_dimension(args) -> int:
+    from .dimension import dimension_prbs
     doc = _load(args)
-    query = _query(args, doc, args.tau_mbps * 1e6 if args.tau_mbps is not None else None)
+    query = _query(args, doc, _bps(args.tau_mbps) if args.tau_mbps is not None else None)
     report = dimension_prbs(query)
     _print_report(report, args.target)
     if args.out:
@@ -167,13 +179,13 @@ def _grid(raw: str | None) -> list[float] | None:
 
 
 def cmd_sweep(args) -> int:
+    from .dimension import sweep
     doc = _load(args)
     tau_grid = _grid(args.tau_grid_mbps)
     lam_grid = _grid(args.lambda_grid_per_km)
-    query = _query(args, doc, tau_grid[0] * 1e6 if tau_grid else None)
-    points = sweep(query,
-                   throughput_grid_bps=[t * 1e6 for t in tau_grid] if tau_grid else None,
-                   road_intensity_grid=lam_grid)
+    taus_bps = [_bps(t) for t in tau_grid] if tau_grid else None
+    query = _query(args, doc, taus_bps[0] if taus_bps else None)
+    points = sweep(query, throughput_grid_bps=taus_bps, road_intensity_grid=lam_grid)
     meta = _base_meta(args, doc)
     meta["target"] = _fmt(args.target)
     rows = []
@@ -194,6 +206,7 @@ def cmd_sweep(args) -> int:
 
 
 def _simulate_rows(args, scn, meta: dict, ms):
+    from .simulate import empirical_ccdf
     emp = empirical_ccdf(scn, ms, args.replications)
     _user_means(meta, emp)
     meta["mean_gamma"] = repr(emp.mean_gamma)
@@ -207,6 +220,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    import json
+    from . import validate as validate_suites
     if args.seed < 0:
         raise DomainError(f"seed {args.seed} must be a non-negative integer")
     suites = {

@@ -7,7 +7,7 @@
   1986).  :func:`pmf` and :func:`ccdf_bell` are its one-row calls; every
   recursion tail is read off the kernel's running CDF, never re-summed.
 * :func:`ccdf_bell_literal` - the same sum evaluated through raw complete
-  Bell polynomials; small M only, kept for identity validation.
+  Bell polynomials (one :func:`bell_sequence`); small M, for validation.
 * :func:`ccdf_integral` - Fourier inversion of the probability generating
   function: the trapezoid rule on equispaced points of the unit circle,
   one FFT pass with enough points that the Chernoff bound of
@@ -15,15 +15,15 @@
   starts.
 
 Plus the Bell-polynomial toolkit itself (recurrence and determinant forms,
-exact on integer inputs).
+exact on integer and Fraction inputs).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Rational
 from typing import Sequence
 
 import numpy as np
@@ -133,11 +133,12 @@ def default_cutoff(weights) -> int:
 
 
 def _is_exact(values: Sequence) -> bool:
-    return all(isinstance(v, (Integral, Fraction)) for v in values)
+    return all(isinstance(v, Rational) for v in values)
 
 
-def bell_complete(x: Sequence) -> float | int:
-    """Complete exponential Bell polynomial B_k(x_1..x_k) by recurrence.
+def bell_sequence(x: Sequence) -> list:
+    """Complete exponential Bell polynomials B_0..B_k, B_p = B_p(x_1..x_p),
+    by the recurrence B_{p+1} = sum_i C(p, i) B_{p-i} x_{i+1}.
 
     Integer (or Fraction) inputs are evaluated exactly at any k; float
     inputs are limited to k <= 25 and overflow raises instead of
@@ -154,27 +155,32 @@ def bell_complete(x: Sequence) -> float | int:
         if not exact and math.isinf(val):
             raise RangeError(f"B_{p + 1} overflows double precision")
         b.append(val)
-    return b[k]
+    return b
 
 
-def _det_exact(a: list[list[Fraction]]) -> Fraction:
-    """Fraction-based Gaussian elimination; exact for rational entries."""
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
+def bell_complete(x: Sequence) -> float | int:
+    """Complete exponential Bell polynomial B_k(x_1..x_k); see :func:`bell_sequence`."""
+    return bell_sequence(x)[-1]
+
+
+def _det_bareiss(a: list[list], divide):
+    """Fraction-free (Bareiss) elimination with row swaps, whose divisions
+    by the previous pivot are exact: `divide` floors ints, divides Fractions."""
+    n, sign, prev = len(a), 1, 1
+    for col in range(n - 1):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / inv
-            if factor:
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+            sign = -sign
+        top = a[col]
+        for row in a[col + 1:]:
+            lead = row[col]
+            for c in range(col + 1, n):
+                row[c] = divide(row[c] * top[col] - lead * top[c], prev)
+        prev = top[col]
+    return sign * a[-1][-1]
 
 
 def bell_determinant(x: Sequence) -> float | int:
@@ -198,12 +204,14 @@ def bell_determinant(x: Sequence) -> float | int:
             return -1
         return 0
 
+    a = [[entry(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
     if exact:
-        a = [[Fraction(entry(i, j)) for j in range(1, k + 1)] for i in range(1, k + 1)]
-        det = _det_exact(a)
+        if all(isinstance(v, Integral) for v in xs):
+            return _det_bareiss([[int(v) for v in row] for row in a], operator.floordiv)
+        from fractions import Fraction
+        det = _det_bareiss([[Fraction(v) for v in row] for row in a], operator.truediv)
         return int(det) if det.denominator == 1 else det
-    a = np.array([[float(entry(i, j)) for j in range(1, k + 1)] for i in range(1, k + 1)])
-    det = float(np.linalg.det(a))
+    det = float(np.linalg.det(np.array(a, dtype=float)))
     if math.isinf(det):
         raise RangeError(f"B_{k} overflows double precision")
     return det
@@ -223,19 +231,21 @@ def ccdf_bell(spec: CompoundSpec, m):
     return float(tails[ms]) if ms.ndim == 0 else tails[ms]
 
 
-def ccdf_bell_literal(spec: CompoundSpec, m: int) -> float:
-    """P(Lambda >= m) through raw Bell polynomials; validation only.
-
-    Evaluates 1 - H * sum_{k<m} B_k(x_1..x_k)/k! with x_j = w_j*j!.
-    Restricted to m <= 26 by the floating-point Bell guard.
+def ccdf_bell_literal(spec: CompoundSpec, m):
+    """P(Lambda >= m) through raw Bell polynomials, for an int or an integer
+    array as in :func:`ccdf_bell`; validation only.  Evaluates
+    1 - H * sum_{k<m} B_k(x_1..x_k)/k! with x_j = w_j*j!, the partial sums
+    of one :func:`bell_sequence`; m <= 26 by the floating-point Bell guard.
     """
-    if m < 0:
-        raise DomainError("threshold must be nonnegative")
-    h = math.exp(-spec.total_weight)
-    acc = 0.0
-    for k in range(m):
-        acc += bell_complete(spec.bell_arguments(k)) / math.factorial(k)
-    return 1.0 - h * acc
+    ms = np.asarray(m, dtype=np.int64)
+    if ms.size and ms.min() < 0:
+        raise DomainError("thresholds must be nonnegative")
+    top = int(ms.max(initial=0))
+    acc = [0.0]
+    for k, b in enumerate(bell_sequence(spec.bell_arguments(max(top - 1, 0)))[:top]):
+        acc.append(acc[-1] + b / math.factorial(k))
+    tails = 1.0 - math.exp(-spec.total_weight) * np.array(acc)
+    return float(tails[ms]) if ms.ndim == 0 else tails[ms]
 
 
 # The implementation behind ccdf_integral, kept under its own name because

@@ -9,10 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import DEFAULT_M_CEILING
 from .congestion import CongestionCurve, Scenario, shared_road_curves
 from .errors import CeilingError, DomainError, InfeasibleSplitError
-
-DEFAULT_M_CEILING = 4096
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
 # too few correct digits of the tail.  Above it, Pi(default_cutoff) <= 1e-12
@@ -36,10 +35,10 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
     roads (delta = f*u/(lambda*pi*R^2), printed intensity convention) and the
     rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).
     """
-    if throughput_bps <= 0:
-        raise DomainError("throughput_bps must be positive")
+    if not (throughput_bps > 0 and math.isfinite(throughput_bps)):
+        raise DomainError(f"throughput_bps {throughput_bps:g} must be positive and finite")
     if not 0.0 <= outdoor_fraction <= 1.0:
-        raise DomainError("outdoor_fraction must lie in [0, 1]")
+        raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
     users = throughput_bps / rate_bps
     area = math.pi * cell_radius_km ** 2
     if outdoor_fraction > 0:

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import DEFAULT_M_CEILING, REGION_NAMES
 from .congestion import Scenario
-from .dimension import DEFAULT_M_CEILING, DimensionQuery, intensities_from_throughput
+from .dimension import DimensionQuery, intensities_from_throughput
 from .errors import ScenarioError
 from .geometry import GeometryParams, PAPER, SAMPLERS
 from .linkmodel import InterferenceModel, LinkBudget, Service
@@ -43,8 +44,6 @@ _DEFAULTS = {
     ("monte_carlo", "seed"): "0",
     ("monte_carlo", "sampler"): PAPER,
 }
-
-REGION_NAMES = ("center", "middle", "edge")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Self-check suites behind `prbdim validate`: cross-route identities,
 Monte-Carlo consistency (CI-based, so small replication counts still give
-an honest verdict), and the headline figure-level deltas.
+an honest verdict), and the headline figure-level deltas.  The identities
+need only `compound`; the other suites import the engine when they run.
 """
 
 from __future__ import annotations
@@ -10,13 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compound import (CompoundSpec, bell_complete, bell_determinant,
-                       ccdf_bell, ccdf_bell_literal, ccdf_integral, pmf)
-from .congestion import (averaged_congestion, conditional_congestion,
-                         expected_load, road_set)
-from .dimension import dimension_prbs, sweep
-from .scenario_io import bundled_scenario
-from .simulate import empirical_ccdf, gamma_samples, wilson_interval
+from .compound import (CompoundSpec, bell_complete, bell_determinant, bell_sequence,
+                       ccdf_bell_literal, ccdf_integral, recursion_steps)
 
 
 @dataclass(frozen=True)
@@ -39,6 +35,15 @@ def convolved_pmf(weights, k_max: int) -> np.ndarray:
                 level[n * c] = math.exp(c * math.log(w) - w - math.lgamma(c + 1))
         out = np.convolve(out, level)[: k_max + 1]
     return out
+
+
+def kernel_rows(weights, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows p_0..p_k_max and P(Lambda >= 0..k_max+1) of each weight vector,
+    from one `recursion_steps` pass over the vectors, zero-padded."""
+    n = max(len(v) for v in weights)
+    steps = list(recursion_steps(np.array([np.pad(v, (0, n - len(v))) for v in weights]), k_max))
+    tails = [np.ones(len(weights)), *(tail for _, tail in steps)]
+    return np.array([p for p, _ in steps]).T, np.array(tails).T
 
 
 def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
@@ -71,46 +76,44 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
         xs = [int(v) for v in rng.integers(-3, 4, p)]
         ys = [int(v) for v in rng.integers(-3, 4, p)]
         lhs = bell_complete([a + b for a, b in zip(xs, ys)])
-        rhs = sum(math.comb(p, i) * bell_complete(xs[: p - i]) * bell_complete(ys[:i])
-                  for i in range(p + 1))
+        bx, by = bell_sequence(xs), bell_sequence(ys)
+        rhs = sum(math.comb(p, i) * bx[p - i] * by[i] for i in range(p + 1))
         if lhs != rhs:
             binom_ok = False
             break
     checks.append(Check("bell_binomial_relation", binom_ok,
                         "binomial-type identity exact, p <= 8"))
 
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        spec = CompoundSpec(weights=rng.uniform(0, 1.5, n))
-        ref = convolved_pmf(spec.weights, 40)
-        worst = max(worst, float(np.max(np.abs(pmf(spec, 40) - ref))))
+    # each check draws its weights first, then reads every spec's p_k or
+    # tails off one kernel pass over their stacked rows
+    weights = [rng.uniform(0, 1.5, int(rng.integers(1, 5))) for _ in range(20)]
+    pmfs, _ = kernel_rows(weights, 40)
+    worst = max(float(np.max(np.abs(p - convolved_pmf(w, 40)))) for p, w in zip(pmfs, weights))
     checks.append(Check("pmf_vs_convolution", worst <= 1e-10,
                         f"max |delta| = {worst:.3e} (tol 1e-10)"))
 
-    worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(1, 11))
-        spec = CompoundSpec(weights=rng.uniform(0, 2, n))
-        ms = np.arange(0, 81)
-        by_int = ccdf_integral(spec, ms)
-        worst = max(worst, float(np.max(np.abs(by_int - ccdf_bell(spec, ms)))))
+    weights = [rng.uniform(0, 2, int(rng.integers(1, 11))) for _ in range(20)]
+    _, tails = kernel_rows(weights, 79)
+    ms = np.arange(0, 81)
+    worst = max(float(np.max(np.abs(ccdf_integral(CompoundSpec(weights=w), ms) - t)))
+                for t, w in zip(tails, weights))
     checks.append(Check("inversion_vs_bell_sum", worst <= 1e-6,
                         f"max |delta| = {worst:.3e} (tol 1e-6)"))
 
-    worst = 0.0
+    weights = [rng.uniform(0, 1.0, int(rng.integers(1, 5))) for _ in range(10)]
+    _, tails = kernel_rows(weights, 19)
     ms = np.array([0, 1, 5, 12, 20])
-    for _ in range(10):
-        n = int(rng.integers(1, 5))
-        spec = CompoundSpec(weights=rng.uniform(0, 1.0, n))
-        literal = [ccdf_bell_literal(spec, int(m)) for m in ms]
-        worst = max(worst, float(np.max(np.abs(literal - ccdf_bell(spec, ms)))))
+    worst = max(float(np.max(np.abs(ccdf_bell_literal(CompoundSpec(weights=w), ms) - t[ms])))
+                for t, w in zip(tails, weights))
     checks.append(Check("literal_bell_path", worst <= 1e-10,
                         f"max |delta| = {worst:.3e} (tol 1e-10)"))
     return checks
 
 
 def mc_suite(seed: int = 0, replications: int = 2000) -> list[Check]:
+    from .congestion import averaged_congestion, conditional_congestion, expected_load, road_set
+    from .scenario_io import bundled_scenario
+    from .simulate import empirical_ccdf, gamma_samples, wilson_interval
     doc = bundled_scenario("fig2_tau30").with_overrides(seed=seed, realizations=200)
     scn = doc.to_scenario()
     checks = []
@@ -151,6 +154,8 @@ INTERFERENCE_DELTAS = {"fig6_mixed": ("tau=30M", 55, 105), "fig7": ("tau=26M", 3
 
 
 def fig3_lambda_delta() -> Check:
+    from .dimension import sweep
+    from .scenario_io import bundled_scenario
     points = sweep(bundled_scenario("fig3").to_query(target=0.05),
                    road_intensity_grid=[2.0, 10.0])
     required = {p.road_intensity: p.report.required_m for p in points}
@@ -160,6 +165,8 @@ def fig3_lambda_delta() -> Check:
 
 
 def interference_delta(name: str) -> Check:
+    from .dimension import dimension_prbs
+    from .scenario_io import bundled_scenario
     tau_label, lo, hi = INTERFERENCE_DELTAS[name]
     doc = bundled_scenario(name)
     with_im = dimension_prbs(doc.to_query(target=0.05)).required_m
@@ -170,6 +177,9 @@ def interference_delta(name: str) -> Check:
 
 
 def figures_suite(seed: int = 0, replications: int = 2000) -> list[Check]:
+    from .congestion import averaged_congestion
+    from .scenario_io import bundled_scenario
+    from .simulate import empirical_ccdf
     checks = [fig3_lambda_delta()]
     checks += [interference_delta(name) for name in INTERFERENCE_DELTAS]
 

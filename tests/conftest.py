@@ -198,3 +198,41 @@ def reference_indoor_weights(scn):
         for a, b in clip_intervals(ivs, scn.region_km):
             w[n - 1] += kappa * math.pi * (b * b - a * a)
     return w
+
+
+def fraction_bell_determinant(x):
+    """B_k as the determinant of the binomial-band matrix A_k by Fraction
+    Gaussian elimination with row swaps: the exact reference for the
+    fraction-free `bell_determinant`."""
+    from fractions import Fraction
+
+    k = len(x)
+    a = [[Fraction(math.comb(k - i, j - i) * x[j - i]) if i <= j else
+          Fraction(-1 if i == j + 1 else 0) for j in range(1, k + 1)]
+         for i in range(1, k + 1)]
+    det = Fraction(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, k):
+            factor = a[r][col] / a[col][col]
+            if factor:
+                a[r] = [v - factor * u for v, u in zip(a[r], a[col])]
+    return det
+
+
+def per_threshold_bell_literal(spec, m):
+    """P(Lambda >= m) = 1 - H * sum_{k<m} B_k(x_1..x_k)/k!, each B_k a fresh
+    `bell_complete` and the sum redone for each threshold: the reference
+    for the one-sequence `ccdf_bell_literal`."""
+    from prbdim import bell_complete
+
+    acc = 0.0
+    for k in range(m):
+        acc += bell_complete(spec.bell_arguments(k)) / math.factorial(k)
+    return 1.0 - math.exp(-spec.total_weight) * acc

@@ -125,6 +125,15 @@ class TestDimensionCommand:
                     "--tau-mbps", tau]) == 3
         assert f"throughput_bps {tau} must be positive and finite" in capsys.readouterr().err
 
+    # once named in bit/s: "throughput_bps -3e+06 must be positive and finite"
+    @pytest.mark.parametrize("tau", ["-3", "0", "-0.5"])
+    def test_non_positive_throughput_is_named_as_typed(self, tau, capsys):
+        assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
+                    "--tau-mbps", tau]) == 3
+        err = capsys.readouterr().err
+        assert f"throughput {float(tau):g} Mbit/s must be positive and finite" in err
+        assert "e+06" not in err
+
     def test_zero_ceiling_names_itself(self, capsys):
         assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
                     "--m-ceiling", "0"]) == 3
@@ -165,6 +174,13 @@ class TestSweepCommand:
         assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
                     "--tau-grid-mbps", "10,nan", "--out", "-"]) == 3
         assert "throughput_bps nan must be positive and finite" in capsys.readouterr().err
+
+    def test_non_positive_throughput_in_the_grid_is_named_as_typed(self, capsys):
+        assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
+                    "--tau-grid-mbps", "10,-2", "--out", "-"]) == 3
+        out, err = capsys.readouterr()
+        assert "throughput -2 Mbit/s must be positive and finite" in err
+        assert "e+06" not in err and out == ""
 
     def test_bad_grid_is_usage_like_validation(self, capsys):
         assert run(["sweep", "--scenario", FIG7, "--target", "0.3",

@@ -1,9 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import scalar_ccdf
+from conftest import fraction_bell_determinant, per_threshold_bell_literal, scalar_ccdf
 from hypothesis import given, settings, strategies as st
 
 from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
@@ -11,6 +12,8 @@ from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     ccdf_bell_literal, ccdf_integral, pmf)
 from prbdim.compound import default_cutoff
 from prbdim.congestion import batched_curve
+from prbdim import validate
+from prbdim.compound import bell_sequence
 from prbdim.validate import convolved_pmf
 
 
@@ -165,6 +168,84 @@ class TestBellPolynomials:
     def test_float_overflow_is_loud(self):
         with pytest.raises(RangeError):
             bell_complete([1e300, 1e300, 1e300, 1e300])
+
+
+class TestBellRewrite:
+    """The one-sequence and fraction-free forms against the per-threshold
+    loop and the Fraction elimination they replace."""
+
+    def test_determinant_equals_fraction_elimination_on_integers(self):
+        rng = np.random.default_rng(16)
+        for _ in range(240):
+            xs = [int(v) for v in rng.integers(-4, 5, int(rng.integers(0, 13)))]
+            assert bell_determinant(xs) == fraction_bell_determinant(xs)
+            assert isinstance(bell_determinant(xs), int)
+
+    def test_determinant_equals_fraction_elimination_on_fractions(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            p = int(rng.integers(1, 9))
+            xs = [Fraction(int(a), int(b)) for a, b in
+                  zip(rng.integers(-4, 5, p), rng.integers(1, 4, p))]
+            expected = fraction_bell_determinant(xs)
+            assert bell_determinant(xs) == expected == bell_complete(xs)
+            assert type(bell_determinant(xs)) is (int if expected.denominator == 1
+                                                  else Fraction)
+
+    def test_singular_and_swapping_matrices(self):
+        # zero first entries force row swaps; an all-zero input is singular
+        for xs in ([0, 0, 0, 0], [0, 3, 0, -2, 1], [0, 0, 5], [2, -4, 0, 0, 0, 0, 1]):
+            assert bell_determinant(xs) == fraction_bell_determinant(xs)
+
+    @pytest.mark.parametrize("weights", [[0.5, 0.3, 0.2], [2.0], [0.9, 0.0, 1.4, 0.05],
+                                         [1.7, 0.2, 0.6, 0.1, 0.8, 0.3]])
+    def test_literal_array_equals_the_per_threshold_loop_bit_for_bit(self, weights):
+        spec = CompoundSpec(weights=np.array(weights))
+        ms = np.arange(0, 27)
+        expected = [per_threshold_bell_literal(spec, int(m)) for m in ms]
+        np.testing.assert_array_equal(ccdf_bell_literal(spec, ms), expected)
+        np.testing.assert_array_equal(ccdf_bell_literal(spec, ms[::-3]), expected[::-3])
+        for m in (0, 1, 13, 26):
+            value = ccdf_bell_literal(spec, m)
+            assert isinstance(value, float) and value == expected[m]
+
+    def test_literal_array_keeps_the_guards(self):
+        spec = CompoundSpec(weights=np.array([0.5, 0.3]))
+        with pytest.raises(RangeError):
+            ccdf_bell_literal(spec, np.array([3, 27]))
+        with pytest.raises(DomainError):
+            ccdf_bell_literal(spec, np.array([3, -1]))
+
+    @pytest.mark.parametrize("xs", [[], [7], [3, 4, -2, 5, 0, 1, -3], [1] * 30,
+                                    [0.4, 1.3, 0.2, 2.5, 0.7, 1.1],
+                                    [Fraction(1, 3), Fraction(-2, 5), 4, Fraction(7, 2)]])
+    def test_sequence_entries_are_the_complete_polynomials(self, xs):
+        seq = bell_sequence(xs)
+        assert len(seq) == len(xs) + 1
+        for k, b in enumerate(seq):
+            assert b == bell_complete(xs[:k])
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_identity_kernel_rows_match_one_row_calls(self, seed, monkeypatch):
+        calls = []
+        kernel_rows = validate.kernel_rows
+
+        def recording(weights, k_max):
+            rows = kernel_rows(weights, k_max)
+            calls.append((weights, k_max, rows))
+            return rows
+
+        monkeypatch.setattr(validate, "kernel_rows", recording)
+        assert all(c.passed for c in validate.identities_suite(seed=seed))
+        assert [(len(w), k) for w, k, _ in calls] == [(20, 40), (20, 79), (10, 19)]
+        for weights, k_max, (pmfs, tails) in calls:
+            for w, p, t in zip(weights, pmfs, tails):
+                spec = CompoundSpec(weights=w)
+                np.testing.assert_allclose(p, pmf(spec, k_max), rtol=0, atol=1e-15)
+                # each tail is 1 minus a running sum of k_max + 1 such values,
+                # so its rounding may differ by up to one ulp of 1 per step
+                np.testing.assert_allclose(t, ccdf_bell(spec, np.arange(k_max + 2)),
+                                           rtol=0, atol=(k_max + 1) * np.finfo(float).eps)
 
 
 class TestCcdf:

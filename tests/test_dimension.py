@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,18 @@ class TestIntensities:
             intensities_from_throughput(1e6, 500e3, R, 1.0, 1.5)
         with pytest.raises(DomainError):
             query(target=1.5)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -2e6, 0.0])
+    def test_throughput_must_be_positive_and_finite(self, tau):
+        # nan once returned (nan, nan) and inf (inf, nan) without an error
+        message = re.escape(f"throughput_bps {tau:g} must be positive and finite")
+        with pytest.raises(DomainError, match=message):
+            intensities_from_throughput(tau, 500e3, R, 9.0, 0.5)
+
+    @pytest.mark.parametrize("f", [math.nan, -0.25, 1.5])
+    def test_outdoor_fraction_names_itself(self, f):
+        with pytest.raises(DomainError, match=f"outdoor_fraction {f:g} must lie in"):
+            intensities_from_throughput(20e6, 500e3, R, 9.0, f)
 
 
 class TestDimension:

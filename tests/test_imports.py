@@ -1,0 +1,115 @@
+"""The import boundary: a command loads only the engine modules it runs,
+and the package's exports resolve lazily to the same objects as before.
+Each check runs in a fresh interpreter, whose sys.modules starts empty."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import prbdim
+from prbdim.scenario_io import bundled_scenario_path
+
+ENGINE = ["congestion", "dimension", "geometry", "linkmodel", "scenario_io", "simulate"]
+
+# The package's exports, by the submodule that defines them, as the eager
+# package imported them.
+EXPORTS = {
+    "compound": "CompoundSpec bell_complete bell_determinant ccdf_bell ccdf_bell_literal "
+                "ccdf_integral pmf",
+    "congestion": "CongestionCurve Scenario averaged_congestion conditional_congestion "
+                  "expected_load ppp_equivalent",
+    "dimension": "DimensionQuery DimensionReport SweepPoint dimension_prbs dimension_scenario "
+                 "intensities_from_throughput sweep",
+    "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
+              "ScenarioError",
+    "geometry": "GeometryParams RoadSet UserBlock expected_roads mean_users sample_road_set "
+                "sample_user_block",
+    "linkmodel": "DemandProfile InterferenceModel LinkBudget Service max_prbs_per_user "
+                 "prbs_required ring_radii sinr_at throughput_at",
+    "scenario_io": "ScenarioFile bundled_scenario bundled_scenario_path dump_scenario "
+                   "load_scenario parse_scenario",
+    "simulate": "EmpiricalCurve empirical_ccdf",
+}
+OWNER = {name: module for module, names in EXPORTS.items() for name in names.split()}
+
+# `prbdim.__all__` of the eager package, in its order (that of dir()).
+EAGER_ALL = [
+    "AccuracyError", "CeilingError", "CompoundSpec", "CongestionCurve", "DemandProfile",
+    "DimensionQuery", "DimensionReport", "DomainError", "EmpiricalCurve", "GeometryParams",
+    "InfeasibleSplitError", "InterferenceModel", "LinkBudget", "RangeError", "RoadSet",
+    "Scenario", "ScenarioError", "ScenarioFile", "Service", "SweepPoint", "UserBlock",
+    "averaged_congestion", "bell_complete", "bell_determinant", "bundled_scenario",
+    "bundled_scenario_path", "ccdf_bell", "ccdf_bell_literal", "ccdf_integral", "compound",
+    "conditional_congestion", "congestion", "dimension", "dimension_prbs",
+    "dimension_scenario", "dump_scenario", "empirical_ccdf", "errors", "expected_load",
+    "expected_roads", "geometry", "intensities_from_throughput", "linkmodel", "load_scenario",
+    "max_prbs_per_user", "mean_users", "parse_scenario", "pmf", "ppp_equivalent",
+    "prbs_required", "ring_radii", "sample_road_set", "sample_user_block", "scenario_io",
+    "simulate", "sinr_at", "sweep", "throughput_at",
+]
+
+
+def fresh(code: str):
+    """Run `code` in a new interpreter that imports this tree's prbdim and
+    return what it printed as JSON."""
+    env = {**os.environ, "PYTHONPATH": str(Path(prbdim.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+LOADED = ("import json, sys; print(json.dumps(sorted(m for m in sys.modules "
+          "if m.startswith('prbdim.'))))")
+
+
+def test_importing_the_cli_loads_no_engine_module():
+    loaded = fresh(f"import prbdim.cli; {LOADED}")
+    assert not {f"prbdim.{m}" for m in ENGINE} & set(loaded)
+    assert "prbdim.compound" not in loaded and "prbdim.validate" not in loaded
+
+
+def test_identities_suite_loads_only_compound():
+    loaded = fresh("import prbdim.cli; "
+                   "assert prbdim.cli.main(['validate', '--suite', 'identities']) == 0; "
+                   + LOADED)
+    assert not {f"prbdim.{m}" for m in ENGINE} & set(loaded)
+    assert "prbdim.compound" in loaded
+
+
+def test_dimension_loads_neither_the_oracle_nor_the_suites():
+    scenario = bundled_scenario_path("fig6_mixed")
+    loaded = fresh("import prbdim.cli; "
+                   f"assert prbdim.cli.main(['dimension', '--scenario', {str(scenario)!r}, "
+                   "'--target', '0.05', '--realizations', '50']) == 0; " + LOADED)
+    assert "prbdim.dimension" in loaded
+    assert "prbdim.simulate" not in loaded and "prbdim.validate" not in loaded
+
+
+def test_all_is_the_eager_list_and_every_name_is_its_submodules_object():
+    result = fresh(
+        "import importlib, json, prbdim\n"
+        f"owner = {OWNER!r}\n"
+        "same = [name for name in prbdim.__all__ if getattr(prbdim, name) is (\n"
+        "    getattr(importlib.import_module('prbdim.' + owner[name]), name)\n"
+        "    if name in owner else importlib.import_module('prbdim.' + name))]\n"
+        "print(json.dumps([prbdim.__all__, same]))")
+    assert result[0] == EAGER_ALL
+    assert result[1] == EAGER_ALL
+
+
+def test_star_import_binds_every_name():
+    missing = fresh("from prbdim import *\n"
+                    "import json, prbdim\n"
+                    "print(json.dumps([n for n in prbdim.__all__ if n not in globals()]))")
+    assert missing == []
+
+
+def test_unknown_attribute_raises_attribute_error():
+    result = fresh("import json, prbdim\n"
+                   "try:\n"
+                   "    prbdim.no_such_name\n"
+                   "except AttributeError as exc:\n"
+                   "    print(json.dumps(str(exc)))")
+    assert "no_such_name" in result
