@@ -1,5 +1,6 @@
-"""User point processes: PLP road realizations, Cox users on roads and
-the indoor spatial PPP.
+"""Road geometry: PLP road realizations conditioned to the cell disk, the
+chord law, user distances on chords, and the batched stream seeding that
+the road and Monte-Carlo draws share.
 
 Sampling is deterministic given an explicit generator.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,59 +84,6 @@ class RoadSet:
         if len(self) != 1:
             raise DomainError(f"a fixed road is one road realization, not {len(self)}")
         return self
-
-
-@dataclass(frozen=True)
-class UserBlock:
-    """Users of `size` replications as flat arrays, replication by
-    replication, split by environment.
-
-    Outdoor users lie on road chords. Replication j has `roads[j]` chords,
-    and chord c, at squared distance `chord_r2[c]` from the cell centre with
-    squared half length `chord_half2[c]`, holds `chord_users[c]` users.
-    Their offsets from the chord's midpoint, as fractions t in [0, 1) of
-    the half length, follow those of chords 0..c-1 in `offsets` (an offset
-    is uniform on [-1, 1], and only |t| matters).
-    Replication j has `indoor_users[j]` indoor users, whose distances
-    follow those of replications 0..j-1 in `indoor_km`.
-
-    `outdoor_km` computes every outdoor user's distance, which
-    :func:`~prbdim.simulate.block_demand` needs only when most users sit
-    on chords that cross a demand step; the per-user views `outdoor_rep`
-    and `indoor_rep` are for checks rather than hot paths.
-    """
-
-    size: int
-    roads: np.ndarray
-    chord_r2: np.ndarray
-    chord_half2: np.ndarray
-    chord_users: np.ndarray
-    offsets: np.ndarray
-    indoor_users: np.ndarray
-    indoor_km: np.ndarray
-
-    @classmethod
-    def join(cls, blocks: list[UserBlock]) -> UserBlock:
-        """One block holding the replications of these blocks, in order."""
-        arrays = [f.name for f in fields(cls) if f.name != "size"]
-        return cls(size=sum(b.size for b in blocks),
-                   **{name: np.concatenate([getattr(b, name) for b in blocks])
-                      for name in arrays})
-
-    @property
-    def outdoor_km(self) -> np.ndarray:
-        """Distance of each outdoor user from the cell centre."""
-        return chord_user_km(self.chord_r2, self.chord_half2, self.chord_users, self.offsets)
-
-    @property
-    def outdoor_rep(self) -> np.ndarray:
-        """Replication of each outdoor user."""
-        return np.repeat(np.repeat(np.arange(self.size), self.roads), self.chord_users)
-
-    @property
-    def indoor_rep(self) -> np.ndarray:
-        """Replication of each indoor user."""
-        return np.repeat(np.arange(self.size), self.indoor_users)
 
 
 def chord_user_km(r2: np.ndarray, half2: np.ndarray, users: np.ndarray,
@@ -265,7 +213,7 @@ def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
     counts = [u.size for u in uniforms]
     u = np.concatenate([np.empty(0)] + uniforms)
     del uniforms  # the flat copy replaces them before the road set copies it
-    return RoadSet(counts=counts, chord_distances=_chord_law(cell_radius_km, sampler, u))
+    return RoadSet(counts=counts, chord_distances=chord_law(cell_radius_km, sampler, u))
 
 
 def _check_disk(cell_radius_km: float, sampler: str) -> None:
@@ -275,8 +223,9 @@ def _check_disk(cell_radius_km: float, sampler: str) -> None:
         raise DomainError(f"unknown sampler {sampler!r}")
 
 
-def _chord_law(cell_radius_km: float, sampler: str, u: np.ndarray) -> np.ndarray:
-    """Chord distances from uniforms, computed in place in `u`."""
+def chord_law(cell_radius_km: float, sampler: str, u: np.ndarray) -> np.ndarray:
+    """Chord distances from uniforms, computed in place in `u`: R*sqrt(U)
+    for sampler `paper`, R*U for `standard`."""
     if sampler == PAPER:
         np.sqrt(u, out=u)
     u *= cell_radius_km
@@ -292,38 +241,3 @@ def mean_users(gp: GeometryParams, cell_radius_km: float) -> float:
     """
     lam_delta = gp.road_intensity * gp.user_intensity_linear
     return (lam_delta + gp.user_intensity_area) * math.pi * cell_radius_km ** 2
-
-
-def sample_user_block(gp: GeometryParams, cell_radius_km: float, sampler: str,
-                      rng: np.random.Generator, size: int,
-                      road: RoadSet | None = None) -> UserBlock:
-    """Drop users for `size` independent replications from one generator.
-
-    Each replication draws its own roads by the law of
-    :func:`sample_road_set`, or, given `road` (one realization), keeps
-    those roads and redraws only the users. Outdoor:
-    per chord at distance r, Poisson(2*delta*sqrt(R^2-r^2)) users uniform
-    on the chord. Indoor: Poisson(kappa*pi*R^2) users uniform in the disk.
-    The whole block is drawn as flat arrays in a fixed order: road counts,
-    chord distances, users per chord, chord offsets, indoor counts, indoor
-    radii. Outdoor users are kept by chord, with no per-user distance.
-    """
-    _check_disk(cell_radius_km, sampler)
-    if road is None:
-        roads = rng.poisson(expected_roads(gp, cell_radius_km), size=size)
-        r = _chord_law(cell_radius_km, sampler, rng.uniform(size=int(roads.sum())))
-    else:
-        roads = np.full(size, road.single().counts[0])
-        r = np.tile(np.minimum(road.chord_distances, cell_radius_km), size)
-    r2 = r * r
-    half2 = np.maximum(cell_radius_km ** 2 - r2, 0.0)
-    counts = rng.poisson(2.0 * gp.user_intensity_linear * np.sqrt(half2))
-    offsets = rng.random(int(counts.sum()))
-
-    n_indoor = rng.poisson(gp.user_intensity_area * math.pi * cell_radius_km ** 2, size=size)
-    indoor = rng.uniform(size=int(n_indoor.sum()))
-    np.sqrt(indoor, out=indoor)
-    indoor *= cell_radius_km
-    return UserBlock(size=size, roads=roads, chord_r2=r2, chord_half2=half2,
-                     chord_users=counts, offsets=offsets, indoor_users=n_indoor,
-                     indoor_km=indoor)

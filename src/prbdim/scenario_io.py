@@ -14,13 +14,16 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
 from .congestion import Scenario
-from .dimension import DimensionQuery, intensities_from_throughput
 from .errors import ScenarioError
 from .geometry import GeometryParams, PAPER, SAMPLERS
 from .linkmodel import InterferenceModel, LinkBudget, Service
+
+if TYPE_CHECKING:
+    from .dimension import DimensionQuery
 
 _SCHEMA = {
     "cell": ("tx_power_dbm", "noise_power_dbm", "prop_const_db",
@@ -97,6 +100,7 @@ class ScenarioFile:
     def intensities(self) -> tuple[float, float]:
         """(delta, kappa), derived from throughput when stated that way."""
         if self.throughput_mbps is not None:
+            from .dimension import intensities_from_throughput
             return intensities_from_throughput(
                 self.throughput_mbps * 1e6, self.rate_kbps * 1e3,
                 self.cell_radius_km, self.road_intensity_per_km,
@@ -146,6 +150,7 @@ class ScenarioFile:
             outdoor_fraction = self.outdoor_fraction
         if outdoor_fraction is None:
             raise ScenarioError("no outdoor_fraction given for a dimensioning query")
+        from .dimension import DimensionQuery
         return DimensionQuery(
             scenario=self.to_scenario(noise_limited, region), target_congestion=target,
             throughput_bps=throughput_bps, outdoor_fraction=outdoor_fraction,
@@ -242,6 +247,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
         raw = fetch("geometry", key, optional=True)
         return 0.0 if raw is None else _number("geometry", key, raw)
 
+    throughput = opt_number("geometry", "throughput_mbps")
+    if throughput is not None and throughput <= 0:
+        raise ScenarioError(f"{name}: [geometry] throughput_mbps = {throughput:g} Mbit/s "
+                            "must be positive")
     sampler = fetch("monte_carlo", "sampler")
     if sampler not in SAMPLERS:
         raise ScenarioError(f"{name}: unknown sampler {sampler!r}")
@@ -266,7 +275,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
                                       fetch("geometry", "road_intensity_per_km")),
         user_intensity_per_km=intensity("user_intensity_per_km"),
         indoor_intensity_per_km2=intensity("indoor_intensity_per_km2"),
-        throughput_mbps=opt_number("geometry", "throughput_mbps"),
+        throughput_mbps=throughput,
         outdoor_fraction=opt_number("geometry", "outdoor_fraction"),
         realizations=_integer("monte_carlo", "realizations",
                               fetch("monte_carlo", "realizations")),

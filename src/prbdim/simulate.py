@@ -1,34 +1,30 @@
 """End-to-end Monte-Carlo oracle, independent of the analytic path:
-sample roads and users, sum their PRB demand chord by chord, and build
-empirical tail curves.
+sample roads and users, sum their PRB demand, and build empirical tail
+curves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .congestion import Scenario
 from .errors import DomainError
-from .geometry import RoadSet, UserBlock, chord_user_km, sample_user_block, streams
+from .geometry import RoadSet, chord_law, chord_user_km, expected_roads, streams
 from .linkmodel import StepFunction
 
 _Z95 = 1.959963984540054
 MIN_REPLICATIONS = 100
 
-# Replications per generator. Kept small so that a block's flat arrays stay
-# at a few hundred kB and peak memory stays at the per-replication loop's.
-BLOCK = 32
+# Replications per generator. A block holds its chords' arrays, not one
+# offset per user, so 10000 replications need 79 streams.
+BLOCK = 128
 # Block b draws from SeedSequence((seed, MC_TAG, b)), which equals no road
 # stream (seed, i) of `sample_road_set` for i < MC_TAG. (SeedSequence pads short
 # entropy with zeros, so road i = MC_TAG would meet block 0.)
 MC_TAG = 0x6D63_6F72
-# Blocks whose demand is summed in one pass, to share the fixed cost of its
-# numpy calls while its arrays stay small.
-GROUP = 4
 
 
 # A user's demand d and whether it counts, packed into one integer as
@@ -56,36 +52,50 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _outdoor_runs(tally: _Tally, users: UserBlock) -> tuple[np.ndarray, np.ndarray]:
-    """Packed demand of the outdoor users, in runs that fill the
-    replications in order, and the runs per replication."""
-    steps, packed, tops = tally
-    r2, half2, n = users.chord_r2, users.chord_half2, users.chord_users
-    if not steps.bounds.size:
-        return n * packed[0], users.roads
-    near = steps.pieces_at(np.sqrt(r2))
-    crossing = np.sqrt(half2 + r2) > tops[near]
-    crossing &= n > 0
-    split = n[crossing]
-    if 2 * split.sum() > users.offsets.size:
-        return packed[steps.pieces_at(users.outdoor_km)], _run_sums(n, users.roads)
-    chords = n * packed[near]
-    if split.size:
-        runs = np.cumsum(split) - split
-        at = np.repeat((np.cumsum(n) - n)[crossing] - runs, split)
-        at += np.arange(at.size)
-        km = chord_user_km(r2[crossing], half2[crossing], split, users.offsets[at])
-        chords[crossing] = np.add.reduceat(packed[steps.pieces_at(km)], runs)
-    return chords, users.roads
+def _draw_block(scn: Scenario, tallies: list[_Tally], rng: np.random.Generator, size: int,
+                road: RoadSet | None) -> np.ndarray:
+    """2 x size packed demand, outdoor and indoor, of `size` replications
+    drawn from `rng` in the order that :func:`gamma_samples` documents."""
+    gp, radius = scn.geometry, scn.cell_radius_km
+    if road is None:
+        roads = rng.poisson(expected_roads(gp, radius), size=size)
+        r = chord_law(radius, scn.sampler, rng.uniform(size=int(roads.sum())))
+    else:
+        roads = np.full(size, road.single().counts[0])
+        r = np.tile(np.minimum(road.chord_distances, radius), size)
+    r2 = r * r
+    half2 = np.maximum(radius ** 2 - r2, 0.0)
+    half = np.sqrt(half2)
+    rate = 2.0 * gp.user_intensity_linear
+    steps, packed, tops = tallies[0]
+    pieces = steps.values.size
+    # the (replication, step) cell of each chord's near end
+    cell = np.repeat(np.arange(size), roads)
+    crossing = np.empty(0, dtype=np.intp)
+    if pieces > 1:
+        near = steps.pieces_at(r)
+        far = half2 + r2
+        crossing = np.flatnonzero(np.sqrt(far, out=far) > tops[near])
+        cell = cell * pieces + near
+    means = rate * half[crossing]
+    half[crossing] = 0.0
+    # the users of a replication's whole chords on one step are Poisson
+    # with their summed mean
+    mass = np.bincount(cell, half, size * pieces).reshape(size, pieces)
+    held = mass.any(axis=0) & (steps.values > 0)
+    outdoor = rng.poisson(rate * mass[:, held]) @ packed[held]
+    if crossing.size:
+        split = rng.poisson(means)
+        km = chord_user_km(r2[crossing], half2[crossing], split, rng.random(int(split.sum())))
+        chords = np.diff(np.searchsorted(crossing, np.cumsum(roads)), prepend=0)
+        outdoor += _run_sums(packed[steps.pieces_at(km)], _run_sums(split, chords))
 
-
-def _packed_demand(tallies: list[_Tally], users: UserBlock) -> np.ndarray:
-    """2 x size packed demand, outdoor and indoor, per replication."""
-    outdoor, runs = _outdoor_runs(tallies[0], users)
     steps, packed, _ = tallies[1]
-    indoor = packed[steps.pieces_at(users.indoor_km)]
-    return _run_sums(np.concatenate((outdoor, indoor)),
-                     np.concatenate((runs, users.indoor_users))).reshape(2, users.size)
+    indoor = rng.poisson(gp.user_intensity_area * math.pi * radius ** 2, size=size)
+    km = rng.uniform(size=int(indoor.sum()))
+    np.sqrt(km, out=km)
+    km *= radius
+    return np.stack((outdoor, _run_sums(packed[steps.pieces_at(km)], indoor)))
 
 
 def _unpack(outdoor: np.ndarray, indoor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -94,43 +104,47 @@ def _unpack(outdoor: np.ndarray, indoor: np.ndarray) -> tuple[np.ndarray, np.nda
     return (outdoor >> _SHIFT) + (indoor >> _SHIFT), outdoor & counts, indoor & counts
 
 
-def block_demand(scn: Scenario, users: UserBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-replication (gamma, outdoor count, indoor count) of one block.
-
-    Only users inside `scn.region_km` = (lo, hi] count, when it is set; a
-    user's demand is `scn.demand_steps` at its distance. A chord's users
-    lie between the distances of its two ends, sqrt(r^2) and
-    sqrt(half^2 + r^2), as computed (rounding is monotone). So a chord
-    whose two ends share a step contributes users x that step's demand,
-    and only the users of chords that cross a step get distances, by
-    :func:`~prbdim.geometry.chord_user_km`. When those are most of the
-    block's users, every user gets one, and no chord is split out. The
-    totals are integer sums, equal to per-user sums bit for bit.
-    """
-    return _unpack(*_packed_demand([_tally(steps) for steps in scn.demand_steps], users))
-
-
 def gamma_samples(scn: Scenario, replications: int, road: RoadSet | None = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Replicated (gamma, outdoor count, indoor count) of the PRB demand.
 
-    Replication j is entry j % BLOCK of block j // BLOCK, and each block is
-    drawn whole by :func:`sample_user_block` from its own generator on
-    SeedSequence((scn.seed, MC_TAG, block)), all seeded in one batch by
-    :func:`~prbdim.geometry.streams`. The last block is drawn in
-    full and cut, so a run is a prefix of every longer run. Given `road`
-    (one realization), every replication keeps it and redraws only its users.
-    The demand of GROUP blocks at a time is summed in one pass.
+    Only users inside `scn.region_km` = (lo, hi] count, when it is set; a
+    user's demand is `scn.demand_steps` at its distance, and the outdoor
+    count holds the users at a level above 0. Replication j is entry
+    j % BLOCK of block j // BLOCK. Each block is drawn whole from its own
+    generator on SeedSequence((scn.seed, MC_TAG, block)), all seeded in
+    one batch by :func:`~prbdim.geometry.streams`, in this order:
+
+    1. road counts, Poisson(2*pi*lambda*R) per replication, or, given
+       `road` (one realization), its roads in every replication;
+    2. one uniform per chord, turned into its distance r by the sampler's
+       law (:func:`~prbdim.geometry.chord_law`); its half length is
+       sqrt(max(R^2 - r^2, 0));
+    3. for each replication and, within it, each step of nonzero demand
+       on which the block's whole chords have a positive summed half
+       length, innermost first: one Poisson count with mean 2*delta times
+       the half lengths of the replication's whole chords on that step,
+       summed in chord order;
+    4. one Poisson(2*delta*half) count per chord that crosses a step;
+    5. one uniform offset t per user of those chords, who lies at
+       sqrt(r^2 + t^2*half^2) (:func:`~prbdim.geometry.chord_user_km`);
+    6. indoor counts, Poisson(kappa*pi*R^2) per replication, and one
+       radius R*sqrt(U) per indoor user.
+
+    A chord is whole when its ends, r and sqrt(half^2 + r^2) as computed,
+    lie on one step: its users lie between them (rounding is monotone),
+    so all share that step's demand. By superposition the users of a
+    replication's whole chords on one step are Poisson with the summed
+    mean, so step 3 draws their count alone and gives them no position.
+    The last block is drawn in full and cut, so a run is a prefix of
+    every longer run. Totals are exact integer sums.
     """
     packed = np.empty((2, replications), dtype=np.int64)
     tallies = [_tally(steps) for steps in scn.demand_steps]
-    blocks = streams((scn.seed, MC_TAG), -(-replications // BLOCK))
-    for start in range(0, replications, GROUP * BLOCK):
-        stop = min(start + GROUP * BLOCK, replications)
-        users = UserBlock.join([sample_user_block(scn.geometry, scn.cell_radius_km, scn.sampler,
-                                                  rng, BLOCK, road)
-                                for rng in islice(blocks, -(-(stop - start) // BLOCK))])
-        packed[:, start:stop] = _packed_demand(tallies, users)[:, :stop - start]
+    for start, rng in zip(range(0, replications, BLOCK),
+                          streams((scn.seed, MC_TAG), -(-replications // BLOCK))):
+        stop = min(start + BLOCK, replications)
+        packed[:, start:stop] = _draw_block(scn, tallies, rng, BLOCK, road)[:, :stop - start]
     return _unpack(*packed)
 
 

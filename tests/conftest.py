@@ -1,10 +1,12 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from prbdim import (DomainError, InterferenceModel, LinkBudget, RoadSet, Service,
-                    expected_roads, sample_user_block)
+                    expected_roads)
+from prbdim.geometry import chord_user_km
 from prbdim.linkmodel import INDOOR, OUTDOOR
 from prbdim.simulate import BLOCK, MC_TAG
 
@@ -73,19 +75,145 @@ def reference_roads(gp, cell_radius_km, sampler, rng):
     return fixed_road(cell_radius_km * (np.sqrt(u) if sampler == "paper" else u))
 
 
-# The Monte-Carlo oracle user by user: the reference that
-# simulate.gamma_samples reproduces bit for bit.
-def reference_block_demand(scn, users):
-    """Per-replication (gamma, outdoor count, indoor count) of one block:
+# The Monte-Carlo oracle in its documented draw order, one replication at
+# a time: the reference that simulate.gamma_samples reproduces bit for bit.
+def reference_block(scn, rng, size, road=None):
+    """Per-replication (gamma, outdoor count, indoor count) of `size`
+    replications drawn from `rng` in gamma_samples' documented order. Each
+    chord and each drawn user is handled on its own, in Python floats, and
+    a distance's step is found by binary search of the step bounds."""
+    gp, radius = scn.geometry, scn.cell_radius_km
+    rate = 2.0 * gp.user_intensity_linear
+    outdoor, indoor = scn.demand_steps
+
+    def level(steps, x):
+        return int(steps.values[np.searchsorted(steps.bounds, x)])
+
+    if road is None:
+        counts = rng.poisson(expected_roads(gp, radius), size=size)
+        u = rng.uniform(size=int(counts.sum()))
+        r = radius * (np.sqrt(u) if scn.sampler == "paper" else u)
+    else:
+        counts = np.full(size, road.single().counts[0])
+        r = np.tile(np.minimum(road.chord_distances, radius), size)
+    gamma = np.zeros(size, dtype=np.int64)
+    n_out = np.zeros(size, dtype=np.int64)
+    whole = [{} for _ in range(size)]  # step -> summed half length
+    crossing = []  # (replication, r^2, half^2, half) in chord order
+    chords = np.split(r.tolist(), np.cumsum(counts)[:-1])
+    for j, distances in enumerate(chords):
+        for x in distances:
+            r2 = x * x
+            half2 = max(radius ** 2 - r2, 0.0)
+            half = math.sqrt(half2)
+            step = int(np.searchsorted(outdoor.bounds, x))
+            far = math.sqrt(half2 + r2)
+            if step < outdoor.bounds.size and far > outdoor.bounds[step]:
+                crossing.append((j, r2, half2, half))
+            else:
+                whole[j][step] = whole[j].get(step, 0.0) + half
+    held = sorted({step for sums in whole for step, mass in sums.items()
+                   if mass > 0 and outdoor.values[step] > 0})
+    for j in range(size):
+        for step in held:
+            n = int(rng.poisson(rate * whole[j].get(step, 0.0)))
+            gamma[j] += n * int(outdoor.values[step])
+            n_out[j] += n
+    split = [int(rng.poisson(rate * half)) for _, _, _, half in crossing]
+    offsets = iter(rng.random(sum(split)).tolist())
+    for (j, r2, half2, _), n in zip(crossing, split):
+        for _ in range(n):
+            t = next(offsets)
+            d = level(outdoor, math.sqrt(half2 * (t * t) + r2))
+            gamma[j] += d
+            n_out[j] += d > 0
+
+    n_in = np.zeros(size, dtype=np.int64)
+    users = rng.poisson(gp.user_intensity_area * math.pi * radius ** 2, size=size)
+    radii = iter((np.sqrt(rng.uniform(size=int(users.sum()))) * radius).tolist())
+    for j, n in enumerate(users.tolist()):
+        for _ in range(n):
+            d = level(indoor, next(radii))
+            gamma[j] += d
+            n_in[j] += d > 0
+    return gamma, n_out, n_in
+
+
+def reference_gamma_samples(scn, replications, road=None):
+    """gamma_samples one block at a time: block b drawn by reference_block
+    from numpy's own generator on SeedSequence((seed, MC_TAG, b))."""
+    parts = []
+    for block in range(-(-replications // BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, MC_TAG, block)))
+        parts.append(reference_block(scn, rng, BLOCK, road))
+    return tuple(np.concatenate([np.empty(0, dtype=np.int64), *column])[:replications]
+                 for column in zip(*parts))
+
+
+# The oracle's earlier law, user by user: every outdoor user is drawn on
+# its chord and gets a distance. The distributional reference for
+# gamma_samples, which draws the users of whole chords as one count.
+@dataclass(frozen=True)
+class UserDrop:
+    """Users of `size` replications as flat arrays: replication j has
+    `roads[j]` chords, chord c holds `chord_users[c]` users at offsets
+    (fractions of its half length) that follow those of chords 0..c-1 in
+    `offsets`, and replication j has `indoor_users[j]` indoor users at the
+    distances that follow those of replications 0..j-1 in `indoor_km`."""
+
+    size: int
+    roads: np.ndarray
+    chord_r2: np.ndarray
+    chord_half2: np.ndarray
+    chord_users: np.ndarray
+    offsets: np.ndarray
+    indoor_users: np.ndarray
+    indoor_km: np.ndarray
+
+    @property
+    def outdoor_km(self):
+        """Distance of each outdoor user from the cell centre."""
+        return chord_user_km(self.chord_r2, self.chord_half2, self.chord_users, self.offsets)
+
+    @property
+    def outdoor_rep(self):
+        """Replication of each outdoor user."""
+        return np.repeat(np.repeat(np.arange(self.size), self.roads), self.chord_users)
+
+    @property
+    def indoor_rep(self):
+        """Replication of each indoor user."""
+        return np.repeat(np.arange(self.size), self.indoor_users)
+
+
+def per_user_drop(gp, cell_radius_km, sampler, rng, size, road=None):
+    """Users of `size` replications from one generator: roads by the law
+    of sample_road_set (or the fixed `road` in every replication), then
+    Poisson(2*delta*sqrt(R^2-r^2)) users uniform on each chord and
+    Poisson(kappa*pi*R^2) users uniform in the disk."""
+    if road is None:
+        roads = rng.poisson(expected_roads(gp, cell_radius_km), size=size)
+        u = rng.uniform(size=int(roads.sum()))
+        r = cell_radius_km * (np.sqrt(u) if sampler == "paper" else u)
+    else:
+        roads = np.full(size, road.single().counts[0])
+        r = np.tile(np.minimum(road.chord_distances, cell_radius_km), size)
+    r2 = r * r
+    half2 = np.maximum(cell_radius_km ** 2 - r2, 0.0)
+    counts = rng.poisson(2.0 * gp.user_intensity_linear * np.sqrt(half2))
+    offsets = rng.random(int(counts.sum()))
+    n_indoor = rng.poisson(gp.user_intensity_area * math.pi * cell_radius_km ** 2, size=size)
+    indoor = cell_radius_km * np.sqrt(rng.uniform(size=int(n_indoor.sum())))
+    return UserDrop(size=size, roads=roads, chord_r2=r2, chord_half2=half2,
+                    chord_users=counts, offsets=offsets, indoor_users=n_indoor,
+                    indoor_km=indoor)
+
+
+def per_user_demand(scn, users):
+    """Per-replication (gamma, outdoor count, indoor count) of a UserDrop:
     every user's distance, replication index and level (by binary search
     of the interval ends), summed by bincount."""
-    reps = np.arange(users.size)
-    outdoor = np.repeat(users.chord_half2, users.chord_users)
-    outdoor *= users.offsets * users.offsets
-    outdoor += np.repeat(users.chord_r2, users.chord_users)
-    np.sqrt(outdoor, out=outdoor)
-    by_env = ((np.repeat(np.repeat(reps, users.roads), users.chord_users), outdoor),
-              (np.repeat(reps, users.indoor_users), users.indoor_km))
+    by_env = ((users.outdoor_rep, users.outdoor_km), (users.indoor_rep, users.indoor_km))
     gamma = np.zeros(users.size)
     counts = []
     for profile, (rep, km) in zip(scn.profiles, by_env):
@@ -100,19 +228,6 @@ def reference_block_demand(scn, users):
         gamma += np.bincount(rep, weights=levels[idx], minlength=users.size)
         counts.append(np.bincount(rep, minlength=users.size))
     return gamma.astype(np.int64), counts[0], counts[1]
-
-
-def reference_gamma_samples(scn, replications, road=None):
-    """gamma_samples one block at a time: block b drawn by sample_user_block
-    from numpy's own generator on SeedSequence((seed, MC_TAG, b)), then
-    reference_block_demand."""
-    parts = []
-    for block in range(-(-replications // BLOCK)):
-        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, MC_TAG, block)))
-        users = sample_user_block(scn.geometry, scn.cell_radius_km, scn.sampler, rng,
-                                  BLOCK, road)
-        parts.append(reference_block_demand(scn, users))
-    return tuple(np.concatenate(column)[:replications] for column in zip(*parts))
 
 
 def fixed_road(chord_distances):

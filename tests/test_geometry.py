@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses,
+from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses, per_user_drop,
                       reference_roads, road_stream)
 from hypothesis import given, settings, strategies as st
 
-from prbdim import (DemandProfile, DomainError, GeometryParams,
-                    expected_roads, mean_users, sample_road_set, sample_user_block)
+from prbdim import (DemandProfile, DomainError, GeometryParams, Scenario,
+                    expected_roads, mean_users, sample_road_set)
 
 R = 0.7
 
@@ -58,11 +58,13 @@ class TestSampleRoads:
         np.testing.assert_array_equal(a.counts, b.counts)
         np.testing.assert_array_equal(a.chord_distances, b.chord_distances)
 
-    def test_unknown_sampler_rejected(self):
+    def test_unknown_sampler_rejected(self, link_budget, noise_limited, service_500k):
         with pytest.raises(DomainError):
             sample_road_set(gp(lam=1.0), R, "sobol", 0, 1)
+        # the Monte-Carlo oracle draws roads for a scenario, which refuses it
         with pytest.raises(DomainError):
-            sample_user_block(gp(lam=1.0), R, "sobol", road_stream(0, 0), 4)
+            Scenario(link_budget=link_budget, interference=noise_limited,
+                     service=service_500k, geometry=gp(lam=1.0), sampler="sobol")
 
 
 class TestChordMass:
@@ -157,8 +159,11 @@ class TestMeanUsers:
 
 
 class TestSampleUsers:
+    """The law of the per-user drawer in conftest, the distributional
+    reference that the Monte-Carlo oracle is checked against."""
+
     def test_empty_without_intensity(self):
-        users = sample_user_block(gp(lam=9.0), R, "paper", road_stream(1, 1), 50)
+        users = per_user_drop(gp(lam=9.0), R, "paper", road_stream(1, 1), 50)
         assert users.size == 50
         assert users.outdoor_km.size == users.indoor_km.size == 0
         assert users.outdoor_rep.size == users.indoor_rep.size == 0
@@ -166,12 +171,12 @@ class TestSampleUsers:
     def test_diameter_road_distance_law(self):
         # distances on a through-center chord are |uniform(-R, R)|
         road = fixed_road([0.0])
-        users = sample_user_block(gp(delta=40.0), R, "paper", road_stream(2, 0), 400, road)
+        users = per_user_drop(gp(delta=40.0), R, "paper", road_stream(2, 0), 400, road)
         assert users.outdoor_km.mean() == pytest.approx(R / 2, rel=0.02)
         assert users.outdoor_km.max() <= R
 
     def test_indoor_mean_count(self):
-        users = sample_user_block(gp(kappa=54.0), R, "paper", road_stream(3, 0), 10_000)
+        users = per_user_drop(gp(kappa=54.0), R, "paper", road_stream(3, 0), 10_000)
         counts = np.bincount(users.indoor_rep, minlength=10_000)
         assert np.mean(counts) == pytest.approx(54.0 * math.pi * R * R, rel=0.02)
         assert users.indoor_km.max() <= R
@@ -181,7 +186,7 @@ class TestSampleUsers:
         road = fixed_road([0.1, 0.33, 0.52])
         interval = (0.2, 0.55)
         expected = chord_mass(road, interval, delta=8.0)
-        users = sample_user_block(gp(delta=8.0), R, "paper", road_stream(4, 0), 20_000, road)
+        users = per_user_drop(gp(delta=8.0), R, "paper", road_stream(4, 0), 20_000, road)
         d = users.outdoor_km
         hits = np.bincount(users.outdoor_rep[(d > interval[0]) & (d <= interval[1])],
                            minlength=20_000)

@@ -24,8 +24,7 @@ EXPORTS = {
                  "intensities_from_throughput sweep",
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
-    "geometry": "GeometryParams RoadSet UserBlock expected_roads mean_users sample_road_set "
-                "sample_user_block",
+    "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",
     "linkmodel": "DemandProfile InterferenceModel LinkBudget Service max_prbs_per_user "
                  "prbs_required ring_radii sinr_at throughput_at",
     "scenario_io": "ScenarioFile bundled_scenario bundled_scenario_path dump_scenario "
@@ -34,19 +33,21 @@ EXPORTS = {
 }
 OWNER = {name: module for module, names in EXPORTS.items() for name in names.split()}
 
-# `prbdim.__all__` of the eager package, in its order (that of dir()).
+# `prbdim.__all__` of the eager package, in its order (that of dir()), less
+# the per-user drawer `sample_user_block` and its `UserBlock`, which the
+# Monte-Carlo oracle no longer uses.
 EAGER_ALL = [
     "AccuracyError", "CeilingError", "CompoundSpec", "CongestionCurve", "DemandProfile",
     "DimensionQuery", "DimensionReport", "DomainError", "EmpiricalCurve", "GeometryParams",
     "InfeasibleSplitError", "InterferenceModel", "LinkBudget", "RangeError", "RoadSet",
-    "Scenario", "ScenarioError", "ScenarioFile", "Service", "SweepPoint", "UserBlock",
+    "Scenario", "ScenarioError", "ScenarioFile", "Service", "SweepPoint",
     "averaged_congestion", "bell_complete", "bell_determinant", "bundled_scenario",
     "bundled_scenario_path", "ccdf_bell", "ccdf_bell_literal", "ccdf_integral", "compound",
     "conditional_congestion", "congestion", "dimension", "dimension_prbs",
     "dimension_scenario", "dump_scenario", "empirical_ccdf", "errors", "expected_load",
     "expected_roads", "geometry", "intensities_from_throughput", "linkmodel", "load_scenario",
     "max_prbs_per_user", "mean_users", "parse_scenario", "pmf", "ppp_equivalent",
-    "prbs_required", "ring_radii", "sample_road_set", "sample_user_block", "scenario_io",
+    "prbs_required", "ring_radii", "sample_road_set", "scenario_io",
     "simulate", "sinr_at", "sweep", "throughput_at",
 ]
 
@@ -85,6 +86,17 @@ def test_dimension_loads_neither_the_oracle_nor_the_suites():
                    "'--target', '0.05', '--realizations', '50']) == 0; " + LOADED)
     assert "prbdim.dimension" in loaded
     assert "prbdim.simulate" not in loaded and "prbdim.validate" not in loaded
+
+
+def test_simulate_and_scenario_loading_skip_the_planner():
+    scenario = str(bundled_scenario_path("fig4"))
+    loaded = fresh("import prbdim.cli; "
+                   f"assert prbdim.cli.main(['simulate', '--scenario', {scenario!r}, "
+                   "'--replications', '100', '--out', '-']) == 0; " + LOADED)
+    assert "prbdim.simulate" in loaded and "prbdim.dimension" not in loaded
+    loaded = fresh("from prbdim.scenario_io import load_scenario; "
+                   f"load_scenario({scenario!r}).to_scenario(); " + LOADED)
+    assert "prbdim.scenario_io" in loaded and "prbdim.dimension" not in loaded
 
 
 def test_all_is_the_eager_list_and_every_name_is_its_submodules_object():

@@ -84,6 +84,20 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="sampler"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("value", ["-3", "0", "inf", "nan"])
+    def test_non_positive_throughput_is_named_as_written(self, value, tmp_path, capsys):
+        from prbdim.cli import main
+        text = MINIMAL.replace("user_intensity_per_km = 6.0",
+                               f"throughput_mbps = {value}\noutdoor_fraction = 0.5")
+        path = tmp_path / "cell.scenario"
+        path.write_text(text)
+        written = "must be finite" if value in ("inf", "nan") else \
+            f"throughput_mbps = {value} Mbit/s must be positive"
+        with pytest.raises(ScenarioError, match=written):
+            parse_scenario(text, name="cell.scenario")
+        assert main(["dimension", "--scenario", str(path), "--target", "0.05"]) == 3
+        assert written in capsys.readouterr().err
+
     def test_negative_seed_rejected(self):
         text = MINIMAL + "\n[monte_carlo]\nseed = -3\n"
         with pytest.raises(ScenarioError, match="^cell.scenario: seed -3 must be a non-negative"):

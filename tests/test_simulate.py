@@ -4,15 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fixed_road, road_stream
+from conftest import fixed_road, reference_block
 
 from prbdim import (CompoundSpec, DomainError, GeometryParams, InterferenceModel,
-                    LinkBudget, Scenario, Service, UserBlock, conditional_congestion,
-                    empirical_ccdf, expected_load, sample_user_block)
+                    LinkBudget, Scenario, Service, conditional_congestion,
+                    empirical_ccdf, expected_load)
 from prbdim.congestion import weight_matrix
 from prbdim.scenario_io import bundled_scenario
-from prbdim.simulate import (BLOCK, MC_TAG, block_demand, gamma_samples,
-                             wilson_interval)
+from prbdim.simulate import BLOCK, MC_TAG, gamma_samples, wilson_interval
 
 
 def make_scenario(lam=0.0, delta=0.0, kappa=0.0, seed=0, n_max=6):
@@ -36,27 +35,20 @@ class TestSimulateOnce:
             np.testing.assert_array_equal(out, 0)
 
     def test_single_user_demand(self):
-        # a user pinned at a known distance contributes exactly its level,
-        # to its own replication only
+        # each user inside one ring contributes exactly its level, to its
+        # own replication only
         scn = make_scenario(kappa=1.0)
-        profile = scn.profiles[1]
-        x = 0.55  # inside level 3 for this budget
-        none = np.array([], dtype=np.int64)
-        users = UserBlock(size=2, roads=np.array([0, 0]), chord_r2=np.array([]),
-                          chord_half2=np.array([]), chord_users=none, offsets=np.array([]),
-                          indoor_users=np.array([0, 1]), indoor_km=np.array([x]))
-        gamma, n_out, n_in = block_demand(scn, users)
-        assert profile.steps()(np.array([x]))[0] == 3
-        np.testing.assert_array_equal(gamma, [0, 3])
-        np.testing.assert_array_equal(n_out, [0, 0])
-        np.testing.assert_array_equal(n_in, [0, 1])
+        ((lo, hi),) = scn.profiles[1].rings[3]
+        gamma, n_out, n_in = gamma_samples(replace(scn, region_km=(lo, hi)), 2 * BLOCK)
+        np.testing.assert_array_equal(gamma, 3 * n_in)
+        np.testing.assert_array_equal(n_out, 0)
+        assert n_in.min() == 0 and n_in.max() > 1
 
     def test_deterministic_per_stream(self):
         # replications 0..BLOCK-1 are block 0, drawn from (seed, MC_TAG, 0) alone
         scn = make_scenario(lam=9.0, delta=6.0, kappa=10.0, seed=5)
         rng = np.random.default_rng(np.random.SeedSequence((5, MC_TAG, 0)))
-        users = sample_user_block(scn.geometry, 0.7, scn.sampler, rng, BLOCK)
-        by_hand = block_demand(scn, users)
+        by_hand = reference_block(scn, rng, BLOCK)
         for got, want in zip(gamma_samples(scn, 2), by_hand):
             np.testing.assert_array_equal(got, want[:2])
         assert by_hand[0].sum() > 0
@@ -65,7 +57,8 @@ class TestSimulateOnce:
 class TestBlocks:
     """Replications are drawn BLOCK at a time, one generator per block."""
 
-    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    # cuts inside the first block, and next to the block edges
+    @pytest.mark.parametrize("n", [31, 32, 33, 67, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_prefix_across_block_edges(self, n):
         scn = make_scenario(lam=7.0, delta=2.5, kappa=5.0, seed=4)
         long = gamma_samples(scn, 5 * BLOCK)
@@ -147,16 +140,13 @@ class TestEmpiricalCcdf:
         assert curve.mean_outdoor_users > 2.0 * curve.eq1_mean_users
 
     def test_per_level_counts_are_poisson_dispersed(self):
+        # the indoor users of each level's ring, counted as a region
         scn = make_scenario(kappa=20.0, seed=12)
-        profile = scn.profiles[1]
         reps = 10_000
-        users = sample_user_block(scn.geometry, 0.7, scn.sampler,
-                                  road_stream(scn.seed, 0), reps)
-        width = profile.n_levels + 1
-        cells = users.indoor_rep * width + profile.steps()(users.indoor_km)
-        counts = np.bincount(cells, minlength=reps * width).reshape(reps, width)[:, 1:]
-        dispersion = counts.var(axis=0, ddof=1) / counts.mean(axis=0)
-        assert np.all(dispersion > 0.9) and np.all(dispersion < 1.1)
+        for (lo, hi), in scn.profiles[1].rings.values():
+            _, _, counts = gamma_samples(replace(scn, region_km=(lo, hi)), reps)
+            dispersion = counts.var(ddof=1) / counts.mean()
+            assert 0.9 < dispersion < 1.1
 
 
 class TestWilson:

@@ -6,20 +6,22 @@ The batched path ports numpy's SeedSequence hash and PCG64 seeding, so
 these tests also guard against a numpy release that seeds differently.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import fixed_road, reference_gamma_samples, reference_roads, road_stream
+from conftest import (fixed_road, per_user_demand, per_user_drop, reference_gamma_samples,
+                      reference_roads, road_stream)
 
 from prbdim import (DomainError, GeometryParams, RoadSet, Scenario, Service,
-                    sample_road_set, sample_user_block)
-from prbdim import UserBlock, geometry, simulate
+                    expected_load, sample_road_set)
+from prbdim import geometry, simulate
 from prbdim.congestion import chord_segments, conditional_congestion, road_set
 from prbdim.geometry import chord_user_km, stream_states, streams
 from prbdim.scenario_io import bundled_scenario
-from prbdim.simulate import BLOCK, MC_TAG, block_demand, gamma_samples
+from prbdim.simulate import BLOCK, MC_TAG, gamma_samples
 
 SEEDS = (0, 1, 2**32 - 1, 2**32 + 7, 2**70 + 3)
 INDICES = (0, 1, 31, 1999)
@@ -120,8 +122,6 @@ class TestRoadSet:
                        service=Service(rate_bps=500e3), geometry=gp(5.0))
         roads = RoadSet(counts=counts, chord_distances=r)
         for use in (lambda: conditional_congestion(scn, roads, 1),
-                    lambda: sample_user_block(scn.geometry, R, "paper", road_stream(0, 0), 4,
-                                              roads),
                     lambda: gamma_samples(scn, 1, roads)):
             with pytest.raises(DomainError, match="one road realization"):
                 use()
@@ -166,23 +166,21 @@ class TestChordSegments:
 
 
 def test_gamma_samples_blocks_are_the_mc_streams(link_budget, three_region):
+    # block b draws from numpy's own generator on (seed, MC_TAG, b), in the
+    # documented order, whatever the seed's size
     scn = Scenario(link_budget=link_budget, interference=three_region,
                    service=Service(rate_bps=500e3), geometry=gp(4.0), seed=2**40 + 1,
                    mc_realizations=10)
     got = gamma_samples(scn, 3 * BLOCK + 5)
-    want = []
-    for block in range(4):
-        rng = np.random.default_rng(np.random.SeedSequence((scn.seed, MC_TAG, block)))
-        users = sample_user_block(scn.geometry, R, scn.sampler, rng, BLOCK)
-        want.append(block_demand(scn, users))
-    for k, values in enumerate(got):
-        np.testing.assert_array_equal(values, np.concatenate([w[k] for w in want])[:3 * BLOCK + 5])
+    for values, want in zip(got, reference_gamma_samples(scn, 3 * BLOCK + 5)):
+        np.testing.assert_array_equal(values, want)
+    assert got[0].sum() > 0
 
 
 def oracle_inputs():
-    """The simulate inputs the oracle's bit contract is pinned on: one
-    outdoor interval or five, regions cutting the chords, 142 indoor
-    levels, indoor users or none."""
+    """The simulate inputs the oracle's contract is pinned on: one outdoor
+    interval or five, regions cutting the chords, 142 indoor levels,
+    indoor users or none."""
     fig8 = bundled_scenario("fig8_regions")
     fig8_rings = replace(fig8, prop_const_db=150.0, sampler="standard")
     inputs = {
@@ -205,8 +203,10 @@ ORACLE_INPUTS = oracle_inputs()
 
 
 class TestOracleBits:
-    """gamma_samples sums whole chords where it can; the user-by-user
-    reference in conftest pins every output bit."""
+    """gamma_samples draws one count for the users of a replication's whole
+    chords on one step. The reference in conftest, which follows the
+    documented draw order chord by chord and user by user, pins every
+    output bit."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
     def test_equals_the_per_user_reference(self, name):
@@ -215,19 +215,40 @@ class TestOracleBits:
             np.testing.assert_array_equal(got, want)
 
     def test_inputs_take_every_path(self, monkeypatch):
-        # whole chords only, a few chords split out, or every user's distance
-        calls = []
+        # whole chords only, or whole and crossing chords in one block
+        blocks, split = [], []
+
+        class Spy:
+            """A block's generator that logs the kind and size of each draw."""
+
+            def __init__(self, rng):
+                self.rng, self.draws = rng, []
+                blocks.append(self.draws)
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self.rng, name)(*args, **kwargs)
+                    self.draws.append((name, np.size(out)))
+                    return out
+                return draw
+
+        monkeypatch.setattr(simulate, "streams", lambda *args: map(Spy, streams(*args)))
         monkeypatch.setattr(simulate, "chord_user_km",
-                            lambda *args: calls.append("split") or chord_user_km(*args))
-        monkeypatch.setattr(UserBlock, "outdoor_km", property(
-            lambda users: calls.append("every") or chord_user_km(
-                users.chord_r2, users.chord_half2, users.chord_users, users.offsets)))
-        paths = {}
-        for name in ("fig4", "fig8_center", "fig8_middle"):
-            calls.clear()
-            gamma_samples(ORACLE_INPUTS[name], 1003)
-            paths[name] = set(calls)
-        assert paths == {"fig4": set(), "fig8_center": {"split"}, "fig8_middle": {"every"}}
+                            lambda r2, *args: split.append(r2.size) or chord_user_km(r2, *args))
+        gamma_samples(ORACLE_INPUTS["fig4"], 1003)
+        # one count per replication for roads, whole chords and indoor
+        # users; no per-chord count, no offset and no distance
+        assert len(blocks) == -(-1003 // BLOCK) and split == []
+        for draws in blocks:
+            assert [n for kind, n in draws if kind != "uniform"] == [BLOCK] * 3
+        blocks.clear()
+        gamma_samples(ORACLE_INPUTS["fig8_middle"], 1003)
+        # some chords cross a region edge and get a count each; the rest
+        # lie whole outside the region and draw nothing
+        assert len(split) == len(blocks)
+        for draws, crossing in zip(blocks, split):
+            chords = draws[1][1]
+            assert 0 < crossing < chords and ("poisson", crossing) in draws
         # and the lookup table meets a many-interval profile
         intervals = ORACLE_INPUTS["fig6_mixed_n256"].profiles[1].rings.values()
         assert sum(map(len, intervals)) == 142
@@ -250,3 +271,29 @@ class TestOracleBits:
         for values, want in zip(got, reference_gamma_samples(scn, BLOCK + 1)):
             np.testing.assert_array_equal(values, want)
             np.testing.assert_array_equal(values, 0)
+
+
+class TestOracleLaw:
+    """Drawing the users of whole chords as one count keeps the law of
+    gamma and of both user counts."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_mean_matches_the_per_user_drawer(self, name):
+        # the earlier drawer, every user on its chord, at independent seeds
+        scn = ORACLE_INPUTS[name]
+        reps = 4000
+        users = per_user_drop(scn.geometry, scn.cell_radius_km, scn.sampler,
+                              road_stream(scn.seed, 1), reps)
+        for got, want in zip(gamma_samples(scn, reps), per_user_demand(scn, users)):
+            se = math.sqrt((got.var(ddof=1) + want.var(ddof=1)) / reps)
+            assert abs(float(got.mean()) - float(want.mean())) <= 5.0 * se + 1e-12
+
+    @pytest.mark.parametrize("name, region", [("fig6_mixed", None), ("fig8_regions", "center"),
+                                              ("fig8_regions", "middle"),
+                                              ("fig8_regions", "edge")])
+    def test_mean_matches_closed_form(self, name, region):
+        reps = 20_000
+        scn = bundled_scenario(name).to_scenario(region=region)
+        gammas, _, _ = gamma_samples(scn, reps)
+        se = float(gammas.std(ddof=1)) / math.sqrt(reps)
+        assert abs(float(gammas.mean()) - expected_load(scn)) <= 5.0 * se
