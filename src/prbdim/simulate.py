@@ -18,8 +18,8 @@ from .linkmodel import StepFunction
 _Z95 = 1.959963984540054
 MIN_REPLICATIONS = 100
 
-# Replications per generator. A block holds its chords' arrays, not one
-# offset per user, so 10000 replications need 79 streams.
+# Replications per generator, chosen among 64..512 by the time and peak
+# memory of `simulate fig4 --replications 10000` (BENCH_18.json).
 BLOCK = 128
 # Block b draws from SeedSequence((seed, MC_TAG, b)), which equals no road
 # stream (seed, i) of `sample_road_set` for i < MC_TAG. (SeedSequence pads short
@@ -52,11 +52,11 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _draw_block(scn: Scenario, tallies: list[_Tally], rng: np.random.Generator, size: int,
+def _draw_block(scn: Scenario, tallies: list[_Tally], rng: np.random.Generator,
                 road: RoadSet | None) -> np.ndarray:
-    """2 x size packed demand, outdoor and indoor, of `size` replications
-    drawn from `rng` in the order that :func:`gamma_samples` documents."""
-    gp, radius = scn.geometry, scn.cell_radius_km
+    """2 x BLOCK packed demand, outdoor and indoor, of one block drawn from
+    `rng` in the order that :func:`gamma_samples` documents."""
+    gp, radius, size = scn.geometry, scn.cell_radius_km, BLOCK
     if road is None:
         roads = rng.poisson(expected_roads(gp, radius), size=size)
         r = chord_law(radius, scn.sampler, rng.uniform(size=int(roads.sum())))
@@ -144,7 +144,7 @@ def gamma_samples(scn: Scenario, replications: int, road: RoadSet | None = None,
     for start, rng in zip(range(0, replications, BLOCK),
                           streams((scn.seed, MC_TAG), -(-replications // BLOCK))):
         stop = min(start + BLOCK, replications)
-        packed[:, start:stop] = _draw_block(scn, tallies, rng, BLOCK, road)[:, :stop - start]
+        packed[:, start:stop] = _draw_block(scn, tallies, rng, road)[:, :stop - start]
     return _unpack(*packed)
 
 

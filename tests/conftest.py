@@ -100,9 +100,8 @@ def reference_block(scn, rng, size, road=None):
     n_out = np.zeros(size, dtype=np.int64)
     whole = [{} for _ in range(size)]  # step -> summed half length
     crossing = []  # (replication, r^2, half^2, half) in chord order
-    chords = np.split(r.tolist(), np.cumsum(counts)[:-1])
-    for j, distances in enumerate(chords):
-        for x in distances:
+    for j, distances in enumerate(np.split(r, np.cumsum(counts)[:-1])):
+        for x in distances.tolist():
             r2 = x * x
             half2 = max(radius ** 2 - r2, 0.0)
             half = math.sqrt(half2)
