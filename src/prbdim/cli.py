@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -30,6 +31,11 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_ACCURACY = 5
+
+# argparse reads a value such as -inf, -nan or -1e3 as an option of its own,
+# so main() binds one that follows a float option to it as --option=value
+_FLOAT_OPTIONS = ("--target", "--tau-mbps", "--outdoor-fraction")
+_SIGNED_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(value) -> str:
@@ -224,6 +230,9 @@ def cmd_validate(args) -> int:
     from . import validate as validate_suites
     if args.seed < 0:
         raise DomainError(f"seed {args.seed} must be a non-negative integer")
+    if args.suite != "identities":
+        from .simulate import check_replications
+        check_replications(args.replications)
     suites = {
         "identities": validate_suites.identities_suite,
         "mc": validate_suites.mc_suite,
@@ -312,8 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in _FLOAT_OPTIONS and _SIGNED_VALUE.match(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

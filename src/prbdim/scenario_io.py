@@ -1,16 +1,16 @@
 """Scenario files: strict INI-style documents with unit-suffixed keys.
 
 A document either states the user intensities directly or derives them
-from a forecast cell throughput and an outdoor traffic fraction.  Parsing
-rejects unknown keys and missing keys that have no documented default;
-:func:`dump_scenario` writes the canonical form (every key explicit, fixed
-order), which round-trips byte-identically.
+from a forecast cell throughput and an outdoor traffic fraction.  One key
+table, :data:`KEYS`, drives parsing (unknown keys and missing keys that
+have no documented default are rejected) and :func:`dump_scenario`, which
+writes the canonical form (every key that has a value, in table order)
+that round-trips byte-identically.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,28 +25,66 @@ from .linkmodel import InterferenceModel, LinkBudget, Service
 if TYPE_CHECKING:
     from .dimension import DimensionQuery
 
-_SCHEMA = {
-    "cell": ("tx_power_dbm", "noise_power_dbm", "prop_const_db",
-             "prop_const_indoor_db", "path_loss_exp", "tx_antennas",
-             "rx_antennas", "prb_bandwidth_khz", "cell_radius_km",
-             "max_user_prbs"),
-    "service": ("rate_kbps",),
-    "interference": ("margins_db", "breakpoints_km"),
-    "geometry": ("road_intensity_per_km", "user_intensity_per_km",
-                 "indoor_intensity_per_km2", "throughput_mbps",
-                 "outdoor_fraction"),
-    "monte_carlo": ("realizations", "seed", "sampler"),
-}
 
-# Keys a document may omit (value below) -- everything else is required.
-_DEFAULTS = {
-    ("cell", "max_user_prbs"): "256",
-    ("interference", "margins_db"): "0.0",
-    ("interference", "breakpoints_km"): "",
-    ("monte_carlo", "realizations"): "500",
-    ("monte_carlo", "seed"): "0",
-    ("monte_carlo", "sampler"): PAPER,
-}
+def _number(section: str, key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ScenarioError(f"[{section}] {key} = {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"[{section}] {key} must be finite")
+    return value
+
+
+def _integer(section: str, key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(f"[{section}] {key} = {raw!r} is not an integer") from None
+
+
+def _number_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+    raw = raw.strip()
+    if not raw:
+        return ()
+    return tuple(_number(section, key, part.strip()) for part in raw.split(","))
+
+
+def _text(section: str, key: str, raw: str) -> str:
+    return raw
+
+
+REQUIRED = object()
+
+# Every key of the format, in canonical order: (section, key, kind, default),
+# the default being the text an omitted key reads as, REQUIRED, or None for a
+# key that may be absent.  ScenarioFile has one field per key, in this order.
+KEYS = (
+    ("cell", "tx_power_dbm", _number, REQUIRED),
+    ("cell", "noise_power_dbm", _number, REQUIRED),
+    ("cell", "prop_const_db", _number, REQUIRED),
+    ("cell", "prop_const_indoor_db", _number, REQUIRED),
+    ("cell", "path_loss_exp", _number, REQUIRED),
+    ("cell", "tx_antennas", _integer, REQUIRED),
+    ("cell", "rx_antennas", _integer, REQUIRED),
+    ("cell", "prb_bandwidth_khz", _number, REQUIRED),
+    ("cell", "cell_radius_km", _number, REQUIRED),
+    ("cell", "max_user_prbs", _integer, "256"),
+    ("service", "rate_kbps", _number, REQUIRED),
+    ("interference", "margins_db", _number_list, "0.0"),
+    ("interference", "breakpoints_km", _number_list, ""),
+    ("geometry", "road_intensity_per_km", _number, REQUIRED),
+    ("geometry", "user_intensity_per_km", _number, None),
+    ("geometry", "indoor_intensity_per_km2", _number, None),
+    ("geometry", "throughput_mbps", _number, None),
+    ("geometry", "outdoor_fraction", _number, None),
+    ("monte_carlo", "realizations", _integer, "500"),
+    ("monte_carlo", "seed", _integer, "0"),
+    ("monte_carlo", "sampler", _text, PAPER),
+)
+
+_EXPLICIT = ("user_intensity_per_km", "indoor_intensity_per_km2")
+_DERIVED = ("throughput_mbps", "outdoor_fraction")
 
 
 @dataclass(frozen=True)
@@ -76,17 +114,9 @@ class ScenarioFile:
     sampler: str
 
     def link_budget(self) -> LinkBudget:
-        return LinkBudget(
-            tx_power_dbm=self.tx_power_dbm,
-            noise_power_dbm=self.noise_power_dbm,
-            prop_const_db=self.prop_const_db,
-            prop_const_indoor_db=self.prop_const_indoor_db,
-            path_loss_exp=self.path_loss_exp,
-            tx_antennas=self.tx_antennas,
-            rx_antennas=self.rx_antennas,
-            prb_bandwidth_hz=self.prb_bandwidth_khz * 1e3,
-            cell_radius_km=self.cell_radius_km,
-            max_user_prbs=self.max_user_prbs)
+        cell = {key: getattr(self, key) for section, key, _, _ in KEYS if section == "cell"}
+        cell["prb_bandwidth_hz"] = cell.pop("prb_bandwidth_khz") * 1e3
+        return LinkBudget(**cell)
 
     def interference(self, noise_limited: bool = False) -> InterferenceModel:
         if noise_limited:
@@ -166,68 +196,38 @@ class ScenarioFile:
         return out
 
 
-def _number(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ScenarioError(f"[{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"[{section}] {key} must be finite")
-    return value
-
-
-def _integer(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(f"[{section}] {key} = {raw!r} is not an integer") from None
-
-
-def _number_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    raw = raw.strip()
-    if not raw:
-        return ()
-    return tuple(_number(section, key, part.strip()) for part in raw.split(","))
-
-
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text, source=name)
     except configparser.Error as exc:
         raise ScenarioError(f"{name}: {exc}") from None
 
+    known = {(section, key) for section, key, _, _ in KEYS}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {s for s, _ in known}:
             raise ScenarioError(f"{name}: unknown section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if (section, key) not in known:
                 raise ScenarioError(f"{name}: unknown key {key!r} in [{section}]")
 
-    def fetch(section: str, key: str, optional: bool = False) -> str | None:
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        if (section, key) in _DEFAULTS:
-            return _DEFAULTS[section, key]
-        if optional:
-            return None
-        raise ScenarioError(f"{name}: missing required key {key!r} in [{section}]")
+    values = {}
+    for section, key, kind, default in KEYS:
+        raw = parser.get(section, key, fallback=default)
+        if raw is REQUIRED:
+            raise ScenarioError(f"{name}: missing required key {key!r} in [{section}]")
+        values[key] = None if raw is None else kind(section, key, raw)
 
-    margins = _number_list("interference", "margins_db",
-                           fetch("interference", "margins_db"))
-    breakpoints = _number_list("interference", "breakpoints_km",
-                               fetch("interference", "breakpoints_km"))
-    radius = _number("cell", "cell_radius_km", fetch("cell", "cell_radius_km"))
+    margins, breakpoints = values["margins_db"], values["breakpoints_km"]
     if not breakpoints and len(margins) == 3:
-        breakpoints = (radius / 3.0, 2.0 * radius / 3.0)
+        radius = values["cell_radius_km"]
+        values["breakpoints_km"] = breakpoints = (radius / 3.0, 2.0 * radius / 3.0)
     if len(margins) != len(breakpoints) + 1:
         raise ScenarioError(
             f"{name}: {len(margins)} margins need {len(margins) - 1} breakpoints")
 
-    explicit = [k for k in ("user_intensity_per_km", "indoor_intensity_per_km2")
-                if parser.has_option("geometry", k)]
-    derived = [k for k in ("throughput_mbps", "outdoor_fraction")
-               if parser.has_option("geometry", k)]
+    explicit = [k for k in _EXPLICIT if values[k] is not None]
+    derived = [k for k in _DERIVED if values[k] is not None]
     if explicit and derived:
         raise ScenarioError(
             f"{name}: [geometry] mixes explicit intensities with a throughput forecast")
@@ -235,53 +235,18 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
         raise ScenarioError(
             f"{name}: [geometry] needs explicit intensities or both "
             "throughput_mbps and outdoor_fraction")
-
-    def opt_number(section: str, key: str) -> float | None:
-        raw = fetch(section, key, optional=True)
-        return None if raw is None else _number(section, key, raw)
-
-    def intensity(key: str) -> float | None:
+    if explicit:
         # explicit style: an omitted intensity means zero, not "unset"
-        if derived:
-            return None
-        raw = fetch("geometry", key, optional=True)
-        return 0.0 if raw is None else _number("geometry", key, raw)
+        values.update({k: 0.0 for k in _EXPLICIT if values[k] is None})
 
-    throughput = opt_number("geometry", "throughput_mbps")
+    throughput = values["throughput_mbps"]
     if throughput is not None and throughput <= 0:
         raise ScenarioError(f"{name}: [geometry] throughput_mbps = {throughput:g} Mbit/s "
                             "must be positive")
-    sampler = fetch("monte_carlo", "sampler")
-    if sampler not in SAMPLERS:
-        raise ScenarioError(f"{name}: unknown sampler {sampler!r}")
+    if values["sampler"] not in SAMPLERS:
+        raise ScenarioError(f"{name}: unknown sampler {values['sampler']!r}")
 
-    doc = ScenarioFile(
-        tx_power_dbm=_number("cell", "tx_power_dbm", fetch("cell", "tx_power_dbm")),
-        noise_power_dbm=_number("cell", "noise_power_dbm", fetch("cell", "noise_power_dbm")),
-        prop_const_db=_number("cell", "prop_const_db", fetch("cell", "prop_const_db")),
-        prop_const_indoor_db=_number("cell", "prop_const_indoor_db",
-                                     fetch("cell", "prop_const_indoor_db")),
-        path_loss_exp=_number("cell", "path_loss_exp", fetch("cell", "path_loss_exp")),
-        tx_antennas=_integer("cell", "tx_antennas", fetch("cell", "tx_antennas")),
-        rx_antennas=_integer("cell", "rx_antennas", fetch("cell", "rx_antennas")),
-        prb_bandwidth_khz=_number("cell", "prb_bandwidth_khz",
-                                  fetch("cell", "prb_bandwidth_khz")),
-        cell_radius_km=radius,
-        max_user_prbs=_integer("cell", "max_user_prbs", fetch("cell", "max_user_prbs")),
-        rate_kbps=_number("service", "rate_kbps", fetch("service", "rate_kbps")),
-        margins_db=margins,
-        breakpoints_km=breakpoints,
-        road_intensity_per_km=_number("geometry", "road_intensity_per_km",
-                                      fetch("geometry", "road_intensity_per_km")),
-        user_intensity_per_km=intensity("user_intensity_per_km"),
-        indoor_intensity_per_km2=intensity("indoor_intensity_per_km2"),
-        throughput_mbps=throughput,
-        outdoor_fraction=opt_number("geometry", "outdoor_fraction"),
-        realizations=_integer("monte_carlo", "realizations",
-                              fetch("monte_carlo", "realizations")),
-        seed=_integer("monte_carlo", "seed", fetch("monte_carlo", "seed")),
-        sampler=sampler,
-    )
+    doc = ScenarioFile(**values)
     try:
         doc.to_scenario()
     except ValueError as exc:
@@ -311,32 +276,22 @@ def bundled_scenario(name: str) -> ScenarioFile:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def dump_scenario(doc: ScenarioFile) -> str:
-    """Canonical text form; every key explicit, stable ordering."""
-    out = io.StringIO()
-    out.write("[cell]\n")
-    for key in _SCHEMA["cell"]:
-        out.write(f"{key} = {_fmt(getattr(doc, key))}\n")
-    out.write("\n[service]\n")
-    out.write(f"rate_kbps = {_fmt(doc.rate_kbps)}\n")
-    out.write("\n[interference]\n")
-    out.write(f"margins_db = {', '.join(repr(m) for m in doc.margins_db)}\n")
-    out.write(f"breakpoints_km = {', '.join(repr(b) for b in doc.breakpoints_km)}\n")
-    out.write("\n[geometry]\n")
-    out.write(f"road_intensity_per_km = {_fmt(doc.road_intensity_per_km)}\n")
-    if doc.throughput_mbps is not None:
-        out.write(f"throughput_mbps = {_fmt(doc.throughput_mbps)}\n")
-        out.write(f"outdoor_fraction = {_fmt(doc.outdoor_fraction)}\n")
-    else:
-        out.write(f"user_intensity_per_km = {_fmt(doc.user_intensity_per_km or 0.0)}\n")
-        out.write(f"indoor_intensity_per_km2 = {_fmt(doc.indoor_intensity_per_km2 or 0.0)}\n")
-    out.write("\n[monte_carlo]\n")
-    out.write(f"realizations = {doc.realizations}\n")
-    out.write(f"seed = {doc.seed}\n")
-    out.write(f"sampler = {doc.sampler}\n")
-    return out.getvalue()
+    """Canonical text form: every key that has a value, in table order."""
+    lines, current = [], None
+    for section, key, _, _ in KEYS:
+        value = getattr(doc, key)
+        if value is None:
+            continue
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        lines.append(f"{key} = {_fmt(value)}")
+    return "\n".join(lines[1:]) + "\n"

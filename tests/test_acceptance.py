@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from prbdim import (CompoundSpec, GeometryParams, InterferenceModel,
                     LinkBudget, Scenario, Service, averaged_congestion,

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from prbdim import congestion
@@ -279,6 +278,30 @@ def test_m_max_zero_checks_the_replications_first(command, extra, header, tmp_pa
     assert run([command, "--scenario", FIG4, "--m-max", "0", *extra, "100",
                 "--out", str(out)]) == 0
     assert out.read_text().splitlines()[-1] == header
+
+
+@pytest.mark.parametrize("option", ["--target", "--tau-mbps", "--outdoor-fraction"])
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-1e3"])
+def test_signed_float_value_reaches_its_check(option, value, capsys):
+    # argparse alone takes these values for options and exits 2
+    extra = [] if option == "--target" else ["--target", "0.05"]
+    assert run(["dimension", "--scenario", FIG7, *extra, option, value]) == 3
+    err = capsys.readouterr().err
+    assert run(["dimension", "--scenario", FIG7, *extra, f"{option}={value}"]) == 3
+    assert err.startswith("validation error: ") and capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("suite", ["mc", "figures"])
+@pytest.mark.parametrize("replications", [0, 50])
+def test_validate_checks_the_replications_first(suite, replications, capsys, monkeypatch):
+    from prbdim import validate
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the suite drew before checking the replication count")
+
+    monkeypatch.setattr(validate, f"{suite}_suite", no_draws)
+    assert run(["validate", "--suite", suite, "--replications", str(replications)]) == 3
+    assert f"need at least 100 replications, not {replications}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["identities", "mc", "figures"])

@@ -1,10 +1,14 @@
-import math
+import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
 from prbdim import ScenarioError
-from prbdim.scenario_io import (bundled_scenario, bundled_scenario_path,
-                                dump_scenario, load_scenario, parse_scenario)
+from prbdim.scenario_io import (KEYS, ScenarioFile, bundled_scenario, bundled_scenario_path,
+                                dump_scenario, parse_scenario)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BUNDLED = ("fig2_tau14", "fig2_tau30", "fig3", "fig4", "fig6_mixed", "fig7",
            "fig8_regions")
@@ -98,10 +102,58 @@ class TestParsing:
         assert main(["dimension", "--scenario", str(path), "--target", "0.05"]) == 3
         assert written in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t + "\n[antenna]\ncount = 3\n", "unknown section [antenna]"),
+        (lambda t: t + "frequency_ghz = 3.5\n", "unknown key 'frequency_ghz' in [geometry]"),
+        (lambda t: t.replace("rate_kbps = 500.0\n", ""),
+         "missing required key 'rate_kbps' in [service]"),
+        (lambda t: t.replace("500.0", "fast"), "[service] rate_kbps = 'fast' is not a number"),
+        (lambda t: t.replace("tx_antennas = 8", "tx_antennas = 8.0"),
+         "[cell] tx_antennas = '8.0' is not an integer"),
+        (lambda t: t + "throughput_mbps = 10.0\n",
+         "[geometry] mixes explicit intensities with a throughput forecast"),
+        (lambda t: t.replace("user_intensity_per_km = 6.0", "throughput_mbps = 10.0"),
+         "[geometry] needs explicit intensities or both throughput_mbps and outdoor_fraction"),
+        (lambda t: t + "\n[interference]\nmargins_db = 1.0, 8.0\n", "2 margins need 1 breakpoints"),
+        (lambda t: t.replace("user_intensity_per_km = 6.0",
+                             "throughput_mbps = -3\noutdoor_fraction = 0.5"),
+         "[geometry] throughput_mbps = -3 Mbit/s must be positive"),
+        (lambda t: t + "\n[monte_carlo]\nsampler = quasi\n", "unknown sampler 'quasi'"),
+        (lambda t: t + "\n[monte_carlo]\nseed = -3\n", "seed -3 must be a non-negative integer"),
+    ])
+    def test_one_fault_keeps_its_message(self, edit, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(edit(MINIMAL), name="cell.scenario")
+        assert str(exc.value) in (message, f"cell.scenario: {message}")
+
+    def test_several_faults_report_the_first_in_table_order(self):
+        with pytest.raises(ScenarioError, match="missing required key 'tx_power_dbm'"):
+            parse_scenario("")
+
+    def test_inline_comments(self):
+        text = MINIMAL.replace("rate_kbps = 500.0", "rate_kbps = 400.0    ; per user")
+        assert parse_scenario(text).rate_kbps == 400.0
+        with pytest.raises(ScenarioError, match="unknown sampler 'paper;x'"):
+            parse_scenario(MINIMAL + "\n[monte_carlo]\nsampler = paper;x\n")
+
     def test_negative_seed_rejected(self):
         text = MINIMAL + "\n[monte_carlo]\nseed = -3\n"
         with pytest.raises(ScenarioError, match="^cell.scenario: seed -3 must be a non-negative"):
             parse_scenario(text, name="cell.scenario")
+
+
+class TestKeyTable:
+    def test_fields_follow_the_table(self):
+        assert [f.name for f in dataclasses.fields(ScenarioFile)] == [key for _, key, _, _ in KEYS]
+
+    def test_readme_example_parses_and_names_every_key_in_order(self):
+        block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        doc = parse_scenario(block, name="README.md")
+        assert doc.margins_db == (1.0, 8.0, 15.0) and doc.realizations == 800
+        assert doc.user_intensity_per_km == 6.0 and doc.throughput_mbps is None
+        # the forecast keys appear there as commented-out lines
+        named = re.findall(r"^;?\s*(\w+)\s*=", block, flags=re.MULTILINE)
+        assert named == [key for _, key, _, _ in KEYS]
 
 
 class TestBundled:
