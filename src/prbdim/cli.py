@@ -33,7 +33,8 @@ EXIT_INFEASIBLE = 4
 EXIT_ACCURACY = 5
 
 # argparse reads a value such as -inf, -nan or -1e3 as an option of its own,
-# so main() binds one that follows a float option to it as --option=value
+# so main() binds one that follows a float option to it as --option=value;
+# the subcommands refuse abbreviated options, so only full names need it
 _FLOAT_OPTIONS = ("--target", "--tau-mbps", "--outdoor-fraction")
 _SIGNED_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
@@ -256,18 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prbdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_opts(p, with_region=True):
+    def scenario_opts(p):
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--seed", type=int, default=None, help="override the file seed")
         p.add_argument("--realizations", type=int, default=None,
                        help="override the road-realization count")
         p.add_argument("--noise-limited", action="store_true",
                        help="drop all interference margins")
-        if with_region:
-            p.add_argument("--region", choices=REGION_NAMES, default=None,
-                           help="restrict the population to one cell region")
+        p.add_argument("--region", choices=REGION_NAMES, default=None,
+                       help="restrict the population to one cell region")
 
-    p = sub.add_parser("congestion", help="averaged congestion curve as CSV")
+    p = sub.add_parser("congestion", allow_abbrev=False, help="averaged congestion curve as CSV")
     scenario_opts(p)
     p.add_argument("--m-max", type=int, default=None,
                    help="evaluate thresholds below this M (default: until every tail is below 1e-12)")
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")
     p.set_defaults(func=cmd_congestion)
 
-    p = sub.add_parser("dimension", help="minimum PRBs for a congestion target")
+    p = sub.add_parser("dimension", allow_abbrev=False, help="minimum PRBs for a congestion target")
     scenario_opts(p)
     p.add_argument("--target", type=float, required=True,
                    help="target congestion probability in (0, 1)")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write a one-row CSV")
     p.set_defaults(func=cmd_dimension)
 
-    p = sub.add_parser("sweep", help="dimension over a tau and/or lambda grid")
+    p = sub.add_parser("sweep", allow_abbrev=False, help="dimension over a tau and/or lambda grid")
     scenario_opts(p)
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tau-grid-mbps", default=None,
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="empirical congestion curve as CSV")
+    p = sub.add_parser("simulate", allow_abbrev=False, help="empirical congestion curve as CSV")
     scenario_opts(p)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--m-max", type=int, default=None,
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="run the self-check suites")
+    p = sub.add_parser("validate", allow_abbrev=False, help="run the self-check suites")
     p.add_argument("--suite", choices=("identities", "mc", "figures"), required=True)
     p.add_argument("--seed", type=int, default=0,
                    help="identities and mc suites; figures keeps its scenario-file seeds")

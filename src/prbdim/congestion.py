@@ -201,19 +201,6 @@ def block_curves(weights: list[np.ndarray], k_max: list[int]) -> list[Congestion
             for b, k in enumerate(k_max)]
 
 
-def batched_curve(weights, m_values) -> CongestionCurve:
-    """Mean and standard error over the rows of an R x N weight matrix of
-    P(Gamma >= m | row weights), exactly zero error where all rows agree."""
-    w = np.asarray(weights, dtype=float)
-    m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
-    if w.ndim != 2 or w.size == 0 or not np.all(np.isfinite(w)) or w.min() < 0:
-        raise DomainError("weights must be a nonempty R x N matrix, nonnegative and finite")
-    if m.size == 0 or m.min() < 0:
-        raise DomainError("thresholds must be nonempty and nonnegative")
-    [curve] = block_curves([w], [int(m.max())])
-    return replace(curve, m_values=m, pi=curve.pi[m], stderr=curve.stderr[m])
-
-
 def shared_road_curves(scns: list[Scenario], m_ceiling: float = math.inf,
                        ) -> list[CongestionCurve]:
     """Averaged curves of scenarios that differ only in user intensities,
@@ -235,7 +222,11 @@ def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     """
     if m_values is None:
         return shared_road_curves([scn])[0]
-    return batched_curve(weight_matrix(scn, road_set(scn)), m_values)
+    m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
+    if m.size == 0 or m.min() < 0:
+        raise DomainError("thresholds must be nonempty and nonnegative")
+    [curve] = block_curves([weight_matrix(scn, road_set(scn))], [int(m.max())])
+    return replace(curve, m_values=m, pi=curve.pi[m], stderr=curve.stderr[m])
 
 
 def expected_load(scn: Scenario) -> float:

@@ -18,7 +18,6 @@ from .errors import DomainError
 
 OUTDOOR = "outdoor"
 INDOOR = "indoor"
-ENVIRONMENTS = (OUTDOOR, INDOOR)
 
 # Relative slack when ceiling rate ratios: the ring radii satisfy
 # n = C*/C(d_n) only to floating precision, and a boundary sample must
@@ -132,59 +131,40 @@ class Service:
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """Step function n(x): per-level lists of half-open annuli (u, v].
-
-    The intervals across all levels tile (0, R]; a point exactly on a
-    boundary belongs to the inner (lower-v) interval.
+    """Step function n(x) over (0, R] as radial pieces: piece k is the
+    half-open annulus (uppers[k-1], uppers[k]] at level levels[k], the
+    first starting at 0; a point exactly on a boundary belongs to the
+    inner piece. One level may own several pieces.
     """
 
     n_levels: int
-    rings: dict[int, tuple[tuple[float, float], ...]]
-    environment: str
+    uppers: tuple[float, ...]
+    levels: tuple[int, ...]
     cell_radius_km: float
 
-    _PARTITION_RTOL = 1e-12
-
     def __post_init__(self):
-        if self.environment not in ENVIRONMENTS:
-            raise DomainError(f"unknown environment {self.environment!r}")
+        r = self.cell_radius_km
         if self.n_levels < 1:
             raise DomainError("n_levels must be at least 1")
-        for n, ivs in self.rings.items():
-            if not 1 <= n <= self.n_levels:
-                raise DomainError(f"level {n} outside 1..{self.n_levels}")
-            for u, v in ivs:
-                if not 0.0 <= u < v <= self.cell_radius_km * (1 + 1e-12):
-                    raise DomainError(f"bad interval ({u}, {v}] on level {n}")
-        tol = self._PARTITION_RTOL * self.cell_radius_km
-        flat = sorted(iv for ivs in self.rings.values() for iv in ivs)
-        if not flat:
-            raise DomainError("profile has no intervals")
-        if abs(flat[0][0]) > tol or abs(flat[-1][1] - self.cell_radius_km) > tol:
-            raise DomainError("intervals do not span (0, R]")
-        for (_, v), (u, _) in zip(flat, flat[1:]):
-            if abs(u - v) > tol:
-                raise DomainError("intervals overlap or leave a gap")
-
-    @cached_property
-    def _intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        """(upper ends, levels) of the intervals, innermost first."""
-        ivs = sorted((u, v, n) for n, lst in self.rings.items() for u, v in lst)
-        return (np.array([v for _, v, _ in ivs]),
-                np.array([n for _, _, n in ivs], dtype=np.int64))
+        if len(self.uppers) != len(self.levels):
+            raise DomainError("need exactly one level per piece")
+        if not all(1 <= n <= self.n_levels for n in self.levels):
+            raise DomainError(f"levels must lie in 1..{self.n_levels}")
+        ends = (0.0, *self.uppers)
+        if not (len(ends) > 1 and all(u < v for u, v in zip(ends, ends[1:]))
+                and abs(ends[-1] - r) <= 1e-12 * r):
+            raise DomainError(f"piece ends must rise from 0 to {r}")
 
     @cached_property
     def _steps(self) -> StepFunction:
-        uppers, levels = self._intervals
-        return StepFunction(uppers[:-1], levels, self.cell_radius_km)
+        return StepFunction(self.uppers[:-1], self.levels, self.cell_radius_km)
 
     def steps(self, region: tuple[float, float] | None = None) -> StepFunction:
         """n(x) as a step function over (0, R] and beyond; given a region
         (lo, hi], n(x) for x inside it and 0 outside it."""
         if region is None:
             return self._steps
-        uppers, levels = self._intervals
-        inner = uppers[:-1]
+        inner, levels = self._steps.bounds, self._steps.values
         lo, hi = region
         bounds = np.unique(np.concatenate((inner, [lo, hi])))
         # piece k lies in (bounds[k-1], bounds[k]]; the end pieces are outside
@@ -308,29 +288,27 @@ def ring_radii(lb: LinkBudget, im: InterferenceModel, svc: Service,
 
     Inside each interference region the level-n set is the closed-form
     annulus (d_{n-1}, d_n] computed with that region's margin, intersected
-    with the region; level N absorbs everything beyond d_{N-1}. The
-    outermost interval is clamped to R. Adjacent same-level intervals
-    across region boundaries are merged.
+    with the region; level N absorbs everything beyond d_{N-1}. Walking
+    outward, each such annulus is one piece, except that a piece on the
+    level of the piece before it (across a region boundary) extends that
+    piece; the outermost piece ends at R.
     """
     n_cap = max_prbs_per_user(lb, im, svc, environment)
-    rings: dict[int, list[tuple[float, float]]] = {}
+    uppers: list[float] = []
+    levels: list[int] = []
     for lo, hi, margin_db in im.regions(lb.cell_radius_km):
         d_prev = 0.0
         for n in range(1, n_cap + 1):
             d_n = math.inf if n == n_cap else _level_boundary(lb, svc, environment, margin_db, n)
-            a, b = max(d_prev, lo), min(d_n, hi)
-            if b > a:
-                ivs = rings.setdefault(n, [])
-                if ivs and ivs[-1][1] == a:
-                    ivs[-1] = (ivs[-1][0], b)
+            b = min(d_n, hi)
+            if b > max(d_prev, lo):
+                if levels and levels[-1] == n:
+                    uppers[-1] = b
                 else:
-                    ivs.append((a, b))
+                    uppers.append(b)
+                    levels.append(n)
             d_prev = d_n
             if d_prev >= hi:
                 break
-    return DemandProfile(
-        n_levels=n_cap,
-        rings={n: tuple(ivs) for n, ivs in rings.items()},
-        environment=environment,
-        cell_radius_km=lb.cell_radius_km,
-    )
+    return DemandProfile(n_levels=n_cap, uppers=tuple(uppers), levels=tuple(levels),
+                         cell_radius_km=lb.cell_radius_km)

@@ -216,7 +216,10 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
         raw = parser.get(section, key, fallback=default)
         if raw is REQUIRED:
             raise ScenarioError(f"{name}: missing required key {key!r} in [{section}]")
-        values[key] = None if raw is None else kind(section, key, raw)
+        try:
+            values[key] = None if raw is None else kind(section, key, raw)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{name}: {exc}") from None
 
     margins, breakpoints = values["margins_db"], values["breakpoints_km"]
     if not breakpoints and len(margins) == 3:

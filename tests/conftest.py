@@ -7,7 +7,6 @@ import pytest
 from prbdim import (DomainError, InterferenceModel, LinkBudget, RoadSet, Service,
                     expected_roads)
 from prbdim.geometry import chord_user_km
-from prbdim.linkmodel import INDOOR, OUTDOOR
 from prbdim.simulate import BLOCK, MC_TAG
 
 
@@ -220,9 +219,7 @@ def per_user_demand(scn, users):
             lo, hi = scn.region_km
             inside = (km > lo) & (km <= hi)
             rep, km = rep[inside], km[inside]
-        ivs = sorted((u, v, n) for n, lst in profile.rings.items() for u, v in lst)
-        uppers = np.array([v for _, v, _ in ivs])
-        levels = np.array([n for _, _, n in ivs])
+        uppers, levels = np.array(profile.uppers), np.array(profile.levels)
         idx = np.minimum(np.searchsorted(uppers, km), len(levels) - 1)
         gamma += np.bincount(rep, weights=levels[idx], minlength=users.size)
         counts.append(np.bincount(rep, minlength=users.size))
@@ -232,6 +229,15 @@ def per_user_demand(scn, users):
 def fixed_road(chord_distances):
     """The one-realization road set with these chord distances."""
     return RoadSet(counts=[len(chord_distances)], chord_distances=chord_distances)
+
+
+def rings(profile):
+    """The level sets of a demand profile: level -> its annuli (u, v],
+    innermost first, levels in the order they first appear outward."""
+    out = {}
+    for u, v, n in zip((0.0, *profile.uppers), profile.uppers, profile.levels):
+        out.setdefault(n, []).append((u, v))
+    return out
 
 
 # Per-ring demand masses written interval by interval: the independent
@@ -259,20 +265,16 @@ def outdoor_masses(road, profile, delta):
 
     Entry n-1 holds the mass of level n; levels with no interval get 0.
     """
-    if profile.environment != OUTDOOR:
-        raise DomainError("outdoor_masses needs an outdoor profile")
     w = np.zeros(profile.n_levels)
-    for n, intervals in profile.rings.items():
+    for n, intervals in rings(profile).items():
         w[n - 1] = sum(chord_mass(road, iv, delta) for iv in intervals)
     return w
 
 
 def indoor_masses(profile, kappa):
     """Per-level expected indoor user counts: kappa * area of each level set."""
-    if profile.environment != INDOOR:
-        raise DomainError("indoor_masses needs an indoor profile")
     w = np.zeros(profile.n_levels)
-    for n, intervals in profile.rings.items():
+    for n, intervals in rings(profile).items():
         w[n - 1] = kappa * sum(_annulus_area(iv) for iv in intervals)
     return w
 
@@ -296,7 +298,7 @@ def reference_outdoor_table(scn):
     """(u^2, v^2, level - 1) arrays of the outdoor rings clipped to the
     scenario's region, level by level in the profile's order."""
     u2, v2, lv = [], [], []
-    for n, ivs in scn.profiles[0].rings.items():
+    for n, ivs in rings(scn.profiles[0]).items():
         for a, b in clip_intervals(ivs, scn.region_km):
             u2.append(a * a)
             v2.append(b * b)
@@ -308,7 +310,7 @@ def reference_indoor_weights(scn):
     """Indoor masses kappa * area of the region-clipped rings, by level - 1."""
     kappa = scn.geometry.user_intensity_area
     w = np.zeros(scn.profiles[1].n_levels)
-    for n, ivs in scn.profiles[1].rings.items():
+    for n, ivs in rings(scn.profiles[1]).items():
         for a, b in clip_intervals(ivs, scn.region_km):
             w[n - 1] += kappa * math.pi * (b * b - a * a)
     return w

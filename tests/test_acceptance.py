@@ -177,15 +177,15 @@ def test_criterion_10_structural_invariants(tmp_path):
     im3 = InterferenceModel.three_region(1.0, 8.0, 15.0, 0.7)
     svc = Service(rate_bps=500e3)
 
-    # profile partitions tile (0, R] with exactly shared endpoints
+    # profile pieces rise from 0 to exactly R, neighbours on different levels
     from prbdim import ring_radii
     partition_ok = True
     for env, im in itertools.product(("outdoor", "indoor"),
                                      (InterferenceModel.noise_limited(), im3)):
         profile = ring_radii(lb, im, svc, env)
-        flat = sorted(iv for ivs in profile.rings.values() for iv in ivs)
-        partition_ok &= flat[0][0] == 0.0 and flat[-1][1] == 0.7
-        partition_ok &= all(u == v for (_, v), (u, _) in zip(flat, flat[1:]))
+        ends = (0.0, *profile.uppers)
+        partition_ok &= ends[-1] == 0.7 and all(u < v for u, v in zip(ends, ends[1:]))
+        partition_ok &= all(n != m for n, m in zip(profile.levels, profile.levels[1:]))
 
     # averaged curve nonincreasing; congestion monotone in every intensity
     def scenario(delta, kappa, margins, seed=33):

@@ -291,6 +291,15 @@ def test_signed_float_value_reaches_its_check(option, value, capsys):
     assert err.startswith("validation error: ") and capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("value", ["-inf", "30"])
+def test_abbreviated_option_is_a_usage_error(value, capsys):
+    # whatever its value, so a signed one cannot slip past the rebinding
+    with pytest.raises(SystemExit) as exc:
+        run(["dimension", "--scenario", FIG7, "--target", "0.05", "--tau", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --tau {value}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", ["mc", "figures"])
 @pytest.mark.parametrize("replications", [0, 50])
 def test_validate_checks_the_replications_first(suite, replications, capsys, monkeypatch):

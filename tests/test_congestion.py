@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses,
-                      reference_indoor_weights, reference_outdoor_table, scalar_ccdf)
+                      reference_indoor_weights, reference_outdoor_table, rings, scalar_ccdf)
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
@@ -13,7 +13,7 @@ from prbdim import (CompoundSpec, DomainError, GeometryParams,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
-from prbdim.congestion import batched_curve, road_set, weight_matrix
+from prbdim.congestion import block_curves, road_set, weight_matrix
 from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
 
@@ -68,7 +68,7 @@ class TestConditional:
         assert spec.n_levels == max(prof_out.n_levels, prof_in.n_levels) == 6
         w_in = indoor_masses(prof_in, 20.0)
         assert spec.weights[0] == pytest.approx(
-            w_in[0] + chord_mass(road, prof_out.rings[1][0], 6.0), rel=1e-12)
+            w_in[0] + chord_mass(road, rings(prof_out)[1][0], 6.0), rel=1e-12)
         np.testing.assert_allclose(spec.weights[1:], w_in[1:], rtol=1e-12)
 
 
@@ -129,6 +129,17 @@ class TestAveraged:
     def test_rejects_empty_thresholds(self):
         with pytest.raises(DomainError):
             averaged_congestion(make_scenario(kappa=1.0), np.array([], dtype=int))
+        with pytest.raises(DomainError):
+            averaged_congestion(make_scenario(kappa=1.0), np.array([-1, 2]))
+
+    def test_thresholds_come_back_in_input_order(self):
+        scn = make_scenario(lam=9.0, delta=2.0, kappa=5.0, mc=9)
+        whole = averaged_congestion(scn, np.arange(0, 60))
+        m = np.array([41, 0, 7, 41, 59, 3])
+        curve = averaged_congestion(scn, m)
+        np.testing.assert_array_equal(curve.m_values, m)
+        np.testing.assert_array_equal(curve.pi, whole.pi[m])
+        np.testing.assert_array_equal(curve.stderr, whole.stderr[m])
 
 
 def per_row_reference(weights, m_values):
@@ -146,6 +157,8 @@ def kernel_tails(weights, k_max):
 
 
 class TestBatchedCurve:
+    """block_curves: averaged curves of stacked weight matrices in one pass."""
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_matches_per_row_pmf(self, data):
@@ -157,12 +170,9 @@ class TestBatchedCurve:
             min_size=r, max_size=r)))
         zero_rows = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
         weights[np.array(zero_rows)] = 0.0
-        # unsorted, repeated thresholds come back in input order
-        m = np.array(data.draw(st.lists(st.integers(0, k_max), min_size=1,
-                                        max_size=12)) + [k_max])
-        curve = batched_curve(weights, m)
-        pi, stderr = per_row_reference(weights, m)
-        np.testing.assert_array_equal(curve.m_values, m)
+        [curve] = block_curves([weights], [k_max])
+        pi, stderr = per_row_reference(weights, np.arange(k_max + 1))
+        np.testing.assert_array_equal(curve.m_values, np.arange(k_max + 1))
         np.testing.assert_allclose(curve.pi, pi, rtol=0, atol=1e-14)
         np.testing.assert_allclose(curve.stderr, stderr, rtol=0, atol=1e-14)
         assert curve.realizations == r
@@ -179,7 +189,7 @@ class TestBatchedCurve:
                        service=Service(rate_bps=500e3),
                        geometry=GeometryParams(9.0, 2.0, 10.0), seed=5, mc_realizations=12)
         prof_out, prof_in = scn.profiles
-        assert any(len(ivs) > 1 for ivs in prof_out.rings.values())
+        assert len(set(prof_out.levels)) < len(prof_out.levels)
         sampled = road_set(scn)
         roads = RoadSet(counts=[*sampled.counts, 0], chord_distances=sampled.chord_distances)
         w = weight_matrix(scn, roads)
@@ -192,9 +202,8 @@ class TestBatchedCurve:
 
     def test_identical_rows_have_zero_stderr(self):
         w = np.array([[3.0, 1.5, 0.25]])
-        ms = np.arange(0, 40)
-        assert batched_curve(w, ms).stderr.max() == 0.0
-        assert batched_curve(np.repeat(w, 7, axis=0), ms).stderr.max() == 0.0
+        for rows in (w, np.repeat(w, 7, axis=0)):
+            assert block_curves([rows], [39])[0].stderr.max() == 0.0
         ppp = ppp_equivalent(make_scenario(lam=9.0, delta=2.0, kappa=5.0, mc=9,
                                            margins=(1.0, 8.0, 15.0), n_max=6))
         curve = averaged_congestion(ppp, np.arange(0, 120))
@@ -217,8 +226,8 @@ class TestBatchedCurve:
         reference = np.column_stack([scalar_ccdf(w, ms) if i in light else
                                      ccdf_integral(CompoundSpec(weights=w), ms)
                                      for i, w in enumerate(mixed)])
-        np.testing.assert_allclose(batched_curve(mixed, ms).pi, reference.mean(axis=1),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(block_curves([mixed], [k + 1])[0].pi[ms],
+                                   reference.mean(axis=1), rtol=0, atol=1e-12)
         # the scalar path: indoor weight 800 on one level is Poisson(800)
         scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
         road = fixed_road([])
@@ -226,14 +235,6 @@ class TestBatchedCurve:
         assert total == pytest.approx(800.0)
         assert conditional_congestion(scn, road, 800) == pytest.approx(
             poisson.sf(799, total), abs=1e-12)
-
-    def test_rejects_malformed_weights(self):
-        for bad in (np.zeros(3), np.zeros((0, 2)), np.array([[1.0, -1.0]]),
-                    np.array([[np.inf]])):
-            with pytest.raises(DomainError):
-                batched_curve(bad, np.arange(3))
-        with pytest.raises(DomainError):
-            batched_curve(np.ones((2, 2)), np.array([-1, 2]))
 
 
 def fig7_at(tau_bps):

@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,3 +324,12 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             sweep(query(), throughput_grid_bps=[])
+
+
+def test_readme_python_example_runs(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    required_m, pi_at_m, pi_before = capsys.readouterr().out.split()
+    assert int(required_m) == 291
+    assert float(pi_at_m) <= 0.05 < float(pi_before)

@@ -17,9 +17,8 @@ def gp(lam=0.0, delta=0.0, kappa=0.0):
                           user_intensity_area=kappa)
 
 
-def single_level_profile(env="outdoor"):
-    return DemandProfile(n_levels=1, rings={1: ((0.0, R),)},
-                         environment=env, cell_radius_km=R)
+def single_level_profile():
+    return DemandProfile(n_levels=1, uppers=(R,), levels=(1,), cell_radius_km=R)
 
 
 class TestSampleRoads:
@@ -107,10 +106,8 @@ class TestMasses:
 
     def test_total_equals_full_chord_mass(self):
         road = fixed_road([0.1, 0.25, 0.61])
-        profile = DemandProfile(n_levels=3,
-                                rings={1: ((0.0, 0.2),), 2: ((0.2, 0.45),),
-                                       3: ((0.45, R),)},
-                                environment="outdoor", cell_radius_km=R)
+        profile = DemandProfile(n_levels=3, uppers=(0.2, 0.45, R), levels=(1, 2, 3),
+                                cell_radius_km=R)
         w = outdoor_masses(road, profile, delta=6.0)
         assert w.sum() == pytest.approx(chord_mass(road, (0.0, R), 6.0), rel=1e-12)
 
@@ -118,9 +115,8 @@ class TestMasses:
         # partial sums over levels equal the disk masses alpha_n directly
         road = fixed_road([0.05, 0.3, 0.5])
         bounds = [0.0, 0.2, 0.45, R]
-        profile = DemandProfile(n_levels=3,
-                                rings={n: ((bounds[n - 1], bounds[n]),) for n in (1, 2, 3)},
-                                environment="outdoor", cell_radius_km=R)
+        profile = DemandProfile(n_levels=3, uppers=tuple(bounds[1:]), levels=(1, 2, 3),
+                                cell_radius_km=R)
         w = outdoor_masses(road, profile, delta=4.0)
         for n in (1, 2, 3):
             alpha_n = chord_mass(road, (0.0, bounds[n]), 4.0)
@@ -128,22 +124,17 @@ class TestMasses:
 
     def test_diameter_road_split(self):
         road = fixed_road([0.0])
-        profile = DemandProfile(n_levels=2, rings={1: ((0.0, 0.2),), 2: ((0.2, R),)},
-                                environment="outdoor", cell_radius_km=R)
+        profile = DemandProfile(n_levels=2, uppers=(0.2, R), levels=(1, 2), cell_radius_km=R)
         w = outdoor_masses(road, profile, delta=6.0)
         assert w[0] == pytest.approx(2 * 6.0 * 0.2)
         assert w[1] == pytest.approx(2 * 6.0 * 0.5)
 
     def test_indoor_masses(self):
-        profile = single_level_profile("indoor")
-        w = indoor_masses(profile, kappa=54.0)
+        w = indoor_masses(single_level_profile(), kappa=54.0)
         assert w[0] == pytest.approx(83.126541613985929, rel=1e-12)
-        with pytest.raises(DomainError):
-            indoor_masses(single_level_profile("outdoor"), kappa=1.0)
 
     def test_indoor_area_ratio(self):
-        profile = DemandProfile(n_levels=2, rings={1: ((0.0, R / 2),), 2: ((R / 2, R),)},
-                                environment="indoor", cell_radius_km=R)
+        profile = DemandProfile(n_levels=2, uppers=(R / 2, R), levels=(1, 2), cell_radius_km=R)
         w = indoor_masses(profile, kappa=10.0)
         assert w[1] / w[0] == pytest.approx(3.0, rel=1e-12)
         assert w.sum() == pytest.approx(10.0 * math.pi * R * R, rel=1e-12)

@@ -117,7 +117,7 @@ class TestRingRadii:
     def test_whole_cell_single_level(self, link_budget, noise_limited, service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "outdoor")
         assert profile.n_levels == 1
-        assert profile.rings == {1: ((0.0, 0.7),)}
+        assert (profile.uppers, profile.levels) == ((0.7,), (1,))
 
     def test_unit_parameter_algebra(self):
         # a(I+s2)/P = 1, C*/(theta W) = 1, exponent 2 -> d_1 = 1
@@ -127,37 +127,36 @@ class TestRingRadii:
                         cell_radius_km=2.0)
         profile = ring_radii(lb, InterferenceModel.noise_limited(), Service(rate_bps=1.0),
                              "outdoor")
-        assert profile.rings[1][0][1] == pytest.approx(1.0, rel=1e-6)
+        assert profile.uppers[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_indoor_radii_match_closed_form(self, link_budget, noise_limited, service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
         assert profile.n_levels == 6
-        for n, expected in enumerate(INDOOR_RADII_NO_MARGIN, start=1):
-            assert profile.rings[n][0][1] == pytest.approx(expected, rel=1e-12)
-        assert profile.rings[6][0][1] == 0.7  # clamped to the cell edge
+        assert profile.levels == (1, 2, 3, 4, 5, 6)
+        for d_n, expected in zip(profile.uppers, INDOOR_RADII_NO_MARGIN):
+            assert d_n == pytest.approx(expected, rel=1e-12)
+        assert profile.uppers[5] == 0.7  # clamped to the cell edge
 
     def test_uniform_edge_margin_radii(self, link_budget, service_500k):
         im = InterferenceModel(margins_db=(15.0,))
         profile = ring_radii(link_budget, im, service_500k, "indoor")
         assert profile.n_levels == 175
-        for n, expected in enumerate(INDOOR_RADII_15DB, start=1):
-            assert profile.rings[n][0][1] == pytest.approx(expected, rel=1e-12)
+        assert profile.levels == tuple(range(1, 176))
+        for d_n, expected in zip(profile.uppers, INDOOR_RADII_15DB):
+            assert d_n == pytest.approx(expected, rel=1e-12)
 
     def test_ring_consistency_with_rate(self, link_budget, noise_limited, service_500k):
         # at each boundary d_n the rate is exactly C*/n
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
-        for n in range(1, profile.n_levels):
-            d_n = profile.rings[n][0][1]
+        for n, d_n in zip(profile.levels, profile.uppers[:-1]):
             rate = throughput_at(link_budget, noise_limited, d_n, "indoor")
             assert n == pytest.approx(service_500k.rate_bps / rate, rel=1e-9)
 
     def test_three_region_partition(self, link_budget, three_region, service_500k):
         profile = ring_radii(link_budget, three_region, service_500k, "indoor")
-        flat = sorted(iv for ivs in profile.rings.values() for iv in ivs)
-        assert flat[0][0] == 0.0
-        assert flat[-1][1] == 0.7
-        for (_, v), (u, _) in zip(flat, flat[1:]):
-            assert u == v
+        assert len(profile.uppers) == len(profile.levels) > 3
+        assert all(u < v for u, v in zip(profile.uppers, profile.uppers[1:]))
+        assert profile.uppers[-1] == 0.7
 
     def test_monotone_within_each_region(self, link_budget, three_region, service_500k):
         profile = ring_radii(link_budget, three_region, service_500k, "indoor")
@@ -169,8 +168,8 @@ class TestRingRadii:
     def test_boundary_point_belongs_to_inner_level(self, link_budget, noise_limited,
                                                    service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
-        for n in range(1, 6):
-            assert profile.steps()(np.array([profile.rings[n][0][1]]))[0] == n
+        for n, d_n in zip(profile.levels, profile.uppers):
+            assert profile.steps()(np.array([d_n]))[0] == n
 
 
 class TestMonotonicityProperties:
@@ -227,26 +226,37 @@ class TestValidation:
             InterferenceModel(margins_db=(1.0, 2.0, 3.0), breakpoints_km=(0.4, 0.2))
 
     def test_profile_partition_enforced(self):
-        with pytest.raises(DomainError):
-            DemandProfile(n_levels=2, rings={1: ((0.0, 0.3),), 2: ((0.4, 0.7),)},
-                          environment="outdoor", cell_radius_km=0.7)
-        with pytest.raises(DomainError):
-            DemandProfile(n_levels=1, rings={1: ((0.0, 0.6),)},
-                          environment="outdoor", cell_radius_km=0.7)
+        for uppers, levels, message in [
+            ((0.3, 0.3, 0.7), (1, 2, 1), "rise from 0"),  # not increasing
+            ((0.4, 0.3, 0.7), (1, 2, 1), "rise from 0"),
+            ((0.0, 0.7), (1, 2), "rise from 0"),  # an empty first piece
+            ((0.3, 0.6), (1, 2), "rise from 0"),  # the last end is not R
+            ((0.3, 0.7 * (1 + 1e-11)), (1, 2), "rise from 0"),
+            ((), (), "rise from 0"),
+            ((0.3, 0.7), (1, 3), "levels must lie in 1..2"),
+            ((0.3, 0.7), (0, 2), "levels must lie in 1..2"),
+            ((0.3, 0.7), (1,), "one level per piece"),
+            ((0.7,), (1, 2), "one level per piece"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                DemandProfile(n_levels=2, uppers=uppers, levels=levels, cell_radius_km=0.7)
+        with pytest.raises(DomainError, match="n_levels"):
+            DemandProfile(n_levels=0, uppers=(0.7,), levels=(1,), cell_radius_km=0.7)
+        # the last end may miss R by a rounding error
+        DemandProfile(n_levels=2, uppers=(0.3, 0.7 * (1 + 1e-13)), levels=(1, 2),
+                      cell_radius_km=0.7)
 
 
 def searchsorted_levels(profile, x):
-    """The binary-search lookup: level of the first interval whose upper
+    """The binary-search lookup: level of the first piece whose upper
     end is >= x, the outermost beyond R."""
-    ivs = sorted((u, v, n) for n, lst in profile.rings.items() for u, v in lst)
-    uppers = np.array([v for _, v, _ in ivs])
-    levels = np.array([n for _, _, n in ivs])
+    uppers, levels = np.array(profile.uppers), np.array(profile.levels)
     return levels[np.minimum(np.searchsorted(uppers, x), len(levels) - 1)]
 
 
 def probe_points(profile):
-    """Every interval end and its two float neighbours, 0, R and just past R."""
-    ends = np.array([v for ivs in profile.rings.values() for _, v in ivs])
+    """Every piece end and its two float neighbours, 0, R and just past R."""
+    ends = np.array(profile.uppers)
     r = profile.cell_radius_km
     return np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
                            [0.0, r, np.nextafter(r, np.inf)]))
@@ -255,7 +265,8 @@ def probe_points(profile):
 @st.composite
 def tilings(draw):
     """A demand profile over (0, R] with up to 256 levels, where a level may
-    own several intervals and interval ends may sit a few ulps apart."""
+    own several pieces, neighbours included, and piece ends may sit a few
+    ulps apart."""
     r = draw(st.sampled_from([0.7, 1.0, 3.3]))
     n_levels = draw(st.integers(1, 256))
     ends = draw(st.lists(st.floats(0.0, r, exclude_min=True, exclude_max=True),
@@ -264,11 +275,8 @@ def tilings(draw):
         ends += [np.nextafter(e, r) for e in draw(st.lists(st.sampled_from(ends), max_size=5))]
     ends = sorted(set(ends) - {r}) + [r]
     levels = draw(st.lists(st.integers(1, n_levels), min_size=len(ends), max_size=len(ends)))
-    rings = {}
-    for lo, hi, n in zip([0.0] + ends[:-1], ends, levels):
-        rings.setdefault(n, []).append((lo, hi))
-    return DemandProfile(n_levels=n_levels, rings={n: tuple(ivs) for n, ivs in rings.items()},
-                         environment="outdoor", cell_radius_km=r)
+    return DemandProfile(n_levels=n_levels, uppers=tuple(ends), levels=tuple(levels),
+                         cell_radius_km=r)
 
 
 class TestLevelLookup:
@@ -293,6 +301,8 @@ class TestLevelLookup:
                         rx_antennas=2, prb_bandwidth_hz=180e3, cell_radius_km=0.7,
                         max_user_prbs=cap)
         profile = ring_radii(lb, im, Service(rate_bps=500e3), env)
+        # a level that goes on across a region boundary extends its piece
+        assert all(n != m for n, m in zip(profile.levels, profile.levels[1:]))
         x = probe_points(profile)
         np.testing.assert_array_equal(profile.steps()(x), searchsorted_levels(profile, x))
 
@@ -311,7 +321,7 @@ class TestLevelLookup:
         np.testing.assert_array_equal(profile.steps((lo, hi))(x), want)
 
     def test_region_beyond_the_cell_is_refused(self):
-        profile = DemandProfile(n_levels=2, rings={1: ((0.0, 0.3),), 2: ((0.3, 0.7),)},
-                                environment="outdoor", cell_radius_km=0.7)
+        profile = DemandProfile(n_levels=2, uppers=(0.3, 0.7), levels=(1, 2),
+                                cell_radius_km=0.7)
         with pytest.raises(DomainError, match="step bounds"):
             profile.steps((0.2, 0.9))
