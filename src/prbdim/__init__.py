@@ -23,7 +23,7 @@ _EXPORTS = {
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
     "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",
-    "linkmodel": "DemandProfile InterferenceModel LinkBudget Service max_prbs_per_user "
+    "linkmodel": "InterferenceModel LinkBudget Service StepFunction max_prbs_per_user "
                  "prbs_required ring_radii sinr_at throughput_at",
     "scenario_io": "ScenarioFile bundled_scenario bundled_scenario_path dump_scenario "
                    "load_scenario parse_scenario",

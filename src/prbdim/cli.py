@@ -32,10 +32,12 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_ACCURACY = 5
 
-# argparse reads a value such as -inf, -nan or -1e3 as an option of its own,
-# so main() binds one that follows a float option to it as --option=value;
-# the subcommands refuse abbreviated options, so only full names need it
-_FLOAT_OPTIONS = ("--target", "--tau-mbps", "--outdoor-fraction")
+# argparse reads a value such as -inf, -nan, -1e3 or the grid -1,2 as an
+# option of its own, so main() binds one that follows a float or grid option
+# to it as --option=value; the subcommands refuse abbreviated options, so
+# only full names need it
+_SIGNED_OPTIONS = ("--target", "--tau-mbps", "--outdoor-fraction", "--tau-grid-mbps",
+                   "--lambda-grid-per-km")
 _SIGNED_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in _FLOAT_OPTIONS and _SIGNED_VALUE.match(argv[i]):
+        if argv[i - 1] in _SIGNED_OPTIONS and _SIGNED_VALUE.match(argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

@@ -15,14 +15,16 @@ from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
 from .errors import DomainError
 from .geometry import (GeometryParams, PAPER, RoadSet, SAMPLERS, expected_roads,
                        mean_users, sample_road_set)
-from .linkmodel import (DemandProfile, INDOOR, InterferenceModel, LinkBudget,
-                        OUTDOOR, Service, StepFunction, ring_radii)
+from .linkmodel import (INDOOR, InterferenceModel, LinkBudget, OUTDOOR, Service,
+                        StepFunction, max_prbs_per_user, ring_radii)
 
 
-def _pieces(steps: StepFunction, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pieces(steps: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, v, level) arrays of the nonzero pieces (u, v] of a demand step
-    function, with their ends clamped to [0, R]: grouped by level, so that
-    sums over them keep one order, and innermost first within a level."""
+    function, with their ends clamped to its span [0, R]: grouped by level,
+    so that sums over them keep one order, and innermost first within a
+    level."""
+    r = steps.span
     ends = np.concatenate(([0.0], np.clip(steps.bounds, 0.0, r), [r]))
     keep = np.flatnonzero(steps.values)
     keep = keep[np.argsort(steps.values[keep], kind="stable")]
@@ -54,6 +56,7 @@ class Scenario:
         if self.seed < 0:
             raise DomainError(f"seed {self.seed} must be a non-negative integer")
         r = self.link_budget.cell_radius_km
+        self.interference.regions(r)  # its breakpoints lie inside the cell
         if self.region_km is not None:
             lo, hi = self.region_km
             if not 0.0 <= lo < hi <= r * (1 + 1e-12):
@@ -69,36 +72,38 @@ class Scenario:
         return mean_users(self.geometry, self.cell_radius_km)
 
     @cached_property
-    def profiles(self) -> tuple[DemandProfile, DemandProfile]:
-        """(outdoor, indoor) demand profiles, computed once per scenario."""
-        return (ring_radii(self.link_budget, self.interference, self.service, OUTDOOR),
-                ring_radii(self.link_budget, self.interference, self.service, INDOOR))
-
-    def with_geometry(self, geometry: GeometryParams) -> Scenario:
-        """This scenario with other intensities, sharing its demand profiles
-        (they depend on the radio setup and service only)."""
-        other = replace(self, geometry=geometry)
-        other.__dict__["profiles"] = self.profiles  # where cached_property keeps it
-        return other
+    def n_levels(self) -> int:
+        """N, the width of the weight vectors: the larger of the two
+        environments' demand caps, which `ring_radii` caps the levels at."""
+        return max(max_prbs_per_user(self.link_budget, self.interference, self.service, env)
+                   for env in (OUTDOOR, INDOOR))
 
     @cached_property
     def demand_steps(self) -> tuple[StepFunction, StepFunction]:
-        """(outdoor, indoor) PRB demand of a user at distance x: its level
-        inside `region_km`, 0 outside it; with no region, every user's
-        level."""
-        return tuple(p.steps(self.region_km) for p in self.profiles)
+        """(outdoor, indoor) PRB demand n(x) of a user at distance x: its
+        level inside `region_km`, 0 outside it; with no region, every
+        user's level. Computed once per scenario."""
+        return tuple(ring_radii(self.link_budget, self.interference, self.service, env)
+                     .clip(self.region_km) for env in (OUTDOOR, INDOOR))
+
+    def with_geometry(self, geometry: GeometryParams) -> Scenario:
+        """This scenario with other intensities, sharing its demand step
+        functions (they depend on the radio setup, service and region only)."""
+        other = replace(self, geometry=geometry)
+        other.__dict__["demand_steps"] = self.demand_steps  # where cached_property keeps it
+        return other
 
     @cached_property
     def _outdoor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Flattened (u^2, v^2, level - 1) arrays of the region-clipped outdoor rings."""
-        u, v, levels = _pieces(self.demand_steps[0], self.cell_radius_km)
+        u, v, levels = _pieces(self.demand_steps[0])
         return u * u, v * v, levels - 1
 
     @cached_property
     def _indoor_weights(self) -> np.ndarray:
         """Deterministic indoor masses, region-clipped, indexed by level-1."""
-        u, v, levels = _pieces(self.demand_steps[1], self.cell_radius_km)
-        w = np.zeros(self.profiles[1].n_levels)
+        u, v, levels = _pieces(self.demand_steps[1])
+        w = np.zeros(self.n_levels)
         # rings sharing a level accumulate in ring order
         np.add.at(w, levels - 1, self.geometry.user_intensity_area * math.pi * (v * v - u * u))
         return w
@@ -139,9 +144,7 @@ def chord_segments(scn: Scenario, roads: RoadSet) -> np.ndarray:
 
 def segment_weights(scn: Scenario, seg: np.ndarray) -> np.ndarray:
     """R x N combined per-level Poisson weights from a chord-segment matrix."""
-    w = np.zeros((seg.shape[0], max(p.n_levels for p in scn.profiles)))
-    indoor = scn._indoor_weights
-    w[:, : indoor.size] += indoor
+    w = np.tile(scn._indoor_weights, (seg.shape[0], 1))
     # rings sharing a level accumulate in ring order
     np.add.at(w, (slice(None), scn._outdoor_table[2]),
               2.0 * scn.geometry.user_intensity_linear * seg)

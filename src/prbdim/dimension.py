@@ -73,7 +73,7 @@ class DimensionQuery:
 
     def build_scenario(self) -> Scenario:
         """The scenario with the forecast's intensities, sharing its demand
-        profiles."""
+        step functions."""
         scn = self.scenario
         delta, kappa = intensities_from_throughput(
             self.throughput_bps, scn.service.rate_bps, scn.cell_radius_km,

@@ -1,4 +1,4 @@
-"""Link budget, SINR, rate and the radial PRB-demand profile.
+"""Link budget, SINR, rate and the radial PRB demand n(x) as a step function.
 
 Distances are in km with the 1 km reference absorbed into the propagation
 constants; powers stay in dBm/dB until converted to linear inside
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -129,51 +128,6 @@ class Service:
             raise DomainError("rate_bps must be positive and finite")
 
 
-@dataclass(frozen=True)
-class DemandProfile:
-    """Step function n(x) over (0, R] as radial pieces: piece k is the
-    half-open annulus (uppers[k-1], uppers[k]] at level levels[k], the
-    first starting at 0; a point exactly on a boundary belongs to the
-    inner piece. One level may own several pieces.
-    """
-
-    n_levels: int
-    uppers: tuple[float, ...]
-    levels: tuple[int, ...]
-    cell_radius_km: float
-
-    def __post_init__(self):
-        r = self.cell_radius_km
-        if self.n_levels < 1:
-            raise DomainError("n_levels must be at least 1")
-        if len(self.uppers) != len(self.levels):
-            raise DomainError("need exactly one level per piece")
-        if not all(1 <= n <= self.n_levels for n in self.levels):
-            raise DomainError(f"levels must lie in 1..{self.n_levels}")
-        ends = (0.0, *self.uppers)
-        if not (len(ends) > 1 and all(u < v for u, v in zip(ends, ends[1:]))
-                and abs(ends[-1] - r) <= 1e-12 * r):
-            raise DomainError(f"piece ends must rise from 0 to {r}")
-
-    @cached_property
-    def _steps(self) -> StepFunction:
-        return StepFunction(self.uppers[:-1], self.levels, self.cell_radius_km)
-
-    def steps(self, region: tuple[float, float] | None = None) -> StepFunction:
-        """n(x) as a step function over (0, R] and beyond; given a region
-        (lo, hi], n(x) for x inside it and 0 outside it."""
-        if region is None:
-            return self._steps
-        inner, levels = self._steps.bounds, self._steps.values
-        lo, hi = region
-        bounds = np.unique(np.concatenate((inner, [lo, hi])))
-        # piece k lies in (bounds[k-1], bounds[k]]; the end pieces are outside
-        values = np.zeros(bounds.size + 1, dtype=np.int64)
-        inside = (bounds[:-1] >= lo) & (bounds[1:] <= hi)
-        values[1:-1] = np.where(inside, levels[np.searchsorted(inner, bounds[:-1], "right")], 0)
-        return StepFunction(bounds, values, self.cell_radius_km)
-
-
 # StepFunction cells: each is widened by this fraction of the span on both
 # sides, far beyond the rounding of x*cells/span, and there are at most
 # _MAX_CELLS of them.
@@ -184,7 +138,8 @@ _MAX_CELLS = 1 << 14
 class StepFunction:
     """f(x) = values[k] on piece k, the half-open (bounds[k-1], bounds[k]],
     where piece 0 is everything up to bounds[0] and piece len(bounds)
-    everything beyond bounds[-1].
+    everything beyond bounds[-1]; the bounds rise strictly inside [0, span].
+    A point exactly on a bound belongs to the inner piece.
 
     The piece of x is the number of bounds below it, as
     ``np.searchsorted(bounds, x)`` gives it, read from a table instead of
@@ -192,15 +147,19 @@ class StepFunction:
     widened by 1e-9*span, and holds the count of bounds below each cell and
     the bounds inside it; x adds the inside bounds that it exceeds. G is
     the first power of two, up to 2^14, with at most one bound in a cell,
-    so the cost per point does not grow with the number of bounds. Bounds
-    are sorted and lie in the widened span; every x is finite and below
-    2^40 spans.
+    so the cost per point does not grow with the number of bounds. Every x
+    is finite and below 2^40 spans.
     """
 
     def __init__(self, bounds, values, span: float):
         self.bounds = bounds = np.asarray(bounds, dtype=float)
         self.values = np.asarray(values)
+        self.span = span
         pad = _CELL_PAD * span
+        if self.values.shape != (bounds.size + 1,):
+            raise DomainError("need one step value more than bounds")
+        if np.any(bounds[1:] <= bounds[:-1]):
+            raise DomainError("step bounds must be strictly increasing")
         if bounds.size and not -pad <= bounds[0] <= bounds[-1] <= span + pad:
             raise DomainError(f"step bounds must lie in [0, {span}]")
         cells = 1
@@ -228,6 +187,20 @@ class StepFunction:
 
     def __call__(self, x) -> np.ndarray:
         return self.values.take(self.pieces_at(x))
+
+    def clip(self, region: tuple[float, float] | None) -> StepFunction:
+        """f(x) for x inside the region (lo, hi] and 0 outside it; with no
+        region, f itself."""
+        if region is None:
+            return self
+        lo, hi = region
+        bounds = np.unique(np.concatenate((self.bounds, [lo, hi])))
+        # piece k lies in (bounds[k-1], bounds[k]]; the end pieces are outside
+        values = np.zeros(bounds.size + 1, dtype=np.int64)
+        inside = (bounds[:-1] >= lo) & (bounds[1:] <= hi)
+        piece = np.searchsorted(self.bounds, bounds[:-1], "right")
+        values[1:-1] = np.where(inside, self.values[piece], 0)
+        return StepFunction(bounds, values, self.span)
 
 
 def _ceil_ratio(value: float) -> int:
@@ -283,15 +256,17 @@ def _level_boundary(lb: LinkBudget, svc: Service, environment: str,
 
 
 def ring_radii(lb: LinkBudget, im: InterferenceModel, svc: Service,
-               environment: str) -> DemandProfile:
-    """Level sets of n(x) under the piecewise-constant margin model.
+               environment: str) -> StepFunction:
+    """n(x) under the piecewise-constant margin model, as a step function
+    over (0, R] whose values are the levels 1..N.
 
     Inside each interference region the level-n set is the closed-form
     annulus (d_{n-1}, d_n] computed with that region's margin, intersected
     with the region; level N absorbs everything beyond d_{N-1}. Walking
     outward, each such annulus is one piece, except that a piece on the
     level of the piece before it (across a region boundary) extends that
-    piece; the outermost piece ends at R.
+    piece, and the outermost piece ends at R. One level may own several
+    pieces; neighbouring pieces never share one.
     """
     n_cap = max_prbs_per_user(lb, im, svc, environment)
     uppers: list[float] = []
@@ -310,5 +285,4 @@ def ring_radii(lb: LinkBudget, im: InterferenceModel, svc: Service,
             d_prev = d_n
             if d_prev >= hi:
                 break
-    return DemandProfile(n_levels=n_cap, uppers=tuple(uppers), levels=tuple(levels),
-                         cell_radius_km=lb.cell_radius_km)
+    return StepFunction(uppers[:-1], levels, lb.cell_radius_km)

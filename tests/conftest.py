@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prbdim import (DomainError, InterferenceModel, LinkBudget, RoadSet, Service,
-                    expected_roads)
+                    expected_roads, ring_radii)
 from prbdim.geometry import chord_user_km
 from prbdim.simulate import BLOCK, MC_TAG
 
@@ -214,14 +214,13 @@ def per_user_demand(scn, users):
     by_env = ((users.outdoor_rep, users.outdoor_km), (users.indoor_rep, users.indoor_km))
     gamma = np.zeros(users.size)
     counts = []
-    for profile, (rep, km) in zip(scn.profiles, by_env):
+    for profile, (rep, km) in zip(profiles(scn), by_env):
         if scn.region_km is not None:
             lo, hi = scn.region_km
             inside = (km > lo) & (km <= hi)
             rep, km = rep[inside], km[inside]
-        uppers, levels = np.array(profile.uppers), np.array(profile.levels)
-        idx = np.minimum(np.searchsorted(uppers, km), len(levels) - 1)
-        gamma += np.bincount(rep, weights=levels[idx], minlength=users.size)
+        levels = profile.values[np.searchsorted(profile.bounds, km)]
+        gamma += np.bincount(rep, weights=levels, minlength=users.size)
         counts.append(np.bincount(rep, minlength=users.size))
     return gamma.astype(np.int64), counts[0], counts[1]
 
@@ -231,11 +230,20 @@ def fixed_road(chord_distances):
     return RoadSet(counts=[len(chord_distances)], chord_distances=chord_distances)
 
 
+def profiles(scn):
+    """The scenario's (outdoor, indoor) demand n(x) over (0, R], not
+    clipped to its region."""
+    return tuple(ring_radii(scn.link_budget, scn.interference, scn.service, env)
+                 for env in ("outdoor", "indoor"))
+
+
 def rings(profile):
-    """The level sets of a demand profile: level -> its annuli (u, v],
-    innermost first, levels in the order they first appear outward."""
+    """The level sets of a demand profile n(x) over (0, R]: level -> its
+    annuli (u, v], innermost first, levels in the order they first appear
+    outward."""
+    ends = (0.0, *profile.bounds.tolist(), profile.span)
     out = {}
-    for u, v, n in zip((0.0, *profile.uppers), profile.uppers, profile.levels):
+    for u, v, n in zip(ends, ends[1:], profile.values.tolist()):
         out.setdefault(n, []).append((u, v))
     return out
 
@@ -263,17 +271,19 @@ def _annulus_area(interval):
 def outdoor_masses(road, profile, delta):
     """Per-level expected outdoor user counts on this realization.
 
-    Entry n-1 holds the mass of level n; levels with no interval get 0.
+    Entry n-1 holds the mass of level n, up to the top level; levels with
+    no interval get 0.
     """
-    w = np.zeros(profile.n_levels)
+    w = np.zeros(max(rings(profile)))
     for n, intervals in rings(profile).items():
         w[n - 1] = sum(chord_mass(road, iv, delta) for iv in intervals)
     return w
 
 
 def indoor_masses(profile, kappa):
-    """Per-level expected indoor user counts: kappa * area of each level set."""
-    w = np.zeros(profile.n_levels)
+    """Per-level expected indoor user counts: kappa * area of each level set,
+    up to the top level."""
+    w = np.zeros(max(rings(profile)))
     for n, intervals in rings(profile).items():
         w[n - 1] = kappa * sum(_annulus_area(iv) for iv in intervals)
     return w
@@ -298,7 +308,7 @@ def reference_outdoor_table(scn):
     """(u^2, v^2, level - 1) arrays of the outdoor rings clipped to the
     scenario's region, level by level in the profile's order."""
     u2, v2, lv = [], [], []
-    for n, ivs in rings(scn.profiles[0]).items():
+    for n, ivs in rings(profiles(scn)[0]).items():
         for a, b in clip_intervals(ivs, scn.region_km):
             u2.append(a * a)
             v2.append(b * b)
@@ -307,10 +317,12 @@ def reference_outdoor_table(scn):
 
 
 def reference_indoor_weights(scn):
-    """Indoor masses kappa * area of the region-clipped rings, by level - 1."""
+    """Indoor masses kappa * area of the region-clipped rings, by level - 1,
+    up to the top level of either environment."""
     kappa = scn.geometry.user_intensity_area
-    w = np.zeros(scn.profiles[1].n_levels)
-    for n, ivs in rings(scn.profiles[1]).items():
+    outdoor, indoor = (rings(p) for p in profiles(scn))
+    w = np.zeros(max(*outdoor, *indoor))
+    for n, ivs in indoor.items():
         for a, b in clip_intervals(ivs, scn.region_km):
             w[n - 1] += kappa * math.pi * (b * b - a * a)
     return w

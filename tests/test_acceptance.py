@@ -183,9 +183,10 @@ def test_criterion_10_structural_invariants(tmp_path):
     for env, im in itertools.product(("outdoor", "indoor"),
                                      (InterferenceModel.noise_limited(), im3)):
         profile = ring_radii(lb, im, svc, env)
-        ends = (0.0, *profile.uppers)
+        ends = (0.0, *profile.bounds, profile.span)
         partition_ok &= ends[-1] == 0.7 and all(u < v for u, v in zip(ends, ends[1:]))
-        partition_ok &= all(n != m for n, m in zip(profile.levels, profile.levels[1:]))
+        levels = profile.values.tolist()
+        partition_ok &= all(n != m for n, m in zip(levels, levels[1:]))
 
     # averaged curve nonincreasing; congestion monotone in every intensity
     def scenario(delta, kappa, margins, seed=33):

@@ -280,14 +280,21 @@ def test_m_max_zero_checks_the_replications_first(command, extra, header, tmp_pa
     assert out.read_text().splitlines()[-1] == header
 
 
-@pytest.mark.parametrize("option", ["--target", "--tau-mbps", "--outdoor-fraction"])
+@pytest.mark.parametrize("option", ["--target", "--tau-mbps", "--outdoor-fraction",
+                                    "--tau-grid-mbps", "--lambda-grid-per-km"])
 @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e3"])
 def test_signed_float_value_reaches_its_check(option, value, capsys):
-    # argparse alone takes these values for options and exits 2
+    # argparse alone takes these values for options and exits 2; a grid
+    # starts with the value
     extra = [] if option == "--target" else ["--target", "0.05"]
-    assert run(["dimension", "--scenario", FIG7, *extra, option, value]) == 3
+    if "-grid-" in option:
+        extra = ["sweep", "--out", "-", *extra]
+        value += ",2"
+    else:
+        extra = ["dimension", *extra]
+    assert run([*extra, "--scenario", FIG7, option, value]) == 3
     err = capsys.readouterr().err
-    assert run(["dimension", "--scenario", FIG7, *extra, f"{option}={value}"]) == 3
+    assert run([*extra, "--scenario", FIG7, f"{option}={value}"]) == 3
     assert err.startswith("validation error: ") and capsys.readouterr().err == err
 
 

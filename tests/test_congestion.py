@@ -64,8 +64,8 @@ class TestConditional:
         scn = make_scenario(lam=9.0, delta=6.0, kappa=20.0)
         road = fixed_road([0.2])
         spec = CompoundSpec(weight_matrix(scn, road)[0])
-        prof_out, prof_in = scn.profiles
-        assert spec.n_levels == max(prof_out.n_levels, prof_in.n_levels) == 6
+        prof_out, prof_in = scn.demand_steps
+        assert spec.n_levels == scn.n_levels == max(*rings(prof_out), *rings(prof_in)) == 6
         w_in = indoor_masses(prof_in, 20.0)
         assert spec.weights[0] == pytest.approx(
             w_in[0] + chord_mass(road, rings(prof_out)[1][0], 6.0), rel=1e-12)
@@ -188,16 +188,16 @@ class TestBatchedCurve:
                        interference=InterferenceModel((15.0, 1.0), (0.5,)),
                        service=Service(rate_bps=500e3),
                        geometry=GeometryParams(9.0, 2.0, 10.0), seed=5, mc_realizations=12)
-        prof_out, prof_in = scn.profiles
-        assert len(set(prof_out.levels)) < len(prof_out.levels)
+        prof_out, prof_in = scn.demand_steps
+        assert len(set(prof_out.values.tolist())) < prof_out.values.size
         sampled = road_set(scn)
         roads = RoadSet(counts=[*sampled.counts, 0], chord_distances=sampled.chord_distances)
         w = weight_matrix(scn, roads)
         assert w.shape == (13, 6)
         for row, road in zip(w, roads):
             expected = np.zeros(6)
-            expected[: prof_in.n_levels] += indoor_masses(prof_in, 10.0)
-            expected[: prof_out.n_levels] += outdoor_masses(road, prof_out, 2.0)
+            for masses in (indoor_masses(prof_in, 10.0), outdoor_masses(road, prof_out, 2.0)):
+                expected[: masses.size] += masses
             np.testing.assert_allclose(row, expected, rtol=1e-12)
 
     def test_identical_rows_have_zero_stderr(self):
@@ -271,8 +271,7 @@ class TestHeavyLoad:
 class TestExpectedLoad:
     def test_indoor_only_reduces_to_area_sum(self):
         scn = make_scenario(kappa=20.0)
-        prof_in = scn.profiles[1]
-        w = indoor_masses(prof_in, 20.0)
+        w = indoor_masses(scn.demand_steps[1], 20.0)
         expected = sum(n * w[n - 1] for n in range(1, 7))
         assert expected_load(scn) == pytest.approx(expected, rel=1e-12)
 

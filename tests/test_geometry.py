@@ -6,7 +6,7 @@ from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses, per
                       reference_roads, road_stream)
 from hypothesis import given, settings, strategies as st
 
-from prbdim import (DemandProfile, DomainError, GeometryParams, Scenario,
+from prbdim import (DomainError, GeometryParams, Scenario, StepFunction,
                     expected_roads, mean_users, sample_road_set)
 
 R = 0.7
@@ -18,7 +18,7 @@ def gp(lam=0.0, delta=0.0, kappa=0.0):
 
 
 def single_level_profile():
-    return DemandProfile(n_levels=1, uppers=(R,), levels=(1,), cell_radius_km=R)
+    return StepFunction((), (1,), R)
 
 
 class TestSampleRoads:
@@ -106,8 +106,7 @@ class TestMasses:
 
     def test_total_equals_full_chord_mass(self):
         road = fixed_road([0.1, 0.25, 0.61])
-        profile = DemandProfile(n_levels=3, uppers=(0.2, 0.45, R), levels=(1, 2, 3),
-                                cell_radius_km=R)
+        profile = StepFunction((0.2, 0.45), (1, 2, 3), R)
         w = outdoor_masses(road, profile, delta=6.0)
         assert w.sum() == pytest.approx(chord_mass(road, (0.0, R), 6.0), rel=1e-12)
 
@@ -115,8 +114,7 @@ class TestMasses:
         # partial sums over levels equal the disk masses alpha_n directly
         road = fixed_road([0.05, 0.3, 0.5])
         bounds = [0.0, 0.2, 0.45, R]
-        profile = DemandProfile(n_levels=3, uppers=tuple(bounds[1:]), levels=(1, 2, 3),
-                                cell_radius_km=R)
+        profile = StepFunction(bounds[1:-1], (1, 2, 3), R)
         w = outdoor_masses(road, profile, delta=4.0)
         for n in (1, 2, 3):
             alpha_n = chord_mass(road, (0.0, bounds[n]), 4.0)
@@ -124,7 +122,7 @@ class TestMasses:
 
     def test_diameter_road_split(self):
         road = fixed_road([0.0])
-        profile = DemandProfile(n_levels=2, uppers=(0.2, R), levels=(1, 2), cell_radius_km=R)
+        profile = StepFunction((0.2,), (1, 2), R)
         w = outdoor_masses(road, profile, delta=6.0)
         assert w[0] == pytest.approx(2 * 6.0 * 0.2)
         assert w[1] == pytest.approx(2 * 6.0 * 0.5)
@@ -134,7 +132,7 @@ class TestMasses:
         assert w[0] == pytest.approx(83.126541613985929, rel=1e-12)
 
     def test_indoor_area_ratio(self):
-        profile = DemandProfile(n_levels=2, uppers=(R / 2, R), levels=(1, 2), cell_radius_km=R)
+        profile = StepFunction((R / 2,), (1, 2), R)
         w = indoor_masses(profile, kappa=10.0)
         assert w[1] / w[0] == pytest.approx(3.0, rel=1e-12)
         assert w.sum() == pytest.approx(10.0 * math.pi * R * R, rel=1e-12)

@@ -25,7 +25,7 @@ EXPORTS = {
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
     "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",
-    "linkmodel": "DemandProfile InterferenceModel LinkBudget Service max_prbs_per_user "
+    "linkmodel": "InterferenceModel LinkBudget Service StepFunction max_prbs_per_user "
                  "prbs_required ring_radii sinr_at throughput_at",
     "scenario_io": "ScenarioFile bundled_scenario bundled_scenario_path dump_scenario "
                    "load_scenario parse_scenario",
@@ -35,12 +35,13 @@ OWNER = {name: module for module, names in EXPORTS.items() for name in names.spl
 
 # `prbdim.__all__` of the eager package, in its order (that of dir()), less
 # the per-user drawer `sample_user_block` and its `UserBlock`, which the
-# Monte-Carlo oracle no longer uses.
+# Monte-Carlo oracle no longer uses, and with `StepFunction`, the type that
+# `ring_radii` returns, in place of the `DemandProfile` that it replaced.
 EAGER_ALL = [
-    "AccuracyError", "CeilingError", "CompoundSpec", "CongestionCurve", "DemandProfile",
+    "AccuracyError", "CeilingError", "CompoundSpec", "CongestionCurve",
     "DimensionQuery", "DimensionReport", "DomainError", "EmpiricalCurve", "GeometryParams",
     "InfeasibleSplitError", "InterferenceModel", "LinkBudget", "RangeError", "RoadSet",
-    "Scenario", "ScenarioError", "ScenarioFile", "Service", "SweepPoint",
+    "Scenario", "ScenarioError", "ScenarioFile", "Service", "StepFunction", "SweepPoint",
     "averaged_congestion", "bell_complete", "bell_determinant", "bundled_scenario",
     "bundled_scenario_path", "ccdf_bell", "ccdf_bell_literal", "ccdf_integral", "compound",
     "conditional_congestion", "congestion", "dimension", "dimension_prbs",

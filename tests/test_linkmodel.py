@@ -1,12 +1,16 @@
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prbdim import (DemandProfile, DomainError, InterferenceModel, LinkBudget,
-                    Service, max_prbs_per_user, prbs_required, ring_radii,
-                    sinr_at, throughput_at)
+from prbdim import (DomainError, InterferenceModel, LinkBudget, Service, StepFunction,
+                    max_prbs_per_user, prbs_required, ring_radii, sinr_at, throughput_at)
+from prbdim.scenario_io import bundled_scenario
 
 # Frozen high-precision closed-form values (50-digit scalar evaluation).
 SINR_LIN_AT_0_7 = 695.27539416255885
@@ -96,7 +100,7 @@ class TestPrbsRequired:
         profile = ring_radii(link_budget, three_region, service_500k, env)
         rng = np.random.default_rng(7)
         xs = rng.uniform(1e-9, 0.7, 10_000)
-        levels = profile.steps()(xs)
+        levels = profile(xs)
         mismatches = sum(
             prbs_required(link_budget, three_region, service_500k, float(x), env)
             != int(level)
@@ -113,11 +117,37 @@ class TestPrbsRequired:
         assert prbs_required(lb_capped, noise_limited, service_500k, 0.69, "indoor") == 3
 
 
+# For every bundled scenario, with its margins and noise-limited, as written
+# and with prop_const_db = 150 at max_user_prbs 256 and 2000, in both
+# environments: the piece count of n(x) and the sha256 (first 32 hex digits)
+# of its float64 bounds then its int64 values, recorded as the uppers[:-1]
+# and levels of the DemandProfile that ring_radii returned before it returned
+# the StepFunction itself.
+PINNED_PIECES = json.loads((Path(__file__).parent / "ring_radii_pieces.json").read_text())
+
+
 class TestRingRadii:
+    @pytest.mark.parametrize("name", sorted({key.split("/")[0] for key in PINNED_PIECES}))
+    def test_pieces_pinned_bit_for_bit(self, name):
+        base = bundled_scenario(name)
+        docs = {"file": base,
+                **{f"pc150_n{n}": dataclasses.replace(base, prop_const_db=150.0, max_user_prbs=n)
+                   for n in (256, 2000)}}
+        keys = [key for key in PINNED_PIECES if key.startswith(f"{name}/")]
+        assert len(keys) == 12
+        for key in keys:
+            _, variant, margins, env = key.split("/")
+            doc = docs[variant]
+            profile = ring_radii(doc.link_budget(), doc.interference(margins == "noise_limited"),
+                                 doc.service(), env)
+            data = profile.bounds.astype("<f8").tobytes() + profile.values.astype("<i8").tobytes()
+            assert profile.span == doc.cell_radius_km
+            assert [profile.values.size, hashlib.sha256(data).hexdigest()[:32]] \
+                == PINNED_PIECES[key], key
+
     def test_whole_cell_single_level(self, link_budget, noise_limited, service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "outdoor")
-        assert profile.n_levels == 1
-        assert (profile.uppers, profile.levels) == ((0.7,), (1,))
+        assert (profile.bounds.tolist(), profile.values.tolist(), profile.span) == ([], [1], 0.7)
 
     def test_unit_parameter_algebra(self):
         # a(I+s2)/P = 1, C*/(theta W) = 1, exponent 2 -> d_1 = 1
@@ -127,49 +157,50 @@ class TestRingRadii:
                         cell_radius_km=2.0)
         profile = ring_radii(lb, InterferenceModel.noise_limited(), Service(rate_bps=1.0),
                              "outdoor")
-        assert profile.uppers[0] == pytest.approx(1.0, rel=1e-6)
+        assert profile.bounds[0] == pytest.approx(1.0, rel=1e-6)
 
     def test_indoor_radii_match_closed_form(self, link_budget, noise_limited, service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
-        assert profile.n_levels == 6
-        assert profile.levels == (1, 2, 3, 4, 5, 6)
-        for d_n, expected in zip(profile.uppers, INDOOR_RADII_NO_MARGIN):
+        assert profile.values.tolist() == [1, 2, 3, 4, 5, 6]
+        assert profile.bounds.size == len(INDOOR_RADII_NO_MARGIN)
+        for d_n, expected in zip(profile.bounds, INDOOR_RADII_NO_MARGIN):
             assert d_n == pytest.approx(expected, rel=1e-12)
-        assert profile.uppers[5] == 0.7  # clamped to the cell edge
+        assert profile.span == 0.7  # level 6 ends at the cell edge
 
     def test_uniform_edge_margin_radii(self, link_budget, service_500k):
         im = InterferenceModel(margins_db=(15.0,))
         profile = ring_radii(link_budget, im, service_500k, "indoor")
-        assert profile.n_levels == 175
-        assert profile.levels == tuple(range(1, 176))
-        for d_n, expected in zip(profile.uppers, INDOOR_RADII_15DB):
+        assert max_prbs_per_user(link_budget, im, service_500k, "indoor") == 175
+        assert profile.values.tolist() == list(range(1, 176))
+        for d_n, expected in zip(profile.bounds, INDOOR_RADII_15DB):
             assert d_n == pytest.approx(expected, rel=1e-12)
 
     def test_ring_consistency_with_rate(self, link_budget, noise_limited, service_500k):
         # at each boundary d_n the rate is exactly C*/n
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
-        for n, d_n in zip(profile.levels, profile.uppers[:-1]):
+        for n, d_n in zip(profile.values, profile.bounds):
             rate = throughput_at(link_budget, noise_limited, d_n, "indoor")
             assert n == pytest.approx(service_500k.rate_bps / rate, rel=1e-9)
 
     def test_three_region_partition(self, link_budget, three_region, service_500k):
         profile = ring_radii(link_budget, three_region, service_500k, "indoor")
-        assert len(profile.uppers) == len(profile.levels) > 3
-        assert all(u < v for u, v in zip(profile.uppers, profile.uppers[1:]))
-        assert profile.uppers[-1] == 0.7
+        assert profile.values.size == profile.bounds.size + 1 > 3
+        ends = (0.0, *profile.bounds, profile.span)
+        assert all(u < v for u, v in zip(ends, ends[1:]))
+        assert profile.span == 0.7
 
     def test_monotone_within_each_region(self, link_budget, three_region, service_500k):
         profile = ring_radii(link_budget, three_region, service_500k, "indoor")
         for lo, hi, _ in three_region.regions(0.7):
             xs = np.linspace(lo + 1e-9, hi, 50)
-            levels = profile.steps()(xs)
+            levels = profile(xs)
             assert np.all(np.diff(levels) >= 0)
 
     def test_boundary_point_belongs_to_inner_level(self, link_budget, noise_limited,
                                                    service_500k):
         profile = ring_radii(link_budget, noise_limited, service_500k, "indoor")
-        for n, d_n in zip(profile.levels, profile.uppers):
-            assert profile.steps()(np.array([d_n]))[0] == n
+        for n, d_n in zip(profile.values, (*profile.bounds, profile.span)):
+            assert profile(np.array([d_n]))[0] == n
 
 
 class TestMonotonicityProperties:
@@ -226,38 +257,33 @@ class TestValidation:
             InterferenceModel(margins_db=(1.0, 2.0, 3.0), breakpoints_km=(0.4, 0.2))
 
     def test_profile_partition_enforced(self):
-        for uppers, levels, message in [
-            ((0.3, 0.3, 0.7), (1, 2, 1), "rise from 0"),  # not increasing
-            ((0.4, 0.3, 0.7), (1, 2, 1), "rise from 0"),
-            ((0.0, 0.7), (1, 2), "rise from 0"),  # an empty first piece
-            ((0.3, 0.6), (1, 2), "rise from 0"),  # the last end is not R
-            ((0.3, 0.7 * (1 + 1e-11)), (1, 2), "rise from 0"),
-            ((), (), "rise from 0"),
-            ((0.3, 0.7), (1, 3), "levels must lie in 1..2"),
-            ((0.3, 0.7), (0, 2), "levels must lie in 1..2"),
-            ((0.3, 0.7), (1,), "one level per piece"),
-            ((0.7,), (1, 2), "one level per piece"),
+        # n(x) as a step function over (0, 0.7]: its inner piece ends rise
+        # strictly, and each piece has one value
+        for bounds, values, message in [
+            ((0.3, 0.3), (1, 2, 1), "strictly increasing"),  # a repeated end
+            ((0.4, 0.3), (1, 2, 1), "strictly increasing"),  # a falling end
+            ((), (), "one step value more than bounds"),  # no pieces
+            ((0.3,), (1,), "one step value more than bounds"),
+            ((), (1, 2), "one step value more than bounds"),
+            ((0.3, 0.8), (1, 2, 3), "must lie in"),
         ]:
             with pytest.raises(DomainError, match=message):
-                DemandProfile(n_levels=2, uppers=uppers, levels=levels, cell_radius_km=0.7)
-        with pytest.raises(DomainError, match="n_levels"):
-            DemandProfile(n_levels=0, uppers=(0.7,), levels=(1,), cell_radius_km=0.7)
-        # the last end may miss R by a rounding error
-        DemandProfile(n_levels=2, uppers=(0.3, 0.7 * (1 + 1e-13)), levels=(1, 2),
-                      cell_radius_km=0.7)
+                StepFunction(bounds, values, 0.7)
+        # a region clip starting at 0 makes a bound there, outside (0, R]
+        clipped = StepFunction((0.0, 0.3), (0, 1, 2), 0.7)
+        assert clipped(np.array([0.0, 0.3, 0.7])).tolist() == [0, 1, 2]
 
 
 def searchsorted_levels(profile, x):
     """The binary-search lookup: level of the first piece whose upper
     end is >= x, the outermost beyond R."""
-    uppers, levels = np.array(profile.uppers), np.array(profile.levels)
-    return levels[np.minimum(np.searchsorted(uppers, x), len(levels) - 1)]
+    return profile.values[np.searchsorted(profile.bounds, x)]
 
 
 def probe_points(profile):
     """Every piece end and its two float neighbours, 0, R and just past R."""
-    ends = np.array(profile.uppers)
-    r = profile.cell_radius_km
+    r = profile.span
+    ends = np.append(profile.bounds, r)
     return np.concatenate((ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf),
                            [0.0, r, np.nextafter(r, np.inf)]))
 
@@ -273,21 +299,22 @@ def tilings(draw):
                          max_size=300, unique=True))
     if ends:
         ends += [np.nextafter(e, r) for e in draw(st.lists(st.sampled_from(ends), max_size=5))]
-    ends = sorted(set(ends) - {r}) + [r]
-    levels = draw(st.lists(st.integers(1, n_levels), min_size=len(ends), max_size=len(ends)))
-    return DemandProfile(n_levels=n_levels, uppers=tuple(ends), levels=tuple(levels),
-                         cell_radius_km=r)
+    bounds = sorted(set(ends) - {r})
+    levels = draw(st.lists(st.integers(1, n_levels), min_size=len(bounds) + 1,
+                           max_size=len(bounds) + 1))
+    return StepFunction(bounds, levels, r)
 
 
 class TestLevelLookup:
-    """steps() reads a table of uniform cells; the binary search over the
-    interval ends is the reference, at and around every end."""
+    """A StepFunction reads a table of uniform cells; the binary search
+    over the piece ends is the reference, at and around every end."""
 
     @settings(max_examples=200, deadline=None)
     @given(profile=tilings())
     def test_random_tilings(self, profile):
         x = probe_points(profile)
-        np.testing.assert_array_equal(profile.steps()(x), searchsorted_levels(profile, x))
+        np.testing.assert_array_equal(profile(x), searchsorted_levels(profile, x))
+        assert profile.clip(None) is profile
 
     @settings(max_examples=60, deadline=None)
     @given(margins=st.lists(st.floats(0.0, 25.0), min_size=1, max_size=4),
@@ -300,28 +327,30 @@ class TestLevelLookup:
                         prop_const_indoor_db=166.0, path_loss_exp=3.5, tx_antennas=8,
                         rx_antennas=2, prb_bandwidth_hz=180e3, cell_radius_km=0.7,
                         max_user_prbs=cap)
-        profile = ring_radii(lb, im, Service(rate_bps=500e3), env)
+        svc = Service(rate_bps=500e3)
+        profile = ring_radii(lb, im, svc, env)
+        levels = profile.values.tolist()
         # a level that goes on across a region boundary extends its piece
-        assert all(n != m for n, m in zip(profile.levels, profile.levels[1:]))
+        assert all(n != m for n, m in zip(levels, levels[1:]))
+        assert 1 <= min(levels) and max(levels) <= max_prbs_per_user(lb, im, svc, env)
         x = probe_points(profile)
-        np.testing.assert_array_equal(profile.steps()(x), searchsorted_levels(profile, x))
+        np.testing.assert_array_equal(profile(x), searchsorted_levels(profile, x))
 
     @settings(max_examples=100, deadline=None)
     @given(profile=tilings(), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0,
                                                                     exclude_min=True))
     def test_region_steps(self, profile, lo, width):
         # inside (lo, hi] the level, outside 0, as a mask on distances gives it
-        r = profile.cell_radius_km
+        r = profile.span
         lo, hi = lo * r, min(lo * r + width * r, r)
         if not lo < hi:
             return
         x = np.concatenate((probe_points(profile), [lo, hi], np.nextafter([lo, hi], -np.inf),
                             np.nextafter([lo, hi], np.inf)))
         want = np.where((x > lo) & (x <= hi), searchsorted_levels(profile, x), 0)
-        np.testing.assert_array_equal(profile.steps((lo, hi))(x), want)
+        np.testing.assert_array_equal(profile.clip((lo, hi))(x), want)
 
     def test_region_beyond_the_cell_is_refused(self):
-        profile = DemandProfile(n_levels=2, uppers=(0.3, 0.7), levels=(1, 2),
-                                cell_radius_km=0.7)
+        profile = StepFunction((0.3,), (1, 2), 0.7)
         with pytest.raises(DomainError, match="step bounds"):
-            profile.steps((0.2, 0.9))
+            profile.clip((0.2, 0.9))

@@ -126,6 +126,23 @@ class TestParsing:
             parse_scenario(edit(MINIMAL), name="cell.scenario")
         assert str(exc.value) == f"cell.scenario: {message}"
 
+    @pytest.mark.parametrize("breakpoints", ["0.3, 0.9", "0.3, 0.7"])
+    def test_breakpoint_beyond_the_cell_is_a_parse_error(self, breakpoints, tmp_path, capsys):
+        # named with the file at parse time, not later by each command
+        from prbdim.cli import main
+        text = (MINIMAL + "\n[interference]\nmargins_db = 1.0, 8.0, 15.0\n"
+                f"breakpoints_km = {breakpoints}\n")
+        message = "breakpoints must lie strictly inside the cell"
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(text, name="cell.scenario")
+        assert str(exc.value) == f"cell.scenario: {message}"
+        path = tmp_path / "cell.scenario"
+        path.write_text(text)
+        for command in (["congestion", "--region", "edge", "--m-max", "5", "--out", "-"],
+                        ["simulate", "--replications", "1000", "--out", "-"]):
+            assert main([*command, "--scenario", str(path)]) == 3
+            assert capsys.readouterr().err == f"scenario error: {path}: {message}\n"
+
     def test_several_faults_report_the_first_in_table_order(self):
         with pytest.raises(ScenarioError, match="missing required key 'tx_power_dbm'"):
             parse_scenario("")

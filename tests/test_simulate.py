@@ -38,7 +38,7 @@ class TestSimulateOnce:
         # each user inside one ring contributes exactly its level, to its
         # own replication only
         scn = make_scenario(kappa=1.0)
-        ((lo, hi),) = rings(scn.profiles[1])[3]
+        ((lo, hi),) = rings(scn.demand_steps[1])[3]
         gamma, n_out, n_in = gamma_samples(replace(scn, region_km=(lo, hi)), 2 * BLOCK)
         np.testing.assert_array_equal(gamma, 3 * n_in)
         np.testing.assert_array_equal(n_out, 0)
@@ -143,7 +143,7 @@ class TestEmpiricalCcdf:
         # the indoor users of each level's ring, counted as a region
         scn = make_scenario(kappa=20.0, seed=12)
         reps = 10_000
-        for (lo, hi), in rings(scn.profiles[1]).values():
+        for (lo, hi), in rings(scn.demand_steps[1]).values():
             _, _, counts = gamma_samples(replace(scn, region_km=(lo, hi)), reps)
             dispersion = counts.var(ddof=1) / counts.mean()
             assert 0.9 < dispersion < 1.1

@@ -250,7 +250,7 @@ class TestOracleBits:
             chords = draws[1][1]
             assert 0 < crossing < chords and ("poisson", crossing) in draws
         # and the lookup table meets a many-interval profile
-        assert len(ORACLE_INPUTS["fig6_mixed_n256"].profiles[1].uppers) == 142
+        assert ORACLE_INPUTS["fig6_mixed_n256"].demand_steps[1].values.size == 142
 
     @pytest.mark.parametrize("region", [None, "middle", "edge"])
     def test_fixed_road(self, region):
