@@ -93,15 +93,17 @@ def recursion_steps(w: np.ndarray, k_max: int):
     scale = np.maximum(total - _HEAVY_WEIGHT, 0.0)
     heavy = bool(scale.any())
     p = np.exp(scale - total)
-    # at step k window row i holds p_{k-n+i}, which lagged_jw row i multiplies
-    window = np.zeros((n, rows))
+    # a doubled ring: p_k sits at rows k % n and k % n + n, so at step k
+    # rows k % n + i hold p_{k-n+i}, which lagged_jw row i multiplies
+    ring = np.zeros((2 * n, rows))
     lagged_jw = np.ascontiguousarray((w * np.arange(1, n + 1)).T[::-1])
     cum = np.zeros(rows)
     for k in range(k_max + 1):
+        at = k % n
         if k > 0:
-            p = np.einsum("jr,jr->r", lagged_jw, window) / k
-        window[:-1] = window[1:]
-        window[-1] = p
+            p = np.einsum("jr,jr->r", lagged_jw, ring[at:at + n]) / k
+        ring[at] = p
+        ring[at + n] = p
         cum += p
         if not heavy:
             yield p, np.maximum(1.0 - cum, 0.0)
@@ -110,7 +112,7 @@ def recursion_steps(w: np.ndarray, k_max: int):
         yield p * unscale, np.maximum(1.0 - cum * unscale, 0.0)
         big = p > _RESCALE
         if big.any():
-            window[:, big] /= _RESCALE
+            ring[:, big] /= _RESCALE
             cum[big] /= _RESCALE
             scale[big] -= math.log(_RESCALE)
 

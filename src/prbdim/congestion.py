@@ -52,7 +52,7 @@ class Scenario:
         if self.sampler not in SAMPLERS:
             raise DomainError(f"unknown sampler {self.sampler!r}")
         if self.mc_realizations < 1:
-            raise DomainError("mc_realizations must be at least 1")
+            raise DomainError(f"realizations {self.mc_realizations} must be at least 1")
         if self.seed < 0:
             raise DomainError(f"seed {self.seed} must be a non-negative integer")
         r = self.link_budget.cell_radius_km
@@ -182,37 +182,97 @@ class CongestionCurve:
 _STATS_STEPS = 4
 
 
+def _tail_groups(weights: list[np.ndarray], k_top: int):
+    """Yield (first, tails) for thresholds 1..k_top in groups of
+    _STATS_STEPS, tails[s, b, i] = P(Gamma >= first + s) for row i of
+    block b, from one recursion pass over the stacked weight matrices; rows
+    do not interact, so each equals a pass over its matrix alone."""
+    blocks, rows = len(weights), weights[0].shape[0]
+    # P(Gamma >= k) = P(Gamma > k - 1)
+    steps = recursion_steps(np.concatenate(weights), k_top - 1)
+    for first in range(1, k_top + 1, _STATS_STEPS):
+        yield first, np.array([t.reshape(blocks, rows) for _, t in islice(steps, _STATS_STEPS)])
+
+
+def _row_stats(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the rows (last axis) of per-row tails and its Monte-Carlo
+    standard error, 0 where the rows are all equal."""
+    varies = tails.min(axis=-1) != tails.max(axis=-1)
+    stderr = np.zeros(varies.shape)
+    if varies.any():
+        err = tails.std(axis=-1, ddof=1) / math.sqrt(tails.shape[-1])
+        stderr = np.where(varies, err, 0.0)
+    return tails.mean(axis=-1), stderr
+
+
 def block_curves(weights: list[np.ndarray], k_max: list[int]) -> list[CongestionCurve]:
     """Averaged congestion curve at thresholds 0..k_max[b] of each R-row
-    weight matrix in `weights`, from one recursion pass over them stacked;
-    rows do not interact, so each equals a pass over its matrix alone."""
+    weight matrix in `weights`, from one recursion pass over them stacked."""
     blocks, rows = len(weights), weights[0].shape[0]
     pi = np.ones((blocks, max(k_max) + 1))
     stderr = np.zeros(pi.shape)
-    # P(Gamma >= k) = P(Gamma > k - 1)
-    steps = recursion_steps(np.concatenate(weights), pi.shape[1] - 2)
-    for first in range(1, pi.shape[1], _STATS_STEPS):
-        tails = np.array([t.reshape(blocks, rows) for _, t in islice(steps, _STATS_STEPS)])
+    for first, tails in _tail_groups(weights, max(k_max)):
         last = first + len(tails)
-        pi[:, first:last] = tails.mean(axis=2).T
-        varies = tails.min(axis=2) != tails.max(axis=2)
-        if varies.any():
-            err = tails.std(axis=2, ddof=1) / math.sqrt(rows)
-            stderr[:, first:last] = np.where(varies, err, 0.0).T
+        mean, err = _row_stats(tails)
+        pi[:, first:last] = mean.T
+        stderr[:, first:last] = err.T
     return [CongestionCurve(m_values=np.arange(0, k + 1), pi=pi[b, : k + 1],
                             stderr=stderr[b, : k + 1], realizations=rows)
             for b, k in enumerate(k_max)]
 
 
+def bracket_curves(weights: list[np.ndarray], k_max: list[int],
+                   target: float) -> list[CongestionCurve]:
+    """Per weight matrix in `weights`, its averaged curve at the thresholds
+    (m - 1, m) around the smallest m <= k_max[b] with Pi(m) <= target, or
+    at k_max[b] alone when there is none: those entries of
+    :func:`block_curves`, bit for bit.  The stacked pass ends with the
+    group of thresholds that settles the last block, and reduces only the
+    row mean until a block settles."""
+    blocks, rows = len(weights), weights[0].shape[0]
+    curves = [None] * blocks
+    # a settled block's bar is -1, which no mean tail reaches
+    bar = np.full(blocks, float(target))
+    # every row's tail at threshold 0 is 1
+    before = np.ones((blocks, rows))
+    for first, tails in _tail_groups(weights, max(k_max)):
+        last = first + len(tails) - 1
+        low = tails.mean(axis=2) <= bar
+        if low.any() or last >= min(k for k, c in zip(k_max, curves) if c is None):
+            for b in (b for b, c in enumerate(curves) if c is None):
+                hits = np.flatnonzero(low[: k_max[b] - first + 1, b])
+                if hits.size:
+                    s = int(hits[0])
+                    m_values = [first + s - 1, first + s]
+                    pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
+                elif last >= k_max[b]:
+                    m_values, pair = [k_max[b]], tails[k_max[b] - first, b][None]
+                else:
+                    continue
+                pi, stderr = _row_stats(pair)
+                curves[b] = CongestionCurve(m_values=np.array(m_values), pi=pi,
+                                            stderr=stderr, realizations=rows)
+                bar[b] = -1.0
+            if None not in curves:
+                break
+        before = tails[-1]
+    return curves
+
+
 def shared_road_curves(scns: list[Scenario], m_ceiling: float = math.inf,
-                       ) -> list[CongestionCurve]:
+                       target: float | None = None) -> list[CongestionCurve]:
     """Averaged curves of scenarios that differ only in user intensities,
     from one road set and one recursion pass, each to K = min(m_ceiling,
     default_cutoff(W)): with no ceiling, every realization's tail at the
-    last threshold is certified below CUTOFF_TAIL = 1e-12."""
+    last threshold is certified below CUTOFF_TAIL = 1e-12.  Given a
+    target, each curve is only its :func:`bracket_curves` entries, and the
+    pass stops once every scenario has crossed the target or reached K."""
     seg = chord_segments(scns[0], road_set(scns[0]))
     weights = [segment_weights(scn, seg) for scn in scns]
-    return block_curves(weights, [min(m_ceiling, default_cutoff(w)) for w in weights])
+    k_max = [min(m_ceiling, default_cutoff(w)) for w in weights]
+    if target is None:
+        return block_curves(weights, k_max)
+    return bracket_curves(weights, k_max, target)
 
 
 def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:

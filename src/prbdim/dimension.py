@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import DEFAULT_M_CEILING
 from .congestion import CongestionCurve, Scenario, shared_road_curves
 from .errors import CeilingError, DomainError, InfeasibleSplitError
@@ -84,7 +82,8 @@ class DimensionQuery:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Solver output: minimal M with Pi(M) <= target, plus its bracket."""
+    """Solver output: minimal M with Pi(M) <= target, plus its bracket;
+    `curve` is the averaged curve at the bracket's thresholds (M - 1, M)."""
 
     required_m: int
     target: float
@@ -97,37 +96,33 @@ class DimensionReport:
     road_intensity: float | None = None
 
 
-def _invert(curve: CongestionCurve, target: float, m_ceiling: int) -> DimensionReport:
-    """Smallest M with Pi(M) <= target on a curve that ends at K, or
-    CeilingError when Pi(K) is still above the target."""
+def _report(curve: CongestionCurve, target: float, m_ceiling: int) -> DimensionReport:
+    """The report of a :func:`congestion.bracket_curves` curve, or
+    CeilingError when it ends at K alone with Pi(K) still above the target."""
     pi, stderr = curve.pi, curve.stderr
     if pi[-1] > target:
         raise CeilingError(
             f"congestion {pi[-1]:.6g} still above target {target:.6g} at "
             f"the M ceiling {m_ceiling}", ceiling=m_ceiling,
             achieved_pi=float(pi[-1]))
-    required = int(np.searchsorted(-pi, -target, side="left"))
-    before = required - 1
     return DimensionReport(
-        required_m=required, target=target,
-        pi_at_m=float(pi[required]),
-        pi_before=float(pi[before]) if before >= 0 else 1.0,
-        stderr_at_m=float(stderr[required]),
-        stderr_before=float(stderr[before]) if before >= 0 else 0.0,
+        required_m=int(curve.m_values[1]), target=target,
+        pi_at_m=float(pi[1]), pi_before=float(pi[0]),
+        stderr_at_m=float(stderr[1]), stderr_before=float(stderr[0]),
         curve=curve)
 
 
 def dimension_scenario(scn: Scenario, target: float,
                        m_ceiling: int = DEFAULT_M_CEILING) -> DimensionReport:
-    """Invert the averaged congestion curve for a prepared scenario.
+    """Find the smallest M with Pi(M) <= target for a prepared scenario.
 
     One fixed road-realization set backs every threshold (common random
-    numbers), so the precomputed curve is exactly monotone and the returned
-    bracket is meaningful; binary search finds M.
+    numbers), so the averaged curve is exactly monotone and the returned
+    bracket is meaningful; the recursion stops at the first crossing.
     """
     check_target(target)
-    [curve] = shared_road_curves([scn], m_ceiling)
-    return _invert(curve, target, m_ceiling)
+    [curve] = shared_road_curves([scn], m_ceiling, target)
+    return _report(curve, target, m_ceiling)
 
 
 def dimension_prbs(query: DimensionQuery) -> DimensionReport:
@@ -174,9 +169,10 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), (None, str(exc))) for tau in distinct_taus)
             continue
-        for tau, curve in zip(distinct_taus, shared_road_curves(scns, query.m_ceiling)):
+        curves = shared_road_curves(scns, query.m_ceiling, query.target_congestion)
+        for tau, curve in zip(distinct_taus, curves):
             try:
-                report = _invert(curve, query.target_congestion, query.m_ceiling)
+                report = _report(curve, query.target_congestion, query.m_ceiling)
                 outcome[tau, lam] = replace(report, throughput_bps=tau, road_intensity=lam), None
             except CeilingError as exc:
                 outcome[tau, lam] = None, str(exc)

@@ -364,3 +364,33 @@ def per_threshold_bell_literal(spec, m):
     for k in range(m):
         acc += bell_complete(spec.bell_arguments(k)) / math.factorial(k)
     return 1.0 - math.exp(-spec.total_weight) * acc
+
+
+def full_curve_answer(curve, target):
+    """The full-curve inversion of a curve to K: (M, Pi(M - 1), Pi(M),
+    stderr(M - 1), stderr(M)) for the smallest M with Pi(M) <= target, by
+    binary search, or (None, Pi(K)) when Pi(K) is still above it."""
+    pi, stderr = curve.pi, curve.stderr
+    if pi[-1] > target:
+        return None, float(pi[-1])
+    m = int(np.searchsorted(-pi, -target, side="left"))
+    return m, float(pi[m - 1]), float(pi[m]), float(stderr[m - 1]), float(stderr[m])
+
+
+def full_curve_answers(scns, target, m_ceiling):
+    """The reference for dimensioning scenarios that differ only in user
+    intensities: each one's whole averaged curve to K = min(m_ceiling,
+    default_cutoff(W)) by `block_curves`, then `full_curve_answer`."""
+    from prbdim.compound import default_cutoff
+    from prbdim.congestion import block_curves, chord_segments, road_set, segment_weights
+
+    seg = chord_segments(scns[0], road_set(scns[0]))
+    weights = [segment_weights(scn, seg) for scn in scns]
+    curves = block_curves(weights, [min(m_ceiling, default_cutoff(w)) for w in weights])
+    return [full_curve_answer(curve, target) for curve in curves]
+
+
+def report_answer(report):
+    """A DimensionReport in the form of `full_curve_answer`."""
+    return (report.required_m, report.pi_before, report.pi_at_m,
+            report.stderr_before, report.stderr_at_m)

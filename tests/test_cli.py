@@ -246,6 +246,17 @@ def test_negative_seed_is_validation_error(command, extra, capsys):
     assert "seed -1 must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("congestion", ["--m-max", "5"]), ("dimension", ["--target", "0.05"]),
+    ("sweep", ["--target", "0.05"])])
+@pytest.mark.parametrize("realizations", ["0", "-2"])
+def test_realizations_below_one_is_validation_error(command, extra, realizations, capsys):
+    code = run([command, "--scenario", FIG7, "--realizations", realizations, *extra,
+                "--out", "-"])
+    assert code == 3
+    assert f"realizations {realizations} must be at least 1" in capsys.readouterr().err
+
+
 def test_negative_seed_in_the_file_is_a_scenario_error(tmp_path, capsys):
     path = tmp_path / "negative_seed.scenario"
     with open(FIG7) as fh:
@@ -254,6 +265,16 @@ def test_negative_seed_in_the_file_is_a_scenario_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and str(path) in err
     assert "seed -1 must be a non-negative integer" in err
+
+
+def test_zero_realizations_in_the_file_is_a_scenario_error(tmp_path, capsys):
+    path = tmp_path / "no_realizations.scenario"
+    with open(FIG7) as fh:
+        path.write_text(fh.read().replace("realizations = 800", "realizations = 0"))
+    assert run(["dimension", "--scenario", str(path), "--target", "0.05", "--out", "-"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and str(path) in err
+    assert "realizations 0 must be at least 1" in err
 
 
 @pytest.mark.parametrize("command, extra", [

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses,
+from conftest import (chord_mass, fixed_road, full_curve_answer, indoor_masses, outdoor_masses,
                       reference_indoor_weights, reference_outdoor_table, rings, scalar_ccdf)
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
@@ -13,7 +13,7 @@ from prbdim import (CompoundSpec, DomainError, GeometryParams,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
-from prbdim.congestion import block_curves, road_set, weight_matrix
+from prbdim.congestion import bracket_curves, block_curves, road_set, weight_matrix
 from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
 
@@ -176,6 +176,30 @@ class TestBatchedCurve:
         np.testing.assert_allclose(curve.pi, pi, rtol=0, atol=1e-14)
         np.testing.assert_allclose(curve.stderr, stderr, rtol=0, atol=1e-14)
         assert curve.realizations == r
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_brackets_are_the_full_curves_entries(self, data):
+        # heavy rows (total weight above 600) are rescaled mid-pass
+        blocks = data.draw(st.integers(1, 4))
+        r = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(1, 5))
+        scale = data.draw(st.sampled_from([1.0, 300.0]))
+        weights = [np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, scale), min_size=n, max_size=n),
+            min_size=r, max_size=r))) for _ in range(blocks)]
+        k_max = data.draw(st.lists(st.integers(1, 60), min_size=blocks, max_size=blocks))
+        full = block_curves(weights, k_max)
+        # a target on the curve crosses exactly at a threshold
+        levels = np.concatenate([c.pi for c in full])
+        target = data.draw(st.sampled_from([*levels[levels < 1.0].tolist(), 0.5, 1e-8]))
+        for curve, whole in zip(bracket_curves(weights, k_max, target), full):
+            m = full_curve_answer(whole, target)[0]
+            ms = [whole.m_values[-1]] if m is None else [m - 1, m]
+            np.testing.assert_array_equal(curve.m_values, ms)
+            np.testing.assert_array_equal(curve.pi, whole.pi[ms])
+            np.testing.assert_array_equal(curve.stderr, whole.stderr[ms])
+            assert curve.realizations == r
 
     def test_weight_matrix_rows_match_per_road_masses(self):
         # a weak transmitter and a margin that drops outward put each outdoor

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import scalar_ccdf
+from conftest import full_curve_answers, report_answer, scalar_ccdf
 
 from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     InfeasibleSplitError, InterferenceModel, LinkBudget,
@@ -13,7 +13,8 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
 from prbdim import congestion
-from prbdim.congestion import Scenario, road_set, weight_matrix
+from prbdim.congestion import (_STATS_STEPS, Scenario, averaged_congestion, road_set,
+                               weight_matrix)
 from prbdim.geometry import GeometryParams
 from prbdim.linkmodel import ring_radii
 from prbdim.scenario_io import bundled_scenario
@@ -41,6 +42,22 @@ def cell(lam=9.0, im=None, rate_bps=500e3, mc=200, seed=0, region=None):
 def query(target=0.05, tau=25e6, lam=9.0, f=1.0, mc=200, seed=0, **kw):
     return DimensionQuery(scenario=cell(lam, mc=mc, seed=seed), target_congestion=target,
                           throughput_bps=tau, outdoor_fraction=f, **kw)
+
+
+def counting_kernel(monkeypatch):
+    """Count the steps of each recursion pass the curve core runs: one list
+    entry per pass."""
+    steps = []
+    kernel = congestion.recursion_steps
+
+    def counting(w, k_max):
+        steps.append(0)
+        for step in kernel(w, k_max):
+            steps[-1] += 1
+            yield step
+
+    monkeypatch.setattr(congestion, "recursion_steps", counting)
+    return steps
 
 
 def at_lambda(q, lam, **kw):
@@ -112,8 +129,14 @@ class TestDimension:
         report = dimension_prbs(query(mc=100, seed=5))
         m = report.required_m
         assert report.pi_at_m <= 0.05 < report.pi_before
-        assert report.curve.pi[m] == report.pi_at_m
-        assert report.curve.pi[m - 1] == report.pi_before
+        # the curve is the bracket's two thresholds, as averaged_congestion gives them
+        assert report.curve.m_values.tolist() == [m - 1, m]
+        assert report.curve.pi.tolist() == [report.pi_before, report.pi_at_m]
+        assert report.curve.stderr.tolist() == [report.stderr_before, report.stderr_at_m]
+        alone = averaged_congestion(query(mc=100, seed=5).build_scenario(), [m - 1, m])
+        for field in ("m_values", "pi", "stderr"):
+            assert np.array_equal(getattr(report.curve, field), getattr(alone, field))
+        assert report.curve.realizations == alone.realizations == 100
 
     def test_tighter_target_needs_no_fewer(self):
         loose = dimension_prbs(query(target=0.1, mc=100, seed=5))
@@ -166,13 +189,23 @@ class TestAgainstBruteForce:
         assert abs(report.pi_at_m - pi[required]) <= 1e-14
         assert abs(report.pi_before - pi[required - 1]) <= 1e-14
 
-    def test_one_pass_to_the_cutoff_or_the_ceiling(self):
-        for m_ceiling in (1024, 200):
-            q = query(target=0.05, tau=25e6, mc=12, seed=3, m_ceiling=m_ceiling)
-            scn = q.build_scenario()
-            report = dimension_prbs(q)
-            cutoff = default_cutoff(weight_matrix(scn, road_set(scn)))
-            assert report.curve.m_values[-1] == min(m_ceiling, cutoff)
+    def test_one_pass_to_the_cutoff_or_the_ceiling(self, monkeypatch):
+        # one pass, which ends with the group of thresholds holding the
+        # answer, or at K = min(m_ceiling, cutoff) when the answer lies beyond
+        q = query(target=0.05, tau=25e6, mc=12, seed=3)
+        scn = q.build_scenario()
+        cutoff = default_cutoff(weight_matrix(scn, road_set(scn)))
+        steps = counting_kernel(monkeypatch)
+        m = dimension_prbs(replace(q, m_ceiling=1024)).required_m
+        for m_ceiling in (1024, 200, m):
+            steps.clear()
+            assert dimension_prbs(replace(q, m_ceiling=m_ceiling)).required_m == m
+            assert len(steps) == 1 and m <= steps[0] < m + _STATS_STEPS
+        for m_ceiling in (m - 1, 60):
+            steps.clear()
+            with pytest.raises(CeilingError):
+                dimension_prbs(replace(q, m_ceiling=m_ceiling))
+            assert steps == [min(m_ceiling, cutoff)]
 
     def test_ceiling_below_the_answer_reports_brute_force_pi(self):
         # a 1e-8 target needs 237 PRBs here, above the 200 ceiling
@@ -324,6 +357,85 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             sweep(query(), throughput_grid_bps=[])
+
+
+def bundled_query(name, tau_mbps=None, realizations=100):
+    doc = bundled_scenario(name).with_overrides(realizations=realizations)
+    return doc.to_query(target=0.05, throughput_bps=tau_mbps and tau_mbps * 1e6)
+
+
+def assert_answers(q, expected):
+    """dimension_prbs(q) gives `expected`, a `full_curve_answer` tuple."""
+    if expected[0] is None:
+        with pytest.raises(CeilingError) as err:
+            dimension_prbs(q)
+        assert err.value.achieved_pi == expected[1]
+    else:
+        assert report_answer(dimension_prbs(q)) == expected
+
+
+class TestStopAtTheAnswer:
+    """dimension and sweep stop the recursion at the answer; the full curve
+    to K, inverted by binary search (tests/conftest.py), is the reference,
+    and every field must equal it bit for bit."""
+
+    # fig7 at 300 Mbit/s rescales every heavy row's recursion
+    @pytest.mark.parametrize("name, tau_mbps", [
+        ("fig3", None), ("fig6_mixed", None), ("fig7", 300)])
+    def test_bundled_scenarios_at_three_targets(self, name, tau_mbps):
+        q = bundled_query(name, tau_mbps)
+        scn = q.build_scenario()
+        for target in (0.05, 1e-4, 1e-8):
+            [expected] = full_curve_answers([scn], target, q.m_ceiling)
+            assert expected[0] is not None
+            assert_answers(replace(q, target_congestion=target), expected)
+
+    @pytest.mark.parametrize("tau, target", [(1e5, 0.5), (1e5, 0.05), (5e5, 0.5)])
+    def test_crossing_in_the_first_group(self, tau, target):
+        q = query(target=target, tau=tau, mc=30, seed=4)
+        [expected] = full_curve_answers([q.build_scenario()], target, q.m_ceiling)
+        assert 1 <= expected[0] <= _STATS_STEPS
+        assert_answers(q, expected)
+
+    def test_ceilings_around_the_answer(self):
+        # K just below, at and just above the answer, inside its group
+        q = query(target=1e-4, tau=4e6, mc=30, seed=4)
+        scn = q.build_scenario()
+        [(m, *_)] = full_curve_answers([scn], 1e-4, q.m_ceiling)
+        for m_ceiling in range(m - _STATS_STEPS, m + _STATS_STEPS + 1):
+            [expected] = full_curve_answers([scn], 1e-4, m_ceiling)
+            assert (expected[0] is None) == (m_ceiling < m)
+            assert_answers(replace(q, m_ceiling=m_ceiling), expected)
+
+    @pytest.mark.parametrize("m_ceiling", [37, 38, 40, 41])
+    def test_sweep_mixes_crossed_and_ceiling_points(self, m_ceiling):
+        # the answers are 11, 18, 33, 40 and 61 at the default ceiling, so
+        # the stacked pass settles points in different groups, some at a K
+        # that ends inside a group
+        taus = [1e6, 2e6, 4e6, 5e6, 8e6]
+        q = query(target=0.05, mc=30, seed=4, m_ceiling=m_ceiling)
+        scns = [replace(q, throughput_bps=tau).build_scenario() for tau in taus]
+        expected = full_curve_answers(scns, 0.05, m_ceiling)
+        assert {a[0] is None for a in expected} == {False, True}
+        for p, answer in zip(sweep(q, throughput_grid_bps=taus), expected):
+            if answer[0] is None:
+                assert p.report is None
+                assert p.error.startswith(f"congestion {answer[1]:.6g} still above")
+            else:
+                assert report_answer(p.report) == answer
+
+    def test_kernel_steps_end_with_the_answer_group(self, monkeypatch):
+        steps = counting_kernel(monkeypatch)
+        report = dimension_prbs(bundled_query("fig6_mixed"))
+        assert len(steps) == 1 and steps[0] <= report.required_m + _STATS_STEPS
+        steps.clear()
+        q = bundled_query("fig3", realizations=50)
+        points = sweep(q, throughput_grid_bps=[10e6, 20e6, 30e6],
+                       road_intensity_grid=[2.0, 10.0])
+        assert len(steps) == 2
+        for lam, n in zip((2.0, 10.0), steps):
+            top = max(p.report.required_m for p in points if p.road_intensity == lam)
+            assert top <= n <= top + _STATS_STEPS
 
 
 def test_readme_python_example_runs(capsys):

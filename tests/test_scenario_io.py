@@ -120,6 +120,7 @@ class TestParsing:
          "[geometry] throughput_mbps = -3 Mbit/s must be positive"),
         (lambda t: t + "\n[monte_carlo]\nsampler = quasi\n", "unknown sampler 'quasi'"),
         (lambda t: t + "\n[monte_carlo]\nseed = -3\n", "seed -3 must be a non-negative integer"),
+        (lambda t: t + "\n[monte_carlo]\nrealizations = 0\n", "realizations 0 must be at least 1"),
     ])
     def test_one_fault_keeps_its_message(self, edit, message):
         with pytest.raises(ScenarioError) as exc:
