@@ -1,10 +1,10 @@
 """Command-line front end: congestion curves, dimensioning, sweeps,
 Monte-Carlo simulation and self-validation, with CSV output.
 
-Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a
-target below the 1e-8 floor), 4 infeasibility (target unreachable,
-impossible traffic split), 5 accuracy (Fourier grid beyond its 2^26-point
-limit).  Each command imports the engine names it calls when it runs.
+Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a target
+below the 1e-8 floor and an unwritable --out), 4 infeasibility (target unreachable,
+impossible traffic split), 5 accuracy (Fourier grid beyond its 2^26-point limit).
+Each command imports the engine names it calls when it runs.
 """
 
 from __future__ import annotations
@@ -57,8 +57,11 @@ def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _base_meta(args, doc: ScenarioFile) -> dict:
@@ -140,7 +143,7 @@ def _print_report(report: DimensionReport, target: float) -> None:
           f"Pi({m}) = {report.pi_at_m:.6g}")
     print(f"stderr: Pi({m - 1}) +/- {report.stderr_before:.3g}, "
           f"Pi({m}) +/- {report.stderr_at_m:.3g}")
-    print(f"realizations = {report.curve.realizations}")
+    print(f"realizations = {report.realizations}")
 
 
 def _query(args, doc: ScenarioFile, throughput_bps: float | None) -> DimensionQuery:

@@ -182,7 +182,7 @@ class CongestionCurve:
 _STATS_STEPS = 4
 
 
-def _tail_groups(weights: list[np.ndarray], k_top: int):
+def tail_groups(weights: list[np.ndarray], k_top: int):
     """Yield (first, tails) for thresholds 1..k_top in groups of
     _STATS_STEPS, tails[s, b, i] = P(Gamma >= first + s) for row i of
     block b, from one recursion pass over the stacked weight matrices; rows
@@ -194,7 +194,7 @@ def _tail_groups(weights: list[np.ndarray], k_top: int):
         yield first, np.array([t.reshape(blocks, rows) for _, t in islice(steps, _STATS_STEPS)])
 
 
-def _row_stats(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_stats(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the rows (last axis) of per-row tails and its Monte-Carlo
     standard error, 0 where the rows are all equal."""
     varies = tails.min(axis=-1) != tails.max(axis=-1)
@@ -211,9 +211,9 @@ def block_curves(weights: list[np.ndarray], k_max: list[int]) -> list[Congestion
     blocks, rows = len(weights), weights[0].shape[0]
     pi = np.ones((blocks, max(k_max) + 1))
     stderr = np.zeros(pi.shape)
-    for first, tails in _tail_groups(weights, max(k_max)):
+    for first, tails in tail_groups(weights, max(k_max)):
         last = first + len(tails)
-        mean, err = _row_stats(tails)
+        mean, err = row_stats(tails)
         pi[:, first:last] = mean.T
         stderr[:, first:last] = err.T
     return [CongestionCurve(m_values=np.arange(0, k + 1), pi=pi[b, : k + 1],
@@ -221,75 +221,22 @@ def block_curves(weights: list[np.ndarray], k_max: list[int]) -> list[Congestion
             for b, k in enumerate(k_max)]
 
 
-def bracket_curves(weights: list[np.ndarray], k_max: list[int],
-                   target: float) -> list[CongestionCurve]:
-    """Per weight matrix in `weights`, its averaged curve at the thresholds
-    (m - 1, m) around the smallest m <= k_max[b] with Pi(m) <= target, or
-    at k_max[b] alone when there is none: those entries of
-    :func:`block_curves`, bit for bit.  The stacked pass ends with the
-    group of thresholds that settles the last block, and reduces only the
-    row mean until a block settles."""
-    blocks, rows = len(weights), weights[0].shape[0]
-    curves = [None] * blocks
-    # a settled block's bar is -1, which no mean tail reaches
-    bar = np.full(blocks, float(target))
-    # every row's tail at threshold 0 is 1
-    before = np.ones((blocks, rows))
-    for first, tails in _tail_groups(weights, max(k_max)):
-        last = first + len(tails) - 1
-        low = tails.mean(axis=2) <= bar
-        if low.any() or last >= min(k for k, c in zip(k_max, curves) if c is None):
-            for b in (b for b, c in enumerate(curves) if c is None):
-                hits = np.flatnonzero(low[: k_max[b] - first + 1, b])
-                if hits.size:
-                    s = int(hits[0])
-                    m_values = [first + s - 1, first + s]
-                    pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
-                elif last >= k_max[b]:
-                    m_values, pair = [k_max[b]], tails[k_max[b] - first, b][None]
-                else:
-                    continue
-                pi, stderr = _row_stats(pair)
-                curves[b] = CongestionCurve(m_values=np.array(m_values), pi=pi,
-                                            stderr=stderr, realizations=rows)
-                bar[b] = -1.0
-            if None not in curves:
-                break
-        before = tails[-1]
-    return curves
-
-
-def shared_road_curves(scns: list[Scenario], m_ceiling: float = math.inf,
-                       target: float | None = None) -> list[CongestionCurve]:
-    """Averaged curves of scenarios that differ only in user intensities,
-    from one road set and one recursion pass, each to K = min(m_ceiling,
-    default_cutoff(W)): with no ceiling, every realization's tail at the
-    last threshold is certified below CUTOFF_TAIL = 1e-12.  Given a
-    target, each curve is only its :func:`bracket_curves` entries, and the
-    pass stops once every scenario has crossed the target or reached K."""
-    seg = chord_segments(scns[0], road_set(scns[0]))
-    weights = [segment_weights(scn, seg) for scn in scns]
-    k_max = [min(m_ceiling, default_cutoff(w)) for w in weights]
-    if target is None:
-        return block_curves(weights, k_max)
-    return bracket_curves(weights, k_max, target)
-
-
 def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     """Mean conditional congestion over the scenario's road realizations,
-    at `m_values` or, when None, at 0..K of :func:`shared_road_curves`.
+    at `m_values` or, when None, at 0..default_cutoff(W), where every
+    realization's tail is certified below CUTOFF_TAIL = 1e-12.
 
     Deterministic for a fixed seed and realization count: realization i
     always uses stream (seed, i), and every realization goes through the
     same batched recursion.
     """
-    if m_values is None:
-        return shared_road_curves([scn])[0]
-    m = np.atleast_1d(np.asarray(m_values, dtype=np.int64))
-    if m.size == 0 or m.min() < 0:
+    m = None if m_values is None else np.atleast_1d(np.asarray(m_values, dtype=np.int64))
+    if m is not None and (m.size == 0 or m.min() < 0):
         raise DomainError("thresholds must be nonempty and nonnegative")
-    [curve] = block_curves([weight_matrix(scn, road_set(scn))], [int(m.max())])
-    return replace(curve, m_values=m, pi=curve.pi[m], stderr=curve.stderr[m])
+    w = weight_matrix(scn, road_set(scn))
+    [curve] = block_curves([w], [default_cutoff(w) if m is None else int(m.max())])
+    return curve if m is None else replace(curve, m_values=m, pi=curve.pi[m],
+                                           stderr=curve.stderr[m])
 
 
 def expected_load(scn: Scenario) -> float:

@@ -7,8 +7,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import DEFAULT_M_CEILING
-from .congestion import CongestionCurve, Scenario, shared_road_curves
+import numpy as np
+
+from . import DEFAULT_M_CEILING, congestion
+from .compound import default_cutoff
+from .congestion import Scenario, chord_segments, row_stats, segment_weights, tail_groups
 from .errors import CeilingError, DomainError, InfeasibleSplitError
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
@@ -82,8 +85,7 @@ class DimensionQuery:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Solver output: minimal M with Pi(M) <= target, plus its bracket;
-    `curve` is the averaged curve at the bracket's thresholds (M - 1, M)."""
+    """Solver output: minimal M with Pi(M) <= target, its bracket and their stderrs."""
 
     required_m: int
     target: float
@@ -91,38 +93,69 @@ class DimensionReport:
     pi_before: float
     stderr_at_m: float
     stderr_before: float
-    curve: CongestionCurve
+    realizations: int
     throughput_bps: float | None = None
     road_intensity: float | None = None
 
 
-def _report(curve: CongestionCurve, target: float, m_ceiling: int) -> DimensionReport:
-    """The report of a :func:`congestion.bracket_curves` curve, or
-    CeilingError when it ends at K alone with Pi(K) still above the target."""
-    pi, stderr = curve.pi, curve.stderr
-    if pi[-1] > target:
-        raise CeilingError(
-            f"congestion {pi[-1]:.6g} still above target {target:.6g} at "
-            f"the M ceiling {m_ceiling}", ceiling=m_ceiling,
-            achieved_pi=float(pi[-1]))
-    return DimensionReport(
-        required_m=int(curve.m_values[1]), target=target,
-        pi_at_m=float(pi[1]), pi_before=float(pi[0]),
-        stderr_at_m=float(stderr[1]), stderr_before=float(stderr[0]),
-        curve=curve)
+def invert(weights: list[np.ndarray], k_max: list[int],
+           target: float) -> list[DimensionReport | CeilingError]:
+    """Per R-row weight matrix, the report of the smallest m <= k_max[b] with
+    Pi(m) <= target, or the CeilingError carrying Pi(k_max[b]), bit for bit as
+    :func:`congestion.block_curves` has them. One stacked pass ends with the group
+    that settles the last block; until a block settles it takes only row means."""
+    blocks, rows = len(weights), weights[0].shape[0]
+    answers = [None] * blocks
+    # a settled block's bar is -1, which no mean tail reaches
+    bar = np.full(blocks, float(target))
+    # every row's tail at threshold 0 is 1
+    before = np.ones((blocks, rows))
+    for first, tails in tail_groups(weights, max(k_max)):
+        last = first + len(tails) - 1
+        low = tails.mean(axis=2) <= bar
+        if low.any() or last >= min(k for k, a in zip(k_max, answers) if a is None):
+            for b in (b for b, a in enumerate(answers) if a is None):
+                # a block settles when it crosses the target at some m <= K or reaches K
+                hits = np.flatnonzero(low[: k_max[b] - first + 1, b])
+                if hits.size:
+                    s = int(hits[0])
+                    pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
+                    (pi_before, pi), (err_before, err) = row_stats(pair)
+                    answers[b] = DimensionReport(first + s, target, float(pi), float(pi_before),
+                                                 float(err), float(err_before), rows)
+                elif last >= k_max[b]:
+                    [pi], _ = row_stats(tails[k_max[b] - first, b][None])
+                    answers[b] = CeilingError(
+                        f"congestion {pi:.6g} still above target {target:.6g} at the M "
+                        f"ceiling {k_max[b]}", ceiling=k_max[b], achieved_pi=float(pi))
+                else:
+                    continue
+                bar[b] = -1.0
+            if None not in answers:
+                break
+        before = tails[-1]
+    return answers
+
+
+def _answers(scns: list[Scenario], target: float,
+             m_ceiling: int) -> list[DimensionReport | CeilingError]:
+    """:func:`invert` on one road set for scenarios that differ only in user intensities."""
+    # road_set is read off its module, where tests and perfbench/tracer.py patch it
+    seg = chord_segments(scns[0], congestion.road_set(scns[0]))
+    weights = [segment_weights(scn, seg) for scn in scns]
+    return invert(weights, [min(m_ceiling, default_cutoff(w)) for w in weights], target)
 
 
 def dimension_scenario(scn: Scenario, target: float,
                        m_ceiling: int = DEFAULT_M_CEILING) -> DimensionReport:
-    """Find the smallest M with Pi(M) <= target for a prepared scenario.
-
-    One fixed road-realization set backs every threshold (common random
-    numbers), so the averaged curve is exactly monotone and the returned
-    bracket is meaningful; the recursion stops at the first crossing.
-    """
+    """Find the smallest M with Pi(M) <= target for a prepared scenario. One
+    road-realization set backs every threshold (common random numbers), so the
+    averaged curve is exactly monotone; the recursion stops at the answer."""
     check_target(target)
-    [curve] = shared_road_curves([scn], m_ceiling, target)
-    return _report(curve, target, m_ceiling)
+    [answer] = _answers([scn], target, m_ceiling)
+    if isinstance(answer, CeilingError):
+        raise answer
+    return answer
 
 
 def dimension_prbs(query: DimensionQuery) -> DimensionReport:
@@ -169,12 +202,9 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), (None, str(exc))) for tau in distinct_taus)
             continue
-        curves = shared_road_curves(scns, query.m_ceiling, query.target_congestion)
-        for tau, curve in zip(distinct_taus, curves):
-            try:
-                report = _report(curve, query.target_congestion, query.m_ceiling)
-                outcome[tau, lam] = replace(report, throughput_bps=tau, road_intensity=lam), None
-            except CeilingError as exc:
-                outcome[tau, lam] = None, str(exc)
+        answers = _answers(scns, query.target_congestion, query.m_ceiling)
+        for tau, answer in zip(distinct_taus, answers):
+            outcome[tau, lam] = ((None, str(answer)) if isinstance(answer, CeilingError) else
+                                 (replace(answer, throughput_bps=tau, road_intensity=lam), None))
     return [SweepPoint(tau, lam, query.target_congestion, *outcome[tau, lam])
             for tau in taus for lam in lams]

@@ -1,3 +1,6 @@
+import errno
+import os
+
 import pytest
 
 from prbdim import congestion
@@ -255,6 +258,19 @@ def test_realizations_below_one_is_validation_error(command, extra, realizations
                 "--out", "-"])
     assert code == 3
     assert f"realizations {realizations} must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("congestion", ["--m-max", "5"]), ("dimension", ["--target", "0.05"]),
+    ("sweep", ["--target", "0.05"]), ("simulate", ["--replications", "200"])])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.csv", errno.ENOENT), (".", errno.EISDIR)])
+def test_unwritable_out_is_validation_error(command, extra, target, reason, tmp_path, capsys):
+    out = tmp_path / target
+    code = run([command, "--scenario", FIG7, "--realizations", "10", *extra, "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == (f"validation error: cannot write {out}: "
+                                       f"{os.strerror(reason)}\n")
 
 
 def test_negative_seed_in_the_file_is_a_scenario_error(tmp_path, capsys):

@@ -4,16 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (chord_mass, fixed_road, full_curve_answer, indoor_masses, outdoor_masses,
-                      reference_indoor_weights, reference_outdoor_table, rings, scalar_ccdf)
+                      reference_indoor_weights, reference_outdoor_table, report_answer, rings,
+                      scalar_ccdf)
 from hypothesis import given, settings, strategies as st
 from scipy.stats import poisson
 
-from prbdim import (CompoundSpec, DomainError, GeometryParams,
+from prbdim import (CeilingError, CompoundSpec, DomainError, GeometryParams,
                     InterferenceModel, LinkBudget, RoadSet, Scenario,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
-from prbdim.congestion import bracket_curves, block_curves, road_set, weight_matrix
+from prbdim.congestion import block_curves, road_set, weight_matrix
+from prbdim.dimension import invert
 from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
 
@@ -193,13 +195,15 @@ class TestBatchedCurve:
         # a target on the curve crosses exactly at a threshold
         levels = np.concatenate([c.pi for c in full])
         target = data.draw(st.sampled_from([*levels[levels < 1.0].tolist(), 0.5, 1e-8]))
-        for curve, whole in zip(bracket_curves(weights, k_max, target), full):
-            m = full_curve_answer(whole, target)[0]
-            ms = [whole.m_values[-1]] if m is None else [m - 1, m]
-            np.testing.assert_array_equal(curve.m_values, ms)
-            np.testing.assert_array_equal(curve.pi, whole.pi[ms])
-            np.testing.assert_array_equal(curve.stderr, whole.stderr[ms])
-            assert curve.realizations == r
+        for answer, whole in zip(invert(weights, k_max, target), full):
+            expected = full_curve_answer(whole, target)
+            if expected[0] is None:
+                assert isinstance(answer, CeilingError)
+                assert answer.achieved_pi == expected[1]
+                assert answer.ceiling == whole.m_values[-1]
+            else:
+                assert report_answer(answer) == expected
+                assert answer.target == target and answer.realizations == r
 
     def test_weight_matrix_rows_match_per_road_masses(self):
         # a weak transmitter and a margin that drops outward put each outdoor

@@ -129,14 +129,11 @@ class TestDimension:
         report = dimension_prbs(query(mc=100, seed=5))
         m = report.required_m
         assert report.pi_at_m <= 0.05 < report.pi_before
-        # the curve is the bracket's two thresholds, as averaged_congestion gives them
-        assert report.curve.m_values.tolist() == [m - 1, m]
-        assert report.curve.pi.tolist() == [report.pi_before, report.pi_at_m]
-        assert report.curve.stderr.tolist() == [report.stderr_before, report.stderr_at_m]
+        # the bracket is the curve at its two thresholds, as averaged_congestion gives them
         alone = averaged_congestion(query(mc=100, seed=5).build_scenario(), [m - 1, m])
-        for field in ("m_values", "pi", "stderr"):
-            assert np.array_equal(getattr(report.curve, field), getattr(alone, field))
-        assert report.curve.realizations == alone.realizations == 100
+        assert alone.pi.tolist() == [report.pi_before, report.pi_at_m]
+        assert alone.stderr.tolist() == [report.stderr_before, report.stderr_at_m]
+        assert report.realizations == alone.realizations == 100
 
     def test_tighter_target_needs_no_fewer(self):
         loose = dimension_prbs(query(target=0.1, mc=100, seed=5))
@@ -318,10 +315,8 @@ class TestSweep:
                                              throughput_bps=p.throughput_bps))
             assert p.error is None
             assert p.report.required_m == alone.required_m
-            assert np.array_equal(p.report.curve.pi, alone.curve.pi)
-            assert np.array_equal(p.report.curve.stderr, alone.curve.stderr)
-            # every other field, the bracket included, equal too
-            assert p.report == replace(alone, curve=p.report.curve)
+            # every field, the bracket and its standard errors included
+            assert p.report == alone
 
     def test_error_points_keep_grid_order_and_spare_the_others(self):
         # lambda = 0 with outdoor traffic is an infeasible split; 25 Mbit/s
@@ -342,8 +337,7 @@ class TestSweep:
         alone = dimension_prbs(replace(q, throughput_bps=1e5))
         assert ok.error is None
         assert ok.report.required_m == alone.required_m
-        assert np.array_equal(ok.report.curve.pi, alone.curve.pi)
-        assert np.array_equal(ok.report.curve.stderr, alone.curve.stderr)
+        assert ok.report == alone
 
     def test_road_model_needs_at_least_ppp_equivalent(self):
         from prbdim import ppp_equivalent
