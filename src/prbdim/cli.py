@@ -154,8 +154,8 @@ def _query(args, doc: ScenarioFile, throughput_bps: float | None) -> DimensionQu
 
 
 def _bps(mbps: float) -> float:
-    """Mbit/s to bit/s; a non-positive value is named as typed, nan and inf by the query."""
-    if mbps <= 0:
+    """Mbit/s to bit/s, refusing a non-positive or non-finite value in Mbit/s."""
+    if not (mbps > 0 and math.isfinite(mbps)):
         raise DomainError(f"throughput {mbps:g} Mbit/s must be positive and finite")
     return mbps * 1e6
 
@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-mbps", type=float, default=None,
                    help="forecast cell throughput (overrides the file)")
     p.add_argument("--outdoor-fraction", type=float, default=None)
-    p.add_argument("--m-ceiling", type=int, default=DEFAULT_M_CEILING)
+    p.add_argument("--m-ceiling", type=int, default=DEFAULT_M_CEILING,
+                   help="largest M searched; a target still not met there exits 4")
     p.add_argument("--out", default=None, help="also write a one-row CSV")
     p.set_defaults(func=cmd_dimension)
 
@@ -303,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid-per-km", default=None,
                    help="comma-separated road intensity grid")
     p.add_argument("--outdoor-fraction", type=float, default=None)
-    p.add_argument("--m-ceiling", type=int, default=DEFAULT_M_CEILING)
+    p.add_argument("--m-ceiling", type=int, default=DEFAULT_M_CEILING,
+                   help="largest M searched; a point still above the target there is an error row")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

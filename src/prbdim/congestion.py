@@ -205,20 +205,14 @@ def row_stats(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tails.mean(axis=-1), stderr
 
 
-def block_curves(weights: list[np.ndarray], k_max: list[int]) -> list[CongestionCurve]:
-    """Averaged congestion curve at thresholds 0..k_max[b] of each R-row
-    weight matrix in `weights`, from one recursion pass over them stacked."""
-    blocks, rows = len(weights), weights[0].shape[0]
-    pi = np.ones((blocks, max(k_max) + 1))
-    stderr = np.zeros(pi.shape)
-    for first, tails in tail_groups(weights, max(k_max)):
+def block_curves(w: np.ndarray, k_max: int) -> CongestionCurve:
+    """Averaged congestion curve at thresholds 0..k_max of an R-row weight matrix."""
+    pi, stderr = np.ones(k_max + 1), np.zeros(k_max + 1)
+    for first, tails in tail_groups([w], k_max):
         last = first + len(tails)
-        mean, err = row_stats(tails)
-        pi[:, first:last] = mean.T
-        stderr[:, first:last] = err.T
-    return [CongestionCurve(m_values=np.arange(0, k + 1), pi=pi[b, : k + 1],
-                            stderr=stderr[b, : k + 1], realizations=rows)
-            for b, k in enumerate(k_max)]
+        pi[first:last], stderr[first:last] = row_stats(tails[:, 0])
+    return CongestionCurve(m_values=np.arange(0, k_max + 1), pi=pi, stderr=stderr,
+                           realizations=w.shape[0])
 
 
 def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
@@ -234,23 +228,27 @@ def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     if m is not None and (m.size == 0 or m.min() < 0):
         raise DomainError("thresholds must be nonempty and nonnegative")
     w = weight_matrix(scn, road_set(scn))
-    [curve] = block_curves([w], [default_cutoff(w) if m is None else int(m.max())])
+    curve = block_curves(w, default_cutoff(w) if m is None else int(m.max()))
     return curve if m is None else replace(curve, m_values=m, pi=curve.pi[m],
                                            stderr=curve.stderr[m])
 
 
 def expected_load(scn: Scenario) -> float:
-    """Closed-form E(Gamma) under the `paper` chord-distance law.
+    """Closed-form E(Gamma) under the scenario's chord-distance law.
 
     Outdoor: each clipped ring interval (u, v] contributes
-    (4*delta*omega/(3*R^2))*(v^3-u^3) expected users; indoor contributes
-    kappa*pi*(v^2-u^2).  Reduces to the single-margin ring formula when the
-    interference model has one region.
+    (4*delta*omega/(3*R^2))*(v^3-u^3) expected users under `paper`
+    (r = R*sqrt(U)) and delta*omega*pi*(v^2-u^2)/(2*R) under `standard`
+    (r = R*U); indoor contributes kappa*pi*(v^2-u^2).  Reduces to the
+    single-margin ring formula when the interference model has one region.
     """
     r = scn.cell_radius_km
-    omega = expected_roads(scn.geometry, r)
-    coef = 4.0 * scn.geometry.user_intensity_linear * omega / (3.0 * r * r)
+    delta, omega = scn.geometry.user_intensity_linear, expected_roads(scn.geometry, r)
     u2, v2, lv = scn._outdoor_table
-    outdoor = coef * float((lv + 1) @ (v2 * np.sqrt(v2) - u2 * np.sqrt(u2)))
+    if scn.sampler == PAPER:
+        coef, ring = 4.0 * delta * omega / (3.0 * r * r), v2 * np.sqrt(v2) - u2 * np.sqrt(u2)
+    else:
+        coef, ring = math.pi * delta * omega / (2.0 * r), v2 - u2
+    outdoor = coef * float((lv + 1) @ ring)
     indoor = scn._indoor_weights
     return outdoor + float(np.arange(1, indoor.size + 1) @ indoor)

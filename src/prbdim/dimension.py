@@ -10,21 +10,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import DEFAULT_M_CEILING, congestion
-from .compound import default_cutoff
 from .congestion import Scenario, chord_segments, row_stats, segment_weights, tail_groups
 from .errors import CeilingError, DomainError, InfeasibleSplitError
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
-# too few correct digits of the tail.  Above it, Pi(default_cutoff) <= 1e-12
-# plus rounding stays below every target, so only m_ceiling can stop a search.
+# too few correct digits of the tail.  Above it every mean tail crosses the
+# target by default_cutoff(W), where it is at most 1e-12 plus rounding, so
+# the M ceiling is the only bound a search needs.
 TARGET_FLOOR = 1e-8
 
 
-def check_target(target: float) -> None:
-    """Refuse a target congestion outside [TARGET_FLOOR, 1)."""
+def check_search(target: float, m_ceiling: int) -> None:
+    """Refuse a target congestion outside [TARGET_FLOOR, 1) or an M ceiling below 1."""
     if not TARGET_FLOOR <= target < 1.0:
         raise DomainError(f"target congestion {target:g} must lie in "
                           f"[floor {TARGET_FLOOR:g}, 1)")
+    if m_ceiling < 1:
+        raise DomainError(f"m_ceiling {m_ceiling} must be positive")
 
 
 def intensities_from_throughput(throughput_bps: float, rate_bps: float,
@@ -66,11 +68,9 @@ class DimensionQuery:
     m_ceiling: int = DEFAULT_M_CEILING
 
     def __post_init__(self):
-        check_target(self.target_congestion)
+        check_search(self.target_congestion, self.m_ceiling)
         if not (self.throughput_bps > 0 and math.isfinite(self.throughput_bps)):
             raise DomainError(f"throughput_bps {self.throughput_bps:g} must be positive and finite")
-        if self.m_ceiling < 1:
-            raise DomainError(f"m_ceiling {self.m_ceiling} must be positive")
 
     def build_scenario(self) -> Scenario:
         """The scenario with the forecast's intensities, sharing its demand
@@ -98,38 +98,37 @@ class DimensionReport:
     road_intensity: float | None = None
 
 
-def invert(weights: list[np.ndarray], k_max: list[int],
+def invert(weights: list[np.ndarray], k_max: int,
            target: float) -> list[DimensionReport | CeilingError]:
-    """Per R-row weight matrix, the report of the smallest m <= k_max[b] with
-    Pi(m) <= target, or the CeilingError carrying Pi(k_max[b]), bit for bit as
-    :func:`congestion.block_curves` has them. One stacked pass ends with the group
-    that settles the last block; until a block settles it takes only row means."""
+    """Per R-row weight matrix, the report of the smallest m <= k_max, the M
+    ceiling, with Pi(m) <= target, or the CeilingError carrying Pi(k_max).
+    One pass over the matrices stacked ends with the group that settles the
+    last block; until a block settles it takes only row means, and each
+    bracket is bit for bit that pass's full curve."""
     blocks, rows = len(weights), weights[0].shape[0]
     answers = [None] * blocks
     # a settled block's bar is -1, which no mean tail reaches
     bar = np.full(blocks, float(target))
     # every row's tail at threshold 0 is 1
     before = np.ones((blocks, rows))
-    for first, tails in tail_groups(weights, max(k_max)):
+    for first, tails in tail_groups(weights, k_max):
         last = first + len(tails) - 1
         low = tails.mean(axis=2) <= bar
-        if low.any() or last >= min(k for k, a in zip(k_max, answers) if a is None):
-            for b in (b for b, a in enumerate(answers) if a is None):
-                # a block settles when it crosses the target at some m <= K or reaches K
-                hits = np.flatnonzero(low[: k_max[b] - first + 1, b])
+        if low.any() or last >= k_max:
+            # a block settles when it crosses the target or the pass reaches k_max
+            for b in [b for b, a in enumerate(answers)
+                      if a is None and (low[:, b].any() or last >= k_max)]:
+                hits = np.flatnonzero(low[:, b])
+                s = int(hits[0]) if hits.size else len(tails) - 1
+                pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
+                (pi_before, pi), (err_before, err) = row_stats(pair)
                 if hits.size:
-                    s = int(hits[0])
-                    pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
-                    (pi_before, pi), (err_before, err) = row_stats(pair)
                     answers[b] = DimensionReport(first + s, target, float(pi), float(pi_before),
                                                  float(err), float(err_before), rows)
-                elif last >= k_max[b]:
-                    [pi], _ = row_stats(tails[k_max[b] - first, b][None])
+                else:
                     answers[b] = CeilingError(
                         f"congestion {pi:.6g} still above target {target:.6g} at the M "
-                        f"ceiling {k_max[b]}", ceiling=k_max[b], achieved_pi=float(pi))
-                else:
-                    continue
+                        f"ceiling {k_max}", ceiling=k_max, achieved_pi=float(pi))
                 bar[b] = -1.0
             if None not in answers:
                 break
@@ -143,7 +142,7 @@ def _answers(scns: list[Scenario], target: float,
     # road_set is read off its module, where tests and perfbench/tracer.py patch it
     seg = chord_segments(scns[0], congestion.road_set(scns[0]))
     weights = [segment_weights(scn, seg) for scn in scns]
-    return invert(weights, [min(m_ceiling, default_cutoff(w)) for w in weights], target)
+    return invert(weights, m_ceiling, target)
 
 
 def dimension_scenario(scn: Scenario, target: float,
@@ -151,7 +150,7 @@ def dimension_scenario(scn: Scenario, target: float,
     """Find the smallest M with Pi(M) <= target for a prepared scenario. One
     road-realization set backs every threshold (common random numbers), so the
     averaged curve is exactly monotone; the recursion stops at the answer."""
-    check_target(target)
+    check_search(target, m_ceiling)
     [answer] = _answers([scn], target, m_ceiling)
     if isinstance(answer, CeilingError):
         raise answer

@@ -386,8 +386,8 @@ def full_curve_answers(scns, target, m_ceiling):
 
     seg = chord_segments(scns[0], road_set(scns[0]))
     weights = [segment_weights(scn, seg) for scn in scns]
-    curves = block_curves(weights, [min(m_ceiling, default_cutoff(w)) for w in weights])
-    return [full_curve_answer(curve, target) for curve in curves]
+    return [full_curve_answer(block_curves(w, min(m_ceiling, default_cutoff(w))), target)
+            for w in weights]
 
 
 def report_answer(report):

@@ -121,11 +121,12 @@ class TestDimensionCommand:
         assert run(["dimension", "--scenario", "/no/such/file",
                     "--target", "0.05"]) == 3
 
-    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    # once named in bit/s: "throughput_bps nan must be positive and finite"
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
     def test_non_finite_throughput_names_itself(self, tau, capsys):
         assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
                     "--tau-mbps", tau]) == 3
-        assert f"throughput_bps {tau} must be positive and finite" in capsys.readouterr().err
+        assert f"throughput {tau} Mbit/s must be positive and finite" in capsys.readouterr().err
 
     # once named in bit/s: "throughput_bps -3e+06 must be positive and finite"
     @pytest.mark.parametrize("tau", ["-3", "0", "-0.5"])
@@ -175,7 +176,8 @@ class TestSweepCommand:
     def test_non_finite_throughput_in_the_grid_names_itself(self, capsys):
         assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
                     "--tau-grid-mbps", "10,nan", "--out", "-"]) == 3
-        assert "throughput_bps nan must be positive and finite" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "throughput nan Mbit/s must be positive and finite" in err and out == ""
 
     def test_non_positive_throughput_in_the_grid_is_named_as_typed(self, capsys):
         assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",

@@ -276,7 +276,7 @@ class TestCcdf:
         scalars = [ccdf_bell(spec, int(m)) for m in ms]
         assert all(isinstance(t, float) for t in scalars)
         np.testing.assert_array_equal(tails, scalars)
-        [curve] = block_curves([spec.weights[None, :]], [int(ms[-1])])
+        curve = block_curves(spec.weights[None, :], int(ms[-1]))
         np.testing.assert_array_equal(tails, curve.pi[ms])
         if spec.total_weight < 700:
             np.testing.assert_allclose(tails, scalar_ccdf(spec.weights, ms), rtol=0, atol=1e-14)

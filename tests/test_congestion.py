@@ -14,7 +14,7 @@ from prbdim import (CeilingError, CompoundSpec, DomainError, GeometryParams,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
-from prbdim.congestion import block_curves, road_set, weight_matrix
+from prbdim.congestion import CongestionCurve, block_curves, road_set, row_stats, weight_matrix
 from prbdim.dimension import invert
 from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
@@ -158,8 +158,23 @@ def kernel_tails(weights, k_max):
     return np.array([tail for _, tail in recursion_steps(weights, k_max)])
 
 
+def stacked_curves(weights, k_max):
+    """Each R-row matrix's averaged curve at 0..k_max as one pass over the
+    matrices stacked has it. A one-row matrix's tails there can differ in the
+    last bit from its own pass's, so `block_curves` of it alone is not the
+    reference."""
+    tails = kernel_tails(np.concatenate(weights), k_max - 1)
+    r = weights[0].shape[0]
+    curves = []
+    for b in range(len(weights)):
+        pi, stderr = row_stats(tails[:, b * r:(b + 1) * r])
+        curves.append(CongestionCurve(np.arange(k_max + 1), np.r_[1.0, pi], np.r_[0.0, stderr], r))
+    return curves
+
+
 class TestBatchedCurve:
-    """block_curves: averaged curves of stacked weight matrices in one pass."""
+    """block_curves and invert: averaged curves of weight matrices, and their
+    inversion in one pass over the matrices stacked."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -172,7 +187,7 @@ class TestBatchedCurve:
             min_size=r, max_size=r)))
         zero_rows = data.draw(st.lists(st.booleans(), min_size=r, max_size=r))
         weights[np.array(zero_rows)] = 0.0
-        [curve] = block_curves([weights], [k_max])
+        curve = block_curves(weights, k_max)
         pi, stderr = per_row_reference(weights, np.arange(k_max + 1))
         np.testing.assert_array_equal(curve.m_values, np.arange(k_max + 1))
         np.testing.assert_allclose(curve.pi, pi, rtol=0, atol=1e-14)
@@ -190,8 +205,8 @@ class TestBatchedCurve:
         weights = [np.array(data.draw(st.lists(
             st.lists(st.floats(0.0, scale), min_size=n, max_size=n),
             min_size=r, max_size=r))) for _ in range(blocks)]
-        k_max = data.draw(st.lists(st.integers(1, 60), min_size=blocks, max_size=blocks))
-        full = block_curves(weights, k_max)
+        k_max = data.draw(st.integers(1, 60))
+        full = stacked_curves(weights, k_max)
         # a target on the curve crosses exactly at a threshold
         levels = np.concatenate([c.pi for c in full])
         target = data.draw(st.sampled_from([*levels[levels < 1.0].tolist(), 0.5, 1e-8]))
@@ -200,7 +215,7 @@ class TestBatchedCurve:
             if expected[0] is None:
                 assert isinstance(answer, CeilingError)
                 assert answer.achieved_pi == expected[1]
-                assert answer.ceiling == whole.m_values[-1]
+                assert answer.ceiling == k_max
             else:
                 assert report_answer(answer) == expected
                 assert answer.target == target and answer.realizations == r
@@ -231,7 +246,7 @@ class TestBatchedCurve:
     def test_identical_rows_have_zero_stderr(self):
         w = np.array([[3.0, 1.5, 0.25]])
         for rows in (w, np.repeat(w, 7, axis=0)):
-            assert block_curves([rows], [39])[0].stderr.max() == 0.0
+            assert block_curves(rows, 39).stderr.max() == 0.0
         ppp = ppp_equivalent(make_scenario(lam=9.0, delta=2.0, kappa=5.0, mc=9,
                                            margins=(1.0, 8.0, 15.0), n_max=6))
         curve = averaged_congestion(ppp, np.arange(0, 120))
@@ -254,7 +269,7 @@ class TestBatchedCurve:
         reference = np.column_stack([scalar_ccdf(w, ms) if i in light else
                                      ccdf_integral(CompoundSpec(weights=w), ms)
                                      for i, w in enumerate(mixed)])
-        np.testing.assert_allclose(block_curves([mixed], [k + 1])[0].pi[ms],
+        np.testing.assert_allclose(block_curves(mixed, k + 1).pi[ms],
                                    reference.mean(axis=1), rtol=0, atol=1e-12)
         # the scalar path: indoor weight 800 on one level is Poisson(800)
         scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
@@ -312,6 +327,20 @@ class TestExpectedLoad:
         specs = [CompoundSpec(w) for w in weight_matrix(scn, road_set(scn))]
         mc_mean = float(np.mean([s.mean for s in specs]))
         assert expected_load(scn) == pytest.approx(mc_mean, rel=0.01)
+
+    def test_standard_sampler_whole_disk(self):
+        # r = R*U: a road lays pi*R/2 expected length in the disk, so one
+        # level over the disk holds pi^2*lambda*delta*R^2 users on average
+        scn = replace(make_scenario(lam=9.0, delta=6.0), sampler="standard")
+        assert expected_load(scn) == pytest.approx(math.pi ** 2 * 9.0 * 6.0 * 0.7 ** 2, rel=1e-12)
+
+    # the paper-law closed form read 227.36 and 167.63 here
+    @pytest.mark.parametrize("name", ["fig6_mixed", "fig2_tau30"])
+    def test_standard_sampler_matches_simulation(self, name):
+        scn = replace(bundled_scenario(name).to_scenario(), sampler="standard")
+        gammas, _, _ = gamma_samples(scn, 40_000)
+        se = float(gammas.std(ddof=1)) / math.sqrt(gammas.size)
+        assert abs(float(gammas.mean()) - expected_load(scn)) <= 5.0 * se
 
     def test_matches_simulation(self):
         scn = make_scenario(lam=9.0, delta=6.0, seed=21)

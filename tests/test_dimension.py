@@ -214,6 +214,15 @@ class TestAgainstBruteForce:
         assert pi[200] > 1e-8
         assert abs(err.value.achieved_pi - pi[200]) <= 1e-14
 
+    # dimension_scenario once returned None at these ceilings
+    @pytest.mark.parametrize("m_ceiling", [0, -5])
+    def test_ceiling_below_one_is_refused(self, m_ceiling):
+        message = f"m_ceiling {m_ceiling} must be positive"
+        with pytest.raises(DomainError, match=message):
+            query(m_ceiling=m_ceiling)
+        with pytest.raises(DomainError, match=message):
+            dimension_scenario(query().build_scenario(), 0.05, m_ceiling)
+
     def test_target_below_the_floor_is_refused(self):
         with pytest.raises(DomainError, match="floor 1e-08"):
             query(target=1e-9)
