@@ -5,12 +5,21 @@ Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a target
 below the 1e-8 floor and an unwritable --out), 4 infeasibility (target unreachable,
 impossible traffic split), 5 accuracy (Fourier grid beyond its 2^26-point limit).
 Each command imports the engine names it calls when it runs.
+
+`main(argv)` returns the exit code to in-process callers.  The `prbdim`
+console script and `python -m prbdim.cli` enter through `run()`, which ends
+the process right after stdout and stderr are flushed, without interpreter
+teardown: no atexit handler runs and no other file object is flushed.  So
+every file a command writes, the planned --trace file included, must be
+closed inside `main()`.  Usage errors, --help, --version
+and tracebacks still leave through the normal exit path.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from typing import TYPE_CHECKING
@@ -349,5 +358,15 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
 
 
+def run() -> None:
+    """Run `main()` on sys.argv, flush stdout and stderr, and end the process
+    with main's exit code, skipping interpreter teardown.  A failed flush
+    raises, and the process exits non-zero through the normal path."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -87,8 +87,16 @@ def recursion_steps(w: np.ndarray, k_max: int):
     underflowing exp(-total), and is divided by 1e200 whenever its newest
     value passes 1e200 (Panjer & Willmot 1986); a log-scale per row undoes
     both.  A step grows a value at most sum_j j*w_j / k-fold, so the check
-    catches every overflow."""
+    catches every overflow.
+
+    A row's values do not depend on the rows stacked with it: einsum sums a
+    one-row matrix in another order than a stack, so a lone row runs with a
+    zero row under it, whose values are dropped."""
     rows, n = w.shape
+    if rows == 1:
+        for p, tail in recursion_steps(np.vstack((w, np.zeros(n))), k_max):
+            yield p[:1], tail[:1]
+        return
     total = w.sum(axis=1)
     scale = np.maximum(total - _HEAVY_WEIGHT, 0.0)
     heavy = bool(scale.any())

@@ -7,6 +7,7 @@ need only `compound`; the other suites import the engine when they run.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,8 +47,15 @@ def kernel_rows(weights, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([p for p, _ in steps]).T, np.array(tails).T
 
 
+def _weight_vectors(rng: random.Random, count: int, high: float, max_levels: int):
+    """`count` weight vectors of 1..max_levels levels, each uniform on [0, high]."""
+    return [np.array([rng.uniform(0, high) for _ in range(rng.randint(1, max_levels))])
+            for _ in range(count)]
+
+
 def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
-    rng = np.random.default_rng(seed)
+    # the stdlib generator: numpy.random costs more to import than the suite to run
+    rng = random.Random(seed)
     checks = []
 
     listed = [
@@ -62,8 +70,8 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
 
     agree = True
     for _ in range(30):
-        p = int(rng.integers(0, 11))
-        xs = [int(v) for v in rng.integers(-4, 5, p)]
+        p = rng.randint(0, 10)
+        xs = [rng.randint(-4, 4) for _ in range(p)]
         if bell_complete(xs) != bell_determinant(xs):
             agree = False
             break
@@ -72,9 +80,9 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
 
     binom_ok = True
     for _ in range(20):
-        p = int(rng.integers(0, 9))
-        xs = [int(v) for v in rng.integers(-3, 4, p)]
-        ys = [int(v) for v in rng.integers(-3, 4, p)]
+        p = rng.randint(0, 8)
+        xs = [rng.randint(-3, 3) for _ in range(p)]
+        ys = [rng.randint(-3, 3) for _ in range(p)]
         lhs = bell_complete([a + b for a, b in zip(xs, ys)])
         bx, by = bell_sequence(xs), bell_sequence(ys)
         rhs = sum(math.comb(p, i) * bx[p - i] * by[i] for i in range(p + 1))
@@ -86,13 +94,13 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
 
     # each check draws its weights first, then reads every spec's p_k or
     # tails off one kernel pass over their stacked rows
-    weights = [rng.uniform(0, 1.5, int(rng.integers(1, 5))) for _ in range(20)]
+    weights = _weight_vectors(rng, 20, 1.5, 4)
     pmfs, _ = kernel_rows(weights, 40)
     worst = max(float(np.max(np.abs(p - convolved_pmf(w, 40)))) for p, w in zip(pmfs, weights))
     checks.append(Check("pmf_vs_convolution", worst <= 1e-10,
                         f"max |delta| = {worst:.3e} (tol 1e-10)"))
 
-    weights = [rng.uniform(0, 2, int(rng.integers(1, 11))) for _ in range(20)]
+    weights = _weight_vectors(rng, 20, 2.0, 10)
     _, tails = kernel_rows(weights, 79)
     ms = np.arange(0, 81)
     worst = max(float(np.max(np.abs(ccdf_integral(CompoundSpec(weights=w), ms) - t)))
@@ -100,7 +108,7 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
     checks.append(Check("inversion_vs_bell_sum", worst <= 1e-6,
                         f"max |delta| = {worst:.3e} (tol 1e-6)"))
 
-    weights = [rng.uniform(0, 1.0, int(rng.integers(1, 5))) for _ in range(10)]
+    weights = _weight_vectors(rng, 10, 1.0, 4)
     _, tails = kernel_rows(weights, 19)
     ms = np.array([0, 1, 5, 12, 20])
     worst = max(float(np.max(np.abs(ccdf_bell_literal(CompoundSpec(weights=w), ms) - t[ms])))

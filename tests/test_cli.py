@@ -1,9 +1,13 @@
 import errno
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from prbdim import congestion
+import prbdim
+from prbdim import cli, congestion
 from prbdim.cli import main
 from prbdim.compound import default_cutoff
 from prbdim.congestion import ppp_equivalent, road_set, weight_matrix
@@ -12,6 +16,7 @@ from prbdim.simulate import gamma_samples
 
 FIG3 = str(bundled_scenario_path("fig3"))
 FIG4 = str(bundled_scenario_path("fig4"))
+FIG6 = str(bundled_scenario_path("fig6_mixed"))
 FIG7 = str(bundled_scenario_path("fig7"))
 BUNDLED = ["fig2_tau14", "fig2_tau30", "fig3", "fig4", "fig6_mixed", "fig7", "fig8_regions"]
 
@@ -189,6 +194,20 @@ class TestSweepCommand:
     def test_bad_grid_is_usage_like_validation(self, capsys):
         assert run(["sweep", "--scenario", FIG7, "--target", "0.3",
                     "--tau-grid-mbps", "a,b", "--out", "-"]) == 3
+
+    def test_one_realization_points_equal_their_dimension_runs(self, tmp_path):
+        # three one-row matrices stacked in one pass; a lone row once took
+        # other last bits than its stacked copy (fig3 at 20 and 30 Mbit/s)
+        out = tmp_path / "sweep.csv"
+        taus = ["10", "20", "30"]
+        assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "1",
+                    "--tau-grid-mbps", ",".join(taus), "--out", str(out)]) == 0
+        _, swept = read_csv(out)
+        for tau, row in zip(taus, swept, strict=True):
+            one = tmp_path / f"dimension_{tau}.csv"
+            assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
+                        "--realizations", "1", "--tau-mbps", tau, "--out", str(one)]) == 0
+            assert read_csv(one)[1] == [row.removesuffix(",ok")]
 
 
 class TestSimulateCommand:
@@ -381,3 +400,68 @@ class TestValidateCommand:
         with pytest.raises(SystemExit) as exc:
             run(["validate", "--suite", "everything"])
         assert exc.value.code == 2
+
+
+def cli_process(argv, **kwargs):
+    """`python -m prbdim.cli argv` in a fresh interpreter on this tree's prbdim,
+    its stdout block-buffered, so that what a command prints stays buffered
+    until `run()` flushes it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(prbdim.__file__).parents[1])
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, "-m", "prbdim.cli", *argv], env=env,
+                          timeout=120, **kwargs)
+
+
+class TestProcessExit:
+    """The process entry ends the interpreter once its outputs are flushed;
+    what a command writes and returns must be what `main()` gives in-process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "--scenario", FIG6, "--target", "0.05", "--out", "{csv}"],
+        ["sweep", "--scenario", FIG3, "--target", "0.05", "--tau-grid-mbps", "10,15,20,25,30",
+         "--lambda-grid-per-km", "2,10", "--realizations", "400", "--out", "-"],
+        ["simulate", "--scenario", FIG4, "--replications", "200", "--out", "-"],
+        ["validate", "--suite", "identities"],
+    ], ids=["dimension", "sweep", "simulate", "identities"])
+    def test_process_output_equals_main(self, argv, tmp_path, capsys):
+        here, there = tmp_path / "main.csv", tmp_path / "process.csv"
+        code = main([a.format(csv=here) for a in argv])
+        out, err = capsys.readouterr()
+        proc = cli_process([a.format(csv=there) for a in argv])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+        if "{csv}" in argv:
+            assert there.read_bytes() == here.read_bytes()
+
+    @pytest.mark.parametrize("extra, code, message", [
+        ([], 2, "the following arguments are required: --target"),
+        (["--target", "0.05", "--m-ceiling", "0"], 3, "m_ceiling 0 must be positive"),
+        (["--target", "1e-8", "--m-ceiling", "100"], 4, "at the M ceiling 100"),
+    ], ids=["usage", "validation", "infeasible"])
+    def test_exit_codes_survive_the_process(self, extra, code, message):
+        proc = cli_process(["dimension", "--scenario", FIG3, *extra])
+        assert proc.returncode == code
+        assert message in proc.stderr.decode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_write_to_stdout_exits_non_zero(self):
+        with open("/dev/full", "w") as full:
+            proc = cli_process(["validate", "--suite", "identities"], stdout=full)
+        assert proc.returncode != 0
+        assert b"No space left on device" in proc.stderr
+
+    def test_a_failed_flush_raises_and_never_exits_silently(self, monkeypatch):
+        class Full:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        exits = []
+        monkeypatch.setattr(sys, "argv", ["prbdim", "validate", "--suite", "identities"])
+        monkeypatch.setattr(sys, "stdout", Full())
+        monkeypatch.setattr(os, "_exit", exits.append)
+        with pytest.raises(OSError):
+            cli.run()
+        assert exits == []

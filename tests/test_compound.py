@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     bell_complete, bell_determinant, ccdf_bell,
                     ccdf_bell_literal, ccdf_integral, pmf)
-from prbdim.compound import default_cutoff
+from prbdim.compound import default_cutoff, recursion_steps
 from prbdim.congestion import block_curves
 from prbdim import validate
 from prbdim.compound import bell_sequence
@@ -115,6 +115,28 @@ class TestPmf:
             CompoundSpec(weights=np.array([-0.1]))
         with pytest.raises(DomainError):
             CompoundSpec(weights=np.array([math.nan]))
+
+
+class TestKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_row_alone_has_its_stacked_bits(self, data):
+        # einsum once summed a one-row matrix in another order than a stack,
+        # so a lone row (R = 1) and its stacked copy differed in the last bit
+        rows = data.draw(st.integers(2, 40))
+        n = data.draw(st.integers(1, 40))
+        # heavy rows (total weight above 600) are rescaled mid-pass
+        high = data.draw(st.sampled_from([1.0, 5.0, 300.0]))
+        w = np.array(data.draw(st.lists(st.lists(st.floats(0.0, high), min_size=n, max_size=n),
+                                        min_size=rows, max_size=rows)))
+        at = data.draw(st.integers(0, rows - 1))
+        k_max = data.draw(st.integers(0, 150))
+        stacked = list(recursion_steps(w, k_max))
+        alone = list(recursion_steps(w[at:at + 1], k_max))
+        assert len(alone) == len(stacked) == k_max + 1
+        for (p, tail), (p_alone, tail_alone) in zip(stacked, alone):
+            assert p_alone.shape == tail_alone.shape == (1,)
+            assert (p[at], tail[at]) == (p_alone[0], tail_alone[0])
 
 
 class TestBellPolynomials:

@@ -160,9 +160,7 @@ def kernel_tails(weights, k_max):
 
 def stacked_curves(weights, k_max):
     """Each R-row matrix's averaged curve at 0..k_max as one pass over the
-    matrices stacked has it. A one-row matrix's tails there can differ in the
-    last bit from its own pass's, so `block_curves` of it alone is not the
-    reference."""
+    matrices stacked has it."""
     tails = kernel_tails(np.concatenate(weights), k_max - 1)
     r = weights[0].shape[0]
     curves = []

@@ -73,11 +73,16 @@ def test_importing_the_cli_loads_no_engine_module():
 
 
 def test_identities_suite_loads_only_compound():
-    loaded = fresh("import prbdim.cli; "
-                   "assert prbdim.cli.main(['validate', '--suite', 'identities']) == 0; "
-                   + LOADED)
+    # its draws come from the stdlib generator: numpy.random costs more to
+    # import than the suite takes to run (numpy before 2.0 imports it itself)
+    loaded, random_before, random_after = fresh(
+        "import json, sys, prbdim.cli; before = 'numpy.random' in sys.modules; "
+        "assert prbdim.cli.main(['validate', '--suite', 'identities']) == 0; "
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('prbdim.')), "
+        "before, 'numpy.random' in sys.modules]))")
     assert not {f"prbdim.{m}" for m in ENGINE} & set(loaded)
     assert "prbdim.compound" in loaded
+    assert random_after == random_before
 
 
 def test_dimension_loads_neither_the_oracle_nor_the_suites():
