@@ -16,15 +16,15 @@ DEFAULT_M_CEILING = 4096
 _EXPORTS = {
     "compound": "CompoundSpec bell_complete bell_determinant ccdf_bell ccdf_bell_literal "
                 "ccdf_integral pmf",
-    "congestion": "CongestionCurve Scenario averaged_congestion conditional_congestion "
-                  "expected_load ppp_equivalent",
+    "congestion": "CongestionCurve averaged_congestion conditional_congestion expected_load",
     "dimension": "DimensionQuery DimensionReport SweepPoint dimension_prbs dimension_scenario "
-                 "intensities_from_throughput sweep",
+                 "sweep",
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
     "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",
-    "linkmodel": "InterferenceModel LinkBudget Service StepFunction max_prbs_per_user "
-                 "prbs_required ring_radii sinr_at throughput_at",
+    "linkmodel": "InterferenceModel LinkBudget Scenario Service StepFunction "
+                 "intensities_from_throughput max_prbs_per_user ppp_equivalent prbs_required "
+                 "ring_radii sinr_at throughput_at",
     "scenario_io": "ScenarioFile bundled_scenario bundled_scenario_path dump_scenario "
                    "load_scenario parse_scenario",
     "simulate": "EmpiricalCurve empirical_ccdf",

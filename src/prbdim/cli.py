@@ -110,7 +110,7 @@ def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
     if replications is not None:
         from .simulate import check_replications
         check_replications(replications)
-    from .congestion import ppp_equivalent
+    from .linkmodel import ppp_equivalent
     doc = _load(args)
     scn = doc.to_scenario(noise_limited=args.noise_limited, region=args.region)
     scn = ppp_equivalent(scn) if args.ppp_equivalent else scn

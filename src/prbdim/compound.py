@@ -4,8 +4,8 @@
   k*p_k = sum(j*w_j*p_{k-j}) (Panjer 1981), which carries the Bell
   coefficients H*B_k/k! (x_j = w_j*j!) in range, over the rows of a weight
   matrix and rescaled where exp(-total weight) underflows (Panjer & Willmot
-  1986).  :func:`pmf` and :func:`ccdf_bell` are its one-row calls; every
-  recursion tail is read off the kernel's running CDF, never re-summed.
+  1986).  :func:`kernel_rows` reads its p and tail rows, :func:`pmf` and
+  :func:`ccdf_bell` one row; every tail is its running CDF, never re-summed.
 * :func:`ccdf_bell_literal` - the same sum evaluated through raw complete
   Bell polynomials (one :func:`bell_sequence`); small M, for validation.
 * :func:`ccdf_integral` - Fourier inversion of the probability generating
@@ -125,11 +125,21 @@ def recursion_steps(w: np.ndarray, k_max: int):
             scale[big] -= math.log(_RESCALE)
 
 
+def kernel_rows(w: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows p_0..p_k_max and P(Lambda >= 0..k_max+1) of the R x N weight
+    matrix w, R x (k_max+1) and R x (k_max+2), from one recursion pass."""
+    p = np.empty((w.shape[0], k_max + 1))
+    tails = np.ones((w.shape[0], k_max + 2))
+    for k, (p_k, tail) in enumerate(recursion_steps(w, k_max)):
+        p[:, k], tails[:, k + 1] = p_k, tail
+    return p, tails
+
+
 def pmf(spec: CompoundSpec, k_max: int) -> np.ndarray:
     """P(Lambda = k) for k = 0..k_max by the stable recursion."""
     if k_max < 0:
         raise DomainError("k_max must be nonnegative")
-    return np.array([p[0] for p, _ in recursion_steps(spec.weights[None, :], k_max)])
+    return kernel_rows(spec.weights[None, :], k_max)[0][0]
 
 
 def default_cutoff(weights) -> int:
@@ -234,10 +244,7 @@ def ccdf_bell(spec: CompoundSpec, m):
     ms = np.asarray(m, dtype=np.int64)
     if ms.size and ms.min() < 0:
         raise DomainError("thresholds must be nonnegative")
-    tails = np.ones(int(ms.max(initial=0)) + 1)
-    steps = recursion_steps(spec.weights[None, :], tails.size - 2)
-    for k, (_, tail) in enumerate(steps, start=1):
-        tails[k] = tail[0]
+    tails = kernel_rows(spec.weights[None, :], int(ms.max(initial=0)) - 1)[1][0]
     return float(tails[ms]) if ms.ndim == 0 else tails[ms]
 
 

@@ -1,22 +1,19 @@
-"""Congestion probability: conditional-on-roads evaluation, averaging over
-the road process, and the closed-form mean load.
+"""Congestion probability: a cell's ring tables, conditional-on-roads
+evaluation, averaging over the road process, and the closed-form mean load.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
 from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
 from .errors import DomainError
-from .geometry import (GeometryParams, PAPER, RoadSet, SAMPLERS, expected_roads,
-                       mean_users, sample_road_set)
-from .linkmodel import (INDOOR, InterferenceModel, LinkBudget, OUTDOOR, Service,
-                        StepFunction, max_prbs_per_user, ring_radii)
+from .geometry import PAPER, RoadSet, expected_roads, sample_road_set
+from .linkmodel import Scenario, StepFunction
 
 
 def _pieces(steps: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -31,95 +28,19 @@ def _pieces(steps: StepFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ends[keep], ends[keep + 1], steps.values[keep]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Everything needed to evaluate one cell: radio, demand, geometry, MC.
-
-    `region_km` optionally restricts the evaluated population to an
-    annulus (lo, hi].
-    """
-
-    link_budget: LinkBudget
-    interference: InterferenceModel
-    service: Service
-    geometry: GeometryParams
-    sampler: str = PAPER
-    seed: int = 0
-    mc_realizations: int = 500
-    region_km: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.sampler not in SAMPLERS:
-            raise DomainError(f"unknown sampler {self.sampler!r}")
-        if self.mc_realizations < 1:
-            raise DomainError(f"realizations {self.mc_realizations} must be at least 1")
-        if self.seed < 0:
-            raise DomainError(f"seed {self.seed} must be a non-negative integer")
-        r = self.link_budget.cell_radius_km
-        self.interference.regions(r)  # its breakpoints lie inside the cell
-        if self.region_km is not None:
-            lo, hi = self.region_km
-            if not 0.0 <= lo < hi <= r * (1 + 1e-12):
-                raise DomainError(f"region ({lo}, {hi}] must lie inside (0, {r}]")
-            object.__setattr__(self, "region_km", (float(lo), float(hi)))
-
-    @property
-    def cell_radius_km(self) -> float:
-        return self.link_budget.cell_radius_km
-
-    @property
-    def mean_users(self) -> float:
-        return mean_users(self.geometry, self.cell_radius_km)
-
-    @cached_property
-    def n_levels(self) -> int:
-        """N, the width of the weight vectors: the larger of the two
-        environments' demand caps, which `ring_radii` caps the levels at."""
-        return max(max_prbs_per_user(self.link_budget, self.interference, self.service, env)
-                   for env in (OUTDOOR, INDOOR))
-
-    @cached_property
-    def demand_steps(self) -> tuple[StepFunction, StepFunction]:
-        """(outdoor, indoor) PRB demand n(x) of a user at distance x: its
-        level inside `region_km`, 0 outside it; with no region, every
-        user's level. Computed once per scenario."""
-        return tuple(ring_radii(self.link_budget, self.interference, self.service, env)
-                     .clip(self.region_km) for env in (OUTDOOR, INDOOR))
-
-    def with_geometry(self, geometry: GeometryParams) -> Scenario:
-        """This scenario with other intensities, sharing its demand step
-        functions (they depend on the radio setup, service and region only)."""
-        other = replace(self, geometry=geometry)
-        other.__dict__["demand_steps"] = self.demand_steps  # where cached_property keeps it
-        return other
-
-    @cached_property
-    def _outdoor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened (u^2, v^2, level - 1) arrays of the region-clipped outdoor rings."""
-        u, v, levels = _pieces(self.demand_steps[0])
-        return u * u, v * v, levels - 1
-
-    @cached_property
-    def _indoor_weights(self) -> np.ndarray:
-        """Deterministic indoor masses, region-clipped, indexed by level-1."""
-        u, v, levels = _pieces(self.demand_steps[1])
-        w = np.zeros(self.n_levels)
-        # rings sharing a level accumulate in ring order
-        np.add.at(w, levels - 1, self.geometry.user_intensity_area * math.pi * (v * v - u * u))
-        return w
+def outdoor_rings(scn: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flattened (u^2, v^2, level - 1) arrays of the region-clipped outdoor rings."""
+    u, v, levels = _pieces(scn.demand_steps[0])
+    return u * u, v * v, levels - 1
 
 
-def ppp_equivalent(scn: Scenario) -> Scenario:
-    """Outdoor-PPP baseline: same printed intensity, outdoor propagation.
-
-    Reuses the indoor (area PPP) machinery with kappa set to lambda*delta
-    and the indoor propagation constant replaced by the outdoor one.
-    """
-    lam_delta = scn.geometry.road_intensity * scn.geometry.user_intensity_linear
-    gp = GeometryParams(road_intensity=0.0, user_intensity_linear=0.0,
-                        user_intensity_area=lam_delta + scn.geometry.user_intensity_area)
-    lb = replace(scn.link_budget, prop_const_indoor_db=scn.link_budget.prop_const_db)
-    return replace(scn, link_budget=lb, geometry=gp)
+def indoor_weights(scn: Scenario) -> np.ndarray:
+    """Deterministic indoor masses, region-clipped, indexed by level-1."""
+    u, v, levels = _pieces(scn.demand_steps[1])
+    w = np.zeros(scn.n_levels)
+    # rings sharing a level accumulate in ring order
+    np.add.at(w, levels - 1, scn.geometry.user_intensity_area * math.pi * (v * v - u * u))
+    return w
 
 
 def chord_segments(scn: Scenario, roads: RoadSet) -> np.ndarray:
@@ -130,7 +51,7 @@ def chord_segments(scn: Scenario, roads: RoadSet) -> np.ndarray:
     (realizations, rings, y) array summed over its last axis: each entry
     is still one length-y sum, so grouping does not change its bits.
     """
-    u2, v2, _ = scn._outdoor_table
+    u2, v2, _ = outdoor_rings(scn)
     seg = np.zeros((len(roads), u2.size))
     r2 = roads.chord_distances ** 2
     starts = np.cumsum(roads.counts) - roads.counts
@@ -144,9 +65,9 @@ def chord_segments(scn: Scenario, roads: RoadSet) -> np.ndarray:
 
 def segment_weights(scn: Scenario, seg: np.ndarray) -> np.ndarray:
     """R x N combined per-level Poisson weights from a chord-segment matrix."""
-    w = np.tile(scn._indoor_weights, (seg.shape[0], 1))
+    w = np.tile(indoor_weights(scn), (seg.shape[0], 1))
     # rings sharing a level accumulate in ring order
-    np.add.at(w, (slice(None), scn._outdoor_table[2]),
+    np.add.at(w, (slice(None), outdoor_rings(scn)[2]),
               2.0 * scn.geometry.user_intensity_linear * seg)
     return w
 
@@ -244,11 +165,11 @@ def expected_load(scn: Scenario) -> float:
     """
     r = scn.cell_radius_km
     delta, omega = scn.geometry.user_intensity_linear, expected_roads(scn.geometry, r)
-    u2, v2, lv = scn._outdoor_table
+    u2, v2, lv = outdoor_rings(scn)
     if scn.sampler == PAPER:
         coef, ring = 4.0 * delta * omega / (3.0 * r * r), v2 * np.sqrt(v2) - u2 * np.sqrt(u2)
     else:
         coef, ring = math.pi * delta * omega / (2.0 * r), v2 - u2
     outdoor = coef * float((lv + 1) @ ring)
-    indoor = scn._indoor_weights
+    indoor = indoor_weights(scn)
     return outdoor + float(np.arange(1, indoor.size + 1) @ indoor)

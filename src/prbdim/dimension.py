@@ -10,8 +10,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import DEFAULT_M_CEILING, congestion
-from .congestion import Scenario, chord_segments, row_stats, segment_weights, tail_groups
+from .congestion import chord_segments, row_stats, segment_weights, tail_groups
 from .errors import CeilingError, DomainError, InfeasibleSplitError
+from .linkmodel import Scenario, intensities_from_throughput
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
 # too few correct digits of the tail.  Above it every mean tail crosses the
@@ -27,32 +28,6 @@ def check_search(target: float, m_ceiling: int) -> None:
                           f"[floor {TARGET_FLOOR:g}, 1)")
     if m_ceiling < 1:
         raise DomainError(f"m_ceiling {m_ceiling} must be positive")
-
-
-def intensities_from_throughput(throughput_bps: float, rate_bps: float,
-                                cell_radius_km: float, road_intensity: float,
-                                outdoor_fraction: float) -> tuple[float, float]:
-    """Derive (delta, kappa) from a forecast cell throughput.
-
-    The forecast mean user count is u = tau/C*; a fraction f of it rides the
-    roads (delta = f*u/(lambda*pi*R^2), printed intensity convention) and the
-    rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).
-    """
-    if not (throughput_bps > 0 and math.isfinite(throughput_bps)):
-        raise DomainError(f"throughput_bps {throughput_bps:g} must be positive and finite")
-    if not 0.0 <= outdoor_fraction <= 1.0:
-        raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
-    users = throughput_bps / rate_bps
-    area = math.pi * cell_radius_km ** 2
-    if outdoor_fraction > 0:
-        if road_intensity <= 0:
-            raise InfeasibleSplitError(
-                "outdoor traffic requested with zero road intensity")
-        delta = outdoor_fraction * users / (road_intensity * area)
-    else:
-        delta = 0.0
-    kappa = (1.0 - outdoor_fraction) * users / area
-    return delta, kappa
 
 
 @dataclass(frozen=True)

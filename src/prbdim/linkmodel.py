@@ -1,4 +1,5 @@
-"""Link budget, SINR, rate and the radial PRB demand n(x) as a step function.
+"""Link budget, SINR, rate, the radial PRB demand n(x) as a step function,
+and the cell they describe, the :class:`Scenario` every evaluation path takes.
 
 Distances are in km with the 1 km reference absorbed into the propagation
 constants; powers stay in dBm/dB until converted to linear inside
@@ -9,11 +10,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InfeasibleSplitError
+from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
 INDOOR = "indoor"
@@ -286,3 +289,105 @@ def ring_radii(lb: LinkBudget, im: InterferenceModel, svc: Service,
             if d_prev >= hi:
                 break
     return StepFunction(uppers[:-1], levels, lb.cell_radius_km)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything needed to evaluate one cell: radio, demand, geometry, MC.
+
+    `region_km` optionally restricts the evaluated population to an
+    annulus (lo, hi].
+    """
+
+    link_budget: LinkBudget
+    interference: InterferenceModel
+    service: Service
+    geometry: GeometryParams
+    sampler: str = PAPER
+    seed: int = 0
+    mc_realizations: int = 500
+    region_km: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.sampler not in SAMPLERS:
+            raise DomainError(f"unknown sampler {self.sampler!r}")
+        if self.mc_realizations < 1:
+            raise DomainError(f"realizations {self.mc_realizations} must be at least 1")
+        if self.seed < 0:
+            raise DomainError(f"seed {self.seed} must be a non-negative integer")
+        r = self.link_budget.cell_radius_km
+        self.interference.regions(r)  # its breakpoints lie inside the cell
+        if self.region_km is not None:
+            lo, hi = self.region_km
+            if not 0.0 <= lo < hi <= r * (1 + 1e-12):
+                raise DomainError(f"region ({lo}, {hi}] must lie inside (0, {r}]")
+            object.__setattr__(self, "region_km", (float(lo), float(hi)))
+
+    @property
+    def cell_radius_km(self) -> float:
+        return self.link_budget.cell_radius_km
+
+    @property
+    def mean_users(self) -> float:
+        return mean_users(self.geometry, self.cell_radius_km)
+
+    @cached_property
+    def n_levels(self) -> int:
+        """N, the width of the weight vectors: the larger of the two
+        environments' demand caps, which `ring_radii` caps the levels at."""
+        return max(max_prbs_per_user(self.link_budget, self.interference, self.service, env)
+                   for env in (OUTDOOR, INDOOR))
+
+    @cached_property
+    def demand_steps(self) -> tuple[StepFunction, StepFunction]:
+        """(outdoor, indoor) PRB demand n(x) of a user at distance x: its
+        level inside `region_km`, 0 outside it; with no region, every
+        user's level. Computed once per scenario."""
+        return tuple(ring_radii(self.link_budget, self.interference, self.service, env)
+                     .clip(self.region_km) for env in (OUTDOOR, INDOOR))
+
+    def with_geometry(self, geometry: GeometryParams) -> Scenario:
+        """This scenario with other intensities, sharing its demand step
+        functions (they depend on the radio setup, service and region only)."""
+        other = replace(self, geometry=geometry)
+        other.__dict__["demand_steps"] = self.demand_steps  # where cached_property keeps it
+        return other
+
+
+def ppp_equivalent(scn: Scenario) -> Scenario:
+    """Outdoor-PPP baseline: same printed intensity, outdoor propagation.
+
+    Reuses the indoor (area PPP) machinery with kappa set to lambda*delta
+    and the indoor propagation constant replaced by the outdoor one.
+    """
+    lam_delta = scn.geometry.road_intensity * scn.geometry.user_intensity_linear
+    gp = GeometryParams(road_intensity=0.0, user_intensity_linear=0.0,
+                        user_intensity_area=lam_delta + scn.geometry.user_intensity_area)
+    lb = replace(scn.link_budget, prop_const_indoor_db=scn.link_budget.prop_const_db)
+    return replace(scn, link_budget=lb, geometry=gp)
+
+
+def intensities_from_throughput(throughput_bps: float, rate_bps: float,
+                                cell_radius_km: float, road_intensity: float,
+                                outdoor_fraction: float) -> tuple[float, float]:
+    """Derive (delta, kappa) from a forecast cell throughput.
+
+    The forecast mean user count is u = tau/C*; a fraction f of it rides the
+    roads (delta = f*u/(lambda*pi*R^2), printed intensity convention) and the
+    rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).
+    """
+    if not (throughput_bps > 0 and math.isfinite(throughput_bps)):
+        raise DomainError(f"throughput_bps {throughput_bps:g} must be positive and finite")
+    if not 0.0 <= outdoor_fraction <= 1.0:
+        raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
+    users = throughput_bps / rate_bps
+    area = math.pi * cell_radius_km ** 2
+    if outdoor_fraction > 0:
+        if road_intensity <= 0:
+            raise InfeasibleSplitError(
+                "outdoor traffic requested with zero road intensity")
+        delta = outdoor_fraction * users / (road_intensity * area)
+    else:
+        delta = 0.0
+    kappa = (1.0 - outdoor_fraction) * users / area
+    return delta, kappa

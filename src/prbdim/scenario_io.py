@@ -17,10 +17,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
-from .congestion import Scenario
 from .errors import ScenarioError
 from .geometry import GeometryParams, PAPER, SAMPLERS
-from .linkmodel import InterferenceModel, LinkBudget, Service
+from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
+                        intensities_from_throughput)
 
 if TYPE_CHECKING:
     from .dimension import DimensionQuery
@@ -130,7 +130,6 @@ class ScenarioFile:
     def intensities(self) -> tuple[float, float]:
         """(delta, kappa), derived from throughput when stated that way."""
         if self.throughput_mbps is not None:
-            from .dimension import intensities_from_throughput
             return intensities_from_throughput(
                 self.throughput_mbps * 1e6, self.rate_kbps * 1e3,
                 self.cell_radius_km, self.road_intensity_per_km,

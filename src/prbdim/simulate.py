@@ -1,6 +1,6 @@
-"""End-to-end Monte-Carlo oracle, independent of the analytic path:
-sample roads and users, sum their PRB demand, and build empirical tail
-curves.
+"""End-to-end Monte-Carlo oracle: sample roads and users, sum their PRB
+demand, and build empirical tail curves.  It imports no analytic module
+(`compound`, `congestion`, `dimension`), so it checks that path independently.
 """
 
 from __future__ import annotations
@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .congestion import Scenario
 from .errors import DomainError
 from .geometry import RoadSet, chord_law, chord_user_km, expected_roads, streams
-from .linkmodel import StepFunction
+from .linkmodel import Scenario, StepFunction
 
 _Z95 = 1.959963984540054
 MIN_REPLICATIONS = 100

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compound import (CompoundSpec, bell_complete, bell_determinant, bell_sequence,
-                       ccdf_bell_literal, ccdf_integral, recursion_steps)
+                       ccdf_bell_literal, ccdf_integral, kernel_rows)
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,13 @@ def convolved_pmf(weights, k_max: int) -> np.ndarray:
     return out
 
 
-def kernel_rows(weights, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows p_0..p_k_max and P(Lambda >= 0..k_max+1) of each weight vector,
-    from one `recursion_steps` pass over the vectors, zero-padded."""
-    n = max(len(v) for v in weights)
-    steps = list(recursion_steps(np.array([np.pad(v, (0, n - len(v))) for v in weights]), k_max))
-    tails = [np.ones(len(weights)), *(tail for _, tail in steps)]
-    return np.array([p for p, _ in steps]).T, np.array(tails).T
-
-
 def _weight_vectors(rng: random.Random, count: int, high: float, max_levels: int):
-    """`count` weight vectors of 1..max_levels levels, each uniform on [0, high]."""
-    return [np.array([rng.uniform(0, high) for _ in range(rng.randint(1, max_levels))])
-            for _ in range(count)]
+    """`count` weight vectors of 1..max_levels levels, each uniform on [0, high],
+    and the matrix of their rows, zero-padded to the longest."""
+    vectors = [np.array([rng.uniform(0, high) for _ in range(rng.randint(1, max_levels))])
+               for _ in range(count)]
+    n = max(len(v) for v in vectors)
+    return vectors, np.array([np.pad(v, (0, n - len(v))) for v in vectors])
 
 
 def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
@@ -94,22 +88,22 @@ def identities_suite(seed: int = 0, replications: int = 0) -> list[Check]:
 
     # each check draws its weights first, then reads every spec's p_k or
     # tails off one kernel pass over their stacked rows
-    weights = _weight_vectors(rng, 20, 1.5, 4)
-    pmfs, _ = kernel_rows(weights, 40)
+    weights, stacked = _weight_vectors(rng, 20, 1.5, 4)
+    pmfs, _ = kernel_rows(stacked, 40)
     worst = max(float(np.max(np.abs(p - convolved_pmf(w, 40)))) for p, w in zip(pmfs, weights))
     checks.append(Check("pmf_vs_convolution", worst <= 1e-10,
                         f"max |delta| = {worst:.3e} (tol 1e-10)"))
 
-    weights = _weight_vectors(rng, 20, 2.0, 10)
-    _, tails = kernel_rows(weights, 79)
+    weights, stacked = _weight_vectors(rng, 20, 2.0, 10)
+    _, tails = kernel_rows(stacked, 79)
     ms = np.arange(0, 81)
     worst = max(float(np.max(np.abs(ccdf_integral(CompoundSpec(weights=w), ms) - t)))
                 for t, w in zip(tails, weights))
     checks.append(Check("inversion_vs_bell_sum", worst <= 1e-6,
                         f"max |delta| = {worst:.3e} (tol 1e-6)"))
 
-    weights = _weight_vectors(rng, 10, 1.0, 4)
-    _, tails = kernel_rows(weights, 19)
+    weights, stacked = _weight_vectors(rng, 10, 1.0, 4)
+    _, tails = kernel_rows(stacked, 19)
     ms = np.array([0, 1, 5, 12, 20])
     worst = max(float(np.max(np.abs(ccdf_bell_literal(CompoundSpec(weights=w), ms) - t[ms])))
                 for t, w in zip(tails, weights))

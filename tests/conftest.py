@@ -290,7 +290,7 @@ def indoor_masses(profile, kappa):
 
 
 # The region-clipped ring tables interval by interval: the reference that
-# congestion.Scenario._outdoor_table and _indoor_weights reproduce bit for bit.
+# congestion.outdoor_rings and indoor_weights reproduce bit for bit.
 def clip_intervals(intervals, region):
     """Intersect half-open intervals with a half-open region (lo, hi]."""
     if region is None:

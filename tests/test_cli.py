@@ -10,7 +10,8 @@ import prbdim
 from prbdim import cli, congestion
 from prbdim.cli import main
 from prbdim.compound import default_cutoff
-from prbdim.congestion import ppp_equivalent, road_set, weight_matrix
+from prbdim.congestion import road_set, weight_matrix
+from prbdim.linkmodel import ppp_equivalent
 from prbdim.scenario_io import bundled_scenario_path, load_scenario
 from prbdim.simulate import gamma_samples
 

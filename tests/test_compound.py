@@ -191,6 +191,16 @@ class TestBellPolynomials:
         with pytest.raises(RangeError):
             bell_complete([1e300, 1e300, 1e300, 1e300])
 
+    @pytest.mark.parametrize("k", range(1, 26))
+    def test_float_determinant_equals_recurrence(self, k):
+        xs = np.random.default_rng(k).uniform(0.1, 2.0, size=k).tolist()
+        assert bell_determinant(xs) == pytest.approx(bell_complete(xs), rel=1e-12, abs=0)
+
+    def test_float_determinant_overflow_is_loud(self):
+        with np.errstate(over="ignore"), pytest.raises(RangeError) as exc:
+            bell_determinant([1e30] * 20)
+        assert str(exc.value) == "B_20 overflows double precision"
+
 
 class TestBellRewrite:
     """The one-sequence and fraction-free forms against the per-threshold
@@ -271,6 +281,20 @@ class TestBellRewrite:
 
 
 class TestCcdf:
+    @pytest.mark.parametrize("ccdf", [ccdf_bell, ccdf_integral])
+    @pytest.mark.parametrize("m", [-1, [3, -2]])
+    def test_negative_threshold_is_refused(self, ccdf, m):
+        with pytest.raises(DomainError) as exc:
+            ccdf(CompoundSpec(weights=np.array([0.3, 0.2])), m)
+        assert str(exc.value) == "thresholds must be nonnegative"
+
+    def test_no_thresholds_give_an_empty_array(self):
+        spec = CompoundSpec(weights=np.array([0.3, 0.2]))
+        for ccdf in (ccdf_bell, ccdf_integral):
+            tails = ccdf(spec, np.array([], dtype=np.int64))
+            assert isinstance(tails, np.ndarray) and tails.shape == (0,)
+        assert ccdf_integral(spec, []).shape == (0,)
+
     def test_zero_threshold(self):
         spec = CompoundSpec(weights=np.array([0.3]))
         assert ccdf_bell(spec, 0) == 1.0

@@ -14,7 +14,9 @@ from prbdim import (CeilingError, CompoundSpec, DomainError, GeometryParams,
                     Service, averaged_congestion, ccdf_bell, ccdf_integral,
                     conditional_congestion, expected_load, ppp_equivalent)
 from prbdim.compound import default_cutoff, recursion_steps
-from prbdim.congestion import CongestionCurve, block_curves, road_set, row_stats, weight_matrix
+from prbdim import congestion
+from prbdim.congestion import (CongestionCurve, block_curves, indoor_weights, outdoor_rings,
+                               road_set, row_stats, weight_matrix)
 from prbdim.dimension import invert
 from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
@@ -396,15 +398,18 @@ RING_TABLE_CASES = dict(ring_table_cases())
 
 class TestRingTables:
     @pytest.mark.parametrize("case", list(RING_TABLE_CASES))
-    def test_bit_equal_to_the_clipped_intervals(self, case):
+    def test_bit_equal_to_the_clipped_intervals(self, case, monkeypatch):
         scn = RING_TABLE_CASES[case]
-        ref = replace(scn)  # the same scenario with the reference tables cached
-        ref.__dict__.update(_outdoor_table=reference_outdoor_table(scn),
-                            _indoor_weights=reference_indoor_weights(scn))
+        for table, ref in zip(outdoor_rings(scn), reference_outdoor_table(scn)):
+            assert np.array_equal(table, ref)
+        assert np.array_equal(indoor_weights(scn), reference_indoor_weights(scn))
         roads = road_set(scn)
-        assert np.array_equal(scn._indoor_weights, ref._indoor_weights)
-        assert np.array_equal(weight_matrix(scn, roads), weight_matrix(ref, roads))
-        assert expected_load(scn) == expected_load(ref)
+        w, load = weight_matrix(scn, roads), expected_load(scn)
+        # the same scenario evaluated from the reference tables
+        monkeypatch.setattr(congestion, "outdoor_rings", reference_outdoor_table)
+        monkeypatch.setattr(congestion, "indoor_weights", reference_indoor_weights)
+        assert np.array_equal(weight_matrix(scn, roads), w)
+        assert expected_load(scn) == load
 
 
 class TestPppEquivalent:

@@ -12,11 +12,10 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
                     Service, ccdf_integral, dimension_prbs, dimension_scenario,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
-from prbdim import congestion
-from prbdim.congestion import (_STATS_STEPS, Scenario, averaged_congestion, road_set,
-                               weight_matrix)
+from prbdim import congestion, linkmodel
+from prbdim.congestion import _STATS_STEPS, averaged_congestion, road_set, weight_matrix
 from prbdim.geometry import GeometryParams
-from prbdim.linkmodel import ring_radii
+from prbdim.linkmodel import Scenario, ring_radii
 from prbdim.scenario_io import bundled_scenario
 
 R = 0.7
@@ -303,7 +302,7 @@ class TestSweep:
             calls.append(args[-1])
             return ring_radii(*args)
 
-        monkeypatch.setattr(congestion, "ring_radii", counting_ring_radii)
+        monkeypatch.setattr(linkmodel, "ring_radii", counting_ring_radii)
         # lambda = 0 cannot carry outdoor traffic, so the first feasible
         # point's profiles are the ones shared
         points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 18e6, 25e6],
@@ -350,7 +349,6 @@ class TestSweep:
 
     def test_road_model_needs_at_least_ppp_equivalent(self):
         from prbdim import ppp_equivalent
-        from prbdim.congestion import Scenario
         q = query(tau=25e6, lam=9.0, mc=400, seed=14)
         cox = dimension_scenario(q.build_scenario(), q.target_congestion)
         ppp = dimension_scenario(ppp_equivalent(q.build_scenario()),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from prbdim import (DomainError, GeometryParams, Scenario, StepFunction,
                     expected_roads, mean_users, sample_road_set)
+from prbdim.geometry import stream_states, streams
 
 R = 0.7
 
@@ -64,6 +66,32 @@ class TestSampleRoads:
         with pytest.raises(DomainError):
             Scenario(link_budget=link_budget, interference=noise_limited,
                      service=service_500k, geometry=gp(lam=1.0), sampler="sobol")
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sample_road_set(gp(lam=1.0), 0.0, "paper", 0, 3),
+         "cell_radius_km must be positive"),
+        (lambda: sample_road_set(gp(lam=1.0), -R, "standard", 0, 3),
+         "cell_radius_km must be positive"),
+        (lambda: stream_states((0,), -1), "stream count -1 must lie in [0, 2^32]"),
+        (lambda: stream_states((0,), 2 ** 32 + 1),
+         "stream count 4294967297 must lie in [0, 2^32]"),
+    ])
+    def test_out_of_range_inputs_are_named(self, call, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError) as exc:
+                call()
+            # refused before any per-stream array exists
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == message
+
+    def test_no_streams_yield_nothing(self):
+        assert list(streams((0,), 0)) == []
+        assert stream_states((0,), 0).shape == (0, 4)
 
 
 class TestChordMass:

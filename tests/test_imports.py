@@ -13,20 +13,22 @@ from prbdim.scenario_io import bundled_scenario_path
 
 ENGINE = ["congestion", "dimension", "geometry", "linkmodel", "scenario_io", "simulate"]
 
-# The package's exports, by the submodule that defines them, as the eager
-# package imported them.
+# The package's exports, by the submodule that defines them: as the eager
+# package imported them, less the cell (`Scenario`, `ppp_equivalent`) and the
+# forecast conversion (`intensities_from_throughput`), which moved below both
+# evaluation paths into `linkmodel`.
 EXPORTS = {
     "compound": "CompoundSpec bell_complete bell_determinant ccdf_bell ccdf_bell_literal "
                 "ccdf_integral pmf",
-    "congestion": "CongestionCurve Scenario averaged_congestion conditional_congestion "
-                  "expected_load ppp_equivalent",
+    "congestion": "CongestionCurve averaged_congestion conditional_congestion expected_load",
     "dimension": "DimensionQuery DimensionReport SweepPoint dimension_prbs dimension_scenario "
-                 "intensities_from_throughput sweep",
+                 "sweep",
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
     "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",
-    "linkmodel": "InterferenceModel LinkBudget Service StepFunction max_prbs_per_user "
-                 "prbs_required ring_radii sinr_at throughput_at",
+    "linkmodel": "InterferenceModel LinkBudget Scenario Service StepFunction "
+                 "intensities_from_throughput max_prbs_per_user ppp_equivalent prbs_required "
+                 "ring_radii sinr_at throughput_at",
     "scenario_io": "ScenarioFile bundled_scenario bundled_scenario_path dump_scenario "
                    "load_scenario parse_scenario",
     "simulate": "EmpiricalCurve empirical_ccdf",
@@ -103,6 +105,30 @@ def test_simulate_and_scenario_loading_skip_the_planner():
     loaded = fresh("from prbdim.scenario_io import load_scenario; "
                    f"load_scenario({scenario!r}).to_scenario(); " + LOADED)
     assert "prbdim.scenario_io" in loaded and "prbdim.dimension" not in loaded
+
+
+# The analytic path: the Monte-Carlo oracle and the scenario format load none
+# of it, so the oracle stays a check independent of the analytic engine.
+ANALYTIC = {"prbdim.compound", "prbdim.congestion", "prbdim.dimension"}
+
+
+def test_scenario_loading_loads_no_analytic_module():
+    # fig6_mixed states a throughput forecast, fig4 explicit intensities
+    paths = [str(bundled_scenario_path(name)) for name in ("fig6_mixed", "fig4")]
+    loaded = fresh("from prbdim.scenario_io import load_scenario\n"
+                   f"for path in {paths!r}:\n"
+                   "    load_scenario(path).to_scenario()\n" + LOADED)
+    assert "prbdim.linkmodel" in loaded
+    assert not ANALYTIC & set(loaded)
+
+
+def test_the_monte_carlo_oracle_loads_no_analytic_module():
+    scenario = str(bundled_scenario_path("fig4"))
+    loaded = fresh("import prbdim.cli; "
+                   f"assert prbdim.cli.main(['simulate', '--scenario', {scenario!r}, "
+                   "'--replications', '200', '--out', '-']) == 0; " + LOADED)
+    assert "prbdim.simulate" in loaded
+    assert not ANALYTIC & set(loaded)
 
 
 def test_all_is_the_eager_list_and_every_name_is_its_submodules_object():

@@ -248,6 +248,23 @@ class TestValidation:
                        tx_antennas=8, rx_antennas=2, prb_bandwidth_hz=180e3,
                        cell_radius_km=0.7)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda lb: dataclasses.replace(lb, tx_antennas=0),
+         "antenna counts must be positive integers"),
+        (lambda lb: dataclasses.replace(lb, rx_antennas=0),
+         "antenna counts must be positive integers"),
+        (lambda lb: dataclasses.replace(lb, prb_bandwidth_hz=0.0),
+         "prb_bandwidth_hz must be positive"),
+        (lambda lb: dataclasses.replace(lb, cell_radius_km=-0.7),
+         "cell_radius_km must be positive"),
+        (lambda lb: dataclasses.replace(lb, max_user_prbs=0), "max_user_prbs must be at least 1"),
+        (lambda lb: Service(rate_bps=0), "rate_bps must be positive and finite"),
+    ])
+    def test_radio_ranges_are_named(self, link_budget, make, message):
+        with pytest.raises(DomainError) as exc:
+            make(link_budget)
+        assert str(exc.value) == message
+
     def test_interference_invariants(self):
         with pytest.raises(DomainError):
             InterferenceModel(margins_db=(-1.0,))

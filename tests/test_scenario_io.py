@@ -144,6 +144,19 @@ class TestParsing:
             assert main([*command, "--scenario", str(path)]) == 3
             assert capsys.readouterr().err == f"scenario error: {path}: {message}\n"
 
+    def test_a_document_configparser_rejects_names_the_file(self):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(MINIMAL + "user_intensity_per_km = 7.0\n", name="cell.scenario")
+        assert str(exc.value) == ("cell.scenario: While reading from 'cell.scenario' [line 19]: "
+                                  "option 'user_intensity_per_km' in section 'geometry' "
+                                  "already exists")
+
+    def test_query_without_an_outdoor_fraction_is_refused(self):
+        doc = parse_scenario(MINIMAL)
+        with pytest.raises(ScenarioError) as exc:
+            doc.to_query(target=0.05, throughput_bps=10e6)
+        assert str(exc.value) == "no outdoor_fraction given for a dimensioning query"
+
     def test_several_faults_report_the_first_in_table_order(self):
         with pytest.raises(ScenarioError, match="missing required key 'tx_power_dbm'"):
             parse_scenario("")

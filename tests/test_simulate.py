@@ -160,3 +160,8 @@ class TestWilson:
         assert lo == 0.0 and hi < 0.05
         lo, hi = wilson_interval(100, 100)
         assert hi == 1.0 and lo > 0.95
+
+    def test_no_trials_is_refused(self):
+        with pytest.raises(DomainError) as exc:
+            wilson_interval(0, 0)
+        assert str(exc.value) == "trials must be positive"

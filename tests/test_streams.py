@@ -18,7 +18,7 @@ from conftest import (fixed_road, per_user_demand, per_user_drop, reference_gamm
 from prbdim import (DomainError, GeometryParams, RoadSet, Scenario, Service,
                     expected_load, sample_road_set)
 from prbdim import geometry, simulate
-from prbdim.congestion import chord_segments, conditional_congestion, road_set
+from prbdim.congestion import chord_segments, conditional_congestion, outdoor_rings, road_set
 from prbdim.geometry import chord_user_km, stream_states, streams
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import BLOCK, MC_TAG, gamma_samples
@@ -135,7 +135,7 @@ class TestRoadSet:
 
 def per_road_segments(scn, roads):
     """The chord-segment matrix one realization at a time."""
-    u2, v2, _ = scn._outdoor_table
+    u2, v2, _ = outdoor_rings(scn)
     seg = np.empty((len(roads), u2.size))
     for i, road in enumerate(roads):
         r2 = road.chord_distances ** 2
@@ -153,7 +153,7 @@ class TestChordSegments:
                        interference=three_region, service=Service(rate_bps=500e3),
                        geometry=gp(9.0), sampler=sampler, seed=4,
                        mc_realizations=300, region_km=region)
-        assert scn._outdoor_table[0].size > 1
+        assert outdoor_rings(scn)[0].size > 1
         roads = road_set(scn)
         np.testing.assert_array_equal(chord_segments(scn, roads),
                                       per_road_segments(scn, roads))
