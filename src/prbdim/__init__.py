@@ -17,8 +17,7 @@ _EXPORTS = {
     "compound": "CompoundSpec bell_complete bell_determinant ccdf_bell ccdf_bell_literal "
                 "ccdf_integral pmf",
     "congestion": "CongestionCurve averaged_congestion conditional_congestion expected_load",
-    "dimension": "DimensionQuery DimensionReport SweepPoint dimension_prbs dimension_scenario "
-                 "sweep",
+    "dimension": "DimensionQuery DimensionReport dimension_prbs dimension_scenario sweep",
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
     "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",

@@ -169,6 +169,19 @@ def _bps(mbps: float) -> float:
     return mbps * 1e6
 
 
+_DIMENSION_COLUMNS = ["tau_mbps", "lambda_per_km", "target", "required_m",
+                      "pi_at_m", "pi_before", "stderr_at_m", "status"]
+
+
+def _dimension_row(tau_bps: float, lam: float, target: float, answer) -> list:
+    """A dimension or sweep CSV data row: the grid point, then its report or,
+    for an error, -1 and NaNs; the last cell is the sweep's status."""
+    if isinstance(answer, Exception):
+        return [tau_bps / 1e6, lam, target, -1, math.nan, math.nan, math.nan, "error"]
+    return [tau_bps / 1e6, lam, target, answer.required_m, answer.pi_at_m,
+            answer.pi_before, answer.stderr_at_m, "ok"]
+
+
 def cmd_dimension(args) -> int:
     from .dimension import dimension_prbs
     doc = _load(args)
@@ -178,12 +191,8 @@ def cmd_dimension(args) -> int:
     if args.out:
         meta = _base_meta(args, doc)
         meta["target"] = _fmt(args.target)
-        write_csv(args.out, meta,
-                  ["tau_mbps", "lambda_per_km", "target", "required_m",
-                   "pi_at_m", "pi_before", "stderr_at_m"],
-                  [[query.throughput_bps / 1e6, report.road_intensity,
-                    args.target, report.required_m, report.pi_at_m,
-                    report.pi_before, report.stderr_at_m]])
+        row = _dimension_row(report.throughput_bps, report.road_intensity, args.target, report)
+        write_csv(args.out, meta, _DIMENSION_COLUMNS[:-1], [row[:-1]])
     return EXIT_OK
 
 
@@ -203,26 +212,21 @@ def cmd_sweep(args) -> int:
     from .dimension import sweep
     doc = _load(args)
     tau_grid = _grid(args.tau_grid_mbps)
-    lam_grid = _grid(args.lambda_grid_per_km)
-    taus_bps = [_bps(t) for t in tau_grid] if tau_grid else None
-    query = _query(args, doc, taus_bps[0] if taus_bps else None)
-    points = sweep(query, throughput_grid_bps=taus_bps, road_intensity_grid=lam_grid)
+    lams = _grid(args.lambda_grid_per_km)
+    taus = [_bps(t) for t in tau_grid] if tau_grid else None
+    query = _query(args, doc, taus[0] if taus else None)
+    # the grids as sweep reads them, so each answer's point is known
+    taus = taus or [query.throughput_bps]
+    lams = lams or [query.scenario.geometry.road_intensity]
+    answers = sweep(query, throughput_grid_bps=taus, road_intensity_grid=lams)
     meta = _base_meta(args, doc)
     meta["target"] = _fmt(args.target)
     rows = []
-    for pt in points:
-        if pt.report is not None:
-            rows.append([pt.throughput_bps / 1e6, pt.road_intensity, pt.target,
-                         pt.report.required_m, pt.report.pi_at_m,
-                         pt.report.pi_before, pt.report.stderr_at_m, "ok"])
-        else:
-            rows.append([pt.throughput_bps / 1e6, pt.road_intensity, pt.target,
-                         -1, math.nan, math.nan, math.nan, "error"])
-            print(f"point tau={pt.throughput_bps / 1e6:g} lambda={pt.road_intensity:g}: "
-                  f"{pt.error}", file=sys.stderr)
-    write_csv(args.out, meta,
-              ["tau_mbps", "lambda_per_km", "target", "required_m",
-               "pi_at_m", "pi_before", "stderr_at_m", "status"], rows)
+    for (tau, lam), answer in zip([(tau, lam) for tau in taus for lam in lams], answers):
+        rows.append(_dimension_row(tau, lam, args.target, answer))
+        if isinstance(answer, Exception):
+            print(f"point tau={tau / 1e6:g} lambda={lam:g}: {answer}", file=sys.stderr)
+    write_csv(args.out, meta, _DIMENSION_COLUMNS, rows)
     return EXIT_OK
 
 

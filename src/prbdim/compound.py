@@ -43,7 +43,7 @@ _HEAVY_WEIGHT = 600.0
 _RESCALE = 1e200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompoundSpec:
     """Weight vector w_1..w_N: Poisson intensity of users needing n PRBs."""
 

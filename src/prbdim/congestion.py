@@ -89,7 +89,7 @@ def road_set(scn: Scenario) -> RoadSet:
                            scn.seed, scn.mc_realizations)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CongestionCurve:
     """Averaged congestion per threshold with its Monte-Carlo standard error."""
 

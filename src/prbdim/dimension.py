@@ -133,30 +133,20 @@ def dimension_scenario(scn: Scenario, target: float,
 
 
 def dimension_prbs(query: DimensionQuery) -> DimensionReport:
-    """Dimension a forecast: build the scenario, then invert its curve."""
-    report = dimension_scenario(query.build_scenario(), query.target_congestion,
-                                query.m_ceiling)
-    return replace(report, throughput_bps=query.throughput_bps,
-                   road_intensity=query.scenario.geometry.road_intensity)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a dimensioning sweep; `error` set when it failed."""
-
-    throughput_bps: float
-    road_intensity: float
-    target: float
-    report: DimensionReport | None
-    error: str | None = None
+    """Dimension a forecast: the one-point :func:`sweep` at its throughput
+    and road intensity, whose report is returned or whose error is raised."""
+    [answer] = sweep(query)
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
 
 
 def sweep(query: DimensionQuery, throughput_grid_bps=None,
-          road_intensity_grid=None) -> list[SweepPoint]:
-    """Dimension every (tau, lambda) grid point, tau-major; failures do not
-    abort, but a grid value outside its domain does.  Points with equal
-    road intensity share one road set and one recursion pass, and each
-    equals a standalone :func:`dimension_prbs`."""
+          road_intensity_grid=None) -> list[DimensionReport | CeilingError | InfeasibleSplitError]:
+    """Dimension every (tau, lambda) grid point, tau-major: its report, or the
+    error raised for it, which does not abort the others; a grid value
+    outside its domain is raised.  Points with equal road intensity share
+    one road set and one recursion pass."""
     geometry = query.scenario.geometry
     taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
                                else [query.throughput_bps])]
@@ -174,11 +164,10 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
             scns = [replace(lam_query, throughput_bps=tau).build_scenario()
                     for tau in distinct_taus]
         except InfeasibleSplitError as exc:
-            outcome.update(((tau, lam), (None, str(exc))) for tau in distinct_taus)
+            outcome.update(((tau, lam), exc) for tau in distinct_taus)
             continue
         answers = _answers(scns, query.target_congestion, query.m_ceiling)
         for tau, answer in zip(distinct_taus, answers):
-            outcome[tau, lam] = ((None, str(answer)) if isinstance(answer, CeilingError) else
-                                 (replace(answer, throughput_bps=tau, road_intensity=lam), None))
-    return [SweepPoint(tau, lam, query.target_congestion, *outcome[tau, lam])
-            for tau in taus for lam in lams]
+            outcome[tau, lam] = (answer if isinstance(answer, CeilingError) else
+                                 replace(answer, throughput_bps=tau, road_intensity=lam))
+    return [outcome[tau, lam] for tau in taus for lam in lams]

@@ -47,7 +47,7 @@ class GeometryParams:
                 raise DomainError(f"{name} {v:g} must be nonnegative and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadSet:
     """R road realizations as flat arrays: realization i has `counts[i]`
     roads, whose chord distances follow those of realizations 0..i-1 in

@@ -160,7 +160,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return lo, hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalCurve:
     """Empirical tail of the PRB demand with per-point 95% Wilson intervals.
 

@@ -158,10 +158,9 @@ INTERFERENCE_DELTAS = {"fig6_mixed": ("tau=30M", 55, 105), "fig7": ("tau=26M", 3
 def fig3_lambda_delta() -> Check:
     from .dimension import sweep
     from .scenario_io import bundled_scenario
-    points = sweep(bundled_scenario("fig3").to_query(target=0.05),
-                   road_intensity_grid=[2.0, 10.0])
-    required = {p.road_intensity: p.report.required_m for p in points}
-    d3 = required[2.0] - required[10.0]
+    sparse, dense = sweep(bundled_scenario("fig3").to_query(target=0.05),
+                          road_intensity_grid=[2.0, 10.0])
+    d3 = sparse.required_m - dense.required_m
     return Check("fig3_lambda_delta", 20 <= d3 <= 45,
                  f"required_m({2.0}) - required_m({10.0}) = {d3} in [20, 45]")
 

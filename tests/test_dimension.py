@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import full_curve_answers, report_answer, scalar_ccdf
 
-from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DomainError,
+from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DimensionReport, DomainError,
                     InfeasibleSplitError, InterferenceModel, LinkBudget,
                     Service, ccdf_integral, dimension_prbs, dimension_scenario,
                     intensities_from_throughput, mean_users, sweep)
@@ -16,7 +16,7 @@ from prbdim import congestion, linkmodel
 from prbdim.congestion import _STATS_STEPS, averaged_congestion, road_set, weight_matrix
 from prbdim.geometry import GeometryParams
 from prbdim.linkmodel import Scenario, ring_radii
-from prbdim.scenario_io import bundled_scenario
+from prbdim.scenario_io import bundled_scenario, bundled_scenario_path
 
 R = 0.7
 
@@ -231,37 +231,62 @@ class TestAgainstBruteForce:
         assert dimension_scenario(scn, 1e-8).pi_at_m <= 1e-8
 
 
+# the bundled scenarios that state a throughput forecast
+FORECASTS = [path.stem for path in sorted(bundled_scenario_path("fig3").parent.glob("*.scenario"))
+             if bundled_scenario(path.stem).throughput_mbps is not None]
+
+
+def assert_raises_like(q, error):
+    """dimension_prbs(q) raises `error`'s type with its message."""
+    with pytest.raises(type(error)) as err:
+        dimension_prbs(q)
+    assert type(err.value) is type(error) and str(err.value) == str(error)
+
+
 class TestSweep:
     def test_single_point_equals_direct(self):
         q = query(mc=60, seed=2)
-        direct = dimension_prbs(q)
-        points = sweep(q)
-        assert len(points) == 1
-        assert points[0].report.required_m == direct.required_m
+        assert sweep(q) == [dimension_prbs(q)]
+
+    @pytest.mark.parametrize("name, region", [*((name, None) for name in FORECASTS),
+                                              ("fig8_regions", "middle")])
+    def test_dimension_is_the_one_point_sweep_at_file_settings(self, name, region):
+        q = bundled_scenario(name).to_query(target=0.05, region=region)
+        [point] = sweep(q)
+        assert isinstance(point, DimensionReport)
+        assert dimension_prbs(q) == point
+
+    def test_dimension_raises_the_one_point_sweep_error(self):
+        ceiling = query(mc=10, m_ceiling=8)
+        infeasible = at_lambda(query(mc=10), 0.0)
+        for q, kind in ((ceiling, CeilingError), (infeasible, InfeasibleSplitError)):
+            [error] = sweep(q)
+            assert isinstance(error, kind)
+            assert_raises_like(q, error)
 
     def test_grid_shape_and_monotonicity(self):
         q = query(mc=60, seed=2)
         points = sweep(q, throughput_grid_bps=[10e6, 18e6, 25e6])
         assert [p.throughput_bps for p in points] == [10e6, 18e6, 25e6]
-        required = [p.report.required_m for p in points]
+        required = [p.required_m for p in points]
         assert required == sorted(required)
 
     def test_failures_do_not_abort(self):
         q = query(mc=10, m_ceiling=8)
         points = sweep(q, throughput_grid_bps=[1e5, 25e6])
-        assert points[0].report is not None
-        assert points[1].report is None
-        assert "ceiling" in points[1].error
+        assert isinstance(points[0], DimensionReport)
+        assert isinstance(points[1], CeilingError)
+        assert "ceiling" in str(points[1])
 
     def test_heavy_load_point_is_dimensioned_below_its_ceiling(self):
         # 600 Mbit/s puts every realization's total weight far beyond 708,
         # where exp(-total weight) underflows; it needs more than 4096 PRBs
         q = query(mc=10)
         points = sweep(q, throughput_grid_bps=[25e6, 600e6])
-        assert points[0].report is not None
-        assert points[1].report is None
-        assert "ceiling 4096" in points[1].error
-        report = sweep(replace(q, m_ceiling=8192), throughput_grid_bps=[600e6])[0].report
+        assert isinstance(points[0], DimensionReport)
+        assert isinstance(points[1], CeilingError)
+        assert "ceiling 4096" in str(points[1])
+        [report] = sweep(replace(q, m_ceiling=8192), throughput_grid_bps=[600e6])
         assert report.required_m == 4138
         scn = replace(q, throughput_bps=600e6).build_scenario()
         m = np.array([4137, 4138])
@@ -281,7 +306,7 @@ class TestSweep:
         points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 18e6, 25e6],
                        road_intensity_grid=[4.0, 9.0])
         assert len(points) == 6
-        assert all(p.report is not None for p in points)
+        assert all(isinstance(p, DimensionReport) for p in points)
         assert draws == [4.0, 9.0]
 
     @pytest.mark.parametrize("grids, value", [
@@ -307,7 +332,7 @@ class TestSweep:
         # point's profiles are the ones shared
         points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 18e6, 25e6],
                        road_intensity_grid=[0.0, 4.0, 9.0])
-        assert [p.report is not None for p in points] == [False, True, True] * 3
+        assert [isinstance(p, DimensionReport) for p in points] == [False, True, True] * 3
         assert sorted(calls) == ["indoor", "outdoor"]
 
     def test_heavy_and_light_points_equal_standalone_dimensioning(self):
@@ -321,31 +346,25 @@ class TestSweep:
         for p in points:
             alone = dimension_prbs(at_lambda(q, p.road_intensity,
                                              throughput_bps=p.throughput_bps))
-            assert p.error is None
-            assert p.report.required_m == alone.required_m
+            assert p.required_m == alone.required_m
             # every field, the bracket and its standard errors included
-            assert p.report == alone
+            assert p == alone
 
     def test_error_points_keep_grid_order_and_spare_the_others(self):
         # lambda = 0 with outdoor traffic is an infeasible split; 25 Mbit/s
         # needs more than the 8-PRB ceiling
         q = query(mc=10, m_ceiling=8)
         points = sweep(q, throughput_grid_bps=[1e5, 25e6], road_intensity_grid=[0.0, 9.0])
-        assert [(p.throughput_bps, p.road_intensity) for p in points] == [
-            (1e5, 0.0), (1e5, 9.0), (25e6, 0.0), (25e6, 9.0)]
+        assert [type(p) for p in points] == [
+            InfeasibleSplitError, DimensionReport, InfeasibleSplitError, CeilingError]
         infeasible, ok, infeasible_too, ceiling = points
-        for p in (infeasible, infeasible_too):
-            assert p.report is None
-            with pytest.raises(InfeasibleSplitError) as err:
-                dimension_prbs(at_lambda(q, 0.0, throughput_bps=p.throughput_bps))
-            assert p.error == str(err.value)
-        with pytest.raises(CeilingError) as err:
-            dimension_prbs(replace(q, throughput_bps=25e6))
-        assert ceiling.report is None and ceiling.error == str(err.value)
+        for p, tau in ((infeasible, 1e5), (infeasible_too, 25e6)):
+            assert_raises_like(at_lambda(q, 0.0, throughput_bps=tau), p)
+        assert_raises_like(replace(q, throughput_bps=25e6), ceiling)
         alone = dimension_prbs(replace(q, throughput_bps=1e5))
-        assert ok.error is None
-        assert ok.report.required_m == alone.required_m
-        assert ok.report == alone
+        assert (ok.throughput_bps, ok.road_intensity) == (1e5, 9.0)
+        assert ok.required_m == alone.required_m
+        assert ok == alone
 
     def test_road_model_needs_at_least_ppp_equivalent(self):
         from prbdim import ppp_equivalent
@@ -420,10 +439,10 @@ class TestStopAtTheAnswer:
         assert {a[0] is None for a in expected} == {False, True}
         for p, answer in zip(sweep(q, throughput_grid_bps=taus), expected):
             if answer[0] is None:
-                assert p.report is None
-                assert p.error.startswith(f"congestion {answer[1]:.6g} still above")
+                assert isinstance(p, CeilingError)
+                assert str(p).startswith(f"congestion {answer[1]:.6g} still above")
             else:
-                assert report_answer(p.report) == answer
+                assert report_answer(p) == answer
 
     def test_kernel_steps_end_with_the_answer_group(self, monkeypatch):
         steps = counting_kernel(monkeypatch)
@@ -435,7 +454,7 @@ class TestStopAtTheAnswer:
                        road_intensity_grid=[2.0, 10.0])
         assert len(steps) == 2
         for lam, n in zip((2.0, 10.0), steps):
-            top = max(p.report.required_m for p in points if p.road_intensity == lam)
+            top = max(p.required_m for p in points if p.road_intensity == lam)
             assert top <= n <= top + _STATS_STEPS
 
 

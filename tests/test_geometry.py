@@ -7,8 +7,9 @@ from conftest import (chord_mass, fixed_road, indoor_masses, outdoor_masses, per
                       reference_roads, road_stream)
 from hypothesis import given, settings, strategies as st
 
-from prbdim import (DomainError, GeometryParams, Scenario, StepFunction,
-                    expected_roads, mean_users, sample_road_set)
+from prbdim import (CompoundSpec, CongestionCurve, DomainError, EmpiricalCurve, GeometryParams,
+                    RoadSet, Scenario, StepFunction, expected_roads, mean_users,
+                    sample_road_set)
 from prbdim.geometry import stream_states, streams
 
 R = 0.7
@@ -220,3 +221,18 @@ class TestSampleUsers:
             road = reference_roads(gp(lam=lam), R, "paper", rng)
             masses.append(chord_mass(road, (0.0, d_n), delta))
         assert np.mean(masses) == pytest.approx(expected, rel=0.01)
+
+
+# Records over numpy arrays compare by identity and hash: a generated
+# __eq__ would ask an array for its truth value, and __hash__ would hash one.
+@pytest.mark.parametrize("make", [
+    lambda: RoadSet(counts=[2], chord_distances=[0.1, 0.2]),
+    lambda: CompoundSpec([1.0, 2.0]),
+    lambda: CongestionCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2), 10),
+    lambda: EmpiricalCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2), np.ones(2),
+                           10, 1.0, 1.0, 0.0, 1.0),
+], ids=["RoadSet", "CompoundSpec", "CongestionCurve", "EmpiricalCurve"])
+def test_array_records_compare_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

@@ -16,13 +16,13 @@ ENGINE = ["congestion", "dimension", "geometry", "linkmodel", "scenario_io", "si
 # The package's exports, by the submodule that defines them: as the eager
 # package imported them, less the cell (`Scenario`, `ppp_equivalent`) and the
 # forecast conversion (`intensities_from_throughput`), which moved below both
-# evaluation paths into `linkmodel`.
+# evaluation paths into `linkmodel`, and less `SweepPoint`: a sweep point is
+# its `DimensionReport` or the error raised for it.
 EXPORTS = {
     "compound": "CompoundSpec bell_complete bell_determinant ccdf_bell ccdf_bell_literal "
                 "ccdf_integral pmf",
     "congestion": "CongestionCurve averaged_congestion conditional_congestion expected_load",
-    "dimension": "DimensionQuery DimensionReport SweepPoint dimension_prbs dimension_scenario "
-                 "sweep",
+    "dimension": "DimensionQuery DimensionReport dimension_prbs dimension_scenario sweep",
     "errors": "AccuracyError CeilingError DomainError InfeasibleSplitError RangeError "
               "ScenarioError",
     "geometry": "GeometryParams RoadSet expected_roads mean_users sample_road_set",
@@ -37,13 +37,14 @@ OWNER = {name: module for module, names in EXPORTS.items() for name in names.spl
 
 # `prbdim.__all__` of the eager package, in its order (that of dir()), less
 # the per-user drawer `sample_user_block` and its `UserBlock`, which the
-# Monte-Carlo oracle no longer uses, and with `StepFunction`, the type that
-# `ring_radii` returns, in place of the `DemandProfile` that it replaced.
+# Monte-Carlo oracle no longer uses, less `SweepPoint`, and with
+# `StepFunction`, the type that `ring_radii` returns, in place of the
+# `DemandProfile` that it replaced.
 EAGER_ALL = [
     "AccuracyError", "CeilingError", "CompoundSpec", "CongestionCurve",
     "DimensionQuery", "DimensionReport", "DomainError", "EmpiricalCurve", "GeometryParams",
     "InfeasibleSplitError", "InterferenceModel", "LinkBudget", "RangeError", "RoadSet",
-    "Scenario", "ScenarioError", "ScenarioFile", "Service", "StepFunction", "SweepPoint",
+    "Scenario", "ScenarioError", "ScenarioFile", "Service", "StepFunction",
     "averaged_congestion", "bell_complete", "bell_determinant", "bundled_scenario",
     "bundled_scenario_path", "ccdf_bell", "ccdf_bell_literal", "ccdf_integral", "compound",
     "conditional_congestion", "congestion", "dimension", "dimension_prbs",
@@ -94,17 +95,6 @@ def test_dimension_loads_neither_the_oracle_nor_the_suites():
                    "'--target', '0.05', '--realizations', '50']) == 0; " + LOADED)
     assert "prbdim.dimension" in loaded
     assert "prbdim.simulate" not in loaded and "prbdim.validate" not in loaded
-
-
-def test_simulate_and_scenario_loading_skip_the_planner():
-    scenario = str(bundled_scenario_path("fig4"))
-    loaded = fresh("import prbdim.cli; "
-                   f"assert prbdim.cli.main(['simulate', '--scenario', {scenario!r}, "
-                   "'--replications', '100', '--out', '-']) == 0; " + LOADED)
-    assert "prbdim.simulate" in loaded and "prbdim.dimension" not in loaded
-    loaded = fresh("from prbdim.scenario_io import load_scenario; "
-                   f"load_scenario({scenario!r}).to_scenario(); " + LOADED)
-    assert "prbdim.scenario_io" in loaded and "prbdim.dimension" not in loaded
 
 
 # The analytic path: the Monte-Carlo oracle and the scenario format load none
