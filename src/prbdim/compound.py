@@ -135,11 +135,28 @@ def kernel_rows(w: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     return p, tails
 
 
+def read_thresholds(m, name: str = "thresholds", negative: str = "nonnegative") -> np.ndarray:
+    """Threshold(s) m as an int64 array of m's shape, refused unless whole and `negative`."""
+    given = np.asarray(m)
+    with np.errstate(invalid="ignore"):
+        ms = given.astype(np.int64)
+    if not np.array_equal(ms, given):
+        raise DomainError(f"{name}: {given[ms != given][0]} is not a whole number")
+    if ms.size and ms.min() < 0:
+        raise DomainError(f"{name} must be {negative}")
+    return ms
+
+
+def _at_thresholds(m, tails_at):
+    """tails_at(ms), ms the thresholds read from m made at least 1-D, shaped as m was given."""
+    ms = read_thresholds(m)
+    tails = tails_at(np.atleast_1d(ms)).reshape(ms.shape)
+    return float(tails) if ms.ndim == 0 else tails
+
+
 def pmf(spec: CompoundSpec, k_max: int) -> np.ndarray:
     """P(Lambda = k) for k = 0..k_max by the stable recursion."""
-    if k_max < 0:
-        raise DomainError("k_max must be nonnegative")
-    return kernel_rows(spec.weights[None, :], k_max)[0][0]
+    return kernel_rows(spec.weights[None, :], int(read_thresholds(k_max, "k_max")))[0][0]
 
 
 def default_cutoff(weights) -> int:
@@ -241,11 +258,8 @@ def ccdf_bell(spec: CompoundSpec, m):
     """P(Lambda >= m) = P(Lambda > m - 1) by the stable recursion, read off
     the kernel's running CDF in one pass, for an integer threshold (returns
     a float) or an integer array (returns an array)."""
-    ms = np.asarray(m, dtype=np.int64)
-    if ms.size and ms.min() < 0:
-        raise DomainError("thresholds must be nonnegative")
-    tails = kernel_rows(spec.weights[None, :], int(ms.max(initial=0)) - 1)[1][0]
-    return float(tails[ms]) if ms.ndim == 0 else tails[ms]
+    return _at_thresholds(m, lambda ms: kernel_rows(
+        spec.weights[None, :], int(ms.max(initial=0)) - 1)[1][0][ms])
 
 
 def ccdf_bell_literal(spec: CompoundSpec, m):
@@ -254,25 +268,20 @@ def ccdf_bell_literal(spec: CompoundSpec, m):
     1 - H * sum_{k<m} B_k(x_1..x_k)/k! with x_j = w_j*j!, the partial sums
     of one :func:`bell_sequence`; m <= 26 by the floating-point Bell guard.
     """
-    ms = np.asarray(m, dtype=np.int64)
-    if ms.size and ms.min() < 0:
-        raise DomainError("thresholds must be nonnegative")
-    top = int(ms.max(initial=0))
-    acc = [0.0]
-    for k, b in enumerate(bell_sequence(spec.bell_arguments(max(top - 1, 0)))[:top]):
-        acc.append(acc[-1] + b / math.factorial(k))
-    tails = 1.0 - math.exp(-spec.total_weight) * np.array(acc)
-    return float(tails[ms]) if ms.ndim == 0 else tails[ms]
+    def tails_at(ms):
+        top = int(ms.max(initial=0))
+        acc = [0.0]
+        for k, b in enumerate(bell_sequence(spec.bell_arguments(max(top - 1, 0)))[:top]):
+            acc.append(acc[-1] + b / math.factorial(k))
+        return (1.0 - math.exp(-spec.total_weight) * np.array(acc))[ms]
+    return _at_thresholds(m, tails_at)
 
 
 # The implementation behind ccdf_integral, kept under its own name because
 # perfbench/tracer.py times the Fourier route by hooking this name.
 def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray) -> np.ndarray:
-    m_values = np.asarray(m_values, dtype=np.int64)
     if m_values.size == 0:
         return np.zeros(0)
-    if m_values.min() < 0:
-        raise DomainError("thresholds must be nonnegative")
     # Past default_cutoff the aliased mass is below CUTOFF_TAIL (Chernoff),
     # so one pass is certified before it runs.
     start = max(64, 4 * (int(m_values.max()) + spec.n_levels), default_cutoff(spec.weights))
@@ -299,7 +308,7 @@ def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray) -> np.ndarray
 def ccdf_integral(spec: CompoundSpec, m):
     """P(Lambda >= m) by Fourier inversion on the unit circle, for an
     integer threshold (returns a float) or an integer array (returns an
-    array).
+    array of its shape).
 
     The trapezoid rule on L equispaced points of the unit circle gives,
     by one FFT, the PMF aliased with period L (p_k + p_{k+L} + ...), so
@@ -308,6 +317,4 @@ def ccdf_integral(spec: CompoundSpec, m):
     Chernoff bound puts that error below 1e-12.  Raises AccuracyError when
     L would exceed 2^26 points or the result leaves [0, 1].
     """
-    if np.ndim(m) == 0:
-        return float(_ccdf_integral_batch(spec, np.array([m]))[0])
-    return _ccdf_integral_batch(spec, m)
+    return _at_thresholds(m, lambda ms: _ccdf_integral_batch(spec, ms))

@@ -10,7 +10,7 @@ from itertools import islice
 
 import numpy as np
 
-from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
+from .compound import CompoundSpec, ccdf_bell, default_cutoff, read_thresholds, recursion_steps
 from .errors import DomainError
 from .geometry import PAPER, RoadSet, expected_roads, sample_road_set
 from .linkmodel import Scenario, StepFunction
@@ -145,8 +145,9 @@ def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     always uses stream (seed, i), and every realization goes through the
     same batched recursion.
     """
-    m = None if m_values is None else np.atleast_1d(np.asarray(m_values, dtype=np.int64))
-    if m is not None and (m.size == 0 or m.min() < 0):
+    m = None if m_values is None else np.atleast_1d(
+        read_thresholds(m_values, negative="nonempty and nonnegative"))
+    if m is not None and m.size == 0:
         raise DomainError("thresholds must be nonempty and nonnegative")
     w = weight_matrix(scn, road_set(scn))
     curve = block_curves(w, default_cutoff(w) if m is None else int(m.max()))

@@ -9,8 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# road_set is read off congestion, where tests and perfbench/tracer.py patch it
 from . import DEFAULT_M_CEILING, congestion
-from .congestion import chord_segments, row_stats, segment_weights, tail_groups
+from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
 from .errors import CeilingError, DomainError, InfeasibleSplitError
 from .linkmodel import Scenario, intensities_from_throughput
 
@@ -22,10 +23,12 @@ TARGET_FLOOR = 1e-8
 
 
 def check_search(target: float, m_ceiling: int) -> None:
-    """Refuse a target congestion outside [TARGET_FLOOR, 1) or an M ceiling below 1."""
+    """Refuse a target congestion outside [TARGET_FLOOR, 1) or an M ceiling not an integer >= 1."""
     if not TARGET_FLOOR <= target < 1.0:
         raise DomainError(f"target congestion {target:g} must lie in "
                           f"[floor {TARGET_FLOOR:g}, 1)")
+    if not isinstance(m_ceiling, (int, np.integer)):
+        raise DomainError(f"m_ceiling {m_ceiling!r} must be an integer")
     if m_ceiling < 1:
         raise DomainError(f"m_ceiling {m_ceiling} must be positive")
 
@@ -82,42 +85,28 @@ def invert(weights: list[np.ndarray], k_max: int,
     bracket is bit for bit that pass's full curve."""
     blocks, rows = len(weights), weights[0].shape[0]
     answers = [None] * blocks
-    # a settled block's bar is -1, which no mean tail reaches
-    bar = np.full(blocks, float(target))
     # every row's tail at threshold 0 is 1
     before = np.ones((blocks, rows))
     for first, tails in tail_groups(weights, k_max):
-        last = first + len(tails) - 1
-        low = tails.mean(axis=2) <= bar
-        if low.any() or last >= k_max:
-            # a block settles when it crosses the target or the pass reaches k_max
-            for b in [b for b, a in enumerate(answers)
-                      if a is None and (low[:, b].any() or last >= k_max)]:
-                hits = np.flatnonzero(low[:, b])
-                s = int(hits[0]) if hits.size else len(tails) - 1
-                pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
-                (pi_before, pi), (err_before, err) = row_stats(pair)
-                if hits.size:
-                    answers[b] = DimensionReport(first + s, target, float(pi), float(pi_before),
-                                                 float(err), float(err_before), rows)
-                else:
-                    answers[b] = CeilingError(
-                        f"congestion {pi:.6g} still above target {target:.6g} at the M "
-                        f"ceiling {k_max}", ceiling=k_max, achieved_pi=float(pi))
-                bar[b] = -1.0
-            if None not in answers:
-                break
+        low = tails.mean(axis=2) <= target
+        # a block settles when it crosses the target or the pass reaches k_max
+        settles = low.any(axis=0) | (first + len(tails) > k_max)
+        for b in [b for b, a in enumerate(answers) if a is None and settles[b]]:
+            hits = np.flatnonzero(low[:, b])
+            s = int(hits[0]) if hits.size else len(tails) - 1
+            pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
+            (pi_before, pi), (err_before, err) = row_stats(pair)
+            if hits.size:
+                answers[b] = DimensionReport(first + s, target, float(pi), float(pi_before),
+                                             float(err), float(err_before), rows)
+            else:
+                answers[b] = CeilingError(
+                    f"congestion {pi:.6g} still above target {target:.6g} at the M "
+                    f"ceiling {k_max}", ceiling=k_max, achieved_pi=float(pi))
+        if None not in answers:
+            break
         before = tails[-1]
     return answers
-
-
-def _answers(scns: list[Scenario], target: float,
-             m_ceiling: int) -> list[DimensionReport | CeilingError]:
-    """:func:`invert` on one road set for scenarios that differ only in user intensities."""
-    # road_set is read off its module, where tests and perfbench/tracer.py patch it
-    seg = chord_segments(scns[0], congestion.road_set(scns[0]))
-    weights = [segment_weights(scn, seg) for scn in scns]
-    return invert(weights, m_ceiling, target)
 
 
 def dimension_scenario(scn: Scenario, target: float,
@@ -126,7 +115,7 @@ def dimension_scenario(scn: Scenario, target: float,
     road-realization set backs every threshold (common random numbers), so the
     averaged curve is exactly monotone; the recursion stops at the answer."""
     check_search(target, m_ceiling)
-    [answer] = _answers([scn], target, m_ceiling)
+    [answer] = invert([weight_matrix(scn, congestion.road_set(scn))], m_ceiling, target)
     if isinstance(answer, CeilingError):
         raise answer
     return answer
@@ -146,7 +135,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
     """Dimension every (tau, lambda) grid point, tau-major: its report, or the
     error raised for it, which does not abort the others; a grid value
     outside its domain is raised.  Points with equal road intensity share
-    one road set and one recursion pass."""
+    one road set, and the feasible points one recursion pass."""
     geometry = query.scenario.geometry
     taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
                                else [query.throughput_bps])]
@@ -157,7 +146,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
     distinct_taus = list(dict.fromkeys(taus))
     at_lam = {lam: replace(query, scenario=query.scenario.with_geometry(
                   replace(geometry, road_intensity=lam))) for lam in lams}
-    outcome = {}
+    outcome, points, weights = {}, [], []
     for lam, lam_query in at_lam.items():
         try:
             # the split is feasible for every tau at this lambda or for none
@@ -166,8 +155,11 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), exc) for tau in distinct_taus)
             continue
-        answers = _answers(scns, query.target_congestion, query.m_ceiling)
-        for tau, answer in zip(distinct_taus, answers):
-            outcome[tau, lam] = (answer if isinstance(answer, CeilingError) else
-                                 replace(answer, throughput_bps=tau, road_intensity=lam))
+        seg = chord_segments(scns[0], congestion.road_set(scns[0]))
+        weights += [segment_weights(scn, seg) for scn in scns]
+        points += [(tau, lam) for tau in distinct_taus]
+    answers = invert(weights, query.m_ceiling, query.target_congestion) if weights else []
+    for (tau, lam), answer in zip(points, answers):
+        outcome[tau, lam] = (answer if isinstance(answer, CeilingError) else
+                             replace(answer, throughput_bps=tau, road_intensity=lam))
     return [outcome[tau, lam] for tau in taus for lam in lams]

@@ -288,6 +288,30 @@ class TestCcdf:
             ccdf(CompoundSpec(weights=np.array([0.3, 0.2])), m)
         assert str(exc.value) == "thresholds must be nonnegative"
 
+    # a fractional threshold was once floored: P(Lambda >= 2.7) read P(Lambda >= 2)
+    @pytest.mark.parametrize("ccdf", [ccdf_bell, ccdf_bell_literal, ccdf_integral])
+    @pytest.mark.parametrize("m, bad", [(2.7, "2.7"), ([1, 2.5], "2.5"), (math.nan, "nan")])
+    def test_threshold_that_is_not_whole_is_refused(self, ccdf, m, bad):
+        with pytest.raises(DomainError) as exc:
+            ccdf(CompoundSpec(weights=np.array([1.0, 0.5])), m)
+        assert str(exc.value) == f"thresholds: {bad} is not a whole number"
+
+    @pytest.mark.parametrize("ccdf", [ccdf_bell, ccdf_bell_literal, ccdf_integral])
+    def test_whole_thresholds_given_as_floats_are_read(self, ccdf):
+        spec = CompoundSpec(weights=np.array([1.0, 0.5]))
+        assert ccdf(spec, 3.0) == ccdf(spec, 3)
+        assert isinstance(ccdf(spec, 3.0), float)
+        np.testing.assert_array_equal(ccdf(spec, np.array([[0.0, 3.0]])),
+                                      ccdf(spec, np.array([[0, 3]])))
+
+    def test_pmf_refuses_a_k_max_that_is_not_whole(self):
+        spec = CompoundSpec(weights=np.array([1.0, 0.5]))
+        with pytest.raises(DomainError, match=r"^k_max: 2\.5 is not a whole number$"):
+            pmf(spec, 2.5)
+        with pytest.raises(DomainError, match="^k_max must be nonnegative$"):
+            pmf(spec, -1)
+        np.testing.assert_array_equal(pmf(spec, 4.0), pmf(spec, 4))
+
     def test_no_thresholds_give_an_empty_array(self):
         spec = CompoundSpec(weights=np.array([0.3, 0.2]))
         for ccdf in (ccdf_bell, ccdf_integral):

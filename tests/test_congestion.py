@@ -136,6 +136,16 @@ class TestAveraged:
         with pytest.raises(DomainError):
             averaged_congestion(make_scenario(kappa=1.0), np.array([-1, 2]))
 
+    def test_rejects_thresholds_that_are_not_whole(self):
+        scn = make_scenario(kappa=1.0, mc=3)
+        with pytest.raises(DomainError, match=r"^thresholds: 2\.9 is not a whole number$"):
+            averaged_congestion(scn, [2.9])
+        with pytest.raises(DomainError, match="^thresholds must be nonempty and nonnegative$"):
+            averaged_congestion(scn, [-1.0, 2.0])
+        curve = averaged_congestion(scn, [3.0])
+        assert curve.m_values.tolist() == [3]
+        assert curve.pi == averaged_congestion(scn, [3]).pi
+
     def test_thresholds_come_back_in_input_order(self):
         scn = make_scenario(lam=9.0, delta=2.0, kappa=5.0, mc=9)
         whole = averaged_congestion(scn, np.arange(0, 60))

@@ -222,6 +222,16 @@ class TestAgainstBruteForce:
         with pytest.raises(DomainError, match=message):
             dimension_scenario(query().build_scenario(), 0.05, m_ceiling)
 
+    # a float ceiling once passed the check and failed inside the pass
+    @pytest.mark.parametrize("m_ceiling", [300.5, 300.0])
+    def test_ceiling_that_is_not_an_integer_is_refused(self, m_ceiling):
+        message = f"m_ceiling {m_ceiling} must be an integer"
+        with pytest.raises(DomainError, match=message):
+            query(m_ceiling=m_ceiling)
+        with pytest.raises(DomainError, match=message):
+            dimension_scenario(query().build_scenario(), 0.05, m_ceiling)
+        assert dimension_prbs(query(mc=10, m_ceiling=np.int64(300))).required_m <= 300
+
     def test_target_below_the_floor_is_refused(self):
         with pytest.raises(DomainError, match="floor 1e-08"):
             query(target=1e-9)
@@ -452,10 +462,28 @@ class TestStopAtTheAnswer:
         q = bundled_query("fig3", realizations=50)
         points = sweep(q, throughput_grid_bps=[10e6, 20e6, 30e6],
                        road_intensity_grid=[2.0, 10.0])
-        assert len(steps) == 2
-        for lam, n in zip((2.0, 10.0), steps):
-            top = max(p.required_m for p in points if p.road_intensity == lam)
-            assert top <= n <= top + _STATS_STEPS
+        # one pass for the whole grid, ending with the largest answer's group
+        top = max(p.required_m for p in points)
+        assert len(steps) == 1 and top <= steps[0] <= top + _STATS_STEPS
+
+    def test_a_grid_with_an_infeasible_lambda_makes_one_pass(self, monkeypatch):
+        steps = counting_kernel(monkeypatch)
+        q = bundled_query("fig6_mixed", realizations=50)
+        points = sweep(q, throughput_grid_bps=[20e6, 30e6],
+                       road_intensity_grid=[0.0, 9.0, 5.0])
+        assert [type(p) for p in points] == [
+            InfeasibleSplitError, DimensionReport, DimensionReport] * 2
+        top = max(p.required_m for p in points if isinstance(p, DimensionReport))
+        assert len(steps) == 1 and top <= steps[0] <= top + _STATS_STEPS
+
+    def test_a_grid_of_infeasible_lambdas_makes_no_pass(self, monkeypatch):
+        steps = counting_kernel(monkeypatch)
+        q = bundled_query("fig6_mixed", realizations=50)
+        points = sweep(q, throughput_grid_bps=[20e6, 30e6], road_intensity_grid=[0.0])
+        assert [type(p) for p in points] == [InfeasibleSplitError] * 2
+        for p, tau in zip(points, (20e6, 30e6)):
+            assert_raises_like(at_lambda(q, 0.0, throughput_bps=tau), p)
+        assert steps == []
 
 
 def test_readme_python_example_runs(capsys):
