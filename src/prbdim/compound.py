@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, RangeError
+from .errors import AccuracyError, DomainError, RangeError, read_thresholds
 
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
@@ -133,18 +133,6 @@ def kernel_rows(w: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     for k, (p_k, tail) in enumerate(recursion_steps(w, k_max)):
         p[:, k], tails[:, k + 1] = p_k, tail
     return p, tails
-
-
-def read_thresholds(m, name: str = "thresholds", negative: str = "nonnegative") -> np.ndarray:
-    """Threshold(s) m as an int64 array of m's shape, refused unless whole and `negative`."""
-    given = np.asarray(m)
-    with np.errstate(invalid="ignore"):
-        ms = given.astype(np.int64)
-    if not np.array_equal(ms, given):
-        raise DomainError(f"{name}: {given[ms != given][0]} is not a whole number")
-    if ms.size and ms.min() < 0:
-        raise DomainError(f"{name} must be {negative}")
-    return ms
 
 
 def _at_thresholds(m, tails_at):

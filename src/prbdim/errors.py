@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the threshold reader, shared across the package."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -34,3 +36,15 @@ class InfeasibleSplitError(ValueError):
 
 class ScenarioError(ValueError):
     """A scenario document failed parsing or validation."""
+
+
+def read_thresholds(m, name: str = "thresholds", negative: str = "nonnegative") -> np.ndarray:
+    """Threshold(s) m as an int64 array of m's shape, refused unless whole and `negative`."""
+    given = np.asarray(m)
+    with np.errstate(invalid="ignore"):
+        ms = given.astype(np.int64)
+    if not np.array_equal(ms, given):
+        raise DomainError(f"{name}: {given[ms != given][0]} is not a whole number")
+    if ms.size and ms.min() < 0:
+        raise DomainError(f"{name} must be {negative}")
+    return ms

@@ -1,6 +1,6 @@
 """Road geometry: PLP road realizations conditioned to the cell disk, the
-chord law, user distances on chords, and the batched stream seeding that
-the road and Monte-Carlo draws share.
+chord law, user distances on chords, and the batched stream seeding of the
+road and Monte-Carlo draws (SeedSequence's hash alone; numpy seeds PCG64).
 
 Sampling is deterministic given an explicit generator.
 """
@@ -20,16 +20,13 @@ PAPER = "paper"
 STANDARD = "standard"
 SAMPLERS = (PAPER, STANDARD)
 
-# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's seeding
-# constants, for `stream_states` and `streams`.
+# numpy's SeedSequence hash (pool of 4 uint32 words), for `stream_states`.
 _MASK32 = 0xFFFF_FFFF
-_MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _XSHIFT = np.uint32(16)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
 @dataclass(frozen=True)
@@ -159,35 +156,35 @@ def stream_states(prefix: tuple[int, ...], count: int) -> np.ndarray:
                     axis=1)
 
 
-def _pcg64_state(words: list[int]) -> dict:
-    """PCG64's two-step 128-bit seeding from generate_state(4, np.uint64)."""
-    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
-    state = (((words[0] << 64 | words[1]) + inc) * _PCG_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _Words:
+    """A row of `stream_states`, whose buffer PCG64 reads, as its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"stream words are 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+        return self.words
 
 
 def streams(prefix: tuple[int, ...], count: int) -> Iterator[np.random.Generator]:
     """The generators ``default_rng(SeedSequence(prefix + (i,)))`` for i in
-    range(count), as one Generator re-seeded in place for each i.
-
-    Use each before asking for the next. Stream 0 is checked once against
-    numpy's own seeding, so a numpy that seeds differently raises rather
-    than drawing different numbers.
+    range(count): numpy's PCG64 seeds each from row i of `stream_states`.
+    Stream 0's words are checked against numpy's own SeedSequence, so a
+    numpy that hashes differently raises rather than drawing other numbers.
     """
     states = stream_states(prefix, count)
     if not count:
         return
-    reference = np.random.SeedSequence(prefix + (0,))
-    bit_generator = np.random.PCG64(reference)
-    if (not np.array_equal(states[0], reference.generate_state(4, np.uint64))
-            or _pcg64_state(states[0].tolist()) != bit_generator.state):
-        raise RuntimeError("batched stream seeding disagrees with numpy's SeedSequence "
-                           f"and PCG64 at {prefix + (0,)}")
-    rng = np.random.Generator(bit_generator)
+    reference = np.random.SeedSequence(prefix + (0,)).generate_state(4, np.uint64)
+    if not np.array_equal(states[0], reference):
+        raise RuntimeError(f"stream words disagree with numpy's SeedSequence at {prefix + (0,)}")
+    # registered, not subclassed, so that importing this module imports no numpy.random
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
     for words in states:
-        bit_generator.state = _pcg64_state(words.tolist())
-        yield rng
+        yield generator(pcg64(_Words(words)))
 
 
 def expected_roads(gp: GeometryParams, cell_radius_km: float) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, read_thresholds
 from .geometry import RoadSet, chord_law, chord_user_km, expected_roads, streams
 from .linkmodel import Scenario, StepFunction
 
@@ -188,10 +188,10 @@ def check_replications(replications: int) -> None:
 def empirical_ccdf(scn: Scenario, m_values, replications: int) -> EmpiricalCurve:
     """P_hat(Gamma >= m) over independent replications, deterministic per seed,
     at `m_values` or, when None, at 0..max Gamma + 1, ending at the first 0."""
+    given = None if m_values is None else read_thresholds(m_values)
     check_replications(replications)
     gammas, n_out, n_in = gamma_samples(scn, replications)
-    m = np.atleast_1d(np.asarray(np.arange(gammas.max() + 2) if m_values is None
-                                 else m_values, dtype=np.int64))
+    m = np.atleast_1d(np.arange(gammas.max() + 2) if given is None else given)
     ordered = np.sort(gammas)
     at_least = replications - np.searchsorted(ordered, m, side="left")
     ccdf = at_least / replications

@@ -103,13 +103,19 @@ ANALYTIC = {"prbdim.compound", "prbdim.congestion", "prbdim.dimension"}
 
 
 def test_scenario_loading_loads_no_analytic_module():
-    # fig6_mixed states a throughput forecast, fig4 explicit intensities
+    # fig6_mixed states a throughput forecast, fig4 explicit intensities; the
+    # cell imports `geometry`, whose streams import numpy.random only to draw
     paths = [str(bundled_scenario_path(name)) for name in ("fig6_mixed", "fig4")]
-    loaded = fresh("from prbdim.scenario_io import load_scenario\n"
-                   f"for path in {paths!r}:\n"
-                   "    load_scenario(path).to_scenario()\n" + LOADED)
-    assert "prbdim.linkmodel" in loaded
+    loaded, random_before, random_after = fresh(
+        "import json, sys, numpy; before = 'numpy.random' in sys.modules\n"
+        "from prbdim.scenario_io import load_scenario\n"
+        f"for path in {paths!r}:\n"
+        "    load_scenario(path).to_scenario()\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('prbdim.')), "
+        "before, 'numpy.random' in sys.modules]))")
+    assert "prbdim.linkmodel" in loaded and "prbdim.geometry" in loaded
     assert not ANALYTIC & set(loaded)
+    assert random_after == random_before
 
 
 def test_the_monte_carlo_oracle_loads_no_analytic_module():

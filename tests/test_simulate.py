@@ -102,6 +102,22 @@ class TestEmpiricalCcdf:
         with pytest.raises(DomainError):
             empirical_ccdf(make_scenario(), np.array([0]), 50)
 
+    # fractional thresholds were once floored: [2.9, 40.5] answered at [2, 40]
+    @pytest.mark.parametrize("m, message", [([2.9, 40.5], "thresholds: 2.9 is not a whole number"),
+                                            ([-3], "thresholds must be nonnegative")],
+                             ids=["fractional", "negative"])
+    def test_refuses_thresholds_the_analytic_readers_refuse(self, m, message):
+        scn = bundled_scenario("fig4").to_scenario()
+        with pytest.raises(DomainError) as exc:
+            empirical_ccdf(scn, m, 200)
+        assert str(exc.value) == message
+
+    def test_whole_thresholds_given_as_floats_are_read(self):
+        scn = bundled_scenario("fig4").to_scenario()
+        curve = empirical_ccdf(scn, [3.0, 40.0], 200)
+        assert curve.m_values.dtype == np.int64 and curve.m_values.tolist() == [3, 40]
+        np.testing.assert_array_equal(curve.ccdf, empirical_ccdf(scn, [3, 40], 200).ccdf)
+
     def test_indoor_within_3sigma_of_analytic(self):
         # Exact two-sided binomial test of each hit count at the 3.5-sigma
         # normal level per side. A normal band would score a single hit

@@ -2,8 +2,9 @@
 bit, the one-stream definitions in conftest (numpy's own seeding of
 stream (seed, i), then one realization's draw).
 
-The batched path ports numpy's SeedSequence hash and PCG64 seeding, so
-these tests also guard against a numpy release that seeds differently.
+The batched path ports numpy's SeedSequence hash alone; numpy's PCG64
+seeds each stream from the ported words. So these tests also guard against
+a numpy release that hashes or seeds differently.
 """
 
 import math
@@ -39,7 +40,9 @@ class TestStreamStates:
     def test_equal_seed_sequence_state(self, seed, tag):
         prefix = (seed, *tag)
         states = stream_states(prefix, 2000)
+        # contiguous rows: numpy's PCG64 reads each row's buffer directly
         assert states.shape == (2000, 4) and states.dtype == np.uint64
+        assert states.flags.c_contiguous
         for i in INDICES:
             want = np.random.SeedSequence(prefix + (i,)).generate_state(4, np.uint64)
             np.testing.assert_array_equal(states[i], want)
@@ -54,14 +57,30 @@ class TestStreamStates:
             count += 1
         assert count == 40
 
+    def test_streams_taken_before_any_draw_are_independent(self):
+        prefix = (9, MC_TAG)
+        rngs = list(streams(prefix, 25))
+        assert len(rngs) == 25 and len({id(rng) for rng in rngs}) == 25
+        for i, rng in enumerate(rngs):
+            ref = np.random.default_rng(np.random.SeedSequence(prefix + (i,)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(rng.random(3), ref.random(3))
+
+    def test_words_are_handed_over_only_as_four_uint64s(self):
+        words = geometry._Words(stream_states((4,), 1)[0])
+        np.testing.assert_array_equal(words.generate_state(4, np.uint64), words.words)
+        for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                words.generate_state(n_words, dtype)
+
     def test_negative_entropy_is_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
             stream_states((-1,), 3)
         with pytest.raises(ValueError, match="non-negative"):
             next(streams((4, -1), 3))
 
-    # one constant of the SeedSequence hash, one of PCG64's seeding step
-    @pytest.mark.parametrize("constant", ["_MULT_B", "_PCG_MULT"])
+    # a constant of the SeedSequence hash, the one part of seeding ported
+    @pytest.mark.parametrize("constant", ["_MULT_B"])
     def test_seeding_mismatch_raises_instead_of_drawing(self, monkeypatch, constant):
         monkeypatch.setattr(geometry, constant, getattr(geometry, constant) ^ 2)
         with pytest.raises(RuntimeError, match="SeedSequence"):
