@@ -191,7 +191,8 @@ def cmd_dimension(args) -> int:
     if args.out:
         meta = _base_meta(args, doc)
         meta["target"] = _fmt(args.target)
-        row = _dimension_row(report.throughput_bps, report.road_intensity, args.target, report)
+        row = _dimension_row(query.throughput_bps, query.scenario.geometry.road_intensity,
+                             args.target, report)
         write_csv(args.out, meta, _DIMENSION_COLUMNS[:-1], [row[:-1]])
     return EXIT_OK
 

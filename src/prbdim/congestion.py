@@ -10,8 +10,8 @@ from itertools import islice
 
 import numpy as np
 
-from .compound import CompoundSpec, ccdf_bell, default_cutoff, read_thresholds, recursion_steps
-from .errors import DomainError
+from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
+from .errors import DomainError, read_thresholds
 from .geometry import PAPER, RoadSet, expected_roads, sample_road_set
 from .linkmodel import Scenario, StepFunction
 
@@ -96,7 +96,6 @@ class CongestionCurve:
     m_values: np.ndarray
     pi: np.ndarray
     stderr: np.ndarray
-    realizations: int
 
 
 # Threshold steps reduced per numpy call: fewer calls, little memory.
@@ -132,8 +131,7 @@ def block_curves(w: np.ndarray, k_max: int) -> CongestionCurve:
     for first, tails in tail_groups([w], k_max):
         last = first + len(tails)
         pi[first:last], stderr[first:last] = row_stats(tails[:, 0])
-    return CongestionCurve(m_values=np.arange(0, k_max + 1), pi=pi, stderr=stderr,
-                           realizations=w.shape[0])
+    return CongestionCurve(m_values=np.arange(0, k_max + 1), pi=pi, stderr=stderr)
 
 
 def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:

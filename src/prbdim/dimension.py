@@ -63,17 +63,15 @@ class DimensionQuery:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Solver output: minimal M with Pi(M) <= target, its bracket and their stderrs."""
+    """Solver output: minimal M with Pi(M) <= target, its bracket, their stderrs
+    and the road realization count; the target and grid point are the caller's."""
 
     required_m: int
-    target: float
     pi_at_m: float
     pi_before: float
     stderr_at_m: float
     stderr_before: float
     realizations: int
-    throughput_bps: float | None = None
-    road_intensity: float | None = None
 
 
 def invert(weights: list[np.ndarray], k_max: int,
@@ -97,7 +95,7 @@ def invert(weights: list[np.ndarray], k_max: int,
             pair = np.stack((tails[s - 1, b] if s else before[b], tails[s, b]))
             (pi_before, pi), (err_before, err) = row_stats(pair)
             if hits.size:
-                answers[b] = DimensionReport(first + s, target, float(pi), float(pi_before),
+                answers[b] = DimensionReport(first + s, float(pi), float(pi_before),
                                              float(err), float(err_before), rows)
             else:
                 answers[b] = CeilingError(
@@ -133,9 +131,10 @@ def dimension_prbs(query: DimensionQuery) -> DimensionReport:
 def sweep(query: DimensionQuery, throughput_grid_bps=None,
           road_intensity_grid=None) -> list[DimensionReport | CeilingError | InfeasibleSplitError]:
     """Dimension every (tau, lambda) grid point, tau-major: its report, or the
-    error raised for it, which does not abort the others; a grid value
-    outside its domain is raised.  Points with equal road intensity share
-    one road set, and the feasible points one recursion pass."""
+    error raised for it, which does not abort the others; neither names its
+    point, which its grid position gives.  A grid value outside its domain
+    is raised.  Points with equal road intensity share one road set, and
+    the feasible points one recursion pass."""
     geometry = query.scenario.geometry
     taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
                                else [query.throughput_bps])]
@@ -159,7 +158,5 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         weights += [segment_weights(scn, seg) for scn in scns]
         points += [(tau, lam) for tau in distinct_taus]
     answers = invert(weights, query.m_ceiling, query.target_congestion) if weights else []
-    for (tau, lam), answer in zip(points, answers):
-        outcome[tau, lam] = (answer if isinstance(answer, CeilingError) else
-                             replace(answer, throughput_bps=tau, road_intensity=lam))
+    outcome.update(zip(points, answers))
     return [outcome[tau, lam] for tau in taus for lam in lams]

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
 from .errors import ScenarioError
-from .geometry import GeometryParams, PAPER, SAMPLERS
+from .geometry import GeometryParams, PAPER
 from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
                         intensities_from_throughput)
 
@@ -245,8 +245,6 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
     if throughput is not None and throughput <= 0:
         raise ScenarioError(f"{name}: [geometry] throughput_mbps = {throughput:g} Mbit/s "
                             "must be positive")
-    if values["sampler"] not in SAMPLERS:
-        raise ScenarioError(f"{name}: unknown sampler {values['sampler']!r}")
 
     doc = ScenarioFile(**values)
     try:

@@ -172,7 +172,6 @@ class EmpiricalCurve:
     ccdf: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
-    replications: int
     mean_gamma: float
     mean_outdoor_users: float
     mean_indoor_users: float
@@ -188,17 +187,20 @@ def check_replications(replications: int) -> None:
 def empirical_ccdf(scn: Scenario, m_values, replications: int) -> EmpiricalCurve:
     """P_hat(Gamma >= m) over independent replications, deterministic per seed,
     at `m_values` or, when None, at 0..max Gamma + 1, ending at the first 0."""
-    given = None if m_values is None else read_thresholds(m_values)
+    given = None if m_values is None else np.atleast_1d(read_thresholds(m_values))
+    if given is not None and given.size == 0:
+        raise DomainError("thresholds must be nonempty and nonnegative")
+    if given is not None and given.ndim > 1:
+        raise DomainError(f"thresholds must be one-dimensional, not of shape {given.shape}")
     check_replications(replications)
     gammas, n_out, n_in = gamma_samples(scn, replications)
-    m = np.atleast_1d(np.arange(gammas.max() + 2) if given is None else given)
+    m = np.arange(gammas.max() + 2) if given is None else given
     ordered = np.sort(gammas)
     at_least = replications - np.searchsorted(ordered, m, side="left")
     ccdf = at_least / replications
     bounds = np.array([wilson_interval(int(k), replications) for k in at_least])
     return EmpiricalCurve(
         m_values=m, ccdf=ccdf, ci_low=bounds[:, 0], ci_high=bounds[:, 1],
-        replications=replications,
         mean_gamma=float(gammas.mean()),
         mean_outdoor_users=float(n_out.mean()),
         mean_indoor_users=float(n_in.mean()),

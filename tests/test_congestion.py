@@ -178,7 +178,7 @@ def stacked_curves(weights, k_max):
     curves = []
     for b in range(len(weights)):
         pi, stderr = row_stats(tails[:, b * r:(b + 1) * r])
-        curves.append(CongestionCurve(np.arange(k_max + 1), np.r_[1.0, pi], np.r_[0.0, stderr], r))
+        curves.append(CongestionCurve(np.arange(k_max + 1), np.r_[1.0, pi], np.r_[0.0, stderr]))
     return curves
 
 
@@ -202,7 +202,6 @@ class TestBatchedCurve:
         np.testing.assert_array_equal(curve.m_values, np.arange(k_max + 1))
         np.testing.assert_allclose(curve.pi, pi, rtol=0, atol=1e-14)
         np.testing.assert_allclose(curve.stderr, stderr, rtol=0, atol=1e-14)
-        assert curve.realizations == r
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -228,7 +227,7 @@ class TestBatchedCurve:
                 assert answer.ceiling == k_max
             else:
                 assert report_answer(answer) == expected
-                assert answer.target == target and answer.realizations == r
+                assert answer.realizations == r
 
     def test_weight_matrix_rows_match_per_road_masses(self):
         # a weak transmitter and a margin that drops outward put each outdoor

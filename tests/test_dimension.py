@@ -132,7 +132,7 @@ class TestDimension:
         alone = averaged_congestion(query(mc=100, seed=5).build_scenario(), [m - 1, m])
         assert alone.pi.tolist() == [report.pi_before, report.pi_at_m]
         assert alone.stderr.tolist() == [report.stderr_before, report.stderr_at_m]
-        assert report.realizations == alone.realizations == 100
+        assert report.realizations == 100
 
     def test_tighter_target_needs_no_fewer(self):
         loose = dimension_prbs(query(target=0.1, mc=100, seed=5))
@@ -276,8 +276,12 @@ class TestSweep:
 
     def test_grid_shape_and_monotonicity(self):
         q = query(mc=60, seed=2)
-        points = sweep(q, throughput_grid_bps=[10e6, 18e6, 25e6])
-        assert [p.throughput_bps for p in points] == [10e6, 18e6, 25e6]
+        taus = [10e6, 18e6, 25e6]
+        points = sweep(q, throughput_grid_bps=taus)
+        assert len(points) == len(taus)
+        # each point is its throughput's standalone report
+        for tau, p in zip(taus, points):
+            assert p == dimension_prbs(replace(q, throughput_bps=tau))
         required = [p.required_m for p in points]
         assert required == sorted(required)
 
@@ -351,11 +355,10 @@ class TestSweep:
         q = bundled_scenario("fig7").with_overrides(realizations=200).to_query(target=0.05)
         points = sweep(q, throughput_grid_bps=[10e6, 150e6, 300e6],
                        road_intensity_grid=[5.0, 9.0])
-        assert [(p.throughput_bps, p.road_intensity) for p in points] == [
-            (tau, lam) for tau in (10e6, 150e6, 300e6) for lam in (5.0, 9.0)]
-        for p in points:
-            alone = dimension_prbs(at_lambda(q, p.road_intensity,
-                                             throughput_bps=p.throughput_bps))
+        grid = [(tau, lam) for tau in (10e6, 150e6, 300e6) for lam in (5.0, 9.0)]
+        assert len(points) == len(grid)
+        for (tau, lam), p in zip(grid, points):
+            alone = dimension_prbs(at_lambda(q, lam, throughput_bps=tau))
             assert p.required_m == alone.required_m
             # every field, the bracket and its standard errors included
             assert p == alone
@@ -371,8 +374,8 @@ class TestSweep:
         for p, tau in ((infeasible, 1e5), (infeasible_too, 25e6)):
             assert_raises_like(at_lambda(q, 0.0, throughput_bps=tau), p)
         assert_raises_like(replace(q, throughput_bps=25e6), ceiling)
-        alone = dimension_prbs(replace(q, throughput_bps=1e5))
-        assert (ok.throughput_bps, ok.road_intensity) == (1e5, 9.0)
+        # the report at grid position 1 is the point (1e5, 9.0)
+        alone = dimension_prbs(at_lambda(q, 9.0, throughput_bps=1e5))
         assert ok.required_m == alone.required_m
         assert ok == alone
 

@@ -228,9 +228,9 @@ class TestSampleUsers:
 @pytest.mark.parametrize("make", [
     lambda: RoadSet(counts=[2], chord_distances=[0.1, 0.2]),
     lambda: CompoundSpec([1.0, 2.0]),
-    lambda: CongestionCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2), 10),
+    lambda: CongestionCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2)),
     lambda: EmpiricalCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2), np.ones(2),
-                           10, 1.0, 1.0, 0.0, 1.0),
+                           1.0, 1.0, 0.0, 1.0),
 ], ids=["RoadSet", "CompoundSpec", "CongestionCurve", "EmpiricalCurve"])
 def test_array_records_compare_by_identity(make):
     a, b = make(), make()

@@ -9,6 +9,7 @@ from conftest import fixed_road, reference_block, rings
 from prbdim import (CompoundSpec, DomainError, GeometryParams, InterferenceModel,
                     LinkBudget, Scenario, Service, conditional_congestion,
                     empirical_ccdf, expected_load)
+from prbdim import simulate
 from prbdim.congestion import weight_matrix
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import BLOCK, MC_TAG, gamma_samples, wilson_interval
@@ -107,6 +108,21 @@ class TestEmpiricalCcdf:
                                             ([-3], "thresholds must be nonnegative")],
                              ids=["fractional", "negative"])
     def test_refuses_thresholds_the_analytic_readers_refuse(self, m, message):
+        scn = bundled_scenario("fig4").to_scenario()
+        with pytest.raises(DomainError) as exc:
+            empirical_ccdf(scn, m, 200)
+        assert str(exc.value) == message
+
+    # both once drew every replication, then failed with an IndexError or a TypeError
+    @pytest.mark.parametrize("m, message", [
+        ([], "thresholds must be nonempty and nonnegative"),
+        ([[1, 2]], "thresholds must be one-dimensional, not of shape (1, 2)")],
+        ids=["empty", "two-dimensional"])
+    def test_refuses_a_threshold_list_of_no_curve_before_drawing(self, m, message, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("gamma_samples was called")
+
+        monkeypatch.setattr(simulate, "gamma_samples", no_draws)
         scn = bundled_scenario("fig4").to_scenario()
         with pytest.raises(DomainError) as exc:
             empirical_ccdf(scn, m, 200)
