@@ -32,6 +32,7 @@ from .errors import (AccuracyError, CeilingError, DomainError,
 
 if TYPE_CHECKING:
     from .dimension import DimensionQuery, DimensionReport
+    from .linkmodel import Scenario
     from .scenario_io import ScenarioFile
     from .simulate import EmpiricalCurve
 
@@ -85,17 +86,18 @@ def _base_meta(args, doc: ScenarioFile) -> dict:
 
 
 def _load(args) -> ScenarioFile:
+    from dataclasses import replace
     from .scenario_io import load_scenario
-    doc = load_scenario(args.scenario)
-    return doc.with_overrides(seed=getattr(args, "seed", None),
-                              realizations=getattr(args, "realizations", None))
+    given = {key: value for key in ("seed", "realizations")
+             if (value := getattr(args, key, None)) is not None}
+    return replace(load_scenario(args.scenario), **given)
 
 
-def _user_means(meta: dict, emp: EmpiricalCurve) -> None:
+def _user_means(meta: dict, scn: Scenario, emp: EmpiricalCurve) -> None:
     """Record the Monte-Carlo run's measured and Eq. (1) mean user counts."""
     meta["measured_mean_outdoor_users"] = repr(emp.mean_outdoor_users)
     meta["measured_mean_indoor_users"] = repr(emp.mean_indoor_users)
-    meta["eq1_mean_users"] = repr(emp.eq1_mean_users)
+    meta["eq1_mean_users"] = repr(scn.mean_users)
 
 
 def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
@@ -134,7 +136,7 @@ def _congestion_rows(args, scn, meta: dict, ms):
         meta["mc_replications"] = args.mc_replications
         for row, p, lo, hi in zip(rows, emp.ccdf, emp.ci_low, emp.ci_high):
             row += [p, lo, hi]
-        _user_means(meta, emp)
+        _user_means(meta, scn, emp)
     return rows
 
 
@@ -234,7 +236,7 @@ def cmd_sweep(args) -> int:
 def _simulate_rows(args, scn, meta: dict, ms):
     from .simulate import empirical_ccdf
     emp = empirical_ccdf(scn, ms, args.replications)
-    _user_means(meta, emp)
+    _user_means(meta, scn, emp)
     meta["mean_gamma"] = repr(emp.mean_gamma)
     return zip(emp.m_values, emp.ccdf, emp.ci_low, emp.ci_high)
 
@@ -276,11 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prbdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_opts(p):
+    def scenario_opts(p, draws_roads=True):
         p.add_argument("--scenario", required=True, help="scenario file path")
         p.add_argument("--seed", type=int, default=None, help="override the file seed")
-        p.add_argument("--realizations", type=int, default=None,
-                       help="override the road-realization count")
+        if draws_roads:
+            p.add_argument("--realizations", type=int, default=None,
+                           help="override the road-realization count")
         p.add_argument("--noise-limited", action="store_true",
                        help="drop all interference margins")
         p.add_argument("--region", choices=REGION_NAMES, default=None,
@@ -323,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
+    # each replication draws its own roads, so no road-realization count
     p = sub.add_parser("simulate", allow_abbrev=False, help="empirical congestion curve as CSV")
-    scenario_opts(p)
+    scenario_opts(p, draws_roads=False)
     p.add_argument("--replications", type=int, required=True)
     p.add_argument("--m-max", type=int, default=None,
                    help="evaluate thresholds below this M (default: to max sampled demand + 1)")

@@ -5,7 +5,7 @@ a target congestion probability and a forecast cell throughput.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +54,9 @@ class DimensionQuery:
         """The scenario with the forecast's intensities, sharing its demand
         step functions."""
         scn = self.scenario
-        delta, kappa = intensities_from_throughput(
+        return scn.with_geometry(intensities_from_throughput(
             self.throughput_bps, scn.service.rate_bps, scn.cell_radius_km,
-            scn.geometry.road_intensity, self.outdoor_fraction)
-        return scn.with_geometry(replace(scn.geometry, user_intensity_linear=delta,
-                                         user_intensity_area=kappa))
+            scn.geometry.road_intensity, self.outdoor_fraction))
 
 
 @dataclass(frozen=True)
@@ -135,25 +133,24 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
     point, which its grid position gives.  A grid value outside its domain
     is raised.  Points with equal road intensity share one road set, and
     the feasible points one recursion pass."""
-    geometry = query.scenario.geometry
+    cell = query.scenario
     taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
                                else [query.throughput_bps])]
     lams = [float(x) for x in (road_intensity_grid if road_intensity_grid is not None
-                               else [geometry.road_intensity])]
+                               else [cell.geometry.road_intensity])]
     if not taus or not lams:
         raise DomainError("sweep grids must be nonempty")
     distinct_taus = list(dict.fromkeys(taus))
-    at_lam = {lam: replace(query, scenario=query.scenario.with_geometry(
-                  replace(geometry, road_intensity=lam))) for lam in lams}
-    outcome, points, weights = {}, [], []
-    for lam, lam_query in at_lam.items():
+    outcome, scenarios, points, weights = {}, {}, [], []
+    for lam in dict.fromkeys(lams):
         try:
             # the split is feasible for every tau at this lambda or for none
-            scns = [replace(lam_query, throughput_bps=tau).build_scenario()
-                    for tau in distinct_taus]
+            scenarios[lam] = [cell.with_geometry(intensities_from_throughput(
+                tau, cell.service.rate_bps, cell.cell_radius_km, lam, query.outdoor_fraction))
+                for tau in distinct_taus]
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), exc) for tau in distinct_taus)
-            continue
+    for lam, scns in scenarios.items():
         seg = chord_segments(scns[0], congestion.road_set(scns[0]))
         weights += [segment_weights(scn, seg) for scn in scns]
         points += [(tau, lam) for tau in distinct_taus]

@@ -27,6 +27,11 @@ INDOOR = "indoor"
 _CEIL_RTOL = 1e-9
 
 
+def _count(n) -> bool:
+    """Whether n is an integer of at least 1; a bool is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
 @dataclass(frozen=True)
 class LinkBudget:
     """Radio parameters feeding SINR and achievable rate.
@@ -54,13 +59,13 @@ class LinkBudget:
                 raise DomainError(f"{name} must be finite")
         if self.path_loss_exp <= 2:
             raise DomainError("path_loss_exp must exceed 2")
-        if self.tx_antennas < 1 or self.rx_antennas < 1:
+        if not all(_count(n) for n in (self.tx_antennas, self.rx_antennas)):
             raise DomainError("antenna counts must be positive integers")
         if self.prb_bandwidth_hz <= 0:
             raise DomainError("prb_bandwidth_hz must be positive")
         if self.cell_radius_km <= 0:
             raise DomainError("cell_radius_km must be positive")
-        if self.max_user_prbs < 1:
+        if not _count(self.max_user_prbs):
             raise DomainError("max_user_prbs must be at least 1")
 
     @property
@@ -369,12 +374,13 @@ def ppp_equivalent(scn: Scenario) -> Scenario:
 
 def intensities_from_throughput(throughput_bps: float, rate_bps: float,
                                 cell_radius_km: float, road_intensity: float,
-                                outdoor_fraction: float) -> tuple[float, float]:
-    """Derive (delta, kappa) from a forecast cell throughput.
+                                outdoor_fraction: float) -> GeometryParams:
+    """The intensities (lambda, delta, kappa) of a forecast cell throughput.
 
     The forecast mean user count is u = tau/C*; a fraction f of it rides the
     roads (delta = f*u/(lambda*pi*R^2), printed intensity convention) and the
-    rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).
+    rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).  GeometryParams
+    refuses a negative or non-finite lambda.
     """
     if not (throughput_bps > 0 and math.isfinite(throughput_bps)):
         raise DomainError(f"throughput_bps {throughput_bps:g} must be positive and finite")
@@ -382,12 +388,7 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
         raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
     users = throughput_bps / rate_bps
     area = math.pi * cell_radius_km ** 2
-    if outdoor_fraction > 0:
-        if road_intensity <= 0:
-            raise InfeasibleSplitError(
-                "outdoor traffic requested with zero road intensity")
-        delta = outdoor_fraction * users / (road_intensity * area)
-    else:
-        delta = 0.0
-    kappa = (1.0 - outdoor_fraction) * users / area
-    return delta, kappa
+    if outdoor_fraction > 0 and road_intensity == 0:
+        raise InfeasibleSplitError("outdoor traffic requested with zero road intensity")
+    delta = outdoor_fraction * users / (road_intensity * area) if outdoor_fraction > 0 else 0.0
+    return GeometryParams(road_intensity, delta, (1.0 - outdoor_fraction) * users / area)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -127,14 +127,15 @@ class ScenarioFile:
     def service(self) -> Service:
         return Service(rate_bps=self.rate_kbps * 1e3)
 
-    def intensities(self) -> tuple[float, float]:
-        """(delta, kappa), derived from throughput when stated that way."""
+    def geometry(self) -> GeometryParams:
+        """The stated intensities, or those of the stated forecast."""
         if self.throughput_mbps is not None:
             return intensities_from_throughput(
                 self.throughput_mbps * 1e6, self.rate_kbps * 1e3,
                 self.cell_radius_km, self.road_intensity_per_km,
                 self.outdoor_fraction)
-        return self.user_intensity_per_km or 0.0, self.indoor_intensity_per_km2 or 0.0
+        return GeometryParams(self.road_intensity_per_km, self.user_intensity_per_km or 0.0,
+                              self.indoor_intensity_per_km2 or 0.0)
 
     def region_bounds(self, name: str | None) -> tuple[float, float] | None:
         """Annulus of a named cell region; thirds of R unless the
@@ -153,13 +154,9 @@ class ScenarioFile:
 
     def to_scenario(self, noise_limited: bool = False,
                     region: str | None = None) -> Scenario:
-        delta, kappa = self.intensities()
-        gp = GeometryParams(road_intensity=self.road_intensity_per_km,
-                            user_intensity_linear=delta,
-                            user_intensity_area=kappa)
         return Scenario(link_budget=self.link_budget(),
                         interference=self.interference(noise_limited),
-                        service=self.service(), geometry=gp,
+                        service=self.service(), geometry=self.geometry(),
                         sampler=self.sampler, seed=self.seed,
                         mc_realizations=self.realizations,
                         region_km=self.region_bounds(region))
@@ -184,15 +181,6 @@ class ScenarioFile:
             scenario=self.to_scenario(noise_limited, region), target_congestion=target,
             throughput_bps=throughput_bps, outdoor_fraction=outdoor_fraction,
             m_ceiling=m_ceiling)
-
-    def with_overrides(self, seed: int | None = None,
-                       realizations: int | None = None) -> "ScenarioFile":
-        out = self
-        if seed is not None:
-            out = replace(out, seed=seed)
-        if realizations is not None:
-            out = replace(out, realizations=realizations)
-        return out
 
 
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:

@@ -164,8 +164,9 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 class EmpiricalCurve:
     """Empirical tail of the PRB demand with per-point 95% Wilson intervals.
 
-    Also reports the measured mean user counts next to the printed-formula
-    mean so the intensity-convention gap stays visible.
+    Also reports the measured mean user counts, to set beside the scenario's
+    printed-formula mean (`Scenario.mean_users`) so the intensity-convention
+    gap stays visible.
     """
 
     m_values: np.ndarray
@@ -175,7 +176,6 @@ class EmpiricalCurve:
     mean_gamma: float
     mean_outdoor_users: float
     mean_indoor_users: float
-    eq1_mean_users: float
 
 
 def check_replications(replications: int) -> None:
@@ -204,5 +204,4 @@ def empirical_ccdf(scn: Scenario, m_values, replications: int) -> EmpiricalCurve
         mean_gamma=float(gammas.mean()),
         mean_outdoor_users=float(n_out.mean()),
         mean_indoor_users=float(n_in.mean()),
-        eq1_mean_users=scn.mean_users,
     )

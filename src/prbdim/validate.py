@@ -116,8 +116,7 @@ def mc_suite(seed: int = 0, replications: int = 2000) -> list[Check]:
     from .congestion import averaged_congestion, conditional_congestion, expected_load, road_set
     from .scenario_io import bundled_scenario
     from .simulate import empirical_ccdf, gamma_samples, wilson_interval
-    doc = bundled_scenario("fig2_tau30").with_overrides(seed=seed, realizations=200)
-    scn = doc.to_scenario()
+    scn = replace(bundled_scenario("fig2_tau30"), seed=seed, realizations=200).to_scenario()
     checks = []
 
     # conditional law: one fixed road set, empirical tail inside a wide CI
@@ -184,8 +183,7 @@ def figures_suite(seed: int = 0, replications: int = 2000) -> list[Check]:
     checks = [fig3_lambda_delta()]
     checks += [interference_delta(name) for name in INTERFERENCE_DELTAS]
 
-    doc = bundled_scenario("fig2_tau30").with_overrides(realizations=1000)
-    scn = doc.to_scenario()
+    scn = replace(bundled_scenario("fig2_tau30"), realizations=1000).to_scenario()
     ms = np.arange(0, 261)
     analytic = averaged_congestion(scn, ms)
     emp = empirical_ccdf(scn, ms, replications)

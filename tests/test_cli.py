@@ -260,13 +260,28 @@ class TestSimulateCommand:
             run(["simulate", "--scenario", FIG4, "--out", "-"])
         assert exc.value.code == 2
 
+    def test_realizations_is_a_usage_error(self, capsys):
+        # each replication draws its own roads: there is no road-realization
+        # count to set
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--scenario", FIG4, "--replications", "200",
+                 "--realizations", "7", "--out", "-"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --realizations 7" in capsys.readouterr().err
 
-@pytest.mark.parametrize("command, extra", [
-    ("congestion", ["--m-max", "5"]), ("dimension", ["--target", "0.05"]),
-    ("sweep", ["--target", "0.05"]), ("simulate", ["--replications", "200"])])
+
+# every scenario command at a small size; simulate draws no road
+# realizations, so it takes no --realizations
+SMALL_COMMANDS = [
+    ("congestion", ["--m-max", "5", "--realizations", "10"]),
+    ("dimension", ["--target", "0.05", "--realizations", "10"]),
+    ("sweep", ["--target", "0.05", "--realizations", "10"]),
+    ("simulate", ["--replications", "200"])]
+
+
+@pytest.mark.parametrize("command, extra", SMALL_COMMANDS)
 def test_negative_seed_is_validation_error(command, extra, capsys):
-    code = run([command, "--scenario", FIG7, "--seed", "-1", "--realizations", "10",
-                *extra, "--out", "-"])
+    code = run([command, "--scenario", FIG7, "--seed", "-1", *extra, "--out", "-"])
     assert code == 3
     assert "seed -1 must be a non-negative integer" in capsys.readouterr().err
 
@@ -282,14 +297,12 @@ def test_realizations_below_one_is_validation_error(command, extra, realizations
     assert f"realizations {realizations} must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("congestion", ["--m-max", "5"]), ("dimension", ["--target", "0.05"]),
-    ("sweep", ["--target", "0.05"]), ("simulate", ["--replications", "200"])])
+@pytest.mark.parametrize("command, extra", SMALL_COMMANDS)
 @pytest.mark.parametrize("target, reason", [
     ("missing/x.csv", errno.ENOENT), (".", errno.EISDIR)])
 def test_unwritable_out_is_validation_error(command, extra, target, reason, tmp_path, capsys):
     out = tmp_path / target
-    code = run([command, "--scenario", FIG7, "--realizations", "10", *extra, "--out", str(out)])
+    code = run([command, "--scenario", FIG7, *extra, "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err == (f"validation error: cannot write {out}: "
                                        f"{os.strerror(reason)}\n")
@@ -316,11 +329,11 @@ def test_zero_realizations_in_the_file_is_a_scenario_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, extra", [
-    ("congestion", []), ("congestion", ["--with-mc"]), ("simulate", ["--replications", "200"])])
+    ("congestion", ["--realizations", "10"]), ("congestion", ["--realizations", "10", "--with-mc"]),
+    ("simulate", ["--replications", "200"])])
 def test_negative_m_max_is_validation_error(command, extra, tmp_path, capsys):
     out = tmp_path / "negative.csv"
-    assert run([command, "--scenario", FIG4, "--m-max", "-5", "--realizations", "10",
-                *extra, "--out", str(out)]) == 3
+    assert run([command, "--scenario", FIG4, "--m-max", "-5", *extra, "--out", str(out)]) == 3
     assert "--m-max -5 must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
 

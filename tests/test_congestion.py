@@ -379,12 +379,12 @@ def ring_table_cases():
     levels that fall at a region boundary."""
     for name in ["fig2_tau14", "fig2_tau30", "fig3", "fig4", "fig6_mixed", "fig7",
                  "fig8_regions"]:
-        doc = bundled_scenario(name).with_overrides(realizations=20)
+        doc = replace(bundled_scenario(name), realizations=20)
         for noise_limited in (False, True):
             for region in (None, *REGION_NAMES):
                 yield (f"{name}-{'noise' if noise_limited else 'margins'}-{region}",
                        doc.to_scenario(noise_limited, region))
-    doc = bundled_scenario("fig8_regions").with_overrides(realizations=20)
+    doc = replace(bundled_scenario("fig8_regions"), realizations=20)
     scn = doc.to_scenario()
     r = scn.cell_radius_km
     for margins in ((0.0, 10.0, 0.0), (15.0, 1.0, 8.0), (3.0, 0.0, 12.0, 1.0)):

@@ -67,25 +67,32 @@ def at_lambda(q, lam, **kw):
 
 class TestIntensities:
     def test_division(self):
-        delta, kappa = intensities_from_throughput(30e6, 500e3, R, 9.0, 1.0)
-        assert delta == pytest.approx(4.3307467507998731, rel=1e-12)
-        assert kappa == 0.0
+        gp = intensities_from_throughput(30e6, 500e3, R, 9.0, 1.0)
+        assert gp.road_intensity == 9.0
+        assert gp.user_intensity_linear == pytest.approx(4.3307467507998731, rel=1e-12)
+        assert gp.user_intensity_area == 0.0
 
     def test_indoor_only(self):
-        delta, kappa = intensities_from_throughput(30e6, 500e3, R, 9.0, 0.0)
-        assert delta == 0.0
-        assert kappa == pytest.approx(60.0 / (math.pi * R * R), rel=1e-12)
+        gp = intensities_from_throughput(30e6, 500e3, R, 9.0, 0.0)
+        assert gp.user_intensity_linear == 0.0
+        assert gp.user_intensity_area == pytest.approx(60.0 / (math.pi * R * R), rel=1e-12)
 
     def test_round_trip_through_mean_users(self):
         for f in (0.0, 0.3, 1.0):
-            delta, kappa = intensities_from_throughput(20e6, 500e3, R, 4.0, f)
-            gp = GeometryParams(road_intensity=4.0, user_intensity_linear=delta,
-                                user_intensity_area=kappa)
+            gp = intensities_from_throughput(20e6, 500e3, R, 4.0, f)
             assert mean_users(gp, R) == pytest.approx(40.0, rel=1e-12)
 
     def test_infeasible_split(self):
         with pytest.raises(InfeasibleSplitError):
             intensities_from_throughput(10e6, 500e3, R, 0.0, 0.5)
+
+    @pytest.mark.parametrize("lam, f", [(math.nan, 0.75), (math.inf, 0.75), (-1.0, 0.75),
+                                        (-1.0, 0.0)])
+    def test_road_intensity_must_be_nonnegative_and_finite(self, lam, f):
+        # refused whatever the split, by GeometryParams' own check
+        message = re.escape(f"road_intensity {lam:g} must be nonnegative and finite")
+        with pytest.raises(DomainError, match=message):
+            intensities_from_throughput(25e6, 5e5, 0.7, lam, f)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -352,7 +359,7 @@ class TestSweep:
     def test_heavy_and_light_points_equal_standalone_dimensioning(self):
         # fig7 at 150 and 300 Mbit/s stacks rescaled heavy rows with light
         # ones in one recursion pass
-        q = bundled_scenario("fig7").with_overrides(realizations=200).to_query(target=0.05)
+        q = replace(bundled_scenario("fig7"), realizations=200).to_query(target=0.05)
         points = sweep(q, throughput_grid_bps=[10e6, 150e6, 300e6],
                        road_intensity_grid=[5.0, 9.0])
         grid = [(tau, lam) for tau in (10e6, 150e6, 300e6) for lam in (5.0, 9.0)]
@@ -393,7 +400,7 @@ class TestSweep:
 
 
 def bundled_query(name, tau_mbps=None, realizations=100):
-    doc = bundled_scenario(name).with_overrides(realizations=realizations)
+    doc = replace(bundled_scenario(name), realizations=realizations)
     return doc.to_query(target=0.05, throughput_bps=tau_mbps and tau_mbps * 1e6)
 
 

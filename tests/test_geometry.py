@@ -230,7 +230,7 @@ class TestSampleUsers:
     lambda: CompoundSpec([1.0, 2.0]),
     lambda: CongestionCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2)),
     lambda: EmpiricalCurve(np.arange(2), np.array([1.0, 0.5]), np.zeros(2), np.ones(2),
-                           1.0, 1.0, 0.0, 1.0),
+                           1.0, 1.0, 0.0),
 ], ids=["RoadSet", "CompoundSpec", "CongestionCurve", "EmpiricalCurve"])
 def test_array_records_compare_by_identity(make):
     a, b = make(), make()

@@ -265,6 +265,21 @@ class TestValidation:
             make(link_budget)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("field, message", [
+        ("tx_antennas", "antenna counts must be positive integers"),
+        ("rx_antennas", "antenna counts must be positive integers"),
+        ("max_user_prbs", "max_user_prbs must be at least 1")])
+    @pytest.mark.parametrize("value", [1.5, 6.5, 2.0, True, np.float64(4.0)])
+    def test_counts_must_be_integers(self, link_budget, field, message, value):
+        # the Shannon rate takes min(tx, rx) as a whole number of spatial layers
+        with pytest.raises(DomainError) as exc:
+            dataclasses.replace(link_budget, **{field: value})
+        assert str(exc.value) == message
+
+    def test_numpy_integer_counts_are_accepted(self, link_budget):
+        lb = dataclasses.replace(link_budget, tx_antennas=np.int64(4), max_user_prbs=np.int32(6))
+        assert lb.spatial_layers == 2
+
     def test_interference_invariants(self):
         with pytest.raises(DomainError):
             InterferenceModel(margins_db=(-1.0,))

@@ -121,6 +121,11 @@ class TestParsing:
         (lambda t: t + "\n[monte_carlo]\nsampler = quasi\n", "unknown sampler 'quasi'"),
         (lambda t: t + "\n[monte_carlo]\nseed = -3\n", "seed -3 must be a non-negative integer"),
         (lambda t: t + "\n[monte_carlo]\nrealizations = 0\n", "realizations 0 must be at least 1"),
+        # refused by GeometryParams, not as an infeasible split
+        (lambda t: t.replace("road_intensity_per_km = 9.0\nuser_intensity_per_km = 6.0",
+                             "road_intensity_per_km = -1.0\nthroughput_mbps = 25.0\n"
+                             "outdoor_fraction = 0.75"),
+         "road_intensity -1 must be nonnegative and finite"),
     ])
     def test_one_fault_keeps_its_message(self, edit, message):
         with pytest.raises(ScenarioError) as exc:
@@ -242,7 +247,7 @@ class TestQueries:
         assert doc.to_scenario(noise_limited=True).interference.margins_db == (0.0,)
 
     def test_overrides(self):
-        doc = bundled_scenario("fig4").with_overrides(seed=99, realizations=12)
+        doc = dataclasses.replace(bundled_scenario("fig4"), seed=99, realizations=12)
         assert doc.seed == 99
         assert doc.realizations == 12
         scn = doc.to_scenario()

@@ -166,10 +166,10 @@ class TestEmpiricalCcdf:
     def test_reports_measured_vs_printed_mean(self):
         scn = make_scenario(lam=9.0, delta=6.0, seed=2)
         curve = empirical_ccdf(scn, np.array([0]), 2000)
-        assert curve.eq1_mean_users == pytest.approx(83.126541613985929, rel=1e-12)
+        assert scn.mean_users == pytest.approx(83.126541613985929, rel=1e-12)
         # the sampled road process carries substantially more users than
         # the printed formula; both numbers are surfaced, not reconciled
-        assert curve.mean_outdoor_users > 2.0 * curve.eq1_mean_users
+        assert curve.mean_outdoor_users > 2.0 * scn.mean_users
 
     def test_per_level_counts_are_poisson_dispersed(self):
         # the indoor users of each level's ring, counted as a region
