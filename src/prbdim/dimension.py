@@ -27,7 +27,7 @@ def check_search(target: float, m_ceiling: int) -> None:
     if not TARGET_FLOOR <= target < 1.0:
         raise DomainError(f"target congestion {target:g} must lie in "
                           f"[floor {TARGET_FLOOR:g}, 1)")
-    if not isinstance(m_ceiling, (int, np.integer)):
+    if isinstance(m_ceiling, bool) or not isinstance(m_ceiling, (int, np.integer)):
         raise DomainError(f"m_ceiling {m_ceiling!r} must be an integer")
     if m_ceiling < 1:
         raise DomainError(f"m_ceiling {m_ceiling} must be positive")

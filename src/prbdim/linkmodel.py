@@ -80,6 +80,12 @@ class LinkBudget:
         raise DomainError(f"unknown environment {environment!r}")
 
 
+def default_breakpoints(cell_radius_km: float) -> tuple[float, float]:
+    """The default cell-center/middle/edge split, at R/3 and 2R/3."""
+    r = cell_radius_km
+    return r / 3.0, 2.0 * r / 3.0
+
+
 @dataclass(frozen=True)
 class InterferenceModel:
     """Piecewise-constant noise-rise margins over concentric regions.
@@ -109,10 +115,9 @@ class InterferenceModel:
     @classmethod
     def three_region(cls, center_db: float, middle_db: float, edge_db: float,
                      cell_radius_km: float) -> "InterferenceModel":
-        """Default cell-center/middle/edge split at R/3 and 2R/3."""
-        r = cell_radius_km
+        """Three margins over the default split (:func:`default_breakpoints`)."""
         return cls(margins_db=(center_db, middle_db, edge_db),
-                   breakpoints_km=(r / 3.0, 2.0 * r / 3.0))
+                   breakpoints_km=default_breakpoints(cell_radius_km))
 
     def margin_db_at(self, x_km: float) -> float:
         return self.margins_db[bisect_left(self.breakpoints_km, x_km)]

@@ -1,18 +1,20 @@
 """Scenario files: strict INI-style documents with unit-suffixed keys.
 
 A document either states the user intensities directly or derives them
-from a forecast cell throughput and an outdoor traffic fraction.  One key
-table, :data:`KEYS`, drives parsing (unknown keys and missing keys that
-have no documented default are rejected) and :func:`dump_scenario`, which
-writes the canonical form (every key that has a value, in table order)
-that round-trips byte-identically.
+from a forecast cell throughput and an outdoor traffic fraction.  Each
+field of :class:`ScenarioFile` declares its key: section, kind and the
+text an omitted key reads as.  The key table :data:`KEYS`, read off those
+fields, drives parsing (unknown keys and missing keys that have no
+documented default are rejected) and :func:`dump_scenario`, which writes
+the canonical form (every key that has a value, in table order) that
+round-trips byte-identically.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,7 +22,7 @@ from . import DEFAULT_M_CEILING, REGION_NAMES
 from .errors import ScenarioError
 from .geometry import GeometryParams, PAPER
 from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
-                        intensities_from_throughput)
+                        default_breakpoints, intensities_from_throughput)
 
 if TYPE_CHECKING:
     from .dimension import DimensionQuery
@@ -56,62 +58,39 @@ def _text(section: str, key: str, raw: str) -> str:
 
 REQUIRED = object()
 
-# Every key of the format, in canonical order: (section, key, kind, default),
-# the default being the text an omitted key reads as, REQUIRED, or None for a
-# key that may be absent.  ScenarioFile has one field per key, in this order.
-KEYS = (
-    ("cell", "tx_power_dbm", _number, REQUIRED),
-    ("cell", "noise_power_dbm", _number, REQUIRED),
-    ("cell", "prop_const_db", _number, REQUIRED),
-    ("cell", "prop_const_indoor_db", _number, REQUIRED),
-    ("cell", "path_loss_exp", _number, REQUIRED),
-    ("cell", "tx_antennas", _integer, REQUIRED),
-    ("cell", "rx_antennas", _integer, REQUIRED),
-    ("cell", "prb_bandwidth_khz", _number, REQUIRED),
-    ("cell", "cell_radius_km", _number, REQUIRED),
-    ("cell", "max_user_prbs", _integer, "256"),
-    ("service", "rate_kbps", _number, REQUIRED),
-    ("interference", "margins_db", _number_list, "0.0"),
-    ("interference", "breakpoints_km", _number_list, ""),
-    ("geometry", "road_intensity_per_km", _number, REQUIRED),
-    ("geometry", "user_intensity_per_km", _number, None),
-    ("geometry", "indoor_intensity_per_km2", _number, None),
-    ("geometry", "throughput_mbps", _number, None),
-    ("geometry", "outdoor_fraction", _number, None),
-    ("monte_carlo", "realizations", _integer, "500"),
-    ("monte_carlo", "seed", _integer, "0"),
-    ("monte_carlo", "sampler", _text, PAPER),
-)
 
-_EXPLICIT = ("user_intensity_per_km", "indoor_intensity_per_km2")
-_DERIVED = ("throughput_mbps", "outdoor_fraction")
+def _key(section: str, kind, absent=REQUIRED):
+    """A required field that is the key of the same name in [section], read
+    by kind; absent is the text an omitted key reads as, REQUIRED, or None
+    for a key that may be absent."""
+    return field(metadata={"section": section, "kind": kind, "absent": absent})
 
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed scenario document, one field per key."""
+    """Parsed scenario document: one field per key, in canonical order."""
 
-    tx_power_dbm: float
-    noise_power_dbm: float
-    prop_const_db: float
-    prop_const_indoor_db: float
-    path_loss_exp: float
-    tx_antennas: int
-    rx_antennas: int
-    prb_bandwidth_khz: float
-    cell_radius_km: float
-    max_user_prbs: int
-    rate_kbps: float
-    margins_db: tuple[float, ...]
-    breakpoints_km: tuple[float, ...]
-    road_intensity_per_km: float
-    user_intensity_per_km: float | None
-    indoor_intensity_per_km2: float | None
-    throughput_mbps: float | None
-    outdoor_fraction: float | None
-    realizations: int
-    seed: int
-    sampler: str
+    tx_power_dbm: float = _key("cell", _number)
+    noise_power_dbm: float = _key("cell", _number)
+    prop_const_db: float = _key("cell", _number)
+    prop_const_indoor_db: float = _key("cell", _number)
+    path_loss_exp: float = _key("cell", _number)
+    tx_antennas: int = _key("cell", _integer)
+    rx_antennas: int = _key("cell", _integer)
+    prb_bandwidth_khz: float = _key("cell", _number)
+    cell_radius_km: float = _key("cell", _number)
+    max_user_prbs: int = _key("cell", _integer, "256")
+    rate_kbps: float = _key("service", _number)
+    margins_db: tuple[float, ...] = _key("interference", _number_list, "0.0")
+    breakpoints_km: tuple[float, ...] = _key("interference", _number_list, "")
+    road_intensity_per_km: float = _key("geometry", _number)
+    user_intensity_per_km: float | None = _key("geometry", _number, None)
+    indoor_intensity_per_km2: float | None = _key("geometry", _number, None)
+    throughput_mbps: float | None = _key("geometry", _number, None)
+    outdoor_fraction: float | None = _key("geometry", _number, None)
+    realizations: int = _key("monte_carlo", _integer, "500")
+    seed: int = _key("monte_carlo", _integer, "0")
+    sampler: str = _key("monte_carlo", _text, PAPER)
 
     def link_budget(self) -> LinkBudget:
         cell = {key: getattr(self, key) for section, key, _, _ in KEYS if section == "cell"}
@@ -138,16 +117,14 @@ class ScenarioFile:
                               self.indoor_intensity_per_km2 or 0.0)
 
     def region_bounds(self, name: str | None) -> tuple[float, float] | None:
-        """Annulus of a named cell region; thirds of R unless the
+        """Annulus of a named cell region; the default split unless the
         interference model supplies its own two breakpoints."""
         if name is None:
             return None
         if name not in REGION_NAMES:
             raise ScenarioError(f"unknown region {name!r}; expected one of {REGION_NAMES}")
-        if len(self.breakpoints_km) == 2:
-            c1, c2 = self.breakpoints_km
-        else:
-            c1, c2 = self.cell_radius_km / 3.0, 2.0 * self.cell_radius_km / 3.0
+        c1, c2 = (self.breakpoints_km if len(self.breakpoints_km) == 2
+                  else default_breakpoints(self.cell_radius_km))
         bounds = {"center": (0.0, c1), "middle": (c1, c2),
                   "edge": (c2, self.cell_radius_km)}
         return bounds[name]
@@ -183,6 +160,14 @@ class ScenarioFile:
             m_ceiling=m_ceiling)
 
 
+# Every key of the format, in canonical order: (section, key, kind, absent).
+KEYS = tuple((f.metadata["section"], f.name, f.metadata["kind"], f.metadata["absent"])
+             for f in fields(ScenarioFile))
+
+_EXPLICIT = ("user_intensity_per_km", "indoor_intensity_per_km2")
+_DERIVED = ("throughput_mbps", "outdoor_fraction")
+
+
 def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
@@ -210,8 +195,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
 
     margins, breakpoints = values["margins_db"], values["breakpoints_km"]
     if not breakpoints and len(margins) == 3:
-        radius = values["cell_radius_km"]
-        values["breakpoints_km"] = breakpoints = (radius / 3.0, 2.0 * radius / 3.0)
+        values["breakpoints_km"] = breakpoints = default_breakpoints(values["cell_radius_km"])
     if len(margins) != len(breakpoints) + 1:
         raise ScenarioError(
             f"{name}: {len(margins)} margins need {len(margins) - 1} breakpoints")

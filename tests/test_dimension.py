@@ -229,8 +229,9 @@ class TestAgainstBruteForce:
         with pytest.raises(DomainError, match=message):
             dimension_scenario(query().build_scenario(), 0.05, m_ceiling)
 
-    # a float ceiling once passed the check and failed inside the pass
-    @pytest.mark.parametrize("m_ceiling", [300.5, 300.0])
+    # a float ceiling once passed the check and failed inside the pass; a
+    # bool one passed it and searched only to M = 1
+    @pytest.mark.parametrize("m_ceiling", [300.5, 300.0, True])
     def test_ceiling_that_is_not_an_integer_is_refused(self, m_ceiling):
         message = f"m_ceiling {m_ceiling} must be an integer"
         with pytest.raises(DomainError, match=message):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from prbdim import ScenarioError
+from prbdim.linkmodel import InterferenceModel
 from prbdim.scenario_io import (KEYS, ScenarioFile, bundled_scenario, bundled_scenario_path,
                                 dump_scenario, parse_scenario)
 
@@ -71,7 +72,7 @@ class TestParsing:
     def test_three_margins_get_default_breakpoints(self):
         text = MINIMAL + "\n[interference]\nmargins_db = 1.0, 8.0, 15.0\n"
         doc = parse_scenario(text)
-        assert doc.breakpoints_km == pytest.approx((0.7 / 3, 1.4 / 3))
+        assert doc.breakpoints_km == InterferenceModel.three_region(1.0, 8.0, 15.0, 0.7).breakpoints_km
 
     def test_margin_breakpoint_mismatch_rejected(self):
         text = MINIMAL + "\n[interference]\nmargins_db = 1.0, 8.0\n"
@@ -180,7 +181,11 @@ class TestParsing:
 
 class TestKeyTable:
     def test_fields_follow_the_table(self):
-        assert [f.name for f in dataclasses.fields(ScenarioFile)] == [key for _, key, _, _ in KEYS]
+        fields = dataclasses.fields(ScenarioFile)
+        assert [f.name for f in fields] == [key for _, key, _, _ in KEYS]
+        # every key is a required argument, whatever an omitted key reads as
+        assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+                   for f in fields)
 
     def test_readme_example_parses_and_names_every_key_in_order(self):
         block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
@@ -240,6 +245,13 @@ class TestQueries:
         assert doc.region_bounds(None) is None
         with pytest.raises(ScenarioError):
             doc.region_bounds("downtown")
+        # a one-margin file states no breakpoints: its regions are the default split
+        doc = bundled_scenario("fig3")
+        assert doc.margins_db == (0.0,)
+        c1, c2 = InterferenceModel.three_region(0.0, 0.0, 0.0, doc.cell_radius_km).breakpoints_km
+        assert doc.region_bounds("center") == (0.0, c1)
+        assert doc.region_bounds("middle") == (c1, c2)
+        assert doc.region_bounds("edge") == (c2, 0.7)
 
     def test_noise_limited_override(self):
         doc = bundled_scenario("fig6_mixed")
