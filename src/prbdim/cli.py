@@ -28,7 +28,7 @@ import numpy as np
 
 from . import DEFAULT_M_CEILING, REGION_NAMES, __version__
 from .errors import (AccuracyError, CeilingError, DomainError,
-                     InfeasibleSplitError, ScenarioError)
+                     InfeasibleSplitError, ScenarioError, read_count)
 
 if TYPE_CHECKING:
     from .dimension import DimensionQuery, DimensionReport
@@ -75,14 +75,16 @@ def write_csv(path: str, meta: dict, header: list[str], rows) -> None:
 
 
 def _base_meta(args, doc: ScenarioFile) -> dict:
-    return {
-        "tool": f"prbdim {__version__}",
-        "command": args.command,
-        "scenario": args.scenario,
-        "seed": doc.seed,
-        "realizations": doc.realizations,
-        "sampler": doc.sampler,
-    }
+    """The first metadata lines: the file's road-realization count where the
+    command draws roads from it, and each population option given."""
+    meta = {"tool": f"prbdim {__version__}", "command": args.command,
+            "scenario": args.scenario, "seed": doc.seed}
+    if "realizations" in args:
+        meta["realizations"] = doc.realizations
+    meta["sampler"] = doc.sampler
+    meta.update({key: getattr(args, key) for key in ("region", "noise_limited", "ppp_equivalent")
+                 if getattr(args, key, None)})
+    return meta
 
 
 def _load(args) -> ScenarioFile:
@@ -107,8 +109,8 @@ def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
     that `rule` names. `replications` is the Monte-Carlo replication count
     the rows would use, if any; it is checked even when --m-max 0 writes
     the header alone."""
-    if args.m_max is not None and args.m_max < 0:
-        raise DomainError(f"--m-max {args.m_max} must be a non-negative integer")
+    if args.m_max is not None:
+        read_count(args.m_max, "--m-max", 0)
     if replications is not None:
         from .simulate import check_replications
         check_replications(replications)
@@ -250,8 +252,7 @@ def cmd_simulate(args) -> int:
 def cmd_validate(args) -> int:
     import json
     from . import validate as validate_suites
-    if args.seed < 0:
-        raise DomainError(f"seed {args.seed} must be a non-negative integer")
+    read_count(args.seed, "seed", 0)
     if args.suite != "identities":
         from .simulate import check_replications
         check_replications(args.replications)

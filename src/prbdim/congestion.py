@@ -11,7 +11,7 @@ from itertools import islice
 import numpy as np
 
 from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
-from .errors import DomainError, read_thresholds
+from .errors import read_threshold_list
 from .geometry import PAPER, RoadSet, expected_roads, sample_road_set
 from .linkmodel import Scenario, StepFunction
 
@@ -143,10 +143,8 @@ def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     always uses stream (seed, i), and every realization goes through the
     same batched recursion.
     """
-    m = None if m_values is None else np.atleast_1d(
-        read_thresholds(m_values, negative="nonempty and nonnegative"))
-    if m is not None and m.size == 0:
-        raise DomainError("thresholds must be nonempty and nonnegative")
+    m = None if m_values is None else read_threshold_list(
+        m_values, negative="nonempty and nonnegative")
     w = weight_matrix(scn, road_set(scn))
     curve = block_curves(w, default_cutoff(w) if m is None else int(m.max()))
     return curve if m is None else replace(curve, m_values=m, pi=curve.pi[m],

@@ -12,7 +12,7 @@ import numpy as np
 # road_set is read off congestion, where tests and perfbench/tracer.py patch it
 from . import DEFAULT_M_CEILING, congestion
 from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
-from .errors import CeilingError, DomainError, InfeasibleSplitError
+from .errors import CeilingError, DomainError, InfeasibleSplitError, read_count
 from .linkmodel import Scenario, intensities_from_throughput
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
@@ -27,10 +27,7 @@ def check_search(target: float, m_ceiling: int) -> None:
     if not TARGET_FLOOR <= target < 1.0:
         raise DomainError(f"target congestion {target:g} must lie in "
                           f"[floor {TARGET_FLOOR:g}, 1)")
-    if isinstance(m_ceiling, bool) or not isinstance(m_ceiling, (int, np.integer)):
-        raise DomainError(f"m_ceiling {m_ceiling!r} must be an integer")
-    if m_ceiling < 1:
-        raise DomainError(f"m_ceiling {m_ceiling} must be positive")
+    read_count(m_ceiling, "m_ceiling", 1)
 
 
 @dataclass(frozen=True)

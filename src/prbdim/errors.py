@@ -1,4 +1,4 @@
-"""Exception types, and the threshold reader, shared across the package."""
+"""Exception types, and the readers of integer inputs, shared across the package."""
 
 import numpy as np
 
@@ -13,12 +13,7 @@ class RangeError(OverflowError):
 
 class AccuracyError(RuntimeError):
     """The Fourier route cannot certify its result (a grid too large, or a
-    result outside [0, 1]); carries any estimate made."""
-
-    def __init__(self, message, estimate=None, achieved_tol=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.achieved_tol = achieved_tol
+    result outside [0, 1])."""
 
 
 class CeilingError(RuntimeError):
@@ -48,3 +43,25 @@ def read_thresholds(m, name: str = "thresholds", negative: str = "nonnegative") 
     if ms.size and ms.min() < 0:
         raise DomainError(f"{name} must be {negative}")
     return ms
+
+
+def read_threshold_list(m, negative: str = "nonnegative") -> np.ndarray:
+    """Thresholds m as a nonempty one-dimensional int64 array, a scalar as
+    one threshold; refused as :func:`read_thresholds` refuses them."""
+    ms = np.atleast_1d(read_thresholds(m, negative=negative))
+    if ms.size == 0:
+        raise DomainError("thresholds must be nonempty and nonnegative")
+    if ms.ndim > 1:
+        raise DomainError(f"thresholds must be one-dimensional, not of shape {ms.shape}")
+    return ms
+
+
+def read_count(n, name: str, least: int) -> int:
+    """n as an int, refused unless an integer (not a bool, nor a whole
+    float) of at least `least`."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{name} {n!r} must be an integer")
+    if n < least:
+        bound = "a non-negative integer" if least == 0 else f"at least {least}"
+        raise DomainError(f"{name} {n} must be {bound}")
+    return int(n)

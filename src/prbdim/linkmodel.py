@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSplitError
+from .errors import DomainError, InfeasibleSplitError, read_count
 from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
@@ -25,11 +25,6 @@ INDOOR = "indoor"
 # n = C*/C(d_n) only to floating precision, and a boundary sample must
 # land on level n, not n+1.
 _CEIL_RTOL = 1e-9
-
-
-def _count(n) -> bool:
-    """Whether n is an integer of at least 1; a bool is not a count."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
 
 
 @dataclass(frozen=True)
@@ -59,14 +54,13 @@ class LinkBudget:
                 raise DomainError(f"{name} must be finite")
         if self.path_loss_exp <= 2:
             raise DomainError("path_loss_exp must exceed 2")
-        if not all(_count(n) for n in (self.tx_antennas, self.rx_antennas)):
-            raise DomainError("antenna counts must be positive integers")
+        read_count(self.tx_antennas, "tx_antennas", 1)
+        read_count(self.rx_antennas, "rx_antennas", 1)
         if self.prb_bandwidth_hz <= 0:
             raise DomainError("prb_bandwidth_hz must be positive")
         if self.cell_radius_km <= 0:
             raise DomainError("cell_radius_km must be positive")
-        if not _count(self.max_user_prbs):
-            raise DomainError("max_user_prbs must be at least 1")
+        read_count(self.max_user_prbs, "max_user_prbs", 1)
 
     @property
     def spatial_layers(self) -> int:
@@ -321,10 +315,8 @@ class Scenario:
     def __post_init__(self):
         if self.sampler not in SAMPLERS:
             raise DomainError(f"unknown sampler {self.sampler!r}")
-        if self.mc_realizations < 1:
-            raise DomainError(f"realizations {self.mc_realizations} must be at least 1")
-        if self.seed < 0:
-            raise DomainError(f"seed {self.seed} must be a non-negative integer")
+        read_count(self.mc_realizations, "realizations", 1)
+        read_count(self.seed, "seed", 0)
         r = self.link_budget.cell_radius_km
         self.interference.regions(r)  # its breakpoints lie inside the cell
         if self.region_km is not None:

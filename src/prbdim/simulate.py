@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, read_thresholds
+from .errors import DomainError, read_count, read_threshold_list
 from .geometry import RoadSet, chord_law, chord_user_km, expected_roads, streams
 from .linkmodel import Scenario, StepFunction
 
@@ -138,6 +138,7 @@ def gamma_samples(scn: Scenario, replications: int, road: RoadSet | None = None,
     The last block is drawn in full and cut, so a run is a prefix of
     every longer run. Totals are exact integer sums.
     """
+    replications = read_count(replications, "replications", 0)
     packed = np.empty((2, replications), dtype=np.int64)
     tallies = [_tally(steps) for steps in scn.demand_steps]
     for start, rng in zip(range(0, replications, BLOCK),
@@ -180,18 +181,13 @@ class EmpiricalCurve:
 
 def check_replications(replications: int) -> None:
     """An empirical curve needs at least MIN_REPLICATIONS replications."""
-    if replications < MIN_REPLICATIONS:
-        raise DomainError(f"need at least {MIN_REPLICATIONS} replications, not {replications}")
+    read_count(replications, "replications", MIN_REPLICATIONS)
 
 
 def empirical_ccdf(scn: Scenario, m_values, replications: int) -> EmpiricalCurve:
     """P_hat(Gamma >= m) over independent replications, deterministic per seed,
     at `m_values` or, when None, at 0..max Gamma + 1, ending at the first 0."""
-    given = None if m_values is None else np.atleast_1d(read_thresholds(m_values))
-    if given is not None and given.size == 0:
-        raise DomainError("thresholds must be nonempty and nonnegative")
-    if given is not None and given.ndim > 1:
-        raise DomainError(f"thresholds must be one-dimensional, not of shape {given.shape}")
+    given = None if m_values is None else read_threshold_list(m_values)
     check_replications(replications)
     gammas, n_out, n_in = gamma_samples(scn, replications)
     m = np.arange(gammas.max() + 2) if given is None else given

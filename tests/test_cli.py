@@ -146,7 +146,7 @@ class TestDimensionCommand:
     def test_zero_ceiling_names_itself(self, capsys):
         assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
                     "--m-ceiling", "0"]) == 3
-        assert "m_ceiling 0 must be positive" in capsys.readouterr().err
+        assert "m_ceiling 0 must be at least 1" in capsys.readouterr().err
 
     def test_heavy_load_is_dimensioned(self, capsys):
         # exp(-total weight) is subnormal on 195 of the 800 road realizations
@@ -247,6 +247,16 @@ class TestSimulateCommand:
         assert float(before[1]) > 0.0
         assert meta[-1] == "# m_max_rule = sample_max"
 
+    def test_metadata_holds_no_road_realization_count(self, tmp_path):
+        # it once held the file's count, which the oracle never reads
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--scenario", FIG4, "--replications", "200",
+                    "--out", str(out)]) == 0
+        meta, _ = read_csv(out)
+        assert [line.split(" = ")[0] for line in meta[3:6]] == [
+            "# seed", "# sampler", "# replications"]
+        assert not [line for line in meta if line.startswith("# realizations")]
+
     def test_auto_extent_draws_no_roads(self, tmp_path, monkeypatch):
         def no_roads(scn):
             raise AssertionError("simulate drew road realizations")
@@ -268,6 +278,30 @@ class TestSimulateCommand:
                  "--realizations", "7", "--out", "-"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --realizations 7" in capsys.readouterr().err
+
+
+# once, `simulate --region edge` left no trace of the region in its CSV
+@pytest.mark.parametrize("command, extra, options, lines", [
+    ("simulate", ["--replications", "200", "--m-max", "2"], ["--region", "edge"],
+     ["# region = edge"]),
+    ("congestion", ["--m-max", "2", "--realizations", "10"],
+     ["--ppp-equivalent", "--noise-limited", "--region", "middle"],
+     ["# region = middle", "# noise_limited = True", "# ppp_equivalent = True"]),
+    ("sweep", ["--target", "0.05", "--realizations", "10"], ["--noise-limited"],
+     ["# noise_limited = True"])])
+def test_population_options_are_recorded_after_the_sampler(command, extra, options, lines,
+                                                           tmp_path):
+    def keys(meta):
+        return [line.split(" = ")[0] for line in meta]
+
+    given, plain = tmp_path / "given.csv", tmp_path / "plain.csv"
+    assert run([command, "--scenario", FIG3, *extra, *options, "--out", str(given)]) == 0
+    assert run([command, "--scenario", FIG3, *extra, "--out", str(plain)]) == 0
+    given_meta, plain_meta = read_csv(given)[0], read_csv(plain)[0]
+    at = keys(plain_meta).index("# sampler") + 1
+    assert given_meta[at:at + len(lines)] == lines
+    # without the options, the run writes none of these lines
+    assert keys(given_meta) == keys(plain_meta[:at] + lines + plain_meta[at:])
 
 
 # every scenario command at a small size; simulate draws no road
@@ -345,7 +379,7 @@ def test_m_max_zero_checks_the_replications_first(command, extra, header, tmp_pa
     out = tmp_path / "empty.csv"
     assert run([command, "--scenario", FIG4, "--m-max", "0", *extra, "50",
                 "--out", str(out)]) == 3
-    assert "need at least 100 replications, not 50" in capsys.readouterr().err
+    assert "replications 50 must be at least 100" in capsys.readouterr().err
     assert not out.exists()
     assert run([command, "--scenario", FIG4, "--m-max", "0", *extra, "100",
                 "--out", str(out)]) == 0
@@ -389,7 +423,7 @@ def test_validate_checks_the_replications_first(suite, replications, capsys, mon
 
     monkeypatch.setattr(validate, f"{suite}_suite", no_draws)
     assert run(["validate", "--suite", suite, "--replications", str(replications)]) == 3
-    assert f"need at least 100 replications, not {replications}" in capsys.readouterr().err
+    assert f"replications {replications} must be at least 100" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["identities", "mc", "figures"])
@@ -449,7 +483,7 @@ class TestProcessExit:
 
     @pytest.mark.parametrize("extra, code, message", [
         ([], 2, "the following arguments are required: --target"),
-        (["--target", "0.05", "--m-ceiling", "0"], 3, "m_ceiling 0 must be positive"),
+        (["--target", "0.05", "--m-ceiling", "0"], 3, "m_ceiling 0 must be at least 1"),
         (["--target", "1e-8", "--m-ceiling", "100"], 4, "at the M ceiling 100"),
     ], ids=["usage", "validation", "infeasible"])
     def test_exit_codes_survive_the_process(self, extra, code, message):

@@ -223,7 +223,7 @@ class TestAgainstBruteForce:
     # dimension_scenario once returned None at these ceilings
     @pytest.mark.parametrize("m_ceiling", [0, -5])
     def test_ceiling_below_one_is_refused(self, m_ceiling):
-        message = f"m_ceiling {m_ceiling} must be positive"
+        message = f"m_ceiling {m_ceiling} must be at least 1"
         with pytest.raises(DomainError, match=message):
             query(m_ceiling=m_ceiling)
         with pytest.raises(DomainError, match=message):

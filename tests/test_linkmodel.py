@@ -249,15 +249,13 @@ class TestValidation:
                        cell_radius_km=0.7)
 
     @pytest.mark.parametrize("make, message", [
-        (lambda lb: dataclasses.replace(lb, tx_antennas=0),
-         "antenna counts must be positive integers"),
-        (lambda lb: dataclasses.replace(lb, rx_antennas=0),
-         "antenna counts must be positive integers"),
+        (lambda lb: dataclasses.replace(lb, tx_antennas=0), "tx_antennas 0 must be at least 1"),
+        (lambda lb: dataclasses.replace(lb, rx_antennas=0), "rx_antennas 0 must be at least 1"),
         (lambda lb: dataclasses.replace(lb, prb_bandwidth_hz=0.0),
          "prb_bandwidth_hz must be positive"),
         (lambda lb: dataclasses.replace(lb, cell_radius_km=-0.7),
          "cell_radius_km must be positive"),
-        (lambda lb: dataclasses.replace(lb, max_user_prbs=0), "max_user_prbs must be at least 1"),
+        (lambda lb: dataclasses.replace(lb, max_user_prbs=0), "max_user_prbs 0 must be at least 1"),
         (lambda lb: Service(rate_bps=0), "rate_bps must be positive and finite"),
     ])
     def test_radio_ranges_are_named(self, link_budget, make, message):
@@ -265,16 +263,13 @@ class TestValidation:
             make(link_budget)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("field, message", [
-        ("tx_antennas", "antenna counts must be positive integers"),
-        ("rx_antennas", "antenna counts must be positive integers"),
-        ("max_user_prbs", "max_user_prbs must be at least 1")])
+    @pytest.mark.parametrize("field", ["tx_antennas", "rx_antennas", "max_user_prbs"])
     @pytest.mark.parametrize("value", [1.5, 6.5, 2.0, True, np.float64(4.0)])
-    def test_counts_must_be_integers(self, link_budget, field, message, value):
+    def test_counts_must_be_integers(self, link_budget, field, value):
         # the Shannon rate takes min(tx, rx) as a whole number of spatial layers
         with pytest.raises(DomainError) as exc:
             dataclasses.replace(link_budget, **{field: value})
-        assert str(exc.value) == message
+        assert str(exc.value) == f"{field} {value!r} must be an integer"
 
     def test_numpy_integer_counts_are_accepted(self, link_budget):
         lb = dataclasses.replace(link_budget, tx_antennas=np.int64(4), max_user_prbs=np.int32(6))
