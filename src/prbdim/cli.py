@@ -28,7 +28,7 @@ import numpy as np
 
 from . import DEFAULT_M_CEILING, REGION_NAMES, __version__
 from .errors import (AccuracyError, CeilingError, DomainError,
-                     InfeasibleSplitError, ScenarioError, read_count)
+                     InfeasibleSplitError, ScenarioError, read_count, read_real)
 
 if TYPE_CHECKING:
     from .dimension import DimensionQuery, DimensionReport
@@ -143,9 +143,13 @@ def _congestion_rows(args, scn, meta: dict, ms):
 
 
 def cmd_congestion(args) -> int:
+    if not args.with_mc and args.mc_replications is not None:
+        raise DomainError("--mc-replications needs --with-mc")
+    if args.with_mc and args.mc_replications is None:
+        args.mc_replications = 1000
     mc = ["pi_mc", "mc_low", "mc_high"] if args.with_mc else []
     return _curve_csv(args, {}, ["m", "pi_analytic", "stderr", *mc], _congestion_rows, "chernoff",
-                      args.mc_replications if args.with_mc else None)
+                      args.mc_replications)
 
 
 def _print_report(report: DimensionReport, target: float) -> None:
@@ -168,9 +172,7 @@ def _query(args, doc: ScenarioFile, throughput_bps: float | None) -> DimensionQu
 
 def _bps(mbps: float) -> float:
     """Mbit/s to bit/s, refusing a non-positive or non-finite value in Mbit/s."""
-    if not (mbps > 0 and math.isfinite(mbps)):
-        raise DomainError(f"throughput {mbps:g} Mbit/s must be positive and finite")
-    return mbps * 1e6
+    return read_real(mbps, "throughput_mbps", "positive") * 1e6
 
 
 _DIMENSION_COLUMNS = ["tau_mbps", "lambda_per_km", "target", "required_m",
@@ -296,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate thresholds below this M (default: until every tail is below 1e-12)")
     p.add_argument("--with-mc", action="store_true",
                    help="add empirical Monte-Carlo columns")
-    p.add_argument("--mc-replications", type=int, default=1000)
+    p.add_argument("--mc-replications", type=int, default=None,
+                   help="replications of the --with-mc columns (default 1000)")
     p.add_argument("--ppp-equivalent", action="store_true",
                    help="replace the road process by the equal-intensity spatial PPP")
     p.add_argument("--out", required=True, help="output CSV path ('-' for stdout)")

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, RangeError, read_thresholds
+from .errors import AccuracyError, DomainError, RangeError, read_count, read_thresholds
 
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
@@ -144,7 +144,7 @@ def _at_thresholds(m, tails_at):
 
 def pmf(spec: CompoundSpec, k_max: int) -> np.ndarray:
     """P(Lambda = k) for k = 0..k_max by the stable recursion."""
-    return kernel_rows(spec.weights[None, :], int(read_thresholds(k_max, "k_max")))[0][0]
+    return kernel_rows(spec.weights[None, :], read_count(k_max, "k_max", 0))[0][0]
 
 
 def default_cutoff(weights) -> int:

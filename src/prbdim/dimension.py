@@ -4,7 +4,6 @@ a target congestion probability and a forecast cell throughput.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 # road_set is read off congestion, where tests and perfbench/tracer.py patch it
 from . import DEFAULT_M_CEILING, congestion
 from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
-from .errors import CeilingError, DomainError, InfeasibleSplitError, read_count
+from .errors import CeilingError, DomainError, InfeasibleSplitError, read_count, read_real
 from .linkmodel import Scenario, intensities_from_throughput
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
@@ -44,8 +43,7 @@ class DimensionQuery:
 
     def __post_init__(self):
         check_search(self.target_congestion, self.m_ceiling)
-        if not (self.throughput_bps > 0 and math.isfinite(self.throughput_bps)):
-            raise DomainError(f"throughput_bps {self.throughput_bps:g} must be positive and finite")
+        read_real(self.throughput_bps, "throughput_bps", "positive")
 
     def build_scenario(self) -> Scenario:
         """The scenario with the forecast's intensities, sharing its demand

@@ -1,4 +1,7 @@
-"""Exception types, and the readers of integer inputs, shared across the package."""
+"""Exception types, and the readers of integer and real inputs, shared across the package."""
+
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -65,3 +68,15 @@ def read_count(n, name: str, least: int) -> int:
         bound = "a non-negative integer" if least == 0 else f"at least {least}"
         raise DomainError(f"{name} {n} must be {bound}")
     return int(n)
+
+
+def read_real(x, name: str, sign: str = "finite") -> float:
+    """x as a float, refused unless a real number (not a bool) that is finite
+    and, for sign "nonnegative" or "positive", of that sign."""
+    if isinstance(x, bool) or not isinstance(x, Real):
+        raise DomainError(f"{name} {x!r} must be a number")
+    v = float(x)
+    if math.isfinite(v) and (sign == "finite" or v > 0 or (sign == "nonnegative" and v == 0)):
+        return v
+    bound = "finite" if sign == "finite" else f"{sign} and finite"
+    raise DomainError(f"{name} {v:g} must be {bound}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, read_real
 
 PAPER = "paper"
 STANDARD = "standard"
@@ -39,9 +39,7 @@ class GeometryParams:
 
     def __post_init__(self):
         for name in ("road_intensity", "user_intensity_linear", "user_intensity_area"):
-            v = getattr(self, name)
-            if not (v >= 0 and math.isfinite(v)):
-                raise DomainError(f"{name} {v:g} must be nonnegative and finite")
+            read_real(getattr(self, name), name, "nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +200,9 @@ def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
     the law the closed-form mean load assumes); `standard` takes r = R*U
     (uniform on [0, R], the half-cylinder construction).
     """
-    _check_disk(cell_radius_km, sampler)
+    read_real(cell_radius_km, "cell_radius_km", "positive")
+    if sampler not in SAMPLERS:
+        raise DomainError(f"unknown sampler {sampler!r}")
     mean = expected_roads(gp, cell_radius_km)
     # rng.random(y) returns the bits of rng.uniform(size=y), which computes
     # 0 + 1*u from the same u, at half the call overhead
@@ -211,13 +211,6 @@ def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
     u = np.concatenate([np.empty(0)] + uniforms)
     del uniforms  # the flat copy replaces them before the road set copies it
     return RoadSet(counts=counts, chord_distances=chord_law(cell_radius_km, sampler, u))
-
-
-def _check_disk(cell_radius_km: float, sampler: str) -> None:
-    if cell_radius_km <= 0:
-        raise DomainError("cell_radius_km must be positive")
-    if sampler not in SAMPLERS:
-        raise DomainError(f"unknown sampler {sampler!r}")
 
 
 def chord_law(cell_radius_km: float, sampler: str, u: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSplitError, read_count
+from .errors import DomainError, InfeasibleSplitError, read_count, read_real
 from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
@@ -50,16 +50,13 @@ class LinkBudget:
     def __post_init__(self):
         for name in ("tx_power_dbm", "noise_power_dbm", "prop_const_db",
                      "prop_const_indoor_db", "path_loss_exp"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+            read_real(getattr(self, name), name)
         if self.path_loss_exp <= 2:
             raise DomainError("path_loss_exp must exceed 2")
         read_count(self.tx_antennas, "tx_antennas", 1)
         read_count(self.rx_antennas, "rx_antennas", 1)
-        if self.prb_bandwidth_hz <= 0:
-            raise DomainError("prb_bandwidth_hz must be positive")
-        if self.cell_radius_km <= 0:
-            raise DomainError("cell_radius_km must be positive")
+        read_real(self.prb_bandwidth_hz, "prb_bandwidth_hz", "positive")
+        read_real(self.cell_radius_km, "cell_radius_km", "positive")
         read_count(self.max_user_prbs, "max_user_prbs", 1)
 
     @property
@@ -92,15 +89,14 @@ class InterferenceModel:
     breakpoints_km: tuple[float, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "margins_db", tuple(float(m) for m in self.margins_db))
-        object.__setattr__(self, "breakpoints_km", tuple(float(b) for b in self.breakpoints_km))
-        if len(self.margins_db) != len(self.breakpoints_km) + 1:
+        margins = tuple(read_real(m, "margins_db", "nonnegative") for m in self.margins_db)
+        bps = tuple(read_real(b, "breakpoints_km", "positive") for b in self.breakpoints_km)
+        object.__setattr__(self, "margins_db", margins)
+        object.__setattr__(self, "breakpoints_km", bps)
+        if len(margins) != len(bps) + 1:
             raise DomainError("need exactly one margin per region")
-        if any(m < 0 for m in self.margins_db):
-            raise DomainError("margins_db must be nonnegative")
-        bps = self.breakpoints_km
-        if any(b <= 0 for b in bps) or any(b >= c for b, c in zip(bps, bps[1:])):
-            raise DomainError("breakpoints must be positive and strictly increasing")
+        if any(b >= c for b, c in zip(bps, bps[1:])):
+            raise DomainError("breakpoints_km must be strictly increasing")
 
     @classmethod
     def noise_limited(cls) -> "InterferenceModel":
@@ -131,8 +127,7 @@ class Service:
     rate_bps: float
 
     def __post_init__(self):
-        if not (self.rate_bps > 0 and math.isfinite(self.rate_bps)):
-            raise DomainError("rate_bps must be positive and finite")
+        read_real(self.rate_bps, "rate_bps", "positive")
 
 
 # StepFunction cells: each is widened by this fraction of the span on both
@@ -379,8 +374,7 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
     rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).  GeometryParams
     refuses a negative or non-finite lambda.
     """
-    if not (throughput_bps > 0 and math.isfinite(throughput_bps)):
-        raise DomainError(f"throughput_bps {throughput_bps:g} must be positive and finite")
+    read_real(throughput_bps, "throughput_bps", "positive")
     if not 0.0 <= outdoor_fraction <= 1.0:
         raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
     users = throughput_bps / rate_bps

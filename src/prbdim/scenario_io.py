@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
-from .errors import ScenarioError
+from .errors import ScenarioError, read_real
 from .geometry import GeometryParams, PAPER
 from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
                         default_breakpoints, intensities_from_throughput)
@@ -110,8 +110,8 @@ class ScenarioFile:
         """The stated intensities, or those of the stated forecast."""
         if self.throughput_mbps is not None:
             return intensities_from_throughput(
-                self.throughput_mbps * 1e6, self.rate_kbps * 1e3,
-                self.cell_radius_km, self.road_intensity_per_km,
+                read_real(self.throughput_mbps, "throughput_mbps", "positive") * 1e6,
+                self.rate_kbps * 1e3, self.cell_radius_km, self.road_intensity_per_km,
                 self.outdoor_fraction)
         return GeometryParams(self.road_intensity_per_km, self.user_intensity_per_km or 0.0,
                               self.indoor_intensity_per_km2 or 0.0)
@@ -212,11 +212,6 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
     if explicit:
         # explicit style: an omitted intensity means zero, not "unset"
         values.update({k: 0.0 for k in _EXPLICIT if values[k] is None})
-
-    throughput = values["throughput_mbps"]
-    if throughput is not None and throughput <= 0:
-        raise ScenarioError(f"{name}: [geometry] throughput_mbps = {throughput:g} Mbit/s "
-                            "must be positive")
 
     doc = ScenarioFile(**values)
     try:

@@ -150,8 +150,9 @@ def gamma_samples(scn: Scenario, replications: int, road: RoadSet | None = None,
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson-score confidence interval for a binomial proportion."""
-    if trials <= 0:
-        raise DomainError("trials must be positive")
+    trials = read_count(trials, "trials", 1)
+    if not 0 <= successes <= trials:
+        raise DomainError(f"successes {successes} must lie in [0, trials {trials}]")
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -96,6 +96,18 @@ class TestCongestionCommand:
         assert header == "m,pi_analytic,stderr,pi_mc,mc_low,mc_high"
         assert any("eq1_mean_users" in l for l in lines if l.startswith("#"))
 
+    # it once exited 0 and ignored the count
+    def test_mc_replications_without_with_mc_is_refused(self, capsys):
+        assert run(["congestion", "--scenario", FIG3, "--m-max", "2", "--realizations", "10",
+                    "--mc-replications", "5", "--out", "-"]) == 3
+        out, err = capsys.readouterr()
+        assert "--mc-replications needs --with-mc" in err and out == ""
+
+    def test_with_mc_defaults_to_1000_replications(self, capsys):
+        assert run(["congestion", "--scenario", FIG4, "--m-max", "2", "--realizations", "10",
+                    "--with-mc", "--out", "-"]) == 0
+        assert "# mc_replications = 1000\n" in capsys.readouterr().out
+
 
 class TestDimensionCommand:
     def test_reports_bracket(self, tmp_path, capsys):
@@ -132,7 +144,7 @@ class TestDimensionCommand:
     def test_non_finite_throughput_names_itself(self, tau, capsys):
         assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
                     "--tau-mbps", tau]) == 3
-        assert f"throughput {tau} Mbit/s must be positive and finite" in capsys.readouterr().err
+        assert f"throughput_mbps {tau} must be positive and finite" in capsys.readouterr().err
 
     # once named in bit/s: "throughput_bps -3e+06 must be positive and finite"
     @pytest.mark.parametrize("tau", ["-3", "0", "-0.5"])
@@ -140,7 +152,7 @@ class TestDimensionCommand:
         assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
                     "--tau-mbps", tau]) == 3
         err = capsys.readouterr().err
-        assert f"throughput {float(tau):g} Mbit/s must be positive and finite" in err
+        assert f"throughput_mbps {float(tau):g} must be positive and finite" in err
         assert "e+06" not in err
 
     def test_zero_ceiling_names_itself(self, capsys):
@@ -183,13 +195,13 @@ class TestSweepCommand:
         assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
                     "--tau-grid-mbps", "10,nan", "--out", "-"]) == 3
         out, err = capsys.readouterr()
-        assert "throughput nan Mbit/s must be positive and finite" in err and out == ""
+        assert "throughput_mbps nan must be positive and finite" in err and out == ""
 
     def test_non_positive_throughput_in_the_grid_is_named_as_typed(self, capsys):
         assert run(["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
                     "--tau-grid-mbps", "10,-2", "--out", "-"]) == 3
         out, err = capsys.readouterr()
-        assert "throughput -2 Mbit/s must be positive and finite" in err
+        assert "throughput_mbps -2 must be positive and finite" in err
         assert "e+06" not in err and out == ""
 
     def test_bad_grid_is_usage_like_validation(self, capsys):

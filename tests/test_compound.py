@@ -304,13 +304,17 @@ class TestCcdf:
         np.testing.assert_array_equal(ccdf(spec, np.array([[0.0, 3.0]])),
                                       ccdf(spec, np.array([[0, 3]])))
 
+    # k_max is a count: True was once read as 1 and 2.0 as 2
     def test_pmf_refuses_a_k_max_that_is_not_whole(self):
         spec = CompoundSpec(weights=np.array([1.0, 0.5]))
-        with pytest.raises(DomainError, match=r"^k_max: 2\.5 is not a whole number$"):
-            pmf(spec, 2.5)
-        with pytest.raises(DomainError, match="^k_max must be nonnegative$"):
-            pmf(spec, -1)
-        np.testing.assert_array_equal(pmf(spec, 4.0), pmf(spec, 4))
+        for k_max, message in [(2.5, "k_max 2.5 must be an integer"),
+                               (2.0, "k_max 2.0 must be an integer"),
+                               (True, "k_max True must be an integer"),
+                               (-1, "k_max -1 must be a non-negative integer")]:
+            with pytest.raises(DomainError) as exc:
+                pmf(spec, k_max)
+            assert str(exc.value) == message
+        np.testing.assert_array_equal(pmf(spec, np.int64(4)), pmf(spec, 4))
 
     def test_no_thresholds_give_an_empty_array(self):
         spec = CompoundSpec(weights=np.array([0.3, 0.2]))

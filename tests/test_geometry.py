@@ -72,9 +72,9 @@ class TestSampleRoads:
 class TestInputChecks:
     @pytest.mark.parametrize("call, message", [
         (lambda: sample_road_set(gp(lam=1.0), 0.0, "paper", 0, 3),
-         "cell_radius_km must be positive"),
+         "cell_radius_km 0 must be positive and finite"),
         (lambda: sample_road_set(gp(lam=1.0), -R, "standard", 0, 3),
-         "cell_radius_km must be positive"),
+         f"cell_radius_km {-R:g} must be positive and finite"),
         (lambda: stream_states((0,), -1), "stream count -1 must lie in [0, 2^32]"),
         (lambda: stream_states((0,), 2 ** 32 + 1),
          "stream count 4294967297 must lie in [0, 2^32]"),

@@ -252,11 +252,11 @@ class TestValidation:
         (lambda lb: dataclasses.replace(lb, tx_antennas=0), "tx_antennas 0 must be at least 1"),
         (lambda lb: dataclasses.replace(lb, rx_antennas=0), "rx_antennas 0 must be at least 1"),
         (lambda lb: dataclasses.replace(lb, prb_bandwidth_hz=0.0),
-         "prb_bandwidth_hz must be positive"),
+         "prb_bandwidth_hz 0 must be positive and finite"),
         (lambda lb: dataclasses.replace(lb, cell_radius_km=-0.7),
-         "cell_radius_km must be positive"),
+         "cell_radius_km -0.7 must be positive and finite"),
         (lambda lb: dataclasses.replace(lb, max_user_prbs=0), "max_user_prbs 0 must be at least 1"),
-        (lambda lb: Service(rate_bps=0), "rate_bps must be positive and finite"),
+        (lambda lb: Service(rate_bps=0), "rate_bps 0 must be positive and finite"),
     ])
     def test_radio_ranges_are_named(self, link_budget, make, message):
         with pytest.raises(DomainError) as exc:

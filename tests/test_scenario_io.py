@@ -97,7 +97,7 @@ class TestParsing:
         path = tmp_path / "cell.scenario"
         path.write_text(text)
         written = "must be finite" if value in ("inf", "nan") else \
-            f"throughput_mbps = {value} Mbit/s must be positive"
+            f"throughput_mbps {value} must be positive and finite"
         with pytest.raises(ScenarioError, match=written):
             parse_scenario(text, name="cell.scenario")
         assert main(["dimension", "--scenario", str(path), "--target", "0.05"]) == 3
@@ -118,7 +118,7 @@ class TestParsing:
         (lambda t: t + "\n[interference]\nmargins_db = 1.0, 8.0\n", "2 margins need 1 breakpoints"),
         (lambda t: t.replace("user_intensity_per_km = 6.0",
                              "throughput_mbps = -3\noutdoor_fraction = 0.5"),
-         "[geometry] throughput_mbps = -3 Mbit/s must be positive"),
+         "throughput_mbps -3 must be positive and finite"),
         (lambda t: t + "\n[monte_carlo]\nsampler = quasi\n", "unknown sampler 'quasi'"),
         (lambda t: t + "\n[monte_carlo]\nseed = -3\n", "seed -3 must be a non-negative integer"),
         (lambda t: t + "\n[monte_carlo]\nrealizations = 0\n", "realizations 0 must be at least 1"),

@@ -196,4 +196,15 @@ class TestWilson:
     def test_no_trials_is_refused(self):
         with pytest.raises(DomainError) as exc:
             wilson_interval(0, 0)
-        assert str(exc.value) == "trials must be positive"
+        assert str(exc.value) == "trials 0 must be at least 1"
+
+    # 2.5 trials once gave an interval, and (5, 3) and (-1, 10) a math domain error
+    @pytest.mark.parametrize("successes, trials, message", [
+        (1, 2.5, "trials 2.5 must be an integer"),
+        (1, True, "trials True must be an integer"),
+        (5, 3, "successes 5 must lie in [0, trials 3]"),
+        (-1, 10, "successes -1 must lie in [0, trials 10]")])
+    def test_counts_outside_their_range_are_refused(self, successes, trials, message):
+        with pytest.raises(DomainError) as exc:
+            wilson_interval(successes, trials)
+        assert str(exc.value) == message
