@@ -1,10 +1,8 @@
 """Command-line front end: congestion curves, dimensioning, sweeps,
 Monte-Carlo simulation and self-validation, with CSV output.
 
-Exit codes: 0 success, 2 usage, 3 scenario/validation error (including a target
-below the 1e-8 floor and an unwritable --out), 4 infeasibility (target unreachable,
-impossible traffic split), 5 accuracy (Fourier grid beyond its 2^26-point limit).
-Each command imports the engine names it calls when it runs.
+Exit codes: 0 success, 2 usage, and a prbdim error's own `exit_code` (see `errors`);
+any other exception is a traceback.  Commands import the engine names they call.
 
 `main(argv)` returns the exit code to in-process callers.  The `prbdim`
 console script and `python -m prbdim.cli` enter through `run()`, which ends
@@ -27,8 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import DEFAULT_M_CEILING, REGION_NAMES, __version__
-from .errors import (AccuracyError, CeilingError, DomainError,
-                     InfeasibleSplitError, ScenarioError, read_count, read_real)
+from .errors import DomainError, PrbdimError, check_size, read_count, read_real
 
 if TYPE_CHECKING:
     from .dimension import DimensionQuery, DimensionReport
@@ -37,10 +34,7 @@ if TYPE_CHECKING:
     from .simulate import EmpiricalCurve
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_VALIDATION = 3
-EXIT_INFEASIBLE = 4
-EXIT_ACCURACY = 5
 
 # argparse reads a value such as -inf, -nan, -1e3 or the grid -1,2 as an
 # option of its own, so main() binds one that follows a float or grid option
@@ -110,7 +104,7 @@ def _curve_csv(args, meta: dict, header: list[str], curve_rows, rule: str,
     the rows would use, if any; it is checked even when --m-max 0 writes
     the header alone."""
     if args.m_max is not None:
-        read_count(args.m_max, "--m-max", 0)
+        check_size(read_count(args.m_max, "--m-max", 0), "thresholds", f"--m-max {args.m_max}")
     if replications is not None:
         from .simulate import check_replications
         check_replications(replications)
@@ -357,18 +351,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (CeilingError, InfeasibleSplitError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except AccuracyError as exc:
-        print(f"accuracy error: {exc}", file=sys.stderr)
-        return EXIT_ACCURACY
-    except (DomainError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except PrbdimError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def run() -> None:

@@ -28,19 +28,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, RangeError, read_count, read_thresholds
+from .errors import (MAX_POINTS, AccuracyError, DomainError, RangeError, check_size,
+                     read_count, read_thresholds)
 
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
 _BELL_FLOAT_MAX = 25
 
 # P(Lambda >= default_cutoff) is below CUTOFF_TAIL, which certifies every
-# truncation; _MAX_POINTS bounds the Fourier grid (1 GiB per complex array).
+# truncation.
 CUTOFF_TAIL = 1e-12
-_MAX_POINTS = 1 << 26
 
 _HEAVY_WEIGHT = 600.0
 _RESCALE = 1e200
+_MAX_MEAN = np.finfo(float).max / _RESCALE
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +87,9 @@ def recursion_steps(w: np.ndarray, k_max: int):
     A row of total weight above 600 starts from exp(600 - total), not an
     underflowing exp(-total), and is divided by 1e200 whenever its newest
     value passes 1e200 (Panjer & Willmot 1986); a log-scale per row undoes
-    both.  A step grows a value at most sum_j j*w_j / k-fold, so the check
-    catches every overflow.
+    both.  A step's sum is at most sum_j j*w_j times a value held (below
+    1e200), so the check catches every overflow: a row whose mean demand
+    sum_j j*w_j exceeds _MAX_MEAN = (largest float) / 1e200, about 1.8e108, is refused.
 
     A row's values do not depend on the rows stacked with it: einsum sums a
     one-row matrix in another order than a stack, so a lone row runs with a
@@ -97,14 +99,16 @@ def recursion_steps(w: np.ndarray, k_max: int):
         for p, tail in recursion_steps(np.vstack((w, np.zeros(n))), k_max):
             yield p[:1], tail[:1]
         return
+    # a doubled ring: p_k sits at rows k % n and k % n + n, so at step k
+    # rows k % n + i hold p_{k-n+i}, which lagged_jw row i multiplies
+    lagged_jw = np.ascontiguousarray((w * np.arange(1, n + 1)).T[::-1])
+    if not (top := lagged_jw.sum(axis=0).max()) <= _MAX_MEAN:
+        raise DomainError(f"mean demand {top:.3g} PRBs above {_MAX_MEAN:.3g} overflows the recursion")
     total = w.sum(axis=1)
     scale = np.maximum(total - _HEAVY_WEIGHT, 0.0)
     heavy = bool(scale.any())
     p = np.exp(scale - total)
-    # a doubled ring: p_k sits at rows k % n and k % n + n, so at step k
-    # rows k % n + i hold p_{k-n+i}, which lagged_jw row i multiplies
     ring = np.zeros((2 * n, rows))
-    lagged_jw = np.ascontiguousarray((w * np.arange(1, n + 1)).T[::-1])
     cum = np.zeros(rows)
     for k in range(k_max + 1):
         at = k % n
@@ -128,6 +132,7 @@ def recursion_steps(w: np.ndarray, k_max: int):
 def kernel_rows(w: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows p_0..p_k_max and P(Lambda >= 0..k_max+1) of the R x N weight
     matrix w, R x (k_max+1) and R x (k_max+2), from one recursion pass."""
+    check_size(w.shape[0] * (k_max + 2), "tail values", f"k_max {k_max}")
     p = np.empty((w.shape[0], k_max + 1))
     tails = np.ones((w.shape[0], k_max + 2))
     for k, (p_k, tail) in enumerate(recursion_steps(w, k_max)):
@@ -274,9 +279,9 @@ def _ccdf_integral_batch(spec: CompoundSpec, m_values: np.ndarray) -> np.ndarray
     # so one pass is certified before it runs.
     start = max(64, 4 * (int(m_values.max()) + spec.n_levels), default_cutoff(spec.weights))
     points = 1 << (start - 1).bit_length()
-    if points > _MAX_POINTS:
+    if points > MAX_POINTS:
         raise AccuracyError(f"Fourier inversion needs {points} points, "
-                            f"more than the limit of {_MAX_POINTS}")
+                            f"more than the limit of {MAX_POINTS}")
     # sum_n w_n e^{i n theta_j} at theta_j = 2*pi*j/points, as an inverse FFT
     jumps = np.zeros(points)
     jumps[1:spec.n_levels + 1] = spec.weights

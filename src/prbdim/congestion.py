@@ -11,7 +11,7 @@ from itertools import islice
 import numpy as np
 
 from .compound import CompoundSpec, ccdf_bell, default_cutoff, recursion_steps
-from .errors import read_threshold_list
+from .errors import check_size, read_threshold_list
 from .geometry import PAPER, RoadSet, expected_roads, sample_road_set
 from .linkmodel import Scenario, StepFunction
 
@@ -127,6 +127,7 @@ def row_stats(tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def block_curves(w: np.ndarray, k_max: int) -> CongestionCurve:
     """Averaged congestion curve at thresholds 0..k_max of an R-row weight matrix."""
+    check_size(k_max + 1, "thresholds", f"curve extent {k_max}")
     pi, stderr = np.ones(k_max + 1), np.zeros(k_max + 1)
     for first, tails in tail_groups([w], k_max):
         last = first + len(tails)

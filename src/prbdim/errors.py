@@ -1,26 +1,39 @@
-"""Exception types, and the readers of integer and real inputs, shared across the package."""
+"""Exception types with their exit codes, the size bound, and the package's input readers."""
 
 import math
 from numbers import Real
 
 import numpy as np
 
+# The most elements a draw, curve or Fourier grid may take (512 MiB of float64s).
+MAX_POINTS = 1 << 26
 
-class DomainError(ValueError):
+
+class PrbdimError(Exception):
+    """An error of prbdim's own: `cli.main` prints `label: message`, exits `exit_code`."""
+    exit_code, label = 1, "error"
+
+
+class DomainError(PrbdimError, ValueError):
     """An argument lies outside the domain of the requested operation."""
+    exit_code, label = 3, "validation error"
 
 
-class RangeError(OverflowError):
-    """A result is not representable in double precision."""
+class RangeError(PrbdimError, OverflowError):
+    """A result is not representable in double precision (the float Bell
+    evaluations); no command reaches it today."""
+    exit_code, label = 5, "accuracy error"
 
 
-class AccuracyError(RuntimeError):
+class AccuracyError(PrbdimError, RuntimeError):
     """The Fourier route cannot certify its result (a grid too large, or a
     result outside [0, 1])."""
+    exit_code, label = 5, "accuracy error"
 
 
-class CeilingError(RuntimeError):
+class CeilingError(PrbdimError, RuntimeError):
     """The dimensioning target is unreachable below the configured PRB ceiling."""
+    exit_code, label = 4, "infeasible"
 
     def __init__(self, message, ceiling=None, achieved_pi=None):
         super().__init__(message)
@@ -28,12 +41,20 @@ class CeilingError(RuntimeError):
         self.achieved_pi = achieved_pi
 
 
-class InfeasibleSplitError(ValueError):
+class InfeasibleSplitError(PrbdimError, ValueError):
     """Outdoor traffic requested but there are no roads to carry it."""
+    exit_code, label = 4, "infeasible"
 
 
-class ScenarioError(ValueError):
+class ScenarioError(PrbdimError, ValueError):
     """A scenario document failed parsing or validation."""
+    exit_code, label = 3, "scenario error"
+
+
+def check_size(size: float, unit: str, what: str) -> None:
+    """Refuse work of `size` elements beyond MAX_POINTS, named by `what`, before it runs."""
+    if not size <= MAX_POINTS:
+        raise DomainError(f"{what} asks for {size:.3g} {unit}, more than the limit of {MAX_POINTS}")
 
 
 def read_thresholds(m, name: str = "thresholds", negative: str = "nonnegative") -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, read_real
+from .errors import DomainError, check_size, read_real
 
 PAPER = "paper"
 STANDARD = "standard"
@@ -198,12 +198,15 @@ def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
     Y ~ Poisson(2*pi*lambda*R) roads, then Y uniforms U mapped to chord
     distances. Sampler `paper` takes r = R*sqrt(U) (uniform in the disk,
     the law the closed-form mean load assumes); `standard` takes r = R*U
-    (uniform on [0, R], the half-cylinder construction).
+    (uniform on [0, R], the half-cylinder construction).  More than
+    MAX_POINTS expected draws (a count per realization, a uniform per chord) are refused.
     """
     read_real(cell_radius_km, "cell_radius_km", "positive")
     if sampler not in SAMPLERS:
         raise DomainError(f"unknown sampler {sampler!r}")
     mean = expected_roads(gp, cell_radius_km)
+    check_size(count * (1.0 + mean), "draws",
+               f"road_intensity {gp.road_intensity:g} over {count} realizations")
     # rng.random(y) returns the bits of rng.uniform(size=y), which computes
     # 0 + 1*u from the same u, at half the call overhead
     uniforms = [rng.random(int(rng.poisson(mean))) for rng in streams((seed,), count)]

@@ -375,7 +375,7 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
     refuses a negative or non-finite lambda.
     """
     read_real(throughput_bps, "throughput_bps", "positive")
-    if not 0.0 <= outdoor_fraction <= 1.0:
+    if not read_real(outdoor_fraction, "outdoor_fraction", "nonnegative") <= 1.0:
         raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
     users = throughput_bps / rate_bps
     area = math.pi * cell_radius_km ** 2

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
-from .errors import ScenarioError, read_real
+from .errors import PrbdimError, ScenarioError, read_real
 from .geometry import GeometryParams, PAPER
 from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
                         default_breakpoints, intensities_from_throughput)
@@ -216,7 +216,7 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
     doc = ScenarioFile(**values)
     try:
         doc.to_scenario()
-    except ValueError as exc:
+    except PrbdimError as exc:
         raise ScenarioError(f"{name}: {exc}") from None
     return doc
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, read_count, read_threshold_list
+from .errors import DomainError, check_size, read_count, read_threshold_list
 from .geometry import RoadSet, chord_law, chord_user_km, expected_roads, streams
 from .linkmodel import Scenario, StepFunction
 
@@ -136,9 +136,14 @@ def gamma_samples(scn: Scenario, replications: int, road: RoadSet | None = None,
     replication's whole chords on one step are Poisson with the summed
     mean, so step 3 draws their count alone and gives them no position.
     The last block is drawn in full and cut, so a run is a prefix of
-    every longer run. Totals are exact integer sums.
+    every longer run. Totals are exact integer sums.  A block expecting more
+    than MAX_POINTS roads and users (each chord a diameter) is refused first.
     """
-    replications = read_count(replications, "replications", 0)
+    replications = check_replications(replications, 0)
+    gp, r = scn.geometry, scn.cell_radius_km
+    roads = expected_roads(gp, r) if road is None else road.single().counts[0]
+    users = 2.0 * gp.user_intensity_linear * r * roads + gp.user_intensity_area * math.pi * r * r
+    check_size(BLOCK * (roads + users), "roads and users", f"{BLOCK} replications at {gp}")
     packed = np.empty((2, replications), dtype=np.int64)
     tallies = [_tally(steps) for steps in scn.demand_steps]
     for start, rng in zip(range(0, replications, BLOCK),
@@ -180,9 +185,11 @@ class EmpiricalCurve:
     mean_indoor_users: float
 
 
-def check_replications(replications: int) -> None:
-    """An empirical curve needs at least MIN_REPLICATIONS replications."""
-    read_count(replications, "replications", MIN_REPLICATIONS)
+def check_replications(replications: int, least: int = MIN_REPLICATIONS) -> int:
+    """Replications as an int, at least `least` (a curve's MIN_REPLICATIONS), at most MAX_POINTS."""
+    replications = read_count(replications, "replications", least)
+    check_size(replications, "samples", f"replications {replications}")
+    return replications
 
 
 def empirical_ccdf(scn: Scenario, m_values, replications: int) -> EmpiricalCurve:

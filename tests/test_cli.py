@@ -525,3 +525,120 @@ class TestProcessExit:
         with pytest.raises(OSError):
             cli.run()
         assert exits == []
+
+
+def edited_scenario(tmp_path, name, key, value):
+    """A bundled scenario with one key's value replaced."""
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in Path(bundled_scenario_path(name)).read_text().splitlines()]
+    path = tmp_path / f"{name}_{key}.scenario"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def limited_process(argv):
+    """`cli_process` under a 3 GiB address-space limit, for a request that
+    must be refused before anything is allocated: where it is not, the
+    allocation fails at once instead of swapping."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+    return cli_process(argv, preexec_fn=limit)
+
+
+class TestErrorExits:
+    """Each prbdim error class carries its exit code and label; `main` reads
+    them in one clause and lets every other exception through."""
+
+    @pytest.mark.parametrize("error, code, label", [
+        (prbdim.DomainError, 3, "validation error"), (prbdim.ScenarioError, 3, "scenario error"),
+        (prbdim.CeilingError, 4, "infeasible"), (prbdim.InfeasibleSplitError, 4, "infeasible"),
+        (prbdim.AccuracyError, 5, "accuracy error"), (prbdim.RangeError, 5, "accuracy error")])
+    def test_an_error_class_gives_its_exit_code_and_label(self, error, code, label, monkeypatch,
+                                                          capsys):
+        def fail(args):
+            raise error("it failed")
+        monkeypatch.setattr(cli, "cmd_dimension", fail)
+        assert run(["dimension", "--scenario", FIG3, "--target", "0.05"]) == code
+        assert capsys.readouterr().err == f"{label}: it failed\n"
+
+    def test_a_library_value_error_is_no_validation_error(self, monkeypatch):
+        # main once mapped every ValueError, numpy's included, to exit 3
+        def fail(args):
+            raise ValueError("lam value too large")
+        monkeypatch.setattr(cli, "cmd_dimension", fail)
+        with pytest.raises(ValueError, match="lam value too large"):
+            run(["dimension", "--scenario", FIG3, "--target", "0.05"])
+
+
+class TestNamedRefusals:
+    """Inputs that once ended in numpy's errors, a MemoryError or a NaN
+    curve reported as infeasible are refused with a text that names them."""
+
+    SWEEP = ["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "20",
+             "--out", "-"]
+    DIMENSION = ["dimension", "--scenario", FIG3, "--target", "0.05", "--realizations", "20"]
+
+    # numpy's `lam value too large`, `array is too big` and a MemoryError
+    @pytest.mark.parametrize("lam", ["1e300", "1e18", "1e17"])
+    def test_a_huge_road_intensity_in_the_grid_is_refused(self, lam, capsys):
+        assert run([*self.SWEEP, "--lambda-grid-per-km", lam]) == 3
+        assert (f"validation error: road_intensity {float(lam):g} over 20 realizations asks "
+                "for") in capsys.readouterr().err
+
+    def test_a_huge_road_intensity_in_the_file_is_refused(self, tmp_path, capsys):
+        path = edited_scenario(tmp_path, "fig3", "road_intensity_per_km", "1e300")
+        assert run(["dimension", "--scenario", path, "--target", "0.05",
+                    "--realizations", "20"]) == 3
+        assert "road_intensity 1e+300 over 20 realizations asks for" in capsys.readouterr().err
+
+    def test_a_mean_demand_below_the_overflow_bound_is_dimensioned(self, capsys):
+        assert run([*self.DIMENSION, "--tau-mbps", "1e106"]) == 4
+        assert "infeasible: congestion 1 still above target" in capsys.readouterr().err
+
+    # each exited 4 with `congestion nan still above target 0.05`
+    @pytest.mark.parametrize("tau", ["1e110", "1e300"])
+    def test_a_mean_demand_the_recursion_cannot_carry_is_refused(self, tau, capsys):
+        assert run([*self.DIMENSION, "--tau-mbps", tau]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: mean demand 6.69e+{tau[2:]} PRBs")
+        assert "PRBs above 1.8e+108 overflows the recursion" in err
+
+    def test_a_tiny_service_rate_is_refused(self, tmp_path, capsys):
+        path = edited_scenario(tmp_path, "fig3", "rate_kbps", "1e-300")
+        assert run(["dimension", "--scenario", path, "--target", "0.05",
+                    "--realizations", "20"]) == 3
+        assert "mean demand" in capsys.readouterr().err
+
+    # numpy's `Maximum allowed dimension exceeded`
+    def test_a_replication_count_beyond_any_array_is_refused(self, capsys):
+        assert run(["simulate", "--scenario", FIG3, "--replications", str(2 ** 63),
+                    "--out", "-"]) == 3
+        assert f"replications {2 ** 63} asks for 9.22e+18 samples" in capsys.readouterr().err
+
+    # numpy's `negative dimensions are not allowed`
+    def test_a_monte_carlo_block_beyond_the_size_bound_is_refused(self, tmp_path, capsys):
+        path = edited_scenario(tmp_path, "fig6_mixed", "throughput_mbps", "1e18")
+        assert run(["simulate", "--scenario", path, "--replications", "100", "--out", "-"]) == 3
+        assert "128 replications at GeometryParams(" in capsys.readouterr().err
+
+    # each once ended in a MemoryError traceback, exit 1
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--scenario", FIG3, "--replications", "10000000000", "--out", "-"],
+         "replications 10000000000 asks for 1e+10 samples"),
+        (["congestion", "--scenario", FIG3, "--realizations", "20", "--m-max", "10000000000",
+          "--out", "-"], "--m-max 10000000000 asks for 1e+10 thresholds"),
+        (["simulate", "--scenario", FIG3, "--replications", "100", "--m-max", "10000000000",
+          "--out", "-"], "--m-max 10000000000 asks for 1e+10 thresholds"),
+        (["congestion", "--scenario", FIG3, "--ppp-equivalent", "--realizations", "100000000",
+          "--m-max", "3", "--out", "-"], "road_intensity 0 over 100000000 realizations asks for"),
+        (["simulate", "--scenario", "{fig6_tau1e6}", "--replications", "100", "--out", "-"],
+         "128 replications at GeometryParams("),
+    ], ids=["replications", "congestion-m-max", "simulate-m-max", "ppp-realizations",
+            "block-users"])
+    def test_a_request_beyond_the_size_bound_is_refused_first(self, argv, message, tmp_path):
+        path = edited_scenario(tmp_path, "fig6_mixed", "throughput_mbps", "1e6")
+        proc = limited_process([a.replace("{fig6_tau1e6}", path) for a in argv])
+        assert proc.returncode == 3
+        assert message in proc.stderr.decode()

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from prbdim import (AccuracyError, CompoundSpec, DomainError, RangeError,
                     bell_complete, bell_determinant, ccdf_bell,
                     ccdf_bell_literal, ccdf_integral, pmf)
-from prbdim.compound import default_cutoff, recursion_steps
+from prbdim.compound import _MAX_MEAN, default_cutoff, recursion_steps
 from prbdim.congestion import block_curves
 from prbdim import validate
 from prbdim.compound import bell_sequence
@@ -137,6 +137,23 @@ class TestKernel:
         for (p, tail), (p_alone, tail_alone) in zip(stacked, alone):
             assert p_alone.shape == tail_alone.shape == (1,)
             assert (p[at], tail[at]) == (p_alone[0], tail_alone[0])
+
+    # a step multiplies the largest value held, below 1e200, by up to the
+    # row's mean demand sum_j j*w_j: past (largest float) / 1e200 a value
+    # once reached inf and its tail NaN
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_a_mean_demand_below_the_bound_keeps_every_value_finite(self, n):
+        w = np.zeros((3, n))
+        w[:, -1] = 0.999 * _MAX_MEAN / n
+        for p, tail in recursion_steps(w, 400):
+            assert np.isfinite(p).all() and np.isfinite(tail).all()
+
+    def test_a_mean_demand_above_the_bound_is_refused_before_the_first_step(self):
+        w = np.array([[1.0, 0.0], [0.0, 0.6 * _MAX_MEAN]])
+        with pytest.raises(DomainError) as exc:
+            next(recursion_steps(w, 10))
+        assert str(exc.value) == (f"mean demand {1.2 * _MAX_MEAN:.3g} PRBs above "
+                                  f"{_MAX_MEAN:.3g} overflows the recursion")
 
 
 class TestBellPolynomials:
@@ -315,6 +332,11 @@ class TestCcdf:
                 pmf(spec, k_max)
             assert str(exc.value) == message
         np.testing.assert_array_equal(pmf(spec, np.int64(4)), pmf(spec, 4))
+
+    # a MemoryError (8 PiB) once
+    def test_pmf_refuses_an_extent_beyond_the_size_bound(self):
+        with pytest.raises(DomainError, match=f"k_max {2 ** 50} asks for 1.13e\\+15 tail values"):
+            pmf(CompoundSpec(weights=np.array([1.0])), 2 ** 50)
 
     def test_no_thresholds_give_an_empty_array(self):
         spec = CompoundSpec(weights=np.array([0.3, 0.2]))

@@ -111,7 +111,8 @@ class TestIntensities:
 
     @pytest.mark.parametrize("f", [math.nan, -0.25, 1.5])
     def test_outdoor_fraction_names_itself(self, f):
-        with pytest.raises(DomainError, match=f"outdoor_fraction {f:g} must lie in"):
+        rule = "lie in" if f > 1 else "be nonnegative and finite"
+        with pytest.raises(DomainError, match=f"outdoor_fraction {f:g} must {rule}"):
             intensities_from_throughput(20e6, 500e3, R, 9.0, f)
 
 
@@ -403,6 +404,17 @@ class TestSweep:
 def bundled_query(name, tau_mbps=None, realizations=100):
     doc = replace(bundled_scenario(name), realizations=realizations)
     return doc.to_query(target=0.05, throughput_bps=tau_mbps and tau_mbps * 1e6)
+
+
+# at 1e108 Mbit/s a value once reached inf within one step, and the
+# CeilingError carried Pi(4096) = nan
+def test_no_ceiling_error_carries_a_nan():
+    q = bundled_query("fig3", realizations=20)
+    answers = sweep(q, throughput_grid_bps=[1e100 * 1e6, 1e106 * 1e6])
+    assert [type(a) for a in answers] == [CeilingError, CeilingError]
+    assert [a.achieved_pi for a in answers] == [1.0, 1.0]
+    with pytest.raises(DomainError, match="mean demand 6.69e\\+108 PRBs"):
+        sweep(q, throughput_grid_bps=[1e106 * 1e6, 1e108 * 1e6])
 
 
 def assert_answers(q, expected):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from prbdim import (DimensionQuery, DomainError, InterferenceModel, Service,
-                    averaged_congestion, dimension_scenario, empirical_ccdf, sample_road_set)
+                    averaged_congestion, dimension_prbs, dimension_scenario, empirical_ccdf,
+                    sample_road_set)
 from prbdim.cli import _bps
 from prbdim.errors import read_count, read_real
 from prbdim.linkmodel import intensities_from_throughput
@@ -122,6 +123,13 @@ REAL_ENTRIES = {
     "intensities_from_throughput.throughput_bps":
         ("throughput_bps", "positive",
          lambda scn, x: intensities_from_throughput(x, 5e5, 0.7, 9.0, 0.5)),
+    # True was read as 1.0: all traffic outdoors (223 PRBs on fig3)
+    "intensities_from_throughput.outdoor_fraction":
+        ("outdoor_fraction", "nonnegative",
+         lambda scn, x: intensities_from_throughput(30e6, 5e5, 0.7, 9.0, x)),
+    "ScenarioFile.to_query.outdoor_fraction":
+        ("outdoor_fraction", "nonnegative", lambda scn, x: dimension_prbs(
+            bundled_scenario("fig3").to_query(target=0.05, outdoor_fraction=x))),
     "cli._bps": ("throughput_mbps", "positive", lambda scn, x: _bps(x)),
     "ScenarioFile.throughput_mbps":
         ("throughput_mbps", "positive", lambda scn, x: dataclasses.replace(
