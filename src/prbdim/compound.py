@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (MAX_POINTS, AccuracyError, DomainError, RangeError, check_size,
-                     read_count, read_thresholds)
+                     read_array, read_count)
 
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
@@ -51,13 +51,9 @@ class CompoundSpec:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
+        w = read_array(self.weights, "weights", "nonnegative")
+        if not w.size:
             raise DomainError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(w)) or w.min() < 0:
-            raise DomainError("weights must be nonnegative and finite")
-        w = w.copy()
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @property
@@ -142,7 +138,7 @@ def kernel_rows(w: np.ndarray, k_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _at_thresholds(m, tails_at):
     """tails_at(ms), ms the thresholds read from m made at least 1-D, shaped as m was given."""
-    ms = read_thresholds(m)
+    ms = read_array(m, "thresholds", "nonnegative", integer=True, ndim=None)
     tails = tails_at(np.atleast_1d(ms)).reshape(ms.shape)
     return float(tails) if ms.ndim == 0 else tails
 
@@ -264,7 +260,9 @@ def ccdf_bell_literal(spec: CompoundSpec, m):
     def tails_at(ms):
         top = int(ms.max(initial=0))
         acc = [0.0]
-        for k, b in enumerate(bell_sequence(spec.bell_arguments(max(top - 1, 0)))[:top]):
+        # past k = 25 bell_sequence refuses float values: build no more
+        for k, b in enumerate(bell_sequence(spec.bell_arguments(
+                min(max(top - 1, 0), _BELL_FLOAT_MAX + 1)))[:top]):
             acc.append(acc[-1] + b / math.factorial(k))
         return (1.0 - math.exp(-spec.total_weight) * np.array(acc))[ms]
     return _at_thresholds(m, tails_at)

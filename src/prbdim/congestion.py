@@ -144,8 +144,7 @@ def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     always uses stream (seed, i), and every realization goes through the
     same batched recursion.
     """
-    m = None if m_values is None else read_threshold_list(
-        m_values, negative="nonempty and nonnegative")
+    m = None if m_values is None else read_threshold_list(m_values)
     w = weight_matrix(scn, road_set(scn))
     curve = block_curves(w, default_cutoff(w) if m is None else int(m.max()))
     return curve if m is None else replace(curve, m_values=m, pi=curve.pi[m],

@@ -11,7 +11,8 @@ import numpy as np
 # road_set is read off congestion, where tests and perfbench/tracer.py patch it
 from . import DEFAULT_M_CEILING, congestion
 from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
-from .errors import CeilingError, DomainError, InfeasibleSplitError, read_count, read_real
+from .errors import (CeilingError, DomainError, InfeasibleSplitError, read_array, read_count,
+                     read_real)
 from .linkmodel import Scenario, intensities_from_throughput
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
@@ -23,7 +24,7 @@ TARGET_FLOOR = 1e-8
 
 def check_search(target: float, m_ceiling: int) -> None:
     """Refuse a target congestion outside [TARGET_FLOOR, 1) or an M ceiling not an integer >= 1."""
-    if not TARGET_FLOOR <= target < 1.0:
+    if not TARGET_FLOOR <= read_real(target, "target congestion") < 1.0:
         raise DomainError(f"target congestion {target:g} must lie in "
                           f"[floor {TARGET_FLOOR:g}, 1)")
     read_count(m_ceiling, "m_ceiling", 1)
@@ -126,13 +127,13 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
     """Dimension every (tau, lambda) grid point, tau-major: its report, or the
     error raised for it, which does not abort the others; neither names its
     point, which its grid position gives.  A grid value outside its domain
-    is raised.  Points with equal road intensity share one road set, and
-    the feasible points one recursion pass."""
+    is refused first, with its point's text.  Points with equal road
+    intensity share one road set, and the feasible points one recursion pass."""
     cell = query.scenario
-    taus = [float(t) for t in (throughput_grid_bps if throughput_grid_bps is not None
-                               else [query.throughput_bps])]
-    lams = [float(x) for x in (road_intensity_grid if road_intensity_grid is not None
-                               else [cell.geometry.road_intensity])]
+    taus = read_array([query.throughput_bps] if throughput_grid_bps is None
+                      else throughput_grid_bps, "throughput_bps", "positive").tolist()
+    lams = read_array([cell.geometry.road_intensity] if road_intensity_grid is None
+                      else road_intensity_grid, "road_intensity", "nonnegative").tolist()
     if not taus or not lams:
         raise DomainError("sweep grids must be nonempty")
     distinct_taus = list(dict.fromkeys(taus))

@@ -54,29 +54,44 @@ class ScenarioError(PrbdimError, ValueError):
 def check_size(size: float, unit: str, what: str) -> None:
     """Refuse work of `size` elements beyond MAX_POINTS, named by `what`, before it runs."""
     if not size <= MAX_POINTS:
-        raise DomainError(f"{what} asks for {size:.3g} {unit}, more than the limit of {MAX_POINTS}")
+        raise DomainError(f"{what} asks for {as_float(size):.3g} {unit}, "
+                          f"more than the limit of {MAX_POINTS}")
 
 
-def read_thresholds(m, name: str = "thresholds", negative: str = "nonnegative") -> np.ndarray:
-    """Threshold(s) m as an int64 array of m's shape, refused unless whole and `negative`."""
-    given = np.asarray(m)
+def read_array(x, name: str, sign: str = "finite", integer: bool = False,
+               ndim: tuple | None = (1,)) -> np.ndarray:
+    """x as a read-only float64 (int64 for `integer`) copy, refused unless numbers, not bools,
+    of a dimension count in `ndim` (None: any), each finite, whole for `integer` and, for sign
+    "nonnegative" or "positive", of that sign; the refusal names the first bad entry.  numpy
+    reads a list that mixes bools with numbers as numbers, so such a list is accepted."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged list
+        raise DomainError(f"{name} {x!r} must be an array of numbers") from None
+    if a.dtype.kind not in "iuf":
+        if bad := [e for e in a.ravel().tolist() if isinstance(e, bool) or not isinstance(e, Real)]:
+            raise DomainError(f"{name} {bad[0]!r} must be a number")
+        a = np.vectorize(as_float, otypes=[float])(a)
+    if ndim is not None and a.ndim not in ndim:
+        raise DomainError(f"{name} must be one-dimensional, not of shape {a.shape}")
     with np.errstate(invalid="ignore"):
-        ms = given.astype(np.int64)
-    if not np.array_equal(ms, given):
-        raise DomainError(f"{name}: {given[ms != given][0]} is not a whole number")
-    if ms.size and ms.min() < 0:
-        raise DomainError(f"{name} must be {negative}")
-    return ms
+        out = a.astype(np.int64 if integer else float)
+    if integer and not np.array_equal(out, a):
+        raise DomainError(f"{name}: {a[out != a][0]} is not a whole number")
+    wrong = ~np.isfinite(out) | {"nonnegative": out < 0, "positive": out <= 0}.get(sign, False)
+    if wrong.any():
+        bound = "finite" if sign == "finite" else f"{sign} and finite"
+        raise DomainError(f"{name} must be {sign}" if integer else
+                          f"{name} {out[wrong][0]:g} must be {bound}")
+    out.flags.writeable = False
+    return out
 
 
-def read_threshold_list(m, negative: str = "nonnegative") -> np.ndarray:
-    """Thresholds m as a nonempty one-dimensional int64 array, a scalar as
-    one threshold; refused as :func:`read_thresholds` refuses them."""
-    ms = np.atleast_1d(read_thresholds(m, negative=negative))
-    if ms.size == 0:
+def read_threshold_list(m) -> np.ndarray:
+    """Thresholds m, a scalar as one, by :func:`read_array`; nonempty and nonnegative."""
+    ms = np.atleast_1d(read_array(m, "thresholds", integer=True, ndim=(0, 1)))
+    if not ms.size or ms.min() < 0:
         raise DomainError("thresholds must be nonempty and nonnegative")
-    if ms.ndim > 1:
-        raise DomainError(f"thresholds must be one-dimensional, not of shape {ms.shape}")
     return ms
 
 
@@ -92,12 +107,22 @@ def read_count(n, name: str, least: int) -> int:
 
 
 def read_real(x, name: str, sign: str = "finite") -> float:
-    """x as a float, refused unless a real number (not a bool) that is finite
-    and, for sign "nonnegative" or "positive", of that sign."""
+    """x as a float, refused unless a real number (not a bool) that :func:`read_array` accepts."""
     if isinstance(x, bool) or not isinstance(x, Real):
         raise DomainError(f"{name} {x!r} must be a number")
-    v = float(x)
-    if math.isfinite(v) and (sign == "finite" or v > 0 or (sign == "nonnegative" and v == 0)):
-        return v
-    bound = "finite" if sign == "finite" else f"{sign} and finite"
-    raise DomainError(f"{name} {v:g} must be {bound}")
+    return float(read_array(x, name, sign, ndim=None))
+
+
+def read_choice(x, name: str, choices) -> str:
+    """x, refused unless a string among `choices`."""
+    if not (isinstance(x, str) and x in choices):
+        raise DomainError(f"unknown {name} {x!r}")
+    return x
+
+
+def as_float(x) -> float:
+    """float(x) of a real number, or an infinity for one beyond double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf

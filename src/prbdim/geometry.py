@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_size, read_real
+from .errors import (DomainError, as_float, check_size, read_array, read_choice, read_count,
+                     read_real)
 
 PAPER = "paper"
 STANDARD = "standard"
@@ -52,17 +53,11 @@ class RoadSet:
     chord_distances: np.ndarray
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=np.int64)
-        r = np.array(self.chord_distances, dtype=float)
-        if counts.ndim != 1 or r.ndim != 1:
-            raise DomainError("road counts and chord distances must be one-dimensional")
-        if (counts.size and counts.min() < 0) or counts.sum() != r.size:
-            raise DomainError("road counts must be nonnegative and sum to the chord count")
-        if r.size and r.min() < 0:
-            raise DomainError("chord distances must be nonnegative")
-        for name, arr in (("counts", counts), ("chord_distances", r)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, integer in (("counts", True), ("chord_distances", False)):
+            object.__setattr__(self, name, read_array(getattr(self, name), name, "nonnegative",
+                                                      integer))
+        if self.counts.sum() != self.chord_distances.size:
+            raise DomainError("road counts must sum to the chord count")
 
     def __len__(self) -> int:
         return int(self.counts.size)
@@ -202,10 +197,10 @@ def sample_road_set(gp: GeometryParams, cell_radius_km: float, sampler: str,
     MAX_POINTS expected draws (a count per realization, a uniform per chord) are refused.
     """
     read_real(cell_radius_km, "cell_radius_km", "positive")
-    if sampler not in SAMPLERS:
-        raise DomainError(f"unknown sampler {sampler!r}")
+    seed, count = read_count(seed, "seed", 0), read_count(count, "count", 0)
+    read_choice(sampler, "sampler", SAMPLERS)
     mean = expected_roads(gp, cell_radius_km)
-    check_size(count * (1.0 + mean), "draws",
+    check_size(as_float(count) * (1.0 + mean), "draws",
                f"road_intensity {gp.road_intensity:g} over {count} realizations")
     # rng.random(y) returns the bits of rng.uniform(size=y), which computes
     # 0 + 1*u from the same u, at half the call overhead

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleSplitError, read_count, read_real
+from .errors import (DomainError, InfeasibleSplitError, read_array, read_choice,
+                     read_count, read_real)
 from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
 INDOOR = "indoor"
+# the link-budget field of each environment's propagation constant
+_PROP_KEYS = {OUTDOOR: "prop_const_db", INDOOR: "prop_const_indoor_db"}
 
 # Relative slack when ceiling rate ratios: the ring radii satisfy
 # n = C*/C(d_n) only to floating precision, and a boundary sample must
@@ -64,11 +68,7 @@ class LinkBudget:
         return min(self.tx_antennas, self.rx_antennas)
 
     def prop_const_for(self, environment: str) -> float:
-        if environment == OUTDOOR:
-            return self.prop_const_db
-        if environment == INDOOR:
-            return self.prop_const_indoor_db
-        raise DomainError(f"unknown environment {environment!r}")
+        return getattr(self, _PROP_KEYS[read_choice(environment, "environment", _PROP_KEYS)])
 
 
 def default_breakpoints(cell_radius_km: float) -> tuple[float, float]:
@@ -89,12 +89,12 @@ class InterferenceModel:
     breakpoints_km: tuple[float, ...] = ()
 
     def __post_init__(self):
-        margins = tuple(read_real(m, "margins_db", "nonnegative") for m in self.margins_db)
-        bps = tuple(read_real(b, "breakpoints_km", "positive") for b in self.breakpoints_km)
-        object.__setattr__(self, "margins_db", margins)
-        object.__setattr__(self, "breakpoints_km", bps)
+        for name, sign in (("margins_db", "nonnegative"), ("breakpoints_km", "positive")):
+            read = read_array(getattr(self, name), name, sign)
+            object.__setattr__(self, name, tuple(read.tolist()))
+        margins, bps = self.margins_db, self.breakpoints_km
         if len(margins) != len(bps) + 1:
-            raise DomainError("need exactly one margin per region")
+            raise DomainError(f"{len(margins)} margins need {len(margins) - 1} breakpoints")
         if any(b >= c for b, c in zip(bps, bps[1:])):
             raise DomainError("breakpoints_km must be strictly increasing")
 
@@ -154,9 +154,9 @@ class StepFunction:
     """
 
     def __init__(self, bounds, values, span: float):
-        self.bounds = bounds = np.asarray(bounds, dtype=float)
-        self.values = np.asarray(values)
-        self.span = span
+        self.bounds = bounds = read_array(bounds, "bounds")
+        self.values = read_array(values, "values", "nonnegative", integer=True)
+        self.span = span = read_real(span, "span", "positive")
         pad = _CELL_PAD * span
         if self.values.shape != (bounds.size + 1,):
             raise DomainError("need one step value more than bounds")
@@ -214,15 +214,22 @@ def _ceil_ratio(value: float) -> int:
 
 
 def sinr_at(lb: LinkBudget, im: InterferenceModel, x_km: float, environment: str) -> float:
-    """Linear SINR at distance x from the base station."""
-    if not 0.0 < x_km <= lb.cell_radius_km:
+    """Linear SINR at distance x from the base station, refused where it
+    overflows or where 1 + SINR rounds to 1, so that every rate is finite and positive."""
+    if not 0.0 < read_real(x_km, "x_km") <= lb.cell_radius_km:
         raise DomainError(f"x={x_km} outside (0, {lb.cell_radius_km}]")
     db = (lb.tx_power_dbm
           - lb.prop_const_for(environment)
           - 10.0 * lb.path_loss_exp * math.log10(x_km)
           - lb.noise_power_dbm
           - im.margin_db_at(x_km))
-    return 10.0 ** (db / 10.0)
+    with suppress(OverflowError):
+        if 1.0 < 1.0 + (sinr := 10.0 ** (db / 10.0)) < math.inf:
+            return sinr
+    where = "the cell edge" if x_km == lb.cell_radius_km else f"{x_km:g} km"
+    raise DomainError(f"{environment} SINR {db:.6g} dB at {where} is beyond double precision; "
+                      f"it is made of tx_power_dbm, {_PROP_KEYS[environment]}, path_loss_exp, "
+                      "the distance, noise_power_dbm and margins_db")
 
 
 def throughput_at(lb: LinkBudget, im: InterferenceModel, x_km: float, environment: str) -> float:
@@ -252,9 +259,16 @@ def _level_boundary(lb: LinkBudget, svc: Service, environment: str,
         return 0.0
     noise_factor_db = (lb.prop_const_for(environment) + lb.noise_power_dbm
                        + margin_db - lb.tx_power_dbm)
-    fac = 10.0 ** (noise_factor_db / 10.0)
-    excess = 2.0 ** (svc.rate_bps / (n * lb.spatial_layers * lb.prb_bandwidth_hz)) - 1.0
-    return (fac * excess) ** (-1.0 / lb.path_loss_exp)
+    exponent = svc.rate_bps / (n * lb.spatial_layers * lb.prb_bandwidth_hz)
+    try:
+        fac = 10.0 ** (noise_factor_db / 10.0)
+        excess = 2.0 ** exponent - 1.0
+        return (fac * excess) ** (-1.0 / lb.path_loss_exp)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"{environment} level {n}: rate exponent {exponent:.6g} or noise factor "
+                          f"{noise_factor_db:.6g} dB is beyond double precision; they are made of "
+                          f"rate_kbps, prb_bandwidth_khz, the antennas, tx_power_dbm, "
+                          f"{_PROP_KEYS[environment]}, noise_power_dbm and margins_db") from None
 
 
 def ring_radii(lb: LinkBudget, im: InterferenceModel, svc: Service,
@@ -308,17 +322,16 @@ class Scenario:
     region_km: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.sampler not in SAMPLERS:
-            raise DomainError(f"unknown sampler {self.sampler!r}")
+        read_choice(self.sampler, "sampler", SAMPLERS)
         read_count(self.mc_realizations, "realizations", 1)
         read_count(self.seed, "seed", 0)
         r = self.link_budget.cell_radius_km
         self.interference.regions(r)  # its breakpoints lie inside the cell
         if self.region_km is not None:
-            lo, hi = self.region_km
-            if not 0.0 <= lo < hi <= r * (1 + 1e-12):
-                raise DomainError(f"region ({lo}, {hi}] must lie inside (0, {r}]")
-            object.__setattr__(self, "region_km", (float(lo), float(hi)))
+            region = tuple(read_array(self.region_km, "region_km").tolist())
+            if len(region) != 2 or not 0.0 <= region[0] < region[1] <= r * (1 + 1e-12):
+                raise DomainError(f"region_km {region} must be a pair (lo, hi] inside (0, {r}]")
+            object.__setattr__(self, "region_km", region)
 
     @property
     def cell_radius_km(self) -> float:
@@ -371,14 +384,17 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
 
     The forecast mean user count is u = tau/C*; a fraction f of it rides the
     roads (delta = f*u/(lambda*pi*R^2), printed intensity convention) and the
-    rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).  GeometryParams
-    refuses a negative or non-finite lambda.
+    rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).
     """
-    read_real(throughput_bps, "throughput_bps", "positive")
+    throughput_bps = read_real(throughput_bps, "throughput_bps", "positive")
     if not read_real(outdoor_fraction, "outdoor_fraction", "nonnegative") <= 1.0:
         raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
-    users = throughput_bps / rate_bps
-    area = math.pi * cell_radius_km ** 2
+    road_intensity = read_real(road_intensity, "road_intensity", "nonnegative")
+    users = throughput_bps / read_real(rate_bps, "rate_bps", "positive")
+    try:
+        area = math.pi * read_real(cell_radius_km, "cell_radius_km", "positive") ** 2
+    except OverflowError:
+        raise DomainError(f"cell_radius_km {cell_radius_km:g} squared overflows") from None
     if outdoor_fraction > 0 and road_intensity == 0:
         raise InfeasibleSplitError("outdoor traffic requested with zero road intensity")
     delta = outdoor_fraction * users / (road_intensity * area) if outdoor_fraction > 0 else 0.0

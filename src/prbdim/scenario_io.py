@@ -13,7 +13,6 @@ round-trips byte-identically.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -33,9 +32,7 @@ def _number(section: str, key: str, raw: str) -> float:
         value = float(raw)
     except ValueError:
         raise ScenarioError(f"[{section}] {key} = {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"[{section}] {key} must be finite")
-    return value
+    return read_real(value, f"[{section}] {key}")
 
 
 def _integer(section: str, key: str, raw: str) -> int:
@@ -190,15 +187,11 @@ def parse_scenario(text: str, name: str = "<scenario>") -> ScenarioFile:
             raise ScenarioError(f"{name}: missing required key {key!r} in [{section}]")
         try:
             values[key] = None if raw is None else kind(section, key, raw)
-        except ScenarioError as exc:
+        except PrbdimError as exc:
             raise ScenarioError(f"{name}: {exc}") from None
 
-    margins, breakpoints = values["margins_db"], values["breakpoints_km"]
-    if not breakpoints and len(margins) == 3:
-        values["breakpoints_km"] = breakpoints = default_breakpoints(values["cell_radius_km"])
-    if len(margins) != len(breakpoints) + 1:
-        raise ScenarioError(
-            f"{name}: {len(margins)} margins need {len(margins) - 1} breakpoints")
+    if not values["breakpoints_km"] and len(values["margins_db"]) == 3:
+        values["breakpoints_km"] = default_breakpoints(values["cell_radius_km"])
 
     explicit = [k for k in _EXPLICIT if values[k] is not None]
     derived = [k for k in _DERIVED if values[k] is not None]

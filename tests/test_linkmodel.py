@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prbdim import (DomainError, InterferenceModel, LinkBudget, Service, StepFunction,
-                    max_prbs_per_user, prbs_required, ring_radii, sinr_at, throughput_at)
-from prbdim.scenario_io import bundled_scenario
+                    dimension_prbs, max_prbs_per_user, prbs_required, ring_radii, sinr_at,
+                    throughput_at)
+from prbdim.scenario_io import bundled_scenario, bundled_scenario_path, parse_scenario
 
 # Frozen high-precision closed-form values (50-digit scalar evaluation).
 SINR_LIN_AT_0_7 = 695.27539416255885
@@ -381,3 +382,42 @@ class TestLevelLookup:
         profile = StepFunction((0.3,), (1, 2), 0.7)
         with pytest.raises(DomainError, match="step bounds"):
             profile.clip((0.2, 0.9))
+
+
+SINR_KEYS = "path_loss_exp, the distance, noise_power_dbm and margins_db"
+
+
+# one key of a bundled file edited: each once ended in a ZeroDivisionError
+# (an edge SINR whose 1 + SINR rounds to 1) or an OverflowError traceback
+@pytest.mark.parametrize("name, key, value, message", [
+    ("fig3", "prop_const_db", "400", "outdoor SINR -241.578 dB at the cell edge"),
+    ("fig3", "noise_power_dbm", "300", "outdoor SINR -364.578 dB at the cell edge"),
+    ("fig3", "cell_radius_km", "1e6", "outdoor SINR -187 dB at the cell edge"),
+    ("fig3", "tx_power_dbm", "3200", "outdoor SINR 3168.42 dB at the cell edge"),
+    ("fig3", "path_loss_exp", "1e6", "outdoor SINR 1.54904e+06 dB at the cell edge"),
+    ("fig3", "prop_const_indoor_db", "1e6", "indoor SINR -999842 dB at the cell edge"),
+    ("fig3", "rate_kbps", "1e6", "outdoor level 1: rate exponent 2777.78 or noise factor -23 dB"),
+    ("fig8_regions", "margins_db", "1e6, 8.0, 15.0",
+     "indoor level 1: rate exponent 1.38889 or noise factor 1.00001e+06 dB"),
+])
+def test_link_budget_arithmetic_beyond_double_range_is_named(name, key, value, message):
+    text = bundled_scenario_path(name).read_text()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in text.splitlines()]
+    query = parse_scenario("\n".join(lines)).to_query(target=0.05)
+    with pytest.raises(DomainError) as exc:
+        dimension_prbs(dataclasses.replace(
+            query, scenario=dataclasses.replace(query.scenario, mc_realizations=20)))
+    env = message.split()[0]
+    prop = "prop_const_db" if env == "outdoor" else "prop_const_indoor_db"
+    if "SINR" in message:
+        keys = f"it is made of tx_power_dbm, {prop}, {SINR_KEYS}"
+    else:
+        keys = ("they are made of rate_kbps, prb_bandwidth_khz, the antennas, "
+                f"tx_power_dbm, {prop}, noise_power_dbm and margins_db")
+    assert str(exc.value) == f"{message} is beyond double precision; {keys}"
+
+
+def test_sinr_refuses_a_distance_where_it_overflows(link_budget, noise_limited):
+    with pytest.raises(DomainError, match=r"^outdoor SINR 10523 dB at 1e-300 km is beyond"):
+        sinr_at(link_budget, noise_limited, 1e-300, "outdoor")

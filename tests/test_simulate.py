@@ -105,7 +105,7 @@ class TestEmpiricalCcdf:
 
     # fractional thresholds were once floored: [2.9, 40.5] answered at [2, 40]
     @pytest.mark.parametrize("m, message", [([2.9, 40.5], "thresholds: 2.9 is not a whole number"),
-                                            ([-3], "thresholds must be nonnegative")],
+                                            ([-3], "thresholds must be nonempty and nonnegative")],
                              ids=["fractional", "negative"])
     def test_refuses_thresholds_the_analytic_readers_refuse(self, m, message):
         scn = bundled_scenario("fig4").to_scenario()
