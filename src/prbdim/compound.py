@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (MAX_POINTS, AccuracyError, DomainError, RangeError, check_size,
-                     read_array, read_count)
+                     read_array, read_count, read_fields, reading)
 
 # Raw Bell values overflow double precision near k ~ 25 for realistic
 # weights; beyond that only the exact integer mode is meaningful.
@@ -48,13 +48,12 @@ _MAX_MEAN = np.finfo(float).max / _RESCALE
 class CompoundSpec:
     """Weight vector w_1..w_N: Poisson intensity of users needing n PRBs."""
 
-    weights: np.ndarray
+    weights: np.ndarray = reading(read_array, "nonnegative")
 
     def __post_init__(self):
-        w = read_array(self.weights, "weights", "nonnegative")
-        if not w.size:
+        read_fields(self)
+        if not self.weights.size:
             raise DomainError("weights must be a nonempty vector")
-        object.__setattr__(self, "weights", w)
 
     @property
     def n_levels(self) -> int:

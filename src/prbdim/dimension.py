@@ -12,7 +12,7 @@ import numpy as np
 from . import DEFAULT_M_CEILING, congestion
 from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
 from .errors import (CeilingError, DomainError, InfeasibleSplitError, read_array, read_count,
-                     read_real)
+                     read_fields, read_real, reading)
 from .linkmodel import Scenario, intensities_from_throughput
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
@@ -37,14 +37,14 @@ class DimensionQuery:
     of `scenario.geometry` are replaced by the forecast's."""
 
     scenario: Scenario
-    target_congestion: float
-    throughput_bps: float
-    outdoor_fraction: float = 1.0
-    m_ceiling: int = DEFAULT_M_CEILING
+    target_congestion: float = reading(read_real, name="target congestion")
+    throughput_bps: float = reading(read_real, "positive")
+    outdoor_fraction: float = reading(read_real, "nonnegative", default=1.0)
+    m_ceiling: int = reading(read_count, 1, default=DEFAULT_M_CEILING)
 
     def __post_init__(self):
+        read_fields(self)
         check_search(self.target_congestion, self.m_ceiling)
-        read_real(self.throughput_bps, "throughput_bps", "positive")
 
     def build_scenario(self) -> Scenario:
         """The scenario with the forecast's intensities, sharing its demand

@@ -1,6 +1,7 @@
-"""Exception types with their exit codes, the size bound, and the package's input readers."""
+"""Exception types with their exit codes, the size bound, the input readers and reader fields."""
 
 import math
+from dataclasses import MISSING, field, fields
 from numbers import Real
 
 import numpy as np
@@ -118,6 +119,25 @@ def read_choice(x, name: str, choices) -> str:
     if not (isinstance(x, str) and x in choices):
         raise DomainError(f"unknown {name} {x!r}")
     return x
+
+
+def read_tuple(x, name: str, sign: str = "finite") -> tuple[float, ...]:
+    """x as a tuple of floats, read by :func:`read_array`."""
+    return tuple(read_array(x, name, sign).tolist())
+
+
+def reading(reader, *args, name: str | None = None, default=MISSING):
+    """A record field that :func:`read_fields` reads as reader(value, name or its name, *args)."""
+    return field(default=default, metadata={"read": (reader, name, args)})
+
+
+def read_fields(record) -> None:
+    """Store in each `reading` field of `record` its reader's result; a None default keeps None."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if "read" in f.metadata and not (value is None and f.default is None):
+            reader, name, args = f.metadata["read"]
+            object.__setattr__(record, f.name, reader(value, name or f.name, *args))
 
 
 def as_float(x) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, as_float, check_size, read_array, read_choice, read_count,
-                     read_real)
+                     read_fields, read_real, reading)
 
 PAPER = "paper"
 STANDARD = "standard"
@@ -34,13 +34,10 @@ _XSHIFT = np.uint32(16)
 class GeometryParams:
     """Intensities: roads per km (PLP), users per km of road, users per km^2."""
 
-    road_intensity: float
-    user_intensity_linear: float
-    user_intensity_area: float
-
-    def __post_init__(self):
-        for name in ("road_intensity", "user_intensity_linear", "user_intensity_area"):
-            read_real(getattr(self, name), name, "nonnegative")
+    road_intensity: float = reading(read_real, "nonnegative")
+    user_intensity_linear: float = reading(read_real, "nonnegative")
+    user_intensity_area: float = reading(read_real, "nonnegative")
+    __post_init__ = read_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,13 +46,11 @@ class RoadSet:
     roads, whose chord distances follow those of realizations 0..i-1 in
     `chord_distances`. A fixed road is a one-realization road set."""
 
-    counts: np.ndarray
-    chord_distances: np.ndarray
+    counts: np.ndarray = reading(read_array, "nonnegative", True)
+    chord_distances: np.ndarray = reading(read_array, "nonnegative")
 
     def __post_init__(self):
-        for name, integer in (("counts", True), ("chord_distances", False)):
-            object.__setattr__(self, name, read_array(getattr(self, name), name, "nonnegative",
-                                                      integer))
+        read_fields(self)
         if self.counts.sum() != self.chord_distances.size:
             raise DomainError("road counts must sum to the chord count")
 

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DomainError, InfeasibleSplitError, read_array, read_choice,
-                     read_count, read_real)
+from .errors import (DomainError, InfeasibleSplitError, read_array, read_choice, read_count,
+                     read_fields, read_real, read_tuple, reading)
 from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
@@ -40,28 +40,21 @@ class LinkBudget:
     exponent 2b applied to distance in km.
     """
 
-    tx_power_dbm: float
-    noise_power_dbm: float
-    prop_const_db: float
-    prop_const_indoor_db: float
-    path_loss_exp: float
-    tx_antennas: int
-    rx_antennas: int
-    prb_bandwidth_hz: float
-    cell_radius_km: float
-    max_user_prbs: int = 256
+    tx_power_dbm: float = reading(read_real)
+    noise_power_dbm: float = reading(read_real)
+    prop_const_db: float = reading(read_real)
+    prop_const_indoor_db: float = reading(read_real)
+    path_loss_exp: float = reading(read_real)
+    tx_antennas: int = reading(read_count, 1)
+    rx_antennas: int = reading(read_count, 1)
+    prb_bandwidth_hz: float = reading(read_real, "positive")
+    cell_radius_km: float = reading(read_real, "positive")
+    max_user_prbs: int = reading(read_count, 1, default=256)
 
     def __post_init__(self):
-        for name in ("tx_power_dbm", "noise_power_dbm", "prop_const_db",
-                     "prop_const_indoor_db", "path_loss_exp"):
-            read_real(getattr(self, name), name)
+        read_fields(self)
         if self.path_loss_exp <= 2:
             raise DomainError("path_loss_exp must exceed 2")
-        read_count(self.tx_antennas, "tx_antennas", 1)
-        read_count(self.rx_antennas, "rx_antennas", 1)
-        read_real(self.prb_bandwidth_hz, "prb_bandwidth_hz", "positive")
-        read_real(self.cell_radius_km, "cell_radius_km", "positive")
-        read_count(self.max_user_prbs, "max_user_prbs", 1)
 
     @property
     def spatial_layers(self) -> int:
@@ -85,13 +78,11 @@ class InterferenceModel:
     a single margin with no breakpoints is the degenerate one-region model.
     """
 
-    margins_db: tuple[float, ...]
-    breakpoints_km: tuple[float, ...] = ()
+    margins_db: tuple[float, ...] = reading(read_tuple, "nonnegative")
+    breakpoints_km: tuple[float, ...] = reading(read_tuple, "positive", default=())
 
     def __post_init__(self):
-        for name, sign in (("margins_db", "nonnegative"), ("breakpoints_km", "positive")):
-            read = read_array(getattr(self, name), name, sign)
-            object.__setattr__(self, name, tuple(read.tolist()))
+        read_fields(self)
         margins, bps = self.margins_db, self.breakpoints_km
         if len(margins) != len(bps) + 1:
             raise DomainError(f"{len(margins)} margins need {len(margins) - 1} breakpoints")
@@ -124,10 +115,8 @@ class InterferenceModel:
 class Service:
     """Single service class with its required transmission rate in bit/s."""
 
-    rate_bps: float
-
-    def __post_init__(self):
-        read_real(self.rate_bps, "rate_bps", "positive")
+    rate_bps: float = reading(read_real, "positive")
+    __post_init__ = read_fields
 
 
 # StepFunction cells: each is widened by this fraction of the span on both
@@ -205,8 +194,12 @@ class StepFunction:
         return StepFunction(bounds, values, self.span)
 
 
-def _ceil_ratio(value: float) -> int:
-    """Ceiling with relative slack so values a hair above an integer stay put."""
+def _ceil_ratio(rate_bps: float, throughput_bps: float, environment: str) -> int:
+    """Ceiling of rate/throughput with relative slack so values a hair above an integer stay put."""
+    if not (value := rate_bps / throughput_bps if throughput_bps else math.inf) < math.inf:
+        raise DomainError(f"{environment} PRB need {rate_bps:.6g} / {throughput_bps:.6g} bit/s is "
+                          "beyond double precision; it is made of rate_kbps, prb_bandwidth_khz, "
+                          "the antennas and the SINR")
     floor = math.floor(value)
     if value - floor <= _CEIL_RTOL * max(1.0, abs(value)):
         return max(int(floor), 1)
@@ -242,13 +235,13 @@ def max_prbs_per_user(lb: LinkBudget, im: InterferenceModel, svc: Service,
                       environment: str) -> int:
     """Demand cap N: cell-edge need (edge margin applies at x=R) or the operator cap."""
     edge_rate = throughput_at(lb, im, lb.cell_radius_km, environment)
-    return min(lb.max_user_prbs, _ceil_ratio(svc.rate_bps / edge_rate))
+    return min(lb.max_user_prbs, _ceil_ratio(svc.rate_bps, edge_rate, environment))
 
 
 def prbs_required(lb: LinkBudget, im: InterferenceModel, svc: Service,
                   x_km: float, environment: str) -> int:
     """PRBs a user at distance x needs to reach the service rate, capped at N."""
-    n = _ceil_ratio(svc.rate_bps / throughput_at(lb, im, x_km, environment))
+    n = _ceil_ratio(svc.rate_bps, throughput_at(lb, im, x_km, environment), environment)
     return min(n, max_prbs_per_user(lb, im, svc, environment))
 
 
@@ -316,22 +309,18 @@ class Scenario:
     interference: InterferenceModel
     service: Service
     geometry: GeometryParams
-    sampler: str = PAPER
-    seed: int = 0
-    mc_realizations: int = 500
-    region_km: tuple[float, float] | None = None
+    sampler: str = reading(read_choice, SAMPLERS, default=PAPER)
+    seed: int = reading(read_count, 0, default=0)
+    mc_realizations: int = reading(read_count, 1, name="realizations", default=500)
+    region_km: tuple[float, float] | None = reading(read_tuple, default=None)
 
     def __post_init__(self):
-        read_choice(self.sampler, "sampler", SAMPLERS)
-        read_count(self.mc_realizations, "realizations", 1)
-        read_count(self.seed, "seed", 0)
+        read_fields(self)
         r = self.link_budget.cell_radius_km
         self.interference.regions(r)  # its breakpoints lie inside the cell
-        if self.region_km is not None:
-            region = tuple(read_array(self.region_km, "region_km").tolist())
-            if len(region) != 2 or not 0.0 <= region[0] < region[1] <= r * (1 + 1e-12):
-                raise DomainError(f"region_km {region} must be a pair (lo, hi] inside (0, {r}]")
-            object.__setattr__(self, "region_km", region)
+        if (region := self.region_km) is not None and (
+                len(region) != 2 or not 0.0 <= region[0] < region[1] <= r * (1 + 1e-12)):
+            raise DomainError(f"region_km {region} must be a pair (lo, hi] inside (0, {r}]")
 
     @property
     def cell_radius_km(self) -> float:

@@ -9,7 +9,12 @@ are carried on to the cell's demand steps, where their arithmetic runs.
 
 No case asks for what an allocator could grant: a count is small, or of at
 least 2^50 elements, so a missing size refusal fails at once instead of
-swapping."""
+swapping.
+
+A record stores what its field's reader returns: a numpy scalar field is
+kept as a builtin float or int, so the radio arithmetic runs in double
+precision and raises where it overflows, without a numpy RuntimeWarning,
+which every test here turns into an error."""
 
 import dataclasses
 import math
@@ -26,6 +31,8 @@ from prbdim import (CompoundSpec, DimensionQuery, GeometryParams, InterferenceMo
 from prbdim.errors import PrbdimError
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import gamma_samples
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # a small valid cell: fig3 with four road realizations
 SCN = dataclasses.replace(bundled_scenario("fig3").to_scenario(), mc_realizations=4)
@@ -80,7 +87,8 @@ CALLS = {
     "Scenario": (lambda **kw: _demand(dataclasses.replace(SCN, **kw)),
                  {"sampler": "paper", "seed": 0, "mc_realizations": 4, "region_km": (0.1, 0.5)},
                  ["sampler", "seed", "mc_realizations", "region_km"]),
-    "DimensionQuery": (_query, {}, ["target_congestion", "throughput_bps", "m_ceiling"]),
+    "DimensionQuery": (_query, {},
+                       ["target_congestion", "throughput_bps", "outdoor_fraction", "m_ceiling"]),
     "CompoundSpec": (CompoundSpec, {"weights": [0.3, 0.2]}, ["weights"]),
     "RoadSet": (RoadSet, {"counts": [2, 0], "chord_distances": [0.1, 0.3]},
                 ["counts", "chord_distances"]),
@@ -141,3 +149,50 @@ for value in SCALARS + ARRAYS:
 def test_each_entry_answers_its_valid_arguments(entry):
     call, valid, _ = CALLS[entry]
     call(**valid)
+
+
+# a valid record of each input kind, every numeric field set
+RECORDS = [LB, InterferenceModel((1.0, 8.0, 15.0), (0.2, 0.4)), SVC, GP,
+           dataclasses.replace(SCN, region_km=(0.1, 0.5)), _query(), SPEC, ROAD]
+
+
+def _numpy_forms(value):
+    """numpy forms of a valid field value, each with the value the record must store for it."""
+    if isinstance(value, float):
+        return [(np.float32(value), float(np.float32(value)))]
+    if isinstance(value, int):
+        return [(np.int64(value), value), (np.uint64(value), value)]
+    if isinstance(value, tuple):
+        single = np.asarray(value, dtype=np.float32)
+        return [(single, tuple(float(x) for x in single))]
+    if isinstance(value, np.ndarray):
+        given = value.astype(np.float32 if value.dtype.kind == "f" else np.uint64)
+        return [(given, given.astype(value.dtype))]
+    return []
+
+
+@pytest.mark.parametrize("record, name", [
+    pytest.param(record, field.name, id=f"{type(record).__name__}-{field.name}")
+    for record in RECORDS for field in dataclasses.fields(record)
+    if _numpy_forms(getattr(record, field.name))])
+def test_each_numeric_field_stores_what_its_reader_returns(record, name):
+    for given, stored in _numpy_forms(getattr(record, name)):
+        kept = getattr(dataclasses.replace(record, **{name: given}), name)
+        assert type(kept) is type(stored)
+        if isinstance(stored, np.ndarray):
+            assert kept.dtype == stored.dtype and not kept.flags.writeable
+            assert np.array_equal(kept, stored)
+        else:
+            assert kept == stored
+        if isinstance(stored, tuple):
+            assert all(type(x) is float for x in kept)
+
+
+def test_a_float32_bandwidth_gives_the_demand_steps_of_its_float():
+    cell = bundled_scenario("fig6_mixed").to_scenario()
+    steps = [dataclasses.replace(cell, link_budget=dataclasses.replace(
+        cell.link_budget, prb_bandwidth_hz=bandwidth)).demand_steps
+        for bandwidth in (np.float32(180e3), float(np.float32(180e3)))]
+    for given, exact in zip(*steps):
+        assert given.bounds.tobytes() == exact.bounds.tobytes()
+        assert given.values.tobytes() == exact.values.tobytes()

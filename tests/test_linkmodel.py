@@ -418,6 +418,23 @@ def test_link_budget_arithmetic_beyond_double_range_is_named(name, key, value, m
     assert str(exc.value) == f"{message} is beyond double precision; {keys}"
 
 
+# the edge rate of a subnormal bandwidth, 9.39e-323 bit/s outdoors, once ended
+# in an OverflowError from the ceiling of rate / edge rate, and 0 indoors in
+# a ZeroDivisionError
+def test_a_bandwidth_too_narrow_for_the_service_rate_is_named():
+    cell = bundled_scenario("fig3").to_scenario()
+    narrow = dataclasses.replace(cell, link_budget=dataclasses.replace(
+        cell.link_budget, prb_bandwidth_hz=5e-324))
+    keys = ("is beyond double precision; it is made of rate_kbps, prb_bandwidth_khz, the "
+            "antennas and the SINR")
+    with pytest.raises(DomainError) as exc:
+        narrow.n_levels
+    assert str(exc.value) == f"outdoor PRB need 500000 / 9.38725e-323 bit/s {keys}"
+    with pytest.raises(DomainError) as exc:
+        max_prbs_per_user(narrow.link_budget, narrow.interference, narrow.service, "indoor")
+    assert str(exc.value) == f"indoor PRB need 500000 / 0 bit/s {keys}"
+
+
 def test_sinr_refuses_a_distance_where_it_overflows(link_budget, noise_limited):
     with pytest.raises(DomainError, match=r"^outdoor SINR 10523 dB at 1e-300 km is beyond"):
         sinr_at(link_budget, noise_limited, 1e-300, "outdoor")
