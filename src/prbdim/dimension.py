@@ -12,7 +12,7 @@ import numpy as np
 from . import DEFAULT_M_CEILING, congestion
 from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
 from .errors import (CeilingError, DomainError, InfeasibleSplitError, read_array, read_count,
-                     read_fields, read_real, reading)
+                     read_fields, read_fraction, read_real, reading)
 from .linkmodel import Scenario, intensities_from_throughput
 
 # Smallest target accepted: below it, 1 - (the kernel's running CDF) leaves
@@ -39,7 +39,7 @@ class DimensionQuery:
     scenario: Scenario
     target_congestion: float = reading(read_real, name="target congestion")
     throughput_bps: float = reading(read_real, "positive")
-    outdoor_fraction: float = reading(read_real, "nonnegative", default=1.0)
+    outdoor_fraction: float = reading(read_fraction, default=1.0)
     m_ceiling: int = reading(read_count, 1, default=DEFAULT_M_CEILING)
 
     def __post_init__(self):

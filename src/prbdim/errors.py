@@ -114,6 +114,13 @@ def read_real(x, name: str, sign: str = "finite") -> float:
     return float(read_array(x, name, sign, ndim=None))
 
 
+def read_fraction(x, name: str) -> float:
+    """x as a float in [0, 1], read by :func:`read_real`."""
+    if not (f := read_real(x, name, "nonnegative")) <= 1.0:
+        raise DomainError(f"{name} {f:g} must lie in [0, 1]")
+    return f
+
+
 def read_choice(x, name: str, choices) -> str:
     """x, refused unless a string among `choices`."""
     if not (isinstance(x, str) and x in choices):
@@ -126,16 +133,18 @@ def read_tuple(x, name: str, sign: str = "finite") -> tuple[float, ...]:
     return tuple(read_array(x, name, sign).tolist())
 
 
-def reading(reader, *args, name: str | None = None, default=MISSING):
-    """A record field that :func:`read_fields` reads as reader(value, name or its name, *args)."""
-    return field(default=default, metadata={"read": (reader, name, args)})
+def reading(reader, *args, name: str | None = None, default=MISSING, **metadata):
+    """A record field that :func:`read_fields` reads as reader(value, name or its name, *args),
+    with `metadata`, whose `absent` (what an omitted value is) is `default` unless given."""
+    metadata = {"read": (reader, name, args), "absent": default, **metadata}
+    return field(default=default, metadata=metadata)
 
 
 def read_fields(record) -> None:
-    """Store in each `reading` field of `record` its reader's result; a None default keeps None."""
+    """Store in each `reading` field its reader's result; a None stays where `absent` is None."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if "read" in f.metadata and not (value is None and f.default is None):
+        if "read" in f.metadata and not (value is None and f.metadata["absent"] is None):
             reader, name, args = f.metadata["read"]
             object.__setattr__(record, f.name, reader(value, name or f.name, *args))
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DomainError, InfeasibleSplitError, read_array, read_choice, read_count,
-                     read_fields, read_real, read_tuple, reading)
+                     read_fields, read_fraction, read_real, read_tuple, reading)
 from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
@@ -376,15 +376,15 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
     rest is indoor area intensity kappa = (1-f)*u/(pi*R^2).
     """
     throughput_bps = read_real(throughput_bps, "throughput_bps", "positive")
-    if not read_real(outdoor_fraction, "outdoor_fraction", "nonnegative") <= 1.0:
-        raise DomainError(f"outdoor_fraction {outdoor_fraction:g} must lie in [0, 1]")
+    outdoor_fraction = read_fraction(outdoor_fraction, "outdoor_fraction")
     road_intensity = read_real(road_intensity, "road_intensity", "nonnegative")
     users = throughput_bps / read_real(rate_bps, "rate_bps", "positive")
     try:
         area = math.pi * read_real(cell_radius_km, "cell_radius_km", "positive") ** 2
-    except OverflowError:
-        raise DomainError(f"cell_radius_km {cell_radius_km:g} squared overflows") from None
-    if outdoor_fraction > 0 and road_intensity == 0:
-        raise InfeasibleSplitError("outdoor traffic requested with zero road intensity")
-    delta = outdoor_fraction * users / (road_intensity * area) if outdoor_fraction > 0 else 0.0
-    return GeometryParams(road_intensity, delta, (1.0 - outdoor_fraction) * users / area)
+        if outdoor_fraction > 0 and road_intensity == 0:
+            raise InfeasibleSplitError("outdoor traffic requested with zero road intensity")
+        delta = outdoor_fraction * users / (road_intensity * area) if outdoor_fraction > 0 else 0.0
+        return GeometryParams(road_intensity, delta, (1.0 - outdoor_fraction) * users / area)
+    except (OverflowError, ZeroDivisionError):  # the area, or its product, over- or underflows
+        raise DomainError(f"cell_radius_km {cell_radius_km:g} squared, or times road_intensity "
+                          f"{road_intensity:g}, is beyond double precision") from None

@@ -115,6 +115,23 @@ class TestIntensities:
         with pytest.raises(DomainError, match=f"outdoor_fraction {f:g} must {rule}"):
             intensities_from_throughput(20e6, 500e3, R, 9.0, f)
 
+    @pytest.mark.parametrize("radius, lam", [(1e-200, 2.0), (0.1, 5e-324), (1e200, 2.0)])
+    def test_an_area_beyond_double_precision_is_refused(self, radius, lam):
+        # pi R^2 or lambda pi R^2 under- or overflows; the underflow once divided by zero
+        message = f"cell_radius_km {radius:g} squared, or times road_intensity {lam:g}, is beyond"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            intensities_from_throughput(25e6, 5e5, radius, lam, 0.75)
+
+    def test_a_query_refuses_an_outdoor_fraction_above_one_when_built(self):
+        # the rule of intensities_from_throughput, not first met when the query is answered
+        with pytest.raises(DomainError, match=re.escape("outdoor_fraction 1.5 must lie in")):
+            query(f=1.5)
+        above = re.escape("outdoor_fraction 2 must lie in [0, 1]")
+        with pytest.raises(DomainError, match=above):
+            replace(query(), outdoor_fraction=2.0)
+        with pytest.raises(DomainError, match=above):
+            bundled_scenario("fig3").to_query(target=0.05, outdoor_fraction=2.0)
+
 
 class TestDimension:
     def test_tiny_load_needs_one(self):

@@ -6,6 +6,8 @@ result or raises a `PrbdimError`; no bare builtin error leaves the entry.
 Record arguments (a `Scenario`, a `LinkBudget`, a `CompoundSpec`) stay
 valid: the constructor entries drive their fields, and the radio records
 are carried on to the cell's demand steps, where their arithmetic runs.
+A scenario document's keys are driven through `dataclasses.replace` and
+its conversion to a `Scenario`.
 
 No case asks for what an allocator could grant: a count is small, or of at
 least 2^50 elements, so a missing size refusal fails at once instead of
@@ -35,7 +37,8 @@ from prbdim.simulate import gamma_samples
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # a small valid cell: fig3 with four road realizations
-SCN = dataclasses.replace(bundled_scenario("fig3").to_scenario(), mc_realizations=4)
+DOC = bundled_scenario("fig3")
+SCN = dataclasses.replace(DOC.to_scenario(), mc_realizations=4)
 LB, IM, SVC, GP = SCN.link_budget, SCN.interference, SCN.service, SCN.geometry
 SPEC = CompoundSpec([0.3, 0.2, 0.1])
 ROAD = RoadSet(counts=[2], chord_distances=[0.1, 0.3])
@@ -87,6 +90,8 @@ CALLS = {
     "Scenario": (lambda **kw: _demand(dataclasses.replace(SCN, **kw)),
                  {"sampler": "paper", "seed": 0, "mc_realizations": 4, "region_km": (0.1, 0.5)},
                  ["sampler", "seed", "mc_realizations", "region_km"]),
+    "ScenarioFile": (lambda **kw: dataclasses.replace(DOC, **kw).to_scenario(),
+                     dataclasses.asdict(DOC), [f.name for f in dataclasses.fields(DOC)]),
     "DimensionQuery": (_query, {},
                        ["target_congestion", "throughput_bps", "outdoor_fraction", "m_ceiling"]),
     "CompoundSpec": (CompoundSpec, {"weights": [0.3, 0.2]}, ["weights"]),
@@ -153,7 +158,8 @@ def test_each_entry_answers_its_valid_arguments(entry):
 
 # a valid record of each input kind, every numeric field set
 RECORDS = [LB, InterferenceModel((1.0, 8.0, 15.0), (0.2, 0.4)), SVC, GP,
-           dataclasses.replace(SCN, region_km=(0.1, 0.5)), _query(), SPEC, ROAD]
+           dataclasses.replace(SCN, region_km=(0.1, 0.5)), _query(), SPEC, ROAD,
+           bundled_scenario("fig6_mixed")]
 
 
 def _numpy_forms(value):

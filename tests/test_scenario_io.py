@@ -2,9 +2,14 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prbdim import ScenarioError
+from prbdim.errors import (PrbdimError, read_choice, read_count, read_fraction, read_real,
+                           read_tuple)
+from prbdim.geometry import SAMPLERS
 from prbdim.linkmodel import InterferenceModel
 from prbdim.scenario_io import (KEYS, ScenarioFile, bundled_scenario, bundled_scenario_path,
                                 dump_scenario, parse_scenario)
@@ -96,8 +101,7 @@ class TestParsing:
                                f"throughput_mbps = {value}\noutdoor_fraction = 0.5")
         path = tmp_path / "cell.scenario"
         path.write_text(text)
-        written = "must be finite" if value in ("inf", "nan") else \
-            f"throughput_mbps {value} must be positive and finite"
+        written = f"throughput_mbps {value} must be positive and finite"
         with pytest.raises(ScenarioError, match=written):
             parse_scenario(text, name="cell.scenario")
         assert main(["dimension", "--scenario", str(path), "--target", "0.05"]) == 3
@@ -266,6 +270,21 @@ class TestQueries:
         assert scn.seed == 99 and scn.mc_realizations == 12
 
 
+# each key's values, as builtins and numpy scalars, most of them valid
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_REALS = st.one_of(st.floats(0.0, 2.0), st.floats(-200.0, 200.0), _FINITE)
+_REALS = st.one_of(_REALS, _REALS.map(np.float64),
+                   st.floats(-200.0, 200.0, width=32).map(np.float32))
+_COUNTS = st.integers(0, 2 ** 63 - 1)
+_COUNTS = st.one_of(st.integers(0, 10), _COUNTS, _COUNTS.map(np.int64))
+_LISTS = st.lists(st.one_of(st.floats(0.0, 1.0), _FINITE), max_size=3)
+_BY_READER = {read_real: _REALS, read_fraction: _REALS, read_count: _COUNTS,
+              read_tuple: _LISTS.map(tuple), read_choice: st.sampled_from(SAMPLERS)}
+VALUES = {f.name: _BY_READER[f.metadata["read"][0]] for f in dataclasses.fields(ScenarioFile)}
+VALUES.update({key: st.one_of(st.none(), VALUES[key]) for _, key, _, absent in KEYS
+               if absent is None})
+
+
 class TestDump:
     def test_round_trip_preserves_value_semantics(self):
         doc = parse_scenario(MINIMAL)
@@ -278,3 +297,22 @@ class TestDump:
         doc = parse_scenario(text)
         assert doc.road_intensity_per_km == 9.000000000000123
         assert parse_scenario(dump_scenario(doc)) == doc
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_documents_parse_back_from_their_dump(self, name):
+        doc = bundled_scenario(name)
+        assert parse_scenario(dump_scenario(doc)) == doc
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(BUNDLED), changes=st.lists(
+        st.sampled_from([key for _, key, _, _ in KEYS]).flatmap(
+            lambda key: st.tuples(st.just(key), VALUES[key])),
+        min_size=1, max_size=3, unique_by=lambda change: change[0]))
+    def test_a_built_document_parses_back_from_its_dump(self, name, changes):
+        # any document that can be built, numpy values too, dumps to text that reads as it
+        try:
+            doc = dataclasses.replace(bundled_scenario(name), **dict(changes))
+        except PrbdimError:
+            return
+        assert parse_scenario(dump_scenario(doc)) == doc
+
