@@ -10,25 +10,33 @@ the process right after stdout and stderr are flushed, without interpreter
 teardown: no atexit handler runs and no other file object is flushed.  So
 every file a command writes, the planned --trace file included, must be
 closed inside `main()`.  Usage errors, --help, --version
-and tracebacks still leave through the normal exit path.
+and tracebacks still leave through the normal exit path.  Both entries run
+with the cyclic collector off (`python -m` from before numpy is imported):
+the commands make little cyclic garbage, and a process this short need not
+pause to collect it.  `import prbdim.cli` leaves it on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import re
 import sys
+from itertools import product
 from typing import TYPE_CHECKING
+
+if __name__ == "__main__":
+    gc.disable()  # as run() does, from before numpy's import
 
 import numpy as np
 
 from . import DEFAULT_M_CEILING, REGION_NAMES, __version__
-from .errors import DomainError, PrbdimError, check_size, read_count, read_real
+from .errors import DomainError, PrbdimError, check_size, read_count, read_si
 
 if TYPE_CHECKING:
-    from .dimension import DimensionQuery, DimensionReport
+    from .dimension import DimensionReport
     from .linkmodel import Scenario
     from .scenario_io import ScenarioFile
     from .simulate import EmpiricalCurve
@@ -157,44 +165,8 @@ def _print_report(report: DimensionReport, target: float) -> None:
     print(f"realizations = {report.realizations}")
 
 
-def _query(args, doc: ScenarioFile, throughput_bps: float | None) -> DimensionQuery:
-    return doc.to_query(target=args.target, throughput_bps=throughput_bps,
-                        outdoor_fraction=args.outdoor_fraction,
-                        m_ceiling=args.m_ceiling,
-                        noise_limited=args.noise_limited, region=args.region)
-
-
-def _bps(mbps: float) -> float:
-    """Mbit/s to bit/s, refusing a non-positive or non-finite value in Mbit/s."""
-    return read_real(mbps, "throughput_mbps", "positive") * 1e6
-
-
 _DIMENSION_COLUMNS = ["tau_mbps", "lambda_per_km", "target", "required_m",
                       "pi_at_m", "pi_before", "stderr_at_m", "status"]
-
-
-def _dimension_row(tau_bps: float, lam: float, target: float, answer) -> list:
-    """A dimension or sweep CSV data row: the grid point, then its report or,
-    for an error, -1 and NaNs; the last cell is the sweep's status."""
-    if isinstance(answer, Exception):
-        return [tau_bps / 1e6, lam, target, -1, math.nan, math.nan, math.nan, "error"]
-    return [tau_bps / 1e6, lam, target, answer.required_m, answer.pi_at_m,
-            answer.pi_before, answer.stderr_at_m, "ok"]
-
-
-def cmd_dimension(args) -> int:
-    from .dimension import dimension_prbs
-    doc = _load(args)
-    query = _query(args, doc, _bps(args.tau_mbps) if args.tau_mbps is not None else None)
-    report = dimension_prbs(query)
-    _print_report(report, args.target)
-    if args.out:
-        meta = _base_meta(args, doc)
-        meta["target"] = _fmt(args.target)
-        row = _dimension_row(query.throughput_bps, query.scenario.geometry.road_intensity,
-                             args.target, report)
-        write_csv(args.out, meta, _DIMENSION_COLUMNS[:-1], [row[:-1]])
-    return EXIT_OK
 
 
 def _grid(raw: str | None) -> list[float] | None:
@@ -209,24 +181,46 @@ def _grid(raw: str | None) -> list[float] | None:
     return values
 
 
-def cmd_sweep(args) -> int:
+def _dimension_rows(args) -> tuple[dict, list[list], list]:
+    """Load the document, build the query and answer the command's grid by one
+    `sweep`: dimension's one point, or sweep's grids, where an absent grid is
+    the query's own value.  Returns the CSV metadata, then per point,
+    tau-major, its row (tau in Mbit/s as given; -1 and NaNs for an error;
+    the sweep's status last) and its report or error."""
     from .dimension import sweep
     doc = _load(args)
-    tau_grid = _grid(args.tau_grid_mbps)
-    lams = _grid(args.lambda_grid_per_km)
-    taus = [_bps(t) for t in tau_grid] if tau_grid else None
-    query = _query(args, doc, taus[0] if taus else None)
-    # the grids as sweep reads them, so each answer's point is known
-    taus = taus or [query.throughput_bps]
+    one_tau = getattr(args, "tau_mbps", None)  # dimension's one point
+    taus = [one_tau] if one_tau is not None else _grid(getattr(args, "tau_grid_mbps", None))
+    lams = _grid(getattr(args, "lambda_grid_per_km", None))
+    taus_bps = taus and [read_si(tau, "throughput_mbps") for tau in taus]
+    query = doc.to_query(target=args.target, throughput_bps=taus_bps[0] if taus else None,
+                         outdoor_fraction=args.outdoor_fraction, m_ceiling=args.m_ceiling,
+                         noise_limited=args.noise_limited, region=args.region)
+    taus = taus or [doc.throughput_mbps]
     lams = lams or [query.scenario.geometry.road_intensity]
-    answers = sweep(query, throughput_grid_bps=taus, road_intensity_grid=lams)
-    meta = _base_meta(args, doc)
-    meta["target"] = _fmt(args.target)
-    rows = []
-    for (tau, lam), answer in zip([(tau, lam) for tau in taus for lam in lams], answers):
-        rows.append(_dimension_row(tau, lam, args.target, answer))
+    answers = sweep(query, throughput_grid_bps=taus_bps, road_intensity_grid=lams)
+    rows = [[tau, lam, args.target, -1, math.nan, math.nan, math.nan, "error"]
+            if isinstance(a, Exception) else
+            [tau, lam, args.target, a.required_m, a.pi_at_m, a.pi_before, a.stderr_at_m, "ok"]
+            for (tau, lam), a in zip(product(taus, lams), answers)]
+    return {**_base_meta(args, doc), "target": _fmt(args.target)}, rows, answers
+
+
+def cmd_dimension(args) -> int:
+    meta, [row], [answer] = _dimension_rows(args)
+    if isinstance(answer, Exception):
+        raise answer
+    _print_report(answer, args.target)
+    if args.out:
+        write_csv(args.out, meta, _DIMENSION_COLUMNS[:-1], [row[:-1]])
+    return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    meta, rows, answers = _dimension_rows(args)
+    for (tau, lam, *_), answer in zip(rows, answers):
         if isinstance(answer, Exception):
-            print(f"point tau={tau / 1e6:g} lambda={lam:g}: {answer}", file=sys.stderr)
+            print(f"point tau={tau:g} lambda={lam:g}: {answer}", file=sys.stderr)
     write_csv(args.out, meta, _DIMENSION_COLUMNS, rows)
     return EXIT_OK
 
@@ -357,9 +351,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Run `main()` on sys.argv, flush stdout and stderr, and end the process
-    with main's exit code, skipping interpreter teardown.  A failed flush
-    raises, and the process exits non-zero through the normal path."""
+    """Run `main()` on sys.argv with the cyclic collector off, flush stdout and
+    stderr, and end the process with main's exit code, skipping interpreter
+    teardown.  A failed flush raises, and the process exits non-zero through
+    the normal path."""
+    gc.disable()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

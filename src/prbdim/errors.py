@@ -1,6 +1,7 @@
 """Exception types with their exit codes, the size bound, the input readers and reader fields."""
 
 import math
+import sys
 from dataclasses import MISSING, field, fields
 from numbers import Real
 
@@ -98,9 +99,14 @@ def read_threshold_list(m) -> np.ndarray:
 
 def read_count(n, name: str, least: int) -> int:
     """n as an int, refused unless an integer (not a bool, nor a whole
-    float) of at least `least`."""
+    float) of at least `least` that Python can write as text."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError(f"{name} {n!r} must be an integer")
+    try:
+        str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise DomainError(f"{name} has more than {sys.get_int_max_str_digits()} digits, "
+                          "too many to write") from None
     if n < least:
         bound = "a non-negative integer" if least == 0 else f"at least {least}"
         raise DomainError(f"{name} {n} must be {bound}")
@@ -112,6 +118,18 @@ def read_real(x, name: str, sign: str = "finite") -> float:
     if isinstance(x, bool) or not isinstance(x, Real):
         raise DomainError(f"{name} {x!r} must be a number")
     return float(read_array(x, name, sign, ndim=None))
+
+
+SI_UNITS = {"khz": (1e3, "Hz"), "kbps": (1e3, "bit/s"), "mbps": (1e6, "bit/s")}
+
+
+def read_si(x, name: str) -> float:
+    """x in the unit its key or option `name` ends in (an SI_UNITS key), read by :func:`read_real`
+    as positive, in SI units; refused, naming x as given, where those overflow."""
+    scale, unit = SI_UNITS[name.rsplit("_", 1)[1]]
+    if (si := read_real(x, name, "positive") * scale) == math.inf:
+        raise DomainError(f"{name} {as_float(x):g} is beyond double precision in {unit}")
+    return si
 
 
 def read_fraction(x, name: str) -> float:

@@ -384,7 +384,13 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
         if outdoor_fraction > 0 and road_intensity == 0:
             raise InfeasibleSplitError("outdoor traffic requested with zero road intensity")
         delta = outdoor_fraction * users / (road_intensity * area) if outdoor_fraction > 0 else 0.0
-        return GeometryParams(road_intensity, delta, (1.0 - outdoor_fraction) * users / area)
+        kappa = (1.0 - outdoor_fraction) * users / area
     except (OverflowError, ZeroDivisionError):  # the area, or its product, over- or underflows
         raise DomainError(f"cell_radius_km {cell_radius_km:g} squared, or times road_intensity "
                           f"{road_intensity:g}, is beyond double precision") from None
+    if not delta + kappa < math.inf:  # an infinite user count, or a subnormal divisor
+        raise DomainError(
+            f"user intensity of throughput_bps {throughput_bps:g} at rate_bps {rate_bps:g} "
+            f"over cell_radius_km {cell_radius_km:g}, road_intensity {road_intensity:g} and "
+            f"outdoor_fraction {outdoor_fraction:g} is beyond double precision")
+    return GeometryParams(road_intensity, delta, kappa)

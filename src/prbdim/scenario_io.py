@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
 from .errors import (PrbdimError, ScenarioError, read_choice, read_count, read_fields,
-                     read_fraction, read_real, read_tuple, reading)
+                     read_fraction, read_real, read_si, read_tuple, reading)
 from .geometry import GeometryParams, PAPER, SAMPLERS
 from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
                         default_breakpoints, intensities_from_throughput)
@@ -112,7 +112,7 @@ class ScenarioFile:
 
     def link_budget(self) -> LinkBudget:
         cell = {key: getattr(self, key) for section, key, _, _ in KEYS if section == "cell"}
-        cell["prb_bandwidth_hz"] = cell.pop("prb_bandwidth_khz") * 1e3
+        cell["prb_bandwidth_hz"] = read_si(cell.pop("prb_bandwidth_khz"), "prb_bandwidth_khz")
         return LinkBudget(**cell)
 
     def interference(self, noise_limited: bool = False) -> InterferenceModel:
@@ -122,14 +122,14 @@ class ScenarioFile:
                                  breakpoints_km=self.breakpoints_km)
 
     def service(self) -> Service:
-        return Service(rate_bps=self.rate_kbps * 1e3)
+        return Service(rate_bps=read_si(self.rate_kbps, "rate_kbps"))
 
     def geometry(self) -> GeometryParams:
         """The stated intensities, or those of the stated forecast."""
         if self.throughput_mbps is not None:
             return intensities_from_throughput(
-                self.throughput_mbps * 1e6, self.rate_kbps * 1e3, self.cell_radius_km,
-                self.road_intensity_per_km, self.outdoor_fraction)
+                read_si(self.throughput_mbps, "throughput_mbps"), self.service().rate_bps,
+                self.cell_radius_km, self.road_intensity_per_km, self.outdoor_fraction)
         return GeometryParams(self.road_intensity_per_km, self.user_intensity_per_km,
                               self.indoor_intensity_per_km2)
 
@@ -160,7 +160,7 @@ class ScenarioFile:
                 raise ScenarioError(
                     "no forecast throughput: give one on the command line or "
                     "state throughput_mbps in [geometry]")
-            throughput_bps = self.throughput_mbps * 1e6
+            throughput_bps = read_si(self.throughput_mbps, "throughput_mbps")
         outdoor_fraction = self.outdoor_fraction if outdoor_fraction is None else outdoor_fraction
         if outdoor_fraction is None:
             raise ScenarioError("no outdoor_fraction given for a dimensioning query")

@@ -1,4 +1,5 @@
 import errno
+import gc
 import os
 import subprocess
 import sys
@@ -166,6 +167,27 @@ class TestDimensionCommand:
                     "--target", "0.05"])
         assert code == 0
         assert "required_m = 1542\n" in capsys.readouterr().out
+
+
+    # the one-point sweep row, byte for byte, less its status
+    @pytest.mark.parametrize("scenario, tau", [(FIG6, []), (FIG7, ["--tau-mbps", "300"])],
+                             ids=["fig6_mixed", "fig7-300"])
+    def test_out_writes_the_one_point_sweep_row(self, scenario, tau, tmp_path):
+        one, grid = tmp_path / "dimension.csv", tmp_path / "sweep.csv"
+        assert run(["dimension", "--scenario", scenario, "--target", "0.05", *tau,
+                    "--out", str(one)]) == 0
+        grid_tau = ["--tau-grid-mbps", tau[1]] if tau else []
+        assert run(["sweep", "--scenario", scenario, "--target", "0.05", *grid_tau,
+                    "--out", str(grid)]) == 0
+        [row] = read_csv(grid)[1]
+        assert read_csv(one)[1] == [row.removesuffix(",ok")]
+
+    # once named in bit/s: "throughput_bps inf must be positive and finite"
+    def test_a_throughput_beyond_double_precision_is_named_as_typed(self, capsys):
+        assert run(["dimension", "--scenario", FIG3, "--target", "0.05",
+                    "--tau-mbps", "1e306"]) == 3
+        assert ("validation error: throughput_mbps 1e+306 is beyond double precision in bit/s"
+                in capsys.readouterr().err)
 
 
 class TestSweepCommand:
@@ -509,6 +531,19 @@ class TestProcessExit:
             proc = cli_process(["validate", "--suite", "identities"], stdout=full)
         assert proc.returncode != 0
         assert b"No space left on device" in proc.stderr
+
+    def test_the_entries_turn_the_cyclic_collector_off_and_the_import_does_not(self,
+                                                                               monkeypatch):
+        code = "import gc, prbdim.cli; assert gc.isenabled()"
+        assert subprocess.run([sys.executable, "-c", code], env={
+            **os.environ, "PYTHONPATH": str(Path(prbdim.__file__).parents[1])}).returncode == 0
+        monkeypatch.setattr(sys, "argv", ["prbdim", "--version"])
+        try:
+            with pytest.raises(SystemExit):
+                cli.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_a_failed_flush_raises_and_never_exits_silently(self, monkeypatch):
         class Full:

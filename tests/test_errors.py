@@ -13,8 +13,7 @@ from prbdim import (CompoundSpec, DimensionQuery, DomainError, InterferenceModel
                     Service, StepFunction, averaged_congestion, ccdf_bell, ccdf_bell_literal,
                     ccdf_integral, conditional_congestion, dimension_prbs, dimension_scenario,
                     empirical_ccdf, sample_road_set, sinr_at, sweep)
-from prbdim.cli import _bps
-from prbdim.errors import read_array, read_count, read_real
+from prbdim.errors import read_array, read_count, read_real, read_si
 from prbdim.linkmodel import intensities_from_throughput
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import MIN_REPLICATIONS, gamma_samples
@@ -141,7 +140,9 @@ REAL_ENTRIES = {
     "ScenarioFile.to_query.outdoor_fraction":
         ("outdoor_fraction", "nonnegative", lambda scn, x: dimension_prbs(
             bundled_scenario("fig3").to_query(target=0.05, outdoor_fraction=x))),
-    "cli._bps": ("throughput_mbps", "positive", lambda scn, x: _bps(x)),
+    # the reader of --tau-mbps and --tau-grid-mbps
+    "read_si.throughput_mbps":
+        ("throughput_mbps", "positive", lambda scn, x: read_si(x, "throughput_mbps")),
     "ScenarioFile.throughput_mbps":
         ("throughput_mbps", "positive", lambda scn, x: dataclasses.replace(
             bundled_scenario("fig3"), throughput_mbps=x).to_scenario()),

@@ -77,3 +77,17 @@ def test_each_option_answers_a_hostile_value_with_an_exit_code(command, option, 
 for text in TEXTS:
     test_each_option_answers_a_hostile_value_with_an_exit_code = example(value=text)(
         test_each_option_answers_a_hostile_value_with_an_exit_code)
+
+
+# each was refused in units nobody typed (`throughput_bps inf`, `user_intensity_area inf`)
+@pytest.mark.parametrize("argv, message", [
+    (["dimension", "--scenario", FIG3, "--target", "0.05", "--tau-mbps", "1e306"],
+     "throughput_mbps 1e+306 is beyond double precision in bit/s"),
+    (["sweep", "--scenario", FIG3, "--target", "0.05", "--tau-grid-mbps", "10,1e306",
+      "--out", "-"], "throughput_mbps 1e+306 is beyond double precision in bit/s"),
+    (["sweep", "--scenario", FIG3, "--target", "0.05", "--realizations", "4",
+      "--lambda-grid-per-km", "1e-320", "--out", "-"], "road_intensity 9.99989e-321 and"),
+])
+def test_an_option_beyond_double_precision_is_named_as_given(argv, message, capsys):
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err

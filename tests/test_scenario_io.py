@@ -276,7 +276,8 @@ _REALS = st.one_of(st.floats(0.0, 2.0), st.floats(-200.0, 200.0), _FINITE)
 _REALS = st.one_of(_REALS, _REALS.map(np.float64),
                    st.floats(-200.0, 200.0, width=32).map(np.float32))
 _COUNTS = st.integers(0, 2 ** 63 - 1)
-_COUNTS = st.one_of(st.integers(0, 10), _COUNTS, _COUNTS.map(np.int64))
+# 10**5000 once built a document that dump_scenario could not write
+_COUNTS = st.one_of(st.integers(0, 10), _COUNTS, _COUNTS.map(np.int64), st.just(10 ** 5000))
 _LISTS = st.lists(st.one_of(st.floats(0.0, 1.0), _FINITE), max_size=3)
 _BY_READER = {read_real: _REALS, read_fraction: _REALS, read_count: _COUNTS,
               read_tuple: _LISTS.map(tuple), read_choice: st.sampled_from(SAMPLERS)}
@@ -302,6 +303,13 @@ class TestDump:
     def test_bundled_documents_parse_back_from_their_dump(self, name):
         doc = bundled_scenario(name)
         assert parse_scenario(dump_scenario(doc)) == doc
+
+    @pytest.mark.parametrize("count", [10 ** 5000, -(10 ** 5000)], ids=["huge", "huge-negative"])
+    def test_a_count_too_long_to_write_is_refused(self, count):
+        # it built, and dump_scenario raised the builtin "Exceeds the limit (4300 digits)"
+        with pytest.raises(PrbdimError) as exc:
+            dataclasses.replace(bundled_scenario("fig3"), seed=count)
+        assert str(exc.value) == "seed has more than 4300 digits, too many to write"
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(name=st.sampled_from(BUNDLED), changes=st.lists(
