@@ -63,24 +63,27 @@ def chord_segments(scn: Scenario, roads: RoadSet) -> np.ndarray:
     return seg
 
 
-def segment_weights(scn: Scenario, seg: np.ndarray) -> np.ndarray:
-    """R x N combined per-level Poisson weights from a chord-segment matrix."""
-    w = np.tile(indoor_weights(scn), (seg.shape[0], 1))
-    # rings sharing a level accumulate in ring order
-    np.add.at(w, (slice(None), outdoor_rings(scn)[2]),
-              2.0 * scn.geometry.user_intensity_linear * seg)
-    return w
-
-
-def weight_matrix(scn: Scenario, roads: RoadSet) -> np.ndarray:
-    """R x N combined per-level Poisson weights, row i for road realization i."""
-    return segment_weights(scn, chord_segments(scn, roads))
+def weight_matrices(scns: list[Scenario], roads: RoadSet | None = None) -> list[np.ndarray]:
+    """The R x N combined per-level Poisson weights of scenarios that differ
+    only in their user intensities, row i for realization i of `roads`, by
+    default the first scenario's road set: one chord-segment matrix, which
+    the roads and rings alone set, shared by every scenario (common random
+    numbers)."""
+    seg = chord_segments(scns[0], road_set(scns[0]) if roads is None else roads)
+    weights = []
+    for scn in scns:
+        w = np.tile(indoor_weights(scn), (seg.shape[0], 1))
+        # rings sharing a level accumulate in ring order
+        np.add.at(w, (slice(None), outdoor_rings(scn)[2]),
+                  2.0 * scn.geometry.user_intensity_linear * seg)
+        weights.append(w)
+    return weights
 
 
 def conditional_congestion(scn: Scenario, road: RoadSet, m: int) -> float:
-    """P(Gamma >= m | roads) for one road realization: the one-row case of
-    the weight-matrix path."""
-    return ccdf_bell(CompoundSpec(weight_matrix(scn, road.single())[0]), m)
+    """P(Gamma >= m | roads) for one road realization, by its one-row weight matrix."""
+    [w] = weight_matrices([scn], road.single())
+    return ccdf_bell(CompoundSpec(w[0]), m)
 
 
 def road_set(scn: Scenario) -> RoadSet:
@@ -145,7 +148,7 @@ def averaged_congestion(scn: Scenario, m_values=None) -> CongestionCurve:
     same batched recursion.
     """
     m = None if m_values is None else read_threshold_list(m_values)
-    w = weight_matrix(scn, road_set(scn))
+    [w] = weight_matrices([scn])
     curve = block_curves(w, default_cutoff(w) if m is None else int(m.max()))
     return curve if m is None else replace(curve, m_values=m, pi=curve.pi[m],
                                            stderr=curve.stderr[m])

@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# road_set is read off congestion, where tests and perfbench/tracer.py patch it
-from . import DEFAULT_M_CEILING, congestion
-from .congestion import chord_segments, row_stats, segment_weights, tail_groups, weight_matrix
+from . import DEFAULT_M_CEILING
+from .congestion import row_stats, tail_groups, weight_matrices
 from .errors import (CeilingError, DomainError, InfeasibleSplitError, read_array, read_count,
                      read_fields, read_fraction, read_real, reading)
 from .linkmodel import Scenario, intensities_from_throughput
@@ -22,12 +21,11 @@ from .linkmodel import Scenario, intensities_from_throughput
 TARGET_FLOOR = 1e-8
 
 
-def check_search(target: float, m_ceiling: int) -> None:
-    """Refuse a target congestion outside [TARGET_FLOOR, 1) or an M ceiling not an integer >= 1."""
-    if not TARGET_FLOOR <= read_real(target, "target congestion") < 1.0:
-        raise DomainError(f"target congestion {target:g} must lie in "
-                          f"[floor {TARGET_FLOOR:g}, 1)")
-    read_count(m_ceiling, "m_ceiling", 1)
+def read_target(x, name: str) -> float:
+    """x as a target congestion in [TARGET_FLOOR, 1), read by :func:`read_real`."""
+    if not TARGET_FLOOR <= (target := read_real(x, name)) < 1.0:
+        raise DomainError(f"{name} {target:g} must lie in [floor {TARGET_FLOOR:g}, 1)")
+    return target
 
 
 @dataclass(frozen=True)
@@ -37,14 +35,12 @@ class DimensionQuery:
     of `scenario.geometry` are replaced by the forecast's."""
 
     scenario: Scenario
-    target_congestion: float = reading(read_real, name="target congestion")
+    target_congestion: float = reading(read_target, name="target congestion")
     throughput_bps: float = reading(read_real, "positive")
     outdoor_fraction: float = reading(read_fraction, default=1.0)
     m_ceiling: int = reading(read_count, 1, default=DEFAULT_M_CEILING)
 
-    def __post_init__(self):
-        read_fields(self)
-        check_search(self.target_congestion, self.m_ceiling)
+    __post_init__ = read_fields
 
     def build_scenario(self) -> Scenario:
         """The scenario with the forecast's intensities, sharing its demand
@@ -106,8 +102,9 @@ def dimension_scenario(scn: Scenario, target: float,
     """Find the smallest M with Pi(M) <= target for a prepared scenario. One
     road-realization set backs every threshold (common random numbers), so the
     averaged curve is exactly monotone; the recursion stops at the answer."""
-    check_search(target, m_ceiling)
-    [answer] = invert([weight_matrix(scn, congestion.road_set(scn))], m_ceiling, target)
+    target = read_target(target, "target congestion")
+    m_ceiling = read_count(m_ceiling, "m_ceiling", 1)
+    [answer] = invert(weight_matrices([scn]), m_ceiling, target)
     if isinstance(answer, CeilingError):
         raise answer
     return answer
@@ -147,8 +144,7 @@ def sweep(query: DimensionQuery, throughput_grid_bps=None,
         except InfeasibleSplitError as exc:
             outcome.update(((tau, lam), exc) for tau in distinct_taus)
     for lam, scns in scenarios.items():
-        seg = chord_segments(scns[0], congestion.road_set(scns[0]))
-        weights += [segment_weights(scn, seg) for scn in scns]
+        weights += weight_matrices(scns)
         points += [(tau, lam) for tau in distinct_taus]
     answers = invert(weights, query.m_ceiling, query.target_congestion) if weights else []
     outcome.update(zip(points, answers))

@@ -21,6 +21,11 @@ class DomainError(PrbdimError, ValueError):
     exit_code, label = 3, "validation error"
 
 
+class PrecisionError(DomainError):
+    """Inputs, each in its domain, whose result lies beyond double precision; a
+    caller that read them in other units names them as it was given them."""
+
+
 class RangeError(PrbdimError, OverflowError):
     """A result is not representable in double precision (the float Bell
     evaluations); no command reaches it today."""

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DomainError, InfeasibleSplitError, read_array, read_choice, read_count,
-                     read_fields, read_fraction, read_real, read_tuple, reading)
+from .errors import (DomainError, InfeasibleSplitError, PrecisionError, read_array, read_choice,
+                     read_count, read_fields, read_fraction, read_real, read_tuple, reading)
 from .geometry import GeometryParams, PAPER, SAMPLERS, mean_users
 
 OUTDOOR = "outdoor"
@@ -386,10 +386,10 @@ def intensities_from_throughput(throughput_bps: float, rate_bps: float,
         delta = outdoor_fraction * users / (road_intensity * area) if outdoor_fraction > 0 else 0.0
         kappa = (1.0 - outdoor_fraction) * users / area
     except (OverflowError, ZeroDivisionError):  # the area, or its product, over- or underflows
-        raise DomainError(f"cell_radius_km {cell_radius_km:g} squared, or times road_intensity "
-                          f"{road_intensity:g}, is beyond double precision") from None
+        raise PrecisionError(f"cell_radius_km {cell_radius_km:g} squared, or times road_intensity "
+                             f"{road_intensity:g}, is beyond double precision") from None
     if not delta + kappa < math.inf:  # an infinite user count, or a subnormal divisor
-        raise DomainError(
+        raise PrecisionError(
             f"user intensity of throughput_bps {throughput_bps:g} at rate_bps {rate_bps:g} "
             f"over cell_radius_km {cell_radius_km:g}, road_intensity {road_intensity:g} and "
             f"outdoor_fraction {outdoor_fraction:g} is beyond double precision")

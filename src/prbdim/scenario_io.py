@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_M_CEILING, REGION_NAMES
-from .errors import (PrbdimError, ScenarioError, read_choice, read_count, read_fields,
-                     read_fraction, read_real, read_si, read_tuple, reading)
+from .errors import (PrbdimError, PrecisionError, ScenarioError, read_choice, read_count,
+                     read_fields, read_fraction, read_real, read_si, read_tuple, reading)
 from .geometry import GeometryParams, PAPER, SAMPLERS
 from .linkmodel import (InterferenceModel, LinkBudget, Scenario, Service,
                         default_breakpoints, intensities_from_throughput)
@@ -125,13 +125,21 @@ class ScenarioFile:
         return Service(rate_bps=read_si(self.rate_kbps, "rate_kbps"))
 
     def geometry(self) -> GeometryParams:
-        """The stated intensities, or those of the stated forecast."""
-        if self.throughput_mbps is not None:
+        """The stated intensities, or those of the stated forecast, whose refusal
+        beyond double precision names its keys as written."""
+        if self.throughput_mbps is None:
+            return GeometryParams(self.road_intensity_per_km, self.user_intensity_per_km,
+                                  self.indoor_intensity_per_km2)
+        try:
             return intensities_from_throughput(
                 read_si(self.throughput_mbps, "throughput_mbps"), self.service().rate_bps,
                 self.cell_radius_km, self.road_intensity_per_km, self.outdoor_fraction)
-        return GeometryParams(self.road_intensity_per_km, self.user_intensity_per_km,
-                              self.indoor_intensity_per_km2)
+        except PrecisionError:
+            raise PrecisionError(
+                f"user intensity of throughput_mbps {self.throughput_mbps!r} at rate_kbps "
+                f"{self.rate_kbps!r} over cell_radius_km {self.cell_radius_km!r}, "
+                f"road_intensity_per_km {self.road_intensity_per_km!r} and outdoor_fraction "
+                f"{self.outdoor_fraction!r} is beyond double precision") from None
 
     def region_bounds(self, name: str | None) -> tuple[float, float] | None:
         """Annulus of a named cell region; the default split unless the

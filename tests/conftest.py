@@ -249,7 +249,7 @@ def rings(profile):
 
 
 # Per-ring demand masses written interval by interval: the independent
-# reference for congestion.weight_matrix.
+# reference for congestion.weight_matrices.
 def chord_mass(road, interval, delta):
     """Expected users on the road chords inside the annulus (u, v].
 
@@ -382,12 +382,10 @@ def full_curve_answers(scns, target, m_ceiling):
     intensities: each one's whole averaged curve to K = min(m_ceiling,
     default_cutoff(W)) by `block_curves`, then `full_curve_answer`."""
     from prbdim.compound import default_cutoff
-    from prbdim.congestion import block_curves, chord_segments, road_set, segment_weights
+    from prbdim.congestion import block_curves, weight_matrices
 
-    seg = chord_segments(scns[0], road_set(scns[0]))
-    weights = [segment_weights(scn, seg) for scn in scns]
     return [full_curve_answer(block_curves(w, min(m_ceiling, default_cutoff(w))), target)
-            for w in weights]
+            for w in weight_matrices(scns)]
 
 
 def report_answer(report):

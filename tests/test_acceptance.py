@@ -15,7 +15,7 @@ from prbdim import (CompoundSpec, GeometryParams, InterferenceModel,
                     bell_complete, bell_determinant, ccdf_bell, ccdf_integral,
                     dimension_prbs, expected_load, pmf, ppp_equivalent)
 from prbdim.cli import main as cli_main
-from prbdim.congestion import road_set, weight_matrix
+from prbdim.congestion import road_set, weight_matrices
 from prbdim.scenario_io import bundled_scenario, bundled_scenario_path
 from prbdim.simulate import empirical_ccdf, gamma_samples
 from prbdim.validate import convolved_pmf, fig3_lambda_delta, interference_delta
@@ -219,9 +219,9 @@ def test_criterion_10_structural_invariants(tmp_path):
     scn = scenario(2.0, 8.0, InterferenceModel.noise_limited())
     long_draw, short_draw = gamma_samples(scn, 50), gamma_samples(scn, 20)
     roads = road_set(scn)
-    w = weight_matrix(scn, roads)
+    w = weight_matrices([scn], roads)[0]
     batch_ok = (all(np.array_equal(s, l[:20]) for s, l in zip(short_draw, long_draw))
-                and all(np.array_equal(row, weight_matrix(scn, road)[0])
+                and all(np.array_equal(row, weight_matrices([scn], road)[0][0])
                         for row, road in zip(w, roads)))
 
     _report(10, "structural invariants",

@@ -11,7 +11,7 @@ import prbdim
 from prbdim import cli, congestion
 from prbdim.cli import main
 from prbdim.compound import default_cutoff
-from prbdim.congestion import road_set, weight_matrix
+from prbdim.congestion import road_set, weight_matrices
 from prbdim.linkmodel import ppp_equivalent
 from prbdim.scenario_io import bundled_scenario_path, load_scenario
 from prbdim.simulate import gamma_samples
@@ -72,7 +72,7 @@ class TestCongestionCommand:
         scn = load_scenario(path).to_scenario(region="edge" if extra else None)
         scn = ppp_equivalent(scn) if extra else scn
         m, pi, _ = rows[-1].split(",")
-        assert int(m) == default_cutoff(weight_matrix(scn, road_set(scn)))
+        assert int(m) == default_cutoff(weight_matrices([scn], road_set(scn))[0])
         assert float(pi) <= 1e-12
         assert meta[-1] == "# m_max_rule = chernoff"
 

@@ -16,7 +16,7 @@ from prbdim import (CeilingError, CompoundSpec, DomainError, GeometryParams,
 from prbdim.compound import default_cutoff, recursion_steps
 from prbdim import congestion
 from prbdim.congestion import (CongestionCurve, block_curves, indoor_weights, outdoor_rings,
-                               road_set, row_stats, weight_matrix)
+                               road_set, row_stats, weight_matrices)
 from prbdim.dimension import invert
 from prbdim.scenario_io import REGION_NAMES, bundled_scenario
 from prbdim.simulate import empirical_ccdf, gamma_samples
@@ -59,7 +59,7 @@ class TestConditional:
         scn = make_scenario(kappa=20.0)
         a = fixed_road([])
         b = fixed_road([0.1, 0.5])
-        spec = CompoundSpec(weight_matrix(scn, a)[0])
+        spec = CompoundSpec(weight_matrices([scn], a)[0][0])
         for m in (0, 3, 17):
             assert conditional_congestion(scn, a, m) == conditional_congestion(scn, b, m)
             assert conditional_congestion(scn, a, m) == ccdf_bell(spec, m)
@@ -67,7 +67,7 @@ class TestConditional:
     def test_levels_align_by_prb_count(self):
         scn = make_scenario(lam=9.0, delta=6.0, kappa=20.0)
         road = fixed_road([0.2])
-        spec = CompoundSpec(weight_matrix(scn, road)[0])
+        spec = CompoundSpec(weight_matrices([scn], road)[0][0])
         prof_out, prof_in = scn.demand_steps
         assert spec.n_levels == scn.n_levels == max(*rings(prof_out), *rings(prof_in)) == 6
         w_in = indoor_masses(prof_in, 20.0)
@@ -80,7 +80,7 @@ class TestAveraged:
     def test_indoor_only_zero_stderr(self):
         scn = make_scenario(kappa=20.0, mc=7)
         curve = averaged_congestion(scn, np.arange(0, 40))
-        single = CompoundSpec(weight_matrix(scn, fixed_road([]))[0])
+        single = CompoundSpec(weight_matrices([scn], fixed_road([]))[0][0])
         expected = [ccdf_bell(single, int(m)) for m in range(40)]
         np.testing.assert_allclose(curve.pi, expected, atol=1e-13)
         assert curve.stderr.max() == 0.0
@@ -108,9 +108,9 @@ class TestAveraged:
         for got, want in zip(gamma_samples(scn, 13), (gammas, n_out, n_in)):
             np.testing.assert_array_equal(got, want[:13])
         roads = road_set(scn)
-        w = weight_matrix(scn, roads)
+        w = weight_matrices([scn], roads)[0]
         for row, road in zip(w, roads):
-            np.testing.assert_array_equal(row, weight_matrix(scn, road)[0])
+            np.testing.assert_array_equal(row, weight_matrices([scn], road)[0][0])
 
     def test_stochastic_monotonicity_in_intensities(self):
         ms = np.arange(0, 150)
@@ -244,7 +244,7 @@ class TestBatchedCurve:
         assert len(set(prof_out.values.tolist())) < prof_out.values.size
         sampled = road_set(scn)
         roads = RoadSet(counts=[*sampled.counts, 0], chord_distances=sampled.chord_distances)
-        w = weight_matrix(scn, roads)
+        w = weight_matrices([scn], roads)[0]
         assert w.shape == (13, 6)
         for row, road in zip(w, roads):
             expected = np.zeros(6)
@@ -283,7 +283,7 @@ class TestBatchedCurve:
         # the scalar path: indoor weight 800 on one level is Poisson(800)
         scn = make_scenario(kappa=800.0 / (math.pi * 0.7 ** 2), n_max=1)
         road = fixed_road([])
-        total = float(weight_matrix(scn, road)[0].sum())
+        total = float(weight_matrices([scn], road)[0][0].sum())
         assert total == pytest.approx(800.0)
         assert conditional_congestion(scn, road, 800) == pytest.approx(
             poisson.sf(799, total), abs=1e-12)
@@ -299,7 +299,7 @@ class TestHeavyLoad:
     @pytest.mark.parametrize("tau", [180e6, 300e6])
     def test_rows_match_the_fourier_route(self, tau):
         scn = fig7_at(tau)
-        w = weight_matrix(scn, road_set(scn))
+        w = weight_matrices([scn], road_set(scn))[0]
         rows = w[np.r_[0:800:100, np.argmax(w.sum(axis=1))]]
         assert rows.sum(axis=1).max() > 708
         k = default_cutoff(rows)
@@ -333,7 +333,7 @@ class TestExpectedLoad:
 
     def test_equals_mean_of_average_spec(self):
         scn = make_scenario(lam=6.0, delta=2.0, kappa=8.0, mc=4000, seed=13)
-        specs = [CompoundSpec(w) for w in weight_matrix(scn, road_set(scn))]
+        specs = [CompoundSpec(w) for w in weight_matrices([scn], road_set(scn))[0]]
         mc_mean = float(np.mean([s.mean for s in specs]))
         assert expected_load(scn) == pytest.approx(mc_mean, rel=0.01)
 
@@ -413,11 +413,11 @@ class TestRingTables:
             assert np.array_equal(table, ref)
         assert np.array_equal(indoor_weights(scn), reference_indoor_weights(scn))
         roads = road_set(scn)
-        w, load = weight_matrix(scn, roads), expected_load(scn)
+        w, load = weight_matrices([scn], roads)[0], expected_load(scn)
         # the same scenario evaluated from the reference tables
         monkeypatch.setattr(congestion, "outdoor_rings", reference_outdoor_table)
         monkeypatch.setattr(congestion, "indoor_weights", reference_indoor_weights)
-        assert np.array_equal(weight_matrix(scn, roads), w)
+        assert np.array_equal(weight_matrices([scn], roads)[0], w)
         assert expected_load(scn) == load
 
 

@@ -13,7 +13,7 @@ from prbdim import (CeilingError, CompoundSpec, DimensionQuery, DimensionReport,
                     intensities_from_throughput, mean_users, sweep)
 from prbdim.compound import default_cutoff
 from prbdim import congestion, linkmodel
-from prbdim.congestion import _STATS_STEPS, averaged_congestion, road_set, weight_matrix
+from prbdim.congestion import _STATS_STEPS, averaged_congestion, road_set, weight_matrices
 from prbdim.geometry import GeometryParams
 from prbdim.linkmodel import Scenario, ring_radii
 from prbdim.scenario_io import bundled_scenario, bundled_scenario_path
@@ -192,7 +192,7 @@ class TestDimension:
 def brute_force_curve(scn, m_ceiling):
     """Per-realization scalar-recursion tails to m_ceiling, averaged over the road set."""
     m = np.arange(0, m_ceiling + 1)
-    rows = np.array([scalar_ccdf(weight_matrix(scn, road)[0], m)
+    rows = np.array([scalar_ccdf(weight_matrices([scn], road)[0][0], m)
                      for road in road_set(scn)])
     return rows.mean(axis=0)
 
@@ -215,7 +215,7 @@ class TestAgainstBruteForce:
         # answer, or at K = min(m_ceiling, cutoff) when the answer lies beyond
         q = query(target=0.05, tau=25e6, mc=12, seed=3)
         scn = q.build_scenario()
-        cutoff = default_cutoff(weight_matrix(scn, road_set(scn)))
+        cutoff = default_cutoff(weight_matrices([scn], road_set(scn))[0])
         steps = counting_kernel(monkeypatch)
         m = dimension_prbs(replace(q, m_ceiling=1024)).required_m
         for m_ceiling in (1024, 200, m):
@@ -257,6 +257,22 @@ class TestAgainstBruteForce:
         with pytest.raises(DomainError, match=message):
             dimension_scenario(query().build_scenario(), 0.05, m_ceiling)
         assert dimension_prbs(query(mc=10, m_ceiling=np.int64(300))).required_m <= 300
+
+    # read by DimensionQuery's field readers, in field order; with both bad,
+    # dimension_scenario once named the target and the query its M ceiling
+    @pytest.mark.parametrize("target, m_ceiling, message", [
+        (9.9e-9, 4096, "target congestion 9.9e-09 must lie in [floor 1e-08, 1)"),
+        (1.0, 4096, "target congestion 1 must lie in [floor 1e-08, 1)"),
+        (1e-9, 0, "target congestion 1e-09 must lie in [floor 1e-08, 1)")])
+    @pytest.mark.parametrize("entry", ["DimensionQuery", "dimension_scenario"])
+    def test_search_inputs_are_refused_with_the_query_texts(self, entry, target, m_ceiling,
+                                                            message):
+        with pytest.raises(DomainError) as exc:
+            if entry == "DimensionQuery":
+                query(target=target, m_ceiling=m_ceiling)
+            else:
+                dimension_scenario(query().build_scenario(), target, m_ceiling)
+        assert str(exc.value) == message
 
     def test_target_below_the_floor_is_refused(self):
         with pytest.raises(DomainError, match="floor 1e-08"):
@@ -331,7 +347,7 @@ class TestSweep:
         scn = replace(q, throughput_bps=600e6).build_scenario()
         m = np.array([4137, 4138])
         fourier = np.mean([ccdf_integral(CompoundSpec(weights=w), m)
-                           for w in weight_matrix(scn, road_set(scn))], axis=0)
+                           for w in weight_matrices([scn], road_set(scn))[0]], axis=0)
         assert abs(report.pi_before - fourier[0]) <= 1e-12
         assert abs(report.pi_at_m - fourier[1]) <= 1e-12
 
@@ -348,6 +364,26 @@ class TestSweep:
         assert len(points) == 6
         assert all(isinstance(p, DimensionReport) for p in points)
         assert draws == [4.0, 9.0]
+
+    def test_each_entry_draws_one_road_set_per_distinct_feasible_lambda(self, monkeypatch):
+        draws = []
+
+        def counting_road_set(scn):
+            draws.append(scn.geometry.road_intensity)
+            return road_set(scn)
+
+        monkeypatch.setattr(congestion, "road_set", counting_road_set)
+        # all traffic rides the roads, so lambda = 0 is an infeasible split
+        points = sweep(query(mc=20, seed=6), throughput_grid_bps=[10e6, 25e6, 10e6],
+                       road_intensity_grid=[4.0, 0.0, 9.0, 4.0])
+        assert [type(p) for p in points[:4]] == [DimensionReport, InfeasibleSplitError,
+                                                  DimensionReport, DimensionReport]
+        assert draws == [4.0, 9.0]
+        scn = query(mc=20, seed=6).build_scenario()
+        averaged_congestion(scn, [0, 5])
+        assert draws == [4.0, 9.0, 9.0]
+        dimension_scenario(scn, 0.05)
+        assert draws == [4.0, 9.0, 9.0, 9.0]
 
     @pytest.mark.parametrize("grids, value", [
         ({"road_intensity_grid": [4.0, -1.0]}, "road_intensity -1"),

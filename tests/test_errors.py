@@ -157,6 +157,8 @@ REAL_ENTRIES = {
         scn.link_budget, scn.interference, x, "outdoor")),
     "dimension_scenario.target": ("target congestion", "finite",
                                   lambda scn, x: dimension_scenario(scn, x)),
+    "DimensionQuery.target_congestion": ("target congestion", "finite",
+                                         lambda scn, x: DimensionQuery(scn, x, 30e6)),
     "StepFunction.span": ("span", "positive", lambda scn, x: StepFunction([], [1], x)),
 }
 # a value of the wrong sign for each sign a real entry requires

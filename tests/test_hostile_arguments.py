@@ -213,9 +213,9 @@ def test_a_float32_bandwidth_gives_the_demand_steps_of_its_float():
     (lambda: dataclasses.replace(DOC, throughput_mbps=1e303),
      "throughput_mbps 1e+303 is beyond double precision in bit/s"),
     (lambda: dataclasses.replace(DOC, road_intensity_per_km=1e-320),
-     "road_intensity 9.99989e-321 and outdoor_fraction 0.75 is beyond double precision"),
+     "road_intensity_per_km 1e-320 and outdoor_fraction 0.75 is beyond double precision"),
     (lambda: dataclasses.replace(DOC, rate_kbps=1e-320),
-     "at rate_bps 9.99989e-318 over"),
+     "at rate_kbps 1e-320 over"),
     (lambda: intensities_from_throughput(25e6, 1e-320, 0.7, 2.0, 0.0),
      "user intensity of throughput_bps 2.5e+07 at rate_bps 9.99989e-321 over cell_radius_km "
      "0.7, road_intensity 2 and outdoor_fraction 0 is beyond double precision"),

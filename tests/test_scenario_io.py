@@ -107,6 +107,27 @@ class TestParsing:
         assert main(["dimension", "--scenario", str(path), "--target", "0.05"]) == 3
         assert written in capsys.readouterr().err
 
+    # named as intensities_from_throughput's SI arguments, e.g. rate_bps
+    # 9.99989e-318 for rate_kbps = 1e-320
+    @pytest.mark.parametrize("key, value", [("rate_kbps", "1e-320"),
+                                            ("road_intensity_per_km", "1e-320"),
+                                            ("cell_radius_km", "1e+200")])
+    def test_a_forecast_beyond_double_precision_names_its_keys_as_written(self, key, value,
+                                                                          tmp_path, capsys):
+        from prbdim.cli import main
+        path = tmp_path / "cell.scenario"
+        path.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}",
+                               bundled_scenario_path("fig3").read_text()))
+        given = {"rate_kbps": "500.0", "cell_radius_km": "0.7", "road_intensity_per_km": "2.0",
+                 key: value}
+        message = (f"user intensity of throughput_mbps 25.0 at rate_kbps {given['rate_kbps']} "
+                   f"over cell_radius_km {given['cell_radius_km']}, road_intensity_per_km "
+                   f"{given['road_intensity_per_km']} and outdoor_fraction 0.75 is beyond "
+                   "double precision")
+        assert main(["dimension", "--scenario", str(path), "--target", "0.05",
+                     "--realizations", "20"]) == 3
+        assert capsys.readouterr().err == f"scenario error: {path}: {message}\n"
+
     @pytest.mark.parametrize("edit, message", [
         (lambda t: t + "\n[antenna]\ncount = 3\n", "unknown section [antenna]"),
         (lambda t: t + "frequency_ghz = 3.5\n", "unknown key 'frequency_ghz' in [geometry]"),

@@ -10,7 +10,7 @@ from prbdim import (CompoundSpec, DomainError, GeometryParams, InterferenceModel
                     LinkBudget, Scenario, Service, conditional_congestion,
                     empirical_ccdf, expected_load)
 from prbdim import simulate
-from prbdim.congestion import weight_matrix
+from prbdim.congestion import weight_matrices
 from prbdim.scenario_io import bundled_scenario
 from prbdim.simulate import BLOCK, MC_TAG, gamma_samples, wilson_interval
 
@@ -143,7 +143,7 @@ class TestEmpiricalCcdf:
         reps = 10_000
         ms = np.arange(0, 120)
         curve = empirical_ccdf(scn, ms, reps)
-        spec = CompoundSpec(weight_matrix(scn, fixed_road([]))[0])
+        spec = CompoundSpec(weight_matrices([scn], fixed_road([]))[0][0])
         from prbdim import ccdf_bell
         analytic = np.clip(ccdf_bell(spec, ms), 0.0, 1.0)
         hits = np.rint(curve.ccdf * reps)
